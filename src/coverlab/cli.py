@@ -388,7 +388,7 @@ def run(cfg):
 
     def run_mean():
         res = verify_mean_degree(
-            m, radii, n_samples=cfg.samples, seed=cfg.seed, tol=cfg.tolerance, c1=cfg.c1
+            m, radii, n_samples=cfg.samples, seed=cfg.seed, tol=cfg.tolerance
         )
         for row in res.rows:
             report.merge_row(

@@ -1,17 +1,33 @@
 """Preimage counting, islands, covering degrees and ramification.
 
-Root counting follows the argument principle: recursive subdivision of the
-disk's bounding square, with the winding number of f - p along each cell
-boundary deciding where roots are.  Cells whose winding vanishes are
-discarded unless the boundary argument variation is large (which flags a
-possible zero/pole cancellation inside, as happens for rational maps);
-those are subdivided as well.  Isolated cells are polished by Newton.
+Counts for many targets come from the boundary image f(|z| = r).  By the
+argument principle n(r, p) = wind(f(|z| = r), p) + P(r), where P(r) counts
+the poles of f in |z| < r with their order (count_preimages_many).  The
+circle is sampled once with f and f'; an arc is bisected where |f'| changes
+by more than 2x, and wherever a target lies in the arc's bound ball (about
+f at its start, radius max(chord, 2 * step * r|f'|)).  All windings then
+come from one vectorized crossing-number pass.  Band rule: a target still
+inside a ball whose arc cannot shrink below the root-on-circle scale
+(radius about 3e-7 r |f'|) is undecided, and callers send it to
+count_preimages, which raises RootOnCircleError if its root is on the
+circle.  Counts are distinct roots; they equal the winding count except
+at critical values, which random targets miss.
+
+count_preimages and find_roots locate roots by the argument principle
+too: recursive subdivision of the disk's bounding square, with the winding
+number of f - p along each cell boundary deciding where roots are.  Cells
+whose winding vanishes are discarded unless the boundary argument
+variation is large (which flags a possible zero/pole cancellation inside,
+as happens for rational maps); those are subdivided as well.  Isolated
+cells are polished by Newton.  They serve where root locations matter:
+graph vertices, critical points and the undecided targets above.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy import ndimage
@@ -303,6 +319,13 @@ def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
             )
         if abs(root.location) >= r:
             continue
+        if p.is_infinity:
+            # a zero of the cleared denominator may be shared with the
+            # numerator; the pole order of f itself is -wind(f) around it
+            order = -_local_winding(m, root.location, 3 * isolation)
+            if order > 0:
+                inside.append(Root(root.location, order))
+            continue
         # reject zeros shared with the cleared denominator (0/0 points of f)
         try:
             value = evaluate(m, root.location)
@@ -314,6 +337,18 @@ def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
     return inside
 
 
+def _local_winding(m, z0, half_width):
+    """Winding of f around 0 along the square of half-width `half_width` at z0."""
+    dm = differentiate(m)
+    path = _rect_path(
+        z0.real - half_width, z0.real + half_width, z0.imag - half_width, z0.imag + half_width
+    )
+    w, _ = _winding_number(
+        lambda zs: evaluate_array(m, zs), path, dF=lambda zs: evaluate_array(dm, zs)
+    )
+    return w
+
+
 def count_preimages(m, p, r):
     """Number of DISTINCT solutions of f(z) = p in |z| < r."""
     return len(find_roots(m, p, r))
@@ -322,6 +357,180 @@ def count_preimages(m, p, r):
 def multiplicity_count(m, p, r):
     """Solutions of f(z) = p in |z| < r counted with multiplicity."""
     return sum(rt.multiplicity for rt in find_roots(m, p, r))
+
+
+# ---------------------------------------------------------------------------
+# Batched counting from the boundary image f(|z| = r)
+
+_CIRCLE_SAMPLES = 256
+_BALL_SAFETY = 2.0  # |f'| on an arc is at most this times its larger end value
+_BAND = 3e-7  # undecided band in units of r |f'|: the image of the 1e-7 r test
+_MIN_STEP = _BAND / _BALL_SAFETY  # arcs this short are not split further
+_MAX_CURVE_POINTS = 400_000
+_CHUNK = 1 << 16  # (segment, target) pairs per numpy pass
+
+
+def _sample_circle(m, dm, r, thetas):
+    """f and |d/dtheta f(r e^{i theta})| = r |f'| at the given angles."""
+    zs = r * np.exp(1j * thetas)
+    w = evaluate_array(m, zs)
+    speed = r * np.abs(evaluate_array(dm, zs))
+    if not (np.isfinite(w).all() and np.isfinite(speed).all()):
+        raise ContourPassesThroughRoot(f"pole of f on or next to |z| = {r}")
+    return w, speed
+
+
+class _Arcs(NamedTuple):
+    """Arcs [theta, theta + step] of the circle with f and r|f'| at both ends."""
+
+    theta: np.ndarray
+    step: np.ndarray
+    wa: np.ndarray
+    wb: np.ndarray
+    sa: np.ndarray
+    sb: np.ndarray
+
+    def take(self, idx):
+        return _Arcs(*(a[idx] for a in self))
+
+    def join(self, other):
+        return _Arcs(*(np.concatenate([a, b]) for a, b in zip(self, other)))
+
+    def bisect(self, m, dm, r):
+        """Children of every arc: all left halves, then all right halves."""
+        half = self.step / 2
+        wm, sm = _sample_circle(m, dm, r, self.theta + half)
+        left = _Arcs(self.theta, half, self.wa, wm, self.sa, sm)
+        return left.join(_Arcs(self.theta + half, half, wm, self.wb, sm, self.sb))
+
+    def trusted(self):
+        """|f'| changes by at most 2x, so its end values bound it on the arc."""
+        return np.maximum(self.sa, self.sb) <= 2 * np.minimum(self.sa, self.sb)
+
+    def radius(self):
+        """Radius of a ball about f(start) holding the arc's image and chord."""
+        speed = np.maximum(self.sa, self.sb)
+        return np.maximum(
+            np.abs(self.wb - self.wa), np.maximum(_BALL_SAFETY * self.step, _BAND) * speed
+        )
+
+
+def _ball_pairs(arcs, targets):
+    """(arc, target) index pairs with the target inside the arc's ball."""
+    radius = arcs.radius()
+    rows = max(1, _CHUNK // len(targets))
+    arc_idx, tgt_idx = [], []
+    for lo in range(0, len(radius), rows):
+        dist = np.abs(targets[None, :] - arcs.wa[lo:lo + rows, None])
+        a, t = np.nonzero(dist < radius[lo:lo + rows, None])
+        arc_idx.append(a + lo)
+        tgt_idx.append(t)
+    return np.concatenate(arc_idx), np.concatenate(tgt_idx)
+
+
+def _boundary_polygon(m, r, targets):
+    """Closed polyline for f(|z| = r) and the targets it cannot decide.
+
+    Each arc's ball holds both its image and its chord, so a target outside
+    the balls of some ancestor of every final arc has the same winding for
+    polyline and curve.  Arcs are bisected where |f'| changes by more than
+    2x, then wherever their ball holds a target.  A target still inside a
+    ball whose arc is down to _MIN_STEP (radius _BAND r |f'|) is undecided.
+    """
+    dm = differentiate(m)
+    step = 2 * math.pi / _CIRCLE_SAMPLES
+    theta = step * np.arange(_CIRCLE_SAMPLES)
+    w, speed = _sample_circle(m, dm, r, theta)
+    arcs = _Arcs(theta, np.full_like(theta, step), w, np.roll(w, -1), speed, np.roll(speed, -1))
+    while True:
+        split = ~arcs.trusted() & (arcs.step > _MIN_STEP)
+        if not split.any():
+            break
+        if len(arcs.theta) > _MAX_CURVE_POINTS:
+            raise WindingError("boundary image refinement budget exceeded")
+        arcs = arcs.take(~split).join(arcs.take(split).bisect(m, dm, r))
+    thetas, values = [arcs.theta], [arcs.wa]
+    n_points = len(arcs.theta)
+    undecided = np.zeros(len(targets), dtype=bool)
+    arc_idx, tgt_idx = _ball_pairs(arcs, targets)
+    while True:
+        floor = arcs.step[arc_idx] <= _MIN_STEP
+        undecided[tgt_idx[floor]] = True
+        arc_idx, tgt_idx = arc_idx[~floor], tgt_idx[~floor]
+        if not arc_idx.size:
+            break
+        if n_points > _MAX_CURVE_POINTS:
+            raise WindingError("boundary image refinement budget exceeded")
+        parents, inverse = np.unique(arc_idx, return_inverse=True)
+        arcs = arcs.take(parents).bisect(m, dm, r)
+        n = len(parents)
+        thetas.append(arcs.theta[n:])
+        values.append(arcs.wa[n:])
+        n_points += n
+        arc_idx = np.concatenate([inverse, inverse + n])
+        tgt_idx = np.concatenate([tgt_idx, tgt_idx])
+        inside = np.abs(targets[tgt_idx] - arcs.wa[arc_idx]) < arcs.radius()[arc_idx]
+        keep = inside | ~arcs.trusted()[arc_idx]
+        arc_idx, tgt_idx = arc_idx[keep], tgt_idx[keep]
+    order = np.argsort(np.concatenate(thetas), kind="stable")
+    return np.concatenate(values)[order], undecided
+
+
+def _winding_numbers(vertices, targets):
+    """Winding number of a closed polygon around each target.
+
+    Crossing rule of Hormann & Agathos: an edge going up past a target's
+    height with the target on its left adds 1, one going down with the
+    target on its right subtracts 1.  Targets are sorted by height, so each
+    edge meets only the targets in its height range.
+    """
+    start, end = vertices, np.roll(vertices, -1)
+    order = np.argsort(targets.imag)
+    heights = targets.imag[order]
+    lo = np.searchsorted(heights, np.minimum(start.imag, end.imag))
+    hits = np.searchsorted(heights, np.maximum(start.imag, end.imag)) - lo
+    bounds = np.concatenate([[0], np.cumsum(hits)])
+    wind = np.zeros(len(targets))
+    e0 = 0
+    while e0 < len(hits):
+        e1 = max(e0 + 1, int(np.searchsorted(bounds, bounds[e0] + _CHUNK, "right")) - 1)
+        edge = np.repeat(np.arange(e0, e1), hits[e0:e1])
+        first = np.repeat(bounds[e0:e1] - bounds[e0] - lo[e0:e1], hits[e0:e1])
+        tgt = order[np.arange(len(edge)) - first]
+        a, b, p = start[edge], end[edge], targets[tgt]
+        side = (b.real - a.real) * (p.imag - a.imag) - (p.real - a.real) * (b.imag - a.imag)
+        up = b.imag > a.imag
+        sign = (up & (side > 0)).astype(float) - (~up & (side < 0))
+        wind += np.bincount(tgt, weights=sign, minlength=len(targets))
+        e0 = e1
+    return np.rint(wind).astype(int)
+
+
+def count_preimages_many(m, points, r):
+    """count_preimages for many targets from one pass over f(|z| = r).
+
+    n(r, p) = wind(f(|z| = r), p) + P(r), with P(r) the poles of f in
+    |z| < r counted with order.  Returns one entry per point: the count,
+    or None where the boundary image cannot decide it (the point at
+    infinity, a target within the band around the image, a pole on the
+    circle); callers pass those to count_preimages.
+    """
+    points = [SpherePoint.of(p) for p in points]
+    result = [None] * len(points)
+    finite = [k for k, p in enumerate(points) if not p.is_infinity]
+    if not finite:
+        return result
+    targets = np.array([points[k].value for k in finite], dtype=np.complex128)
+    try:
+        poles = multiplicity_count(m, "inf", r)
+        polygon, undecided = _boundary_polygon(m, r, targets)
+    except (WindingError, RootOnCircleError, ContourPassesThroughRoot):
+        return result
+    counts = _winding_numbers(polygon, targets) + poles
+    for k, count, unsure in zip(finite, counts, undecided):
+        if not unsure and count >= 0:
+            result[k] = int(count)
+    return result
 
 
 @dataclass(frozen=True)
@@ -336,7 +545,15 @@ class MeanDegree:
 
 
 def mean_degree(m, r, n_samples, seed=0, resample_budget=None):
-    """Monte-Carlo average of count_preimages over uniform sphere points."""
+    """Monte-Carlo average of n(r, p) over uniform sphere points p.
+
+    All candidate points are counted at once by count_preimages_many from
+    the winding of the boundary image f(|z| = r); only points it leaves
+    undecided (inside the band around the image) go to count_preimages.
+    A point whose root lies on the circle therefore still raises there and
+    is resampled, in the same order as before.  Counts are distinct roots,
+    which equal the winding count except at critical values.
+    """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
     if resample_budget is None:
@@ -344,14 +561,16 @@ def mean_degree(m, r, n_samples, seed=0, resample_budget=None):
     pts = sample_sphere_uniform(seed, n_samples + resample_budget)
     counts = []
     resampled = 0
-    idx = 0
-    while len(counts) < n_samples and idx < len(pts):
-        p = pts[idx]
-        idx += 1
-        try:
-            counts.append(count_preimages(m, p, r))
-        except (WindingError, RootOnCircleError, ContourPassesThroughRoot):
-            resampled += 1
+    for p, count in zip(pts, count_preimages_many(m, pts, r)):
+        if len(counts) == n_samples:
+            break
+        if count is None:
+            try:
+                count = count_preimages(m, p, r)
+            except (WindingError, RootOnCircleError, ContourPassesThroughRoot):
+                resampled += 1
+                continue
+        counts.append(count)
     if len(counts) < n_samples:
         raise WindingError("resample budget exhausted in mean_degree")
     arr = np.asarray(counts, dtype=float)
@@ -377,10 +596,6 @@ class IslandRecord:
     area_share: float
     centroid: complex = 0j
     holes: list = field(default_factory=list)  # inner boundaries, if any
-
-
-class AmbiguousComponentError(ArithmeticError):
-    """A component could not be classified at the working resolution."""
 
 
 def _window_mask(m, disk, x0, x1, y0, y1, nx, ny):

@@ -660,10 +660,6 @@ def sample_sphere_uniform(seed, n):
     return pts
 
 
-def _dm_cached(m):
-    return differentiate(m)
-
-
 if __name__ == "__main__":  # tiny self-check
     m = parse_map("z")
     print("a(1) =", area(m, 1.0), " l(1) =", boundary_length(m, 1.0))

@@ -28,6 +28,7 @@ from coverlab.count import (
     ContourPassesThroughRoot,
     WindingError,
     count_preimages,
+    count_preimages_many,
     find_roots,
 )
 
@@ -902,6 +903,11 @@ def arc_test_integral(m, chart, t, r, beta_profile=None, n_nodes=24):
 
     beta_profile must integrate to 1 over x_range (checked); the result
     approximates the covering area a(r) when the arc has only good lifts.
+    The preimage counts d_n at the Gauss nodes come from one winding pass
+    over the boundary image f(|z| = r) (count_preimages_many); a node
+    inside the band around the image goes to count_preimages, which raises
+    RootOnCircleError when its root lies on the circle.  Counts are
+    distinct roots, which equal the winding count except at critical values.
     """
     x0, x1 = chart.x_range
     if beta_profile is None:
@@ -915,10 +921,11 @@ def arc_test_integral(m, chart, t, r, beta_profile=None, n_nodes=24):
         )
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * nodes
+    targets = [complex(chart.inverse(complex(x, t))) for x in xs]
     total = 0.0
-    for x, w in zip(xs, weights):
-        target = complex(chart.inverse(complex(x, t)))
-        d = count_preimages(m, target, r)
+    for x, w, target, d in zip(xs, weights, targets, count_preimages_many(m, targets, r)):
+        if d is None:
+            d = count_preimages(m, target, r)
         total += w * float(beta_profile(np.array([x]))[0]) * d
     return total * 0.5 * (x1 - x0)
 

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, fields
-
-import numpy as np
+from dataclasses import dataclass, field
 
 from coverlab.count import (
     find_islands,
@@ -22,10 +20,7 @@ from coverlab.count import (
     total_ramification,
 )
 from coverlab.metric import area, boundary_length
-from coverlab.trace import (
-    build_preimage_graph,
-    complement_components,
-)
+from coverlab.trace import build_preimage_graph
 
 DEFAULT_C1 = 4.0  # slack coefficient on l/a (or l)
 DEFAULT_C2 = 50.0  # slack coefficient on 1/resolution
@@ -55,7 +50,7 @@ def _trend_improving(deviation, grace=1e-9):
 # Verifiers
 
 
-def verify_mean_degree(m, radii, n_samples=400, seed=0, tol=1e-6, c1=DEFAULT_C1):
+def verify_mean_degree(m, radii, n_samples=400, seed=0, tol=1e-6):
     """Check mean covering degree against the pullback area per radius."""
     rows = []
     needed = []

@@ -1,13 +1,15 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
 
-from coverlab.expr import parse_map
+from coverlab.expr import evaluate, parse_map
 from coverlab.count import (
     IslandRecord,
     RootOnCircleError,
     count_preimages,
+    count_preimages_many,
     find_islands,
     find_roots,
     island_degree,
@@ -15,7 +17,7 @@ from coverlab.count import (
     multiplicity_count,
     total_ramification,
 )
-from coverlab.metric import SphericalDisk, area
+from coverlab.metric import SphericalDisk, area, sample_sphere_uniform
 
 RHO = 0.2 / math.sqrt(math.pi)  # the standard disk radius used throughout
 
@@ -48,6 +50,62 @@ def test_count_rational_poles_and_values():
 def test_root_on_circle_error():
     with pytest.raises(RootOnCircleError):
         count_preimages(parse_map("z^3"), 8, 2.0)
+
+
+@pytest.mark.parametrize(
+    "source, r",
+    [
+        ("z^3", 1.5),
+        ("exp(z)", 8.0),
+        ("exp(z)", 20.0),
+        ("sin(z)", 6.0),
+        ("(z^2-1)/(z-1)", 2.0),  # the removable 0/0 at z = 1 must not count
+        ("(z-0.5)^2/(z-0.5)^3", 1.0),
+        ("1/(z-0.5)+z^2", 1.3),
+    ],
+)
+def test_count_preimages_many_matches_count_preimages(source, r):
+    m = parse_map(source)
+    points = sample_sphere_uniform(2024, 100)
+    batched = count_preimages_many(m, points, r)
+    mismatches = [
+        (p, got) for p, got in zip(points, batched) if got != count_preimages(m, p, r)
+    ]
+    assert mismatches == []
+
+
+def test_count_preimages_many_near_boundary_image():
+    # images of points 1e-4 r inside and outside the circle sit closer to
+    # f(|z| = r) than the coarse polyline's chords; z^3 maps the circle of
+    # radius rho onto the one of radius rho^3, so 3 roots lie inside or none
+    m = parse_map("z^3")
+    angles = np.linspace(0.0, 2 * math.pi, 50, endpoint=False)
+    inner = [evaluate(m, 1.5 * (1 - 1e-4) * cmath.exp(1j * a)) for a in angles]
+    outer = [evaluate(m, 1.5 * (1 + 1e-4) * cmath.exp(1j * a)) for a in angles]
+    assert count_preimages_many(m, inner + outer, 1.5) == [3] * 50 + [0] * 50
+
+
+def test_count_preimages_many_target_on_boundary_image_is_undecided():
+    m = parse_map("exp(z)")
+    on_curve = evaluate(m, 8.0 * cmath.exp(0.7j))
+    off_curve = 0.5 + 0.25j
+    assert count_preimages_many(m, [on_curve, off_curve], 8.0) == [
+        None,
+        count_preimages(m, off_curve, 8.0),
+    ]
+    with pytest.raises(RootOnCircleError):
+        count_preimages(m, on_curve, 8.0)
+
+
+def test_count_preimages_many_infinity_is_undecided():
+    assert count_preimages_many(parse_map("1/(z-0.5)"), ["inf", 3], 1.0) == [None, 1]
+
+
+def test_multiplicity_at_infinity_is_pole_order():
+    # the cleared denominator (z-0.5)^3 has a triple zero, f a simple pole
+    assert multiplicity_count(parse_map("(z-0.5)^2/(z-0.5)^3"), "inf", 1.0) == 1
+    assert multiplicity_count(parse_map("1/(z-0.5)^2 + z"), "inf", 1.0) == 2
+    assert multiplicity_count(parse_map("(z^2-1)/(z-1)"), "inf", 2.0) == 0
 
 
 def test_find_roots_locations():
@@ -85,6 +143,13 @@ def test_mean_degree_stderr_scaling():
     s1 = mean_degree(m, 1.0, 200, seed=1).stderr
     s2 = mean_degree(m, 1.0, 800, seed=1).stderr
     assert s2 < s1  # ~ 1/2 in expectation
+
+
+def test_mean_degree_exp_within_four_stderr_of_area():
+    m = parse_map("exp(z)")
+    md = mean_degree(m, 8.0, 10_000, seed=29)
+    assert md.stderr < 0.01
+    assert abs(md.mean - area(m, 8.0)) <= 4 * md.stderr
 
 
 def test_mean_degree_validates_samples():
