@@ -12,7 +12,6 @@ cracks hanging nodes introduce at coarse/fine cell interfaces.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

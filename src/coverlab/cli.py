@@ -40,39 +40,53 @@ from pathlib import Path
 from coverlab.expr import ParseError, parse_map
 from coverlab.metric import (
     MAX_DISK_RADIUS,
-    MetricProfile,
     SphericalDisk,
+    _fmt12,
     area,
     boundary_length,
     build_profile,
     chordal_distance,
     select_radii,
 )
-from coverlab.count import find_islands, total_ramification
 from coverlab.trace import (
     GraphSpec,
+    ImplicitCurve,
     RectangleChart,
-    build_preimage_graph,
-    complement_components,
+    arc_test_integral,
+    classify_arcs,
     export_json,
     export_svg,
     select_perturbation,
-    arc_test_integral,
+    trace_preimage,
 )
-from coverlab import verify as verify_mod
 from coverlab.verify import (
     DEFAULT_C1,
     DEFAULT_C2,
+    VERIFIER_COLUMNS,
     ExperimentReport,
+    radius_contexts,
+    verify_arcs,
     verify_asymptotic_equality,
+    verify_containment,
+    verify_euler_identities,
     verify_euler_identity,
-    verify_island_in_component,
     verify_island_theorem,
     verify_mean_degree,
     verify_rh_inequality,
 )
 
-ALL_VERIFIERS = ("mean_degree", "islands", "graph", "arcs", "rh", "euler", "containment")
+# The verifiers in stage order, each a function of (contexts, config).
+VERIFIERS = {
+    "mean_degree": lambda contexts, cfg: verify_mean_degree(contexts, cfg.samples, cfg.seed),
+    "islands": lambda contexts, cfg: verify_island_theorem(contexts, cfg.c1, cfg.c2),
+    "graph": lambda contexts, cfg: verify_asymptotic_equality(contexts, cfg.c1),
+    "arcs": lambda contexts, cfg: verify_arcs(contexts, cfg.chart),
+    "rh": lambda contexts, cfg: verify_rh_inequality(contexts, cfg.c1),
+    "euler": lambda contexts, cfg: verify_euler_identities(contexts),
+    "containment": lambda contexts, cfg: verify_containment(contexts),
+}
+
+ALL_VERIFIERS = tuple(VERIFIERS)
 
 
 class ConfigError(ValueError):
@@ -327,20 +341,31 @@ def load_config(path):
 # Orchestration
 
 
-def _fmt12(x):
-    return f"{x:.12g}"
+# Verifiers that use the islands; when one is enabled, exports draw them too.
+ISLAND_VERIFIERS = {"islands", "rh", "containment"}
 
 
 def run(cfg):
-    """Execute the enabled verifiers, write artifacts, return the exit code."""
+    """Execute the enabled verifiers, write artifacts, return the exit code.
+
+    The radius schedule and the metric profile (profile.csv) come first; a
+    failure there ends the run with exit code 3.  Then one RadiusContext
+    per radius takes a and l from the profile and computes the islands, the
+    preimage graph and its complement at most once for all verifiers.  Each
+    enabled verifier is one stage, in VERIFIERS order: it merges its own
+    columns into report.csv, writes its exports (islands_<r>.svg,
+    graph_<r>.svg, graph_<r>.json; these draw the islands whenever an
+    enabled verifier uses them) and records its verdict in summary.json.
+    A stage that raises records its error instead, and the next stage runs.
+    Exit code: 3 if any stage raised, else 0 when every verdict passed,
+    else 1.  The verdicts are the rules verify.verdicts_from_report applies
+    to report.csv.
+    """
     m = parse_map(cfg.map_source)
     outdir = Path(cfg.outputs)
     outdir.mkdir(parents=True, exist_ok=True)
     summary = {"config": cfg.resolved(), "verifiers": {}, "errors": []}
-    report = ExperimentReport()
-    enabled = set(cfg.verifiers)
-
-    # radius schedule
+    stage = "radius-selection"
     try:
         if cfg.radii_mode == "length-area-selected":
             radii = select_radii(
@@ -348,238 +373,37 @@ def run(cfg):
             )
         else:
             radii = list(cfg.radii_list)
-    except (ValueError, ArithmeticError) as exc:
-        summary["errors"].append({"stage": "radius-selection", "error": str(exc)})
-        _write_summary(outdir, summary, exit_code=3)
-        return 3
-    summary["radii"] = radii
-
-    # metric profile
-    try:
+        summary["radii"] = radii
+        stage = "profile"
         profile = build_profile(m, radii, tol=cfg.tolerance)
         profile.to_csv(outdir / "profile.csv")
-        for r, a, l in zip(profile.radii, profile.a, profile.l):
-            report.merge_row(r, {"a": a, "l": l, "resolution": cfg.resolution})
-        radii = profile.radii  # pole-nudged values
     except (ValueError, ArithmeticError) as exc:
-        summary["errors"].append({"stage": "profile", "error": str(exc)})
+        summary["errors"].append({"stage": stage, "error": str(exc)})
         _write_summary(outdir, summary, exit_code=3)
         return 3
 
-    results = {}
-    graph_by_r = {}
-    islands_by_r = {}
-
-    def record(name, result):
-        results[name] = result
+    report = ExperimentReport()
+    for r, a, l in zip(profile.radii, profile.a, profile.l):
+        report.merge_row(r, {"a": a, "l": l, "resolution": cfg.resolution})
+    contexts = radius_contexts(m, profile, cfg.resolution, cfg.disks, cfg.graph)
+    draw_islands = bool(ISLAND_VERIFIERS & set(cfg.verifiers))
+    for name, verifier in VERIFIERS.items():
+        if name not in cfg.verifiers:
+            continue
+        try:
+            result = verifier(contexts, cfg)
+            for row in result.rows:
+                report.merge_row(row["r"], {c: row[c] for c in VERIFIER_COLUMNS[name]})
+            for ctx in contexts:
+                _export(name, ctx, outdir, draw_islands)
+        except (ValueError, ArithmeticError) as exc:
+            summary["errors"].append({"stage": name, "error": str(exc)})
+            continue
         summary["verifiers"][name] = {
             "passed": bool(result.passed),
             "worst_slack": result.worst_slack,
             "trend_ok": bool(result.trend_ok),
         }
-
-    def stage(name, fn):
-        if name not in enabled:
-            return
-        try:
-            fn()
-        except (ValueError, ArithmeticError) as exc:
-            summary["errors"].append({"stage": name, "error": str(exc)})
-
-    def run_mean():
-        res = verify_mean_degree(
-            m, radii, n_samples=cfg.samples, seed=cfg.seed, tol=cfg.tolerance
-        )
-        for row in res.rows:
-            report.merge_row(
-                row["r"],
-                {
-                    "mean_degree": row["mean_degree"],
-                    "mean_stderr": row["mean_stderr"],
-                    "mean_err": row["mean_err"],
-                    "mean_allowed": row["mean_allowed"],
-                },
-            )
-        record("mean_degree", res)
-
-    def run_islands():
-        res = verify_island_theorem(
-            m, cfg.disks, radii, resolution=cfg.resolution, tol=cfg.tolerance,
-            c1=cfg.c1, c2=cfg.c2,
-        )
-        for row in res.rows:
-            islands_by_r[row["r"]] = row["islands"]
-            report.merge_row(
-                row["r"],
-                {
-                    "island_count": row["island_count"],
-                    "degree_sum": row["degree_sum"],
-                    "ramification": row["ramification"],
-                    "ambiguous_islands": row["ambiguous_islands"],
-                    "island_slack_allowed": row["island_slack_allowed"],
-                    "island_slack_needed": row["island_slack_needed"],
-                },
-            )
-            export_svg(
-                outdir / f"islands_{_fmt12(row['r'])}.svg",
-                row["r"],
-                islands=row["islands"],
-            )
-        record("islands", res)
-
-    def run_graph():
-        res = verify_asymptotic_equality(
-            m, cfg.graph, radii, resolution=cfg.resolution, tol=cfg.tolerance, c1=cfg.c1
-        )
-        for row in res.rows:
-            graph_by_r[row["r"]] = row["graph_object"]
-            report.merge_row(
-                row["r"],
-                {
-                    "graph_euler": row["graph_euler"],
-                    "good_arcs": row["good_arcs"],
-                    "bad_arcs": row["bad_arcs"],
-                    "suspect_arcs": row["suspect_arcs"],
-                    "graph_ratio": row["graph_ratio"],
-                    "graph_err": row["graph_err"],
-                    "graph_allowed": row["graph_allowed"],
-                },
-            )
-            export_svg(
-                outdir / f"graph_{_fmt12(row['r'])}.svg",
-                row["r"],
-                graph=row["graph_object"],
-                islands=islands_by_r.get(row["r"]),
-            )
-        record("graph", res)
-
-    def run_arcs():
-        rows = []
-        ok = True
-        for r in radii:
-            t_star, lhs, rhs = select_perturbation(m, r, cfg.chart, n_samples=1000)
-            integral = arc_test_integral(m, cfg.chart, t_star, r)
-            coarea_ok = abs(lhs - rhs) <= 0.02 * max(rhs, 1.0)
-            ok &= coarea_ok
-            report.merge_row(
-                r,
-                {
-                    "t_star": t_star,
-                    "coarea_lhs": lhs,
-                    "coarea_rhs": rhs,
-                    "arc_integral": integral,
-                },
-            )
-            rows.append(
-                {"r": r, "t_star": t_star, "coarea_lhs": lhs, "coarea_rhs": rhs,
-                 "arc_integral": integral, "pass": coarea_ok}
-            )
-        record(
-            "arcs",
-            verify_mod.VerifierResult(
-                name="arcs", passed=ok, rows=rows, worst_slack=0.0, trend_ok=True
-            ),
-        )
-
-    def run_rh():
-        ram_by_r = {}
-        for r in radii:
-            islands = islands_by_r.get(r)
-            if islands is None:
-                per = []
-                for k, disk in enumerate(cfg.disks):
-                    isl, _ = find_islands(m, disk, r, cfg.resolution)
-                    for rec in isl:
-                        rec.disk_index = k
-                    per.extend(isl)
-                islands_by_r[r] = per
-                islands = per
-            ram_by_r[r] = total_ramification(islands)
-        res = verify_rh_inequality(
-            m, radii, ram_by_r, resolution=cfg.resolution, tol=cfg.tolerance, c1=cfg.c1
-        )
-        for row in res.rows:
-            report.merge_row(
-                row["r"],
-                {"ramification": row["ramification"], "rh_lhs": row["rh_lhs"],
-                 "rh_rhs": row["rh_rhs"]},
-            )
-        record("rh", res)
-
-    def run_euler():
-        all_ok = True
-        worst = 0.0
-        rows = []
-        for r in radii:
-            pg = graph_by_r.get(r)
-            if pg is None:
-                pg = build_preimage_graph(m, cfg.graph, r, cfg.resolution)
-                graph_by_r[r] = pg
-            comps = complement_components(pg, r, cfg.resolution)
-            res = verify_euler_identity(pg, comps)
-            row = dict(res.rows[0])
-            row["r"] = r
-            rows.append(row)
-            all_ok &= res.passed
-            worst = max(worst, res.worst_slack)
-            report.merge_row(
-                r,
-                {
-                    "chi_c0": row["chi_c0"],
-                    "sum_chi_c": row["sum_chi_c"],
-                    "euler_identity": row["total"],
-                },
-            )
-            export_json(
-                outdir / f"graph_{_fmt12(r)}.json",
-                graph=pg,
-                components=comps,
-                islands=islands_by_r.get(r),
-            )
-        record(
-            "euler",
-            verify_mod.VerifierResult(
-                name="euler", passed=all_ok, rows=rows, worst_slack=worst, trend_ok=True
-            ),
-        )
-
-    def run_containment():
-        all_ok = True
-        rows = []
-        for r in radii:
-            pg = graph_by_r.get(r)
-            if pg is None:
-                pg = build_preimage_graph(m, cfg.graph, r, cfg.resolution)
-                graph_by_r[r] = pg
-            comps = complement_components(pg, r, cfg.resolution)
-            islands = islands_by_r.get(r)
-            if islands is None:
-                per = []
-                for k, disk in enumerate(cfg.disks):
-                    isl, _ = find_islands(m, disk, r, cfg.resolution)
-                    for rec in isl:
-                        rec.disk_index = k
-                    per.extend(isl)
-                islands_by_r[r] = per
-                islands = per
-            res = verify_island_in_component(comps, islands, cfg.graph, cfg.disks)
-            rows.extend({"r": r, **row} for row in res.rows)
-            all_ok &= res.passed
-        record(
-            "containment",
-            verify_mod.VerifierResult(
-                name="containment", passed=all_ok, rows=rows,
-                worst_slack=0.0 if all_ok else 1.0, trend_ok=True,
-            ),
-        )
-
-    stage("mean_degree", run_mean)
-    stage("islands", run_islands)
-    stage("graph", run_graph)
-    stage("arcs", run_arcs)
-    stage("rh", run_rh)
-    stage("euler", run_euler)
-    stage("containment", run_containment)
 
     report.to_csv(outdir / "report.csv")
     if summary["errors"]:
@@ -590,6 +414,27 @@ def run(cfg):
         code = 1
     _write_summary(outdir, summary, exit_code=code)
     return code
+
+
+def _export(name, ctx, outdir, draw_islands):
+    """The files stage `name` writes for one radius; islands only if drawn."""
+    stem = _fmt12(ctx.r)
+    if name == "islands":
+        export_svg(outdir / f"islands_{stem}.svg", ctx.r, islands=ctx.islands)
+    elif name == "graph":
+        export_svg(
+            outdir / f"graph_{stem}.svg",
+            ctx.r,
+            graph=ctx.graph,
+            islands=ctx.islands if draw_islands else None,
+        )
+    elif name == "euler":
+        export_json(
+            outdir / f"graph_{stem}.json",
+            graph=ctx.graph,
+            components=ctx.complement,
+            islands=ctx.islands if draw_islands else None,
+        )
 
 
 def _write_summary(outdir, summary, exit_code):
@@ -641,6 +486,13 @@ def _effective_config(args, default_disks=None, need_graph=False, need_chart=Fal
     return cfg
 
 
+def _contexts(cfg):
+    """One RadiusContext per radius of a subcommand's config."""
+    m = parse_map(cfg.map_source)
+    profile = build_profile(m, cfg.radii_list, tol=cfg.tolerance)
+    return radius_contexts(m, profile, cfg.resolution, cfg.disks, cfg.graph)
+
+
 def _standard_disks():
     rho = 0.2 / math.sqrt(math.pi)
     return [
@@ -683,20 +535,13 @@ def main(argv=None):
             cfg = _effective_config(args, default_disks=_standard_disks())
             if len(cfg.disks) != 3:
                 raise ConfigError("disks", "exactly 3 disks required for islands")
-            m = parse_map(cfg.map_source)
-            total = 0
-            for r in cfg.radii_list:
-                per = []
-                for k, disk in enumerate(cfg.disks):
-                    isl, amb = find_islands(m, disk, r, cfg.resolution)
-                    for rec in isl:
-                        rec.disk_index = k
-                    per.append((len(isl), amb))
-                total = sum(n for n, _ in per)
-                a = area(m, r, tol=cfg.tolerance)
+            for ctx in _contexts(cfg):
+                per_disk = [
+                    sum(rec.disk_index == k for rec in ctx.islands) for k in range(3)
+                ]
                 print(
-                    f"r={_fmt12(r)} islands={total} per_disk={[n for n, _ in per]} "
-                    f"ambiguous={sum(a_ for _, a_ in per)} a={_fmt12(a)}"
+                    f"r={_fmt12(ctx.r)} islands={len(ctx.islands)} per_disk={per_disk} "
+                    f"ambiguous={ctx.ambiguous_islands} a={_fmt12(ctx.a)}"
                 )
             return 0
 
@@ -706,25 +551,19 @@ def main(argv=None):
                 node = complex(parse_complex(args.node)) if args.node else cfg.graph.node
                 scale = args.scale if args.scale else cfg.graph.scale
                 cfg.graph = GraphSpec(node=node, scale=scale)
-            m = parse_map(cfg.map_source)
-            for r in cfg.radii_list:
-                pg = build_preimage_graph(m, cfg.graph, r, cfg.resolution)
-                comps = complement_components(pg, r, cfg.resolution)
-                chi_c0 = sum(c.chi for c in comps.components if c.touches_boundary)
-                sum_chi = sum(c.chi for c in comps.components if not c.touches_boundary)
+            for ctx in _contexts(cfg):
+                row = verify_euler_identity(ctx.graph, ctx.complement).rows[0]
                 print(
-                    f"r={_fmt12(r)} V={len(pg.vertices)} "
-                    f"E={sum(1 for a_ in pg.retained_arcs)} euler={pg.euler} "
-                    f"chi_c0={chi_c0} sum_chi_c={sum_chi} "
-                    f"identity={chi_c0 + pg.euler + sum_chi}"
+                    f"r={_fmt12(ctx.r)} V={len(ctx.graph.vertices)} "
+                    f"E={len(ctx.graph.retained_arcs)} euler={row['graph_euler']} "
+                    f"chi_c0={row['chi_c0']} sum_chi_c={row['sum_chi_c']} "
+                    f"identity={row['euler_identity']}"
                 )
             return 0
 
         if args.command == "arcs":
             cfg = _effective_config(args, need_chart=True)
             m = parse_map(cfg.map_source)
-            from coverlab.trace import ImplicitCurve, classify_arcs, trace_preimage
-
             for r in cfg.radii_list:
                 t_star, lhs, rhs = select_perturbation(m, r, cfg.chart, 1000)
                 seg = ImplicitCurve.segment(cfg.chart, t_star)

@@ -707,29 +707,11 @@ def _refine_island(m, disk, window, r, local_n=160):
             )
 
         mine.sort(key=extent, reverse=True)
-        outer = mine[0]
-        holes = mine[1:]
+        outer = mine[0].points
+        holes = [ch.points for ch in mine[1:]]
         chi = 2 - (1 + len(holes))
-        g = _root_target(m, disk.center)
-        dg_t = differentiate(g)
-
-        def F(zs):
-            return evaluate_array(g, zs)
-
-        def dF(zs):
-            return evaluate_array(dg_t, zs)
-
-        def contour_winding(chain):
-            pts = list(chain.points[:-1]) if chain.points[0] == chain.points[-1] else list(chain.points)
-            w, _ = _winding_number(F, pts, dF=dF)
-            # normalize to the counterclockwise traversal
-            signed_area = _polygon_area(chain.points)
-            return w if signed_area > 0 else -w
-
         try:
-            degree = contour_winding(outer)
-            for hole in holes:
-                degree -= contour_winding(hole)
+            degree = _contour_degree(m, disk.center, outer, holes)
         except (WindingError, ContourPassesThroughRoot):
             return None
         if degree <= 0:
@@ -740,13 +722,13 @@ def _refine_island(m, disk, window, r, local_n=160):
         records.append(
             IslandRecord(
                 disk_index=-1,
-                boundary=outer.points,
+                boundary=outer,
                 chi=chi,
                 degree=int(degree),
                 ramification=int(degree) - chi,
                 area_share=area_share,
                 centroid=centroid,
-                holes=[hh.points for hh in holes],
+                holes=holes,
             )
         )
     return records
@@ -757,8 +739,9 @@ def _polygon_area(points):
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def island_degree(m, island, center):
-    """Covering degree of an island: winding of f - center along its boundary."""
+def _contour_degree(m, center, outer, holes):
+    """Degree of f over `center` on a region: winding of f - center along the
+    outer boundary minus along each hole, every contour counterclockwise."""
     g = _root_target(m, center)
     dg_t = differentiate(g)
 
@@ -768,14 +751,17 @@ def island_degree(m, island, center):
     def dF(zs):
         return evaluate_array(dg_t, zs)
 
-    def one(points):
+    def winding(points):
         pts = list(points[:-1]) if points[0] == points[-1] else list(points)
         w, _ = _winding_number(F, pts, dF=dF)
         return w if _polygon_area(points) > 0 else -w
 
-    degree = one(island.boundary)
-    for hole in island.holes:
-        degree -= one(hole)
+    return winding(outer) - sum(winding(hole) for hole in holes)
+
+
+def island_degree(m, island, center):
+    """Covering degree of an island: winding of f - center along its boundary."""
+    degree = _contour_degree(m, center, island.boundary, island.holes)
     if degree <= 0:
         raise WindingError(f"non-positive island degree {degree}")
     return int(degree)

@@ -64,10 +64,6 @@ class _Infinity:
 INF = _Infinity()
 
 
-def is_infinite(value):
-    return value is INF
-
-
 # ---------------------------------------------------------------------------
 # Tree nodes
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
@@ -135,17 +135,6 @@ class ImplicitCurve:
         zeta = self.chart.apply(ws)
         return zeta.imag - self.t
 
-    def level_scale(self):
-        """Magnitude of the traced level, for fidelity tolerances."""
-        if self.kind == "circle":
-            return max(self.radius, 1e-6)
-        if self.kind == "lemniscate":
-            return self.scale**2
-        return max(self.t_range_span(), 1e-6)
-
-    def t_range_span(self):
-        return (self.chart.t_range[1] - self.chart.t_range[0]) if self.chart else 0.0
-
     def parameter(self, ws):
         """Curve parameter of target values: angle for circles, x for segments."""
         ws = np.asarray(ws, dtype=np.complex128)
@@ -162,12 +151,6 @@ class ImplicitCurve:
         if self.kind == "segment":
             return self.chart.apply(ws).real
         raise ValueError("parameter() is defined for circle and segment curves")
-
-    def in_parameter_range(self, ws):
-        if self.kind != "segment":
-            return np.ones(np.asarray(ws).shape, dtype=bool)
-        x = self.chart.apply(ws).real
-        return (x >= self.chart.x_range[0]) & (x <= self.chart.x_range[1])
 
 
 @dataclass(frozen=True)
@@ -223,9 +206,6 @@ class Polyline:
     resolution: int
     r: float
     cell_size: float
-
-    def min_abs(self):
-        return float(np.abs(self.points).min())
 
     def max_abs(self):
         return float(np.abs(self.points).max())
@@ -380,16 +360,21 @@ def classify_arcs(polylines, m, curve, r):
         if pl.touches_clip or pl.max_abs() >= margin_r:
             bad += 1
             continue
-        dvals = np.abs(evaluate_array(dm, pl.points))
-        dvals = dvals[np.isfinite(dvals)]
-        if len(dvals) == 0 or dvals.min() < 1e-4 * max(dvals.max(), 1e-280):
+        if _near_critical(dm, pl.points):
             suspect += 1
-            continue
-        if _covers_once(pl, m, curve):
+        elif _covers_once(pl, m, curve):
             good += 1
         else:
             suspect += 1
     return good, bad, suspect
+
+
+def _near_critical(dm, points):
+    """The ramified-suspect rule: |f'| on the points dips below 1e-4 of its
+    largest value, or has no finite value at all."""
+    dvals = np.abs(evaluate_array(dm, points))
+    dvals = dvals[np.isfinite(dvals)]
+    return len(dvals) == 0 or dvals.min() < 1e-4 * max(dvals.max(), 1e-280)
 
 
 def _covers_once(pl, m, curve):
@@ -625,20 +610,15 @@ def build_preimage_graph(m, graph, r, resolution=512):
         for pl in polylines:
             arcs.extend(_cut_at_vertices(pl, m, graph, vertices, cut_radius))
 
-    dm_abs_cache = {}
     final_arcs = []
     adjacency = []
     for pts, endpoint_ids, closed, touched in arcs:
-        pl_max = float(np.abs(pts).max())
-        if touched or pl_max >= margin_r:
+        if touched or float(np.abs(pts).max()) >= margin_r:
             tag = "bad"
+        elif _near_critical(dm, pts):
+            tag = "ramified-suspect"
         else:
-            dvals = np.abs(evaluate_array(dm, pts))
-            dvals = dvals[np.isfinite(dvals)]
-            if len(dvals) and dvals.min() < 1e-4 * max(dvals.max(), 1e-280):
-                tag = "ramified-suspect"
-            else:
-                tag = "good"
+            tag = "good"
         final_arcs.append(Arc(points=pts, tag=tag, endpoints=endpoint_ids, closed=closed))
         adjacency.append(endpoint_ids)
 
@@ -764,12 +744,6 @@ class ComplementAnalysis:
         if not (0 <= i < n and 0 <= j < n):
             return 0
         return int(self.label_grid[j, i])
-
-    def component_by_label(self, label):
-        for comp in self.components:
-            if comp.label == label:
-                return comp
-        return None
 
 
 def complement_components(g, r, resolution=512):

@@ -1,11 +1,19 @@
-"""Per-radius experiment reports and the asymptotic verifiers.
+"""Per-radius contexts, the asymptotic verifiers and the experiment report.
 
 The source statements are limits; a finite run certifies them as per-radius
 inequalities with explicit slack (linear in the boundary length l(r) plus a
 resolution term) together with a trend requirement along the radius
 schedule.  Slack constants are recorded in every report rather than hidden.
 
-All pass/fail decisions are recomputable from the CSV columns alone.
+Every verifier is a function of the run's RadiusContexts, one per radius.
+A context takes a and l from the metric profile and computes the islands,
+the preimage graph and its complement on first use, so each is computed
+at most once per (map, radius, resolution) and shared.  Each verifier has
+one verdict rule: a predicate on each of its rows, and for islands also
+the non-increasing slack trend.  The verifiers use it, so the summary and
+the exit code do, and verdicts_from_report applies it to report.csv: every
+verdict but containment's (which writes no report column) can be
+recomputed from the CSV columns alone.
 """
 
 from __future__ import annotations
@@ -13,14 +21,22 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from coverlab.count import (
     find_islands,
     mean_degree,
     total_ramification,
 )
-from coverlab.metric import area, boundary_length
-from coverlab.trace import build_preimage_graph
+from coverlab.expr import MapExpr
+from coverlab.metric import _fmt12
+from coverlab.trace import (
+    GraphSpec,
+    arc_test_integral,
+    build_preimage_graph,
+    complement_components,
+    select_perturbation,
+)
 
 DEFAULT_C1 = 4.0  # slack coefficient on l/a (or l)
 DEFAULT_C2 = 50.0  # slack coefficient on 1/resolution
@@ -36,6 +52,104 @@ class VerifierResult:
     message: str = ""
 
 
+@dataclass(eq=False)
+class RadiusContext:
+    """The quantities of one (map, radius, resolution), each computed once.
+
+    a and l come from the metric profile.  The islands over the disks (with
+    disk_index set), the figure-eight preimage graph and its complement are
+    computed on first use and kept.  A computation that raises keeps
+    nothing, so the next verifier that needs it recomputes it.
+    """
+
+    m: MapExpr
+    r: float
+    a: float
+    l: float
+    resolution: int = 512
+    disks: tuple = ()
+    graph_spec: GraphSpec | None = None
+
+    @cached_property
+    def island_scan(self):
+        """(islands of all disks, each with its disk_index; ambiguous count)."""
+        islands, ambiguous = [], 0
+        for k, disk in enumerate(self.disks):
+            found, amb = find_islands(self.m, disk, self.r, self.resolution)
+            for rec in found:
+                rec.disk_index = k
+            islands.extend(found)
+            ambiguous += amb
+        return islands, ambiguous
+
+    @property
+    def islands(self):
+        return self.island_scan[0]
+
+    @property
+    def ambiguous_islands(self):
+        return self.island_scan[1]
+
+    @cached_property
+    def graph(self):
+        return build_preimage_graph(self.m, self.graph_spec, self.r, self.resolution)
+
+    @cached_property
+    def complement(self):
+        return complement_components(self.graph, self.r, self.resolution)
+
+
+def radius_contexts(m, profile, resolution=512, disks=(), graph_spec=None):
+    """One RadiusContext per row of a metric profile (at its nudged radii)."""
+    return [
+        RadiusContext(m, r, a, l, resolution, tuple(disks), graph_spec)
+        for r, a, l in zip(profile.radii, profile.a, profile.l)
+    ]
+
+
+# ---------------------------------------------------------------------------
+# Verdict rules
+
+
+# Each verifier's report.csv columns; the first one marks the rows it wrote.
+VERIFIER_COLUMNS = {
+    "mean_degree": ("mean_err", "mean_allowed", "mean_degree", "mean_stderr"),
+    "islands": (
+        "island_count",
+        "degree_sum",
+        "ramification",
+        "ambiguous_islands",
+        "island_slack_allowed",
+        "island_slack_needed",
+    ),
+    "graph": (
+        "graph_euler",
+        "good_arcs",
+        "bad_arcs",
+        "suspect_arcs",
+        "graph_ratio",
+        "graph_err",
+        "graph_allowed",
+    ),
+    "arcs": ("coarea_lhs", "coarea_rhs", "t_star", "arc_integral"),
+    "rh": ("rh_lhs", "rh_rhs", "ramification"),
+    "euler": ("euler_identity", "chi_c0", "sum_chi_c"),
+    "containment": (),
+}
+
+ROW_RULES = {
+    "mean_degree": lambda row: row["mean_err"] <= row["mean_allowed"],
+    "islands": lambda row: row["island_count"]
+    >= row["a"] * (1 - row["island_slack_allowed"]),
+    "graph": lambda row: row["graph_err"] <= row["graph_allowed"],
+    "arcs": lambda row: abs(row["coarea_lhs"] - row["coarea_rhs"])
+    <= 0.02 * max(row["coarea_rhs"], 1.0),
+    "rh": lambda row: row["rh_lhs"] <= row["rh_rhs"],
+    "euler": lambda row: row["euler_identity"] == 1,
+    "containment": lambda row: row["contains_island"],
+}
+
+
 def _trend_nonincreasing(needed, grace=1e-9):
     return all(b <= a + grace for a, b in zip(needed, needed[1:]))
 
@@ -46,171 +160,162 @@ def _trend_improving(deviation, grace=1e-9):
     return deviation[-1] <= deviation[0] + grace
 
 
+def _island_trend_ok(rows):
+    """The needed island slack does not increase with r (in any row order)."""
+    rows = sorted(rows, key=lambda row: row["r"])
+    return _trend_nonincreasing([row["island_slack_needed"] for row in rows])
+
+
+def _passed(name, rows):
+    """The verdict of one verifier on its rows: its rule holds on every row,
+    and for islands the needed slack does not increase along the radii."""
+    ok = all(ROW_RULES[name](row) for row in rows)
+    if name == "islands":
+        ok = ok and _island_trend_ok(rows)
+    return ok
+
+
+def _result(name, rows, worst_slack, trend_ok):
+    return VerifierResult(
+        name=name,
+        passed=_passed(name, rows),
+        rows=rows,
+        worst_slack=worst_slack,
+        trend_ok=trend_ok,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Verifiers
 
 
-def verify_mean_degree(m, radii, n_samples=400, seed=0, tol=1e-6):
+def verify_mean_degree(contexts, n_samples=400, seed=0):
     """Check mean covering degree against the pullback area per radius."""
     rows = []
     needed = []
-    for r in radii:
-        a = area(m, r, tol=tol)
-        l = boundary_length(m, r)
-        md = mean_degree(m, r, n_samples, seed=seed)
+    for ctx in contexts:
+        a, l = ctx.a, ctx.l
+        md = mean_degree(ctx.m, ctx.r, n_samples, seed=seed)
         err = abs(md.mean - a)
-        allowed = max(3 * md.stderr, 0.05 * a + 2 * l)
         rows.append(
             {
-                "r": r,
+                "r": ctx.r,
                 "a": a,
                 "l": l,
                 "mean_degree": md.mean,
                 "mean_stderr": md.stderr,
                 "n_resampled": md.n_resampled,
                 "mean_err": err,
-                "mean_allowed": allowed,
-                "pass": err <= allowed,
+                "mean_allowed": max(3 * md.stderr, 0.05 * a + 2 * l),
             }
         )
         needed.append(max(0.0, err - 3 * md.stderr) / max(a, 1e-12))
-    return VerifierResult(
-        name="mean_degree",
-        passed=all(row["pass"] for row in rows),
-        rows=rows,
-        worst_slack=max(needed) if needed else 0.0,
-        # Monte-Carlo noise floor: the trend grace matches sampling error
-        trend_ok=_trend_nonincreasing(needed, grace=1e-3),
+    # Monte-Carlo noise floor: the trend grace matches sampling error
+    return _result(
+        "mean_degree", rows, max(needed, default=0.0), _trend_nonincreasing(needed, grace=1e-3)
     )
 
 
-def verify_island_theorem(m, disks, radii, resolution=512, tol=1e-6,
-                          c1=DEFAULT_C1, c2=DEFAULT_C2):
+def verify_island_theorem(contexts, c1=DEFAULT_C1, c2=DEFAULT_C2):
     """Check island count >= a (1 - slack) per radius, slack trend included."""
-    if len(disks) != 3:
-        raise ValueError("the island verifier requires exactly 3 disks")
     rows = []
-    needed = []
-    for r in radii:
-        a = area(m, r, tol=tol)
-        l = boundary_length(m, r)
-        count = 0
-        degree_sum = 0
-        ram = 0
-        ambiguous = 0
-        all_islands = []
-        for k, disk in enumerate(disks):
-            islands, amb = find_islands(m, disk, r, resolution)
-            for rec in islands:
-                rec.disk_index = k
-            all_islands.extend(islands)
-            ambiguous += amb
-        count = len(all_islands)
-        degree_sum = sum(rec.degree for rec in all_islands)
-        ram = total_ramification(all_islands)
-        slack = c1 * (l / a if a > 0 else math.inf) + c2 / resolution
-        ok = count >= a * (1.0 - slack)
-        need = max(0.0, 1.0 - count / a) if a > 0 else 0.0
+    for ctx in contexts:
+        if len(ctx.disks) != 3:
+            raise ValueError("the island verifier requires exactly 3 disks")
+        a, islands = ctx.a, ctx.islands
+        count = len(islands)
         rows.append(
             {
-                "r": r,
+                "r": ctx.r,
                 "a": a,
-                "l": l,
+                "l": ctx.l,
                 "island_count": count,
-                "degree_sum": degree_sum,
-                "ramification": ram,
-                "ambiguous_islands": ambiguous,
-                "island_slack_allowed": slack,
-                "island_slack_needed": need,
-                "resolution": resolution,
-                "pass": ok,
-                "islands": all_islands,
+                "degree_sum": sum(rec.degree for rec in islands),
+                "ramification": total_ramification(islands),
+                "ambiguous_islands": ctx.ambiguous_islands,
+                "island_slack_allowed": c1 * (ctx.l / a if a > 0 else math.inf)
+                + c2 / ctx.resolution,
+                "island_slack_needed": max(0.0, 1.0 - count / a) if a > 0 else 0.0,
+                "resolution": ctx.resolution,
             }
         )
-        needed.append(need)
-    return VerifierResult(
-        name="islands",
-        passed=all(row["pass"] for row in rows),
-        rows=rows,
-        worst_slack=max(needed) if needed else 0.0,
-        trend_ok=_trend_nonincreasing(needed),
-    )
+    worst = max((row["island_slack_needed"] for row in rows), default=0.0)
+    return _result("islands", rows, worst, _island_trend_ok(rows))
 
 
-def verify_asymptotic_equality(m, graph, radii, resolution=512, tol=1e-6,
-                               c1=DEFAULT_C1):
+def verify_asymptotic_equality(contexts, c1=DEFAULT_C1):
     """Check chi(Gamma_n) ~ a * chi(Gamma) for the traced graph preimage."""
     rows = []
-    deviations = []
-    for r in radii:
-        a = area(m, r, tol=tol)
-        l = boundary_length(m, r)
-        pg = build_preimage_graph(m, graph, r, resolution)
-        bad = sum(1 for arc in pg.arcs if arc.tag == "bad")
-        target = a * graph.chi
+    for ctx in contexts:
+        pg = ctx.graph
+        tags = [arc.tag for arc in pg.arcs]
+        bad = tags.count("bad")
+        target = ctx.a * ctx.graph_spec.chi
         err = abs(pg.euler - target)
-        allowed = c1 * (l + bad)
-        ratio = pg.euler / target if target != 0 else math.inf
         rows.append(
             {
-                "r": r,
-                "a": a,
-                "l": l,
+                "r": ctx.r,
+                "a": ctx.a,
+                "l": ctx.l,
                 "graph_euler": pg.euler,
-                "good_arcs": sum(1 for arc in pg.arcs if arc.tag == "good"),
+                "good_arcs": tags.count("good"),
                 "bad_arcs": bad,
-                "suspect_arcs": sum(1 for arc in pg.arcs if arc.tag == "ramified-suspect"),
-                "graph_ratio": ratio,
+                "suspect_arcs": tags.count("ramified-suspect"),
+                "graph_ratio": pg.euler / target if target != 0 else math.inf,
                 "graph_err": err,
-                "graph_allowed": allowed,
-                "pass": err <= allowed,
-                "graph_object": pg,
+                "graph_allowed": c1 * (ctx.l + bad),
             }
         )
-        deviations.append(abs(1.0 - ratio))
-    return VerifierResult(
-        name="graph",
-        passed=all(row["pass"] for row in rows),
-        rows=rows,
-        worst_slack=max(deviations) if deviations else 0.0,
-        trend_ok=_trend_improving(deviations),
-    )
+    deviations = [abs(1.0 - row["graph_ratio"]) for row in rows]
+    return _result("graph", rows, max(deviations, default=0.0), _trend_improving(deviations))
 
 
-def verify_rh_inequality(m, radii, ramification_by_r, resolution=512, tol=1e-6,
-                         c1=DEFAULT_C1):
+def verify_arcs(contexts, chart):
+    """Check the coarea identity on the chart rectangle at every radius.
+
+    The mean crossing count of the boundary image times |t_range| must match
+    its vertical variation inside the rectangle within 2%; each row also
+    records the selected chart line t* and the test integral along it.
+    """
+    rows = []
+    for ctx in contexts:
+        t_star, lhs, rhs = select_perturbation(ctx.m, ctx.r, chart, n_samples=1000)
+        rows.append(
+            {
+                "r": ctx.r,
+                "t_star": t_star,
+                "coarea_lhs": lhs,
+                "coarea_rhs": rhs,
+                "arc_integral": arc_test_integral(ctx.m, chart, t_star, ctx.r),
+            }
+        )
+    return _result("arcs", rows, 0.0, True)
+
+
+def verify_rh_inequality(contexts, c1=DEFAULT_C1):
     """Check chi(disk) + ramification <= a * chi(sphere) + slack, sphere only.
 
-    chi(disk) = 1 and chi(sphere) = 2 are fixed; `ramification_by_r` maps
-    each radius to the total island ramification measured there.
+    chi(disk) = 1 and chi(sphere) = 2 are fixed; the ramification is the
+    total over the context's islands.
     """
     rows = []
     needed = []
-    for r in radii:
-        a = area(m, r, tol=tol)
-        l = boundary_length(m, r)
-        ram = ramification_by_r[r]
+    for ctx in contexts:
+        a = ctx.a
+        ram = total_ramification(ctx.islands)
         lhs = 1 + ram
-        rhs = 2 * a + c1 * l
         rows.append(
             {
-                "r": r,
+                "r": ctx.r,
                 "a": a,
-                "l": l,
+                "l": ctx.l,
                 "ramification": ram,
                 "rh_lhs": lhs,
-                "rh_rhs": rhs,
-                "pass": lhs <= rhs,
+                "rh_rhs": 2 * a + c1 * ctx.l,
             }
         )
         needed.append(max(0.0, (lhs - 2 * a)) / max(a, 1e-12))
-    return VerifierResult(
-        name="rh",
-        passed=all(row["pass"] for row in rows),
-        rows=rows,
-        worst_slack=max(needed) if needed else 0.0,
-        trend_ok=_trend_nonincreasing(needed),
-    )
+    return _result("rh", rows, max(needed, default=0.0), _trend_nonincreasing(needed))
 
 
 def verify_euler_identity(graph, components):
@@ -218,21 +323,23 @@ def verify_euler_identity(graph, components):
     chi_c0 = sum(c.chi for c in components.components if c.touches_boundary)
     sum_chi_c = sum(c.chi for c in components.components if not c.touches_boundary)
     total = chi_c0 + graph.euler + sum_chi_c
-    return VerifierResult(
-        name="euler",
-        passed=(total == 1),
-        rows=[
-            {
-                "chi_c0": chi_c0,
-                "graph_euler": graph.euler,
-                "sum_chi_c": sum_chi_c,
-                "total": total,
-                "pass": total == 1,
-            }
-        ],
-        worst_slack=float(abs(total - 1)),
-        trend_ok=True,
-    )
+    row = {
+        "chi_c0": chi_c0,
+        "graph_euler": graph.euler,
+        "sum_chi_c": sum_chi_c,
+        "euler_identity": total,
+    }
+    return _result("euler", [row], float(abs(total - 1)), True)
+
+
+def verify_euler_identities(contexts):
+    """verify_euler_identity on the graph and complement of every radius."""
+    rows = [
+        {"r": ctx.r, **verify_euler_identity(ctx.graph, ctx.complement).rows[0]}
+        for ctx in contexts
+    ]
+    worst = max((abs(row["euler_identity"] - 1) for row in rows), default=0)
+    return _result("euler", rows, float(worst), True)
 
 
 def verify_island_in_component(components, islands, graph_spec, disks):
@@ -249,36 +356,36 @@ def verify_island_in_component(components, islands, graph_spec, disks):
         w = complex(1e9) if center.is_infinity else center.value
         disk_face[graph_spec.face_of(w)] = k
     rows = []
-    ok_all = True
     for comp in components.components:
         if comp.touches_boundary:
             continue
         k = disk_face.get(comp.face)
-        contains = False
-        if k is not None:
-            for rec in islands:
-                if rec.disk_index != k:
-                    continue
-                if components.label_of_point(rec.centroid) == comp.label:
-                    contains = True
-                    break
-        ok_all &= contains
+        contains = k is not None and any(
+            rec.disk_index == k and components.label_of_point(rec.centroid) == comp.label
+            for rec in islands
+        )
         rows.append(
             {
                 "face": comp.face,
                 "chi": comp.chi,
                 "disk_index": k,
                 "contains_island": contains,
-                "pass": contains,
             }
         )
-    return VerifierResult(
-        name="containment",
-        passed=ok_all,
-        rows=rows,
-        worst_slack=0.0 if ok_all else 1.0,
-        trend_ok=True,
-    )
+    passed = _passed("containment", rows)
+    return VerifierResult("containment", passed, rows, 0.0 if passed else 1.0, True)
+
+
+def verify_containment(contexts):
+    """verify_island_in_component on the complement and islands of every radius."""
+    rows = []
+    for ctx in contexts:
+        res = verify_island_in_component(
+            ctx.complement, ctx.islands, ctx.graph_spec, ctx.disks
+        )
+        rows.extend({"r": ctx.r, **row} for row in res.rows)
+    passed = _passed("containment", rows)
+    return VerifierResult("containment", passed, rows, 0.0 if passed else 1.0, True)
 
 
 # ---------------------------------------------------------------------------
@@ -333,10 +440,6 @@ _INT_COLUMNS = {
     "euler_identity",
     "resolution",
 }
-
-
-def _fmt12(x):
-    return f"{x:.12g}"
 
 
 @dataclass
@@ -396,31 +499,8 @@ class ExperimentReport:
 def verdicts_from_report(report):
     """Recompute every pass/fail decision from report columns alone."""
     out = {}
-
-    def have(col):
-        return [row for row in report.rows if col in row]
-
-    rows = have("mean_err")
-    if rows:
-        out["mean_degree"] = all(r["mean_err"] <= r["mean_allowed"] for r in rows)
-    rows = have("island_count")
-    if rows:
-        out["islands"] = all(
-            r["island_count"] >= r["a"] * (1 - r["island_slack_allowed"]) for r in rows
-        ) and _trend_nonincreasing([r["island_slack_needed"] for r in rows])
-    rows = have("graph_euler")
-    if rows:
-        out["graph"] = all(r["graph_err"] <= r["graph_allowed"] for r in rows)
-    rows = have("euler_identity")
-    if rows:
-        out["euler"] = all(r["euler_identity"] == 1 for r in rows)
-    rows = have("rh_lhs")
-    if rows:
-        out["rh"] = all(r["rh_lhs"] <= r["rh_rhs"] for r in rows)
-    rows = have("coarea_lhs")
-    if rows:
-        out["arcs"] = all(
-            abs(r["coarea_lhs"] - r["coarea_rhs"]) <= 0.02 * max(r["coarea_rhs"], 1.0)
-            for r in rows
-        )
+    for name, columns in VERIFIER_COLUMNS.items():
+        rows = [row for row in report.rows if columns and columns[0] in row]
+        if rows:
+            out[name] = _passed(name, rows)
     return out

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ from coverlab.cli import (
     parse_config_text,
     run,
 )
+from coverlab.verify import ExperimentReport, verdicts_from_report
 
 GOOD_CONFIG = """\
 # identity-map experiment with the figure-eight and its focus disks
@@ -154,3 +156,84 @@ def test_run_length_area_selected_mode(tmp_path):
     radii = summary["radii"]
     assert len(radii) >= 1
     assert radii == sorted(radii)
+
+
+def test_cli_graph_z3(capsys):
+    code = main(["graph", "--map", "z^3", "--r", "3"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "euler=-3" in out
+    assert "identity=1" in out
+
+
+def test_cli_arcs_z3(capsys):
+    code = main(["arcs", "--map", "z^3", "--r", "2"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "good=3 bad=0 suspect=0" in out
+
+
+# z^3 over disks at 0, 1 and inf: one island (over 0) at both radii, while
+# a(r) grows from 1.04 to 1.5, so the needed slack rises from 0.04 to 0.33.
+RISING_SLACK_CONFIG = """\
+map = z^3
+radii.list = {radii}
+disk.1.center = 0
+disk.1.radius = 0.112837916709551
+disk.2.center = 1
+disk.2.radius = 0.112837916709551
+disk.3.center = inf
+disk.3.radius = 0.112837916709551
+resolution = 128
+verifiers = islands
+"""
+
+
+@pytest.mark.parametrize("radii", ["0.9, 1.0", "1.0, 0.9"])
+def test_islands_verdict_includes_slack_trend(tmp_path, radii):
+    text = RISING_SLACK_CONFIG.format(radii=radii)
+    cfg = parse_config_text(text + f"outputs = {tmp_path}\n")
+    code = run(cfg)
+    rows = ExperimentReport.from_csv(tmp_path / "report.csv").rows
+    assert [row["island_count"] for row in rows] == [1, 1]
+    assert all(
+        row["island_count"] >= row["a"] * (1 - row["island_slack_allowed"]) for row in rows
+    )
+    assert rows[0]["island_slack_needed"] < rows[1]["island_slack_needed"]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["verifiers"]["islands"] == {
+        "passed": False,
+        "trend_ok": False,
+        "worst_slack": summary["verifiers"]["islands"]["worst_slack"],
+    }
+    assert code == summary["exit_code"] == 1
+    assert verdicts_from_report(ExperimentReport.from_csv(tmp_path / "report.csv")) == {
+        "islands": False
+    }
+
+
+def test_run_computes_each_quantity_once(tmp_path, monkeypatch):
+    """On the criterion-11 config (GOOD_CONFIG), one radius and three disks."""
+    names = ("area", "boundary_length", "find_islands", "build_preimage_graph",
+             "complement_components")
+    calls = dict.fromkeys(names, 0)
+    for modname, module in list(sys.modules.items()):
+        if not modname.startswith("coverlab"):
+            continue
+        for name in names:
+            fn = vars(module).get(name)
+            if callable(fn):
+                def counted(*args, _fn=fn, _name=name, **kwargs):
+                    calls[_name] += 1
+                    return _fn(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counted)
+    cfg = parse_config_text(GOOD_CONFIG + f"outputs = {tmp_path}\n")
+    assert run(cfg) == 0
+    assert calls == {
+        "area": 1,
+        "boundary_length": 1,
+        "find_islands": 3,
+        "build_preimage_graph": 1,
+        "complement_components": 1,
+    }

@@ -4,10 +4,11 @@ import pytest
 
 from coverlab.expr import parse_map
 from coverlab.count import find_islands
-from coverlab.metric import SphericalDisk
+from coverlab.metric import SphericalDisk, build_profile
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
 from coverlab.verify import (
     ExperimentReport,
+    radius_contexts,
     verdicts_from_report,
     verify_asymptotic_equality,
     verify_euler_identity,
@@ -20,14 +21,24 @@ from coverlab.verify import (
 RHO = 0.2 / math.sqrt(math.pi)
 
 
+def contexts(src, radii, resolution=512, disks=(), graph_spec=None):
+    m = parse_map(src)
+    return radius_contexts(m, build_profile(m, radii, tol=1e-6), resolution, disks, graph_spec)
+
+
 @pytest.fixture(scope="module")
 def z5_disks():
     return [SphericalDisk.of(c, RHO) for c in (0, 1, "inf")]
 
 
 @pytest.fixture(scope="module")
-def z5_islands(z5_disks):
-    return verify_island_theorem(parse_map("z^5"), z5_disks, [2.0, 5.0, 10.0], 512)
+def z5_contexts(z5_disks):
+    return contexts("z^5", [2.0, 5.0, 10.0], 512, z5_disks)
+
+
+@pytest.fixture(scope="module")
+def z5_islands(z5_contexts):
+    return verify_island_theorem(z5_contexts)
 
 
 def test_island_theorem_z5(z5_islands):
@@ -42,19 +53,18 @@ def test_island_theorem_z5(z5_islands):
 
 def test_island_theorem_requires_three_disks():
     with pytest.raises(ValueError, match="3 disks"):
-        verify_island_theorem(parse_map("z"), [], [1.0])
+        verify_island_theorem(contexts("z", [1.0]))
 
 
 def test_island_theorem_identity():
     disks = [SphericalDisk.of(c, RHO) for c in (0, 1, -1)]
-    res = verify_island_theorem(parse_map("z"), disks, [4.0, 8.0], 256)
+    res = verify_island_theorem(contexts("z", [4.0, 8.0], 256, disks))
     assert res.passed
     assert all(row["island_count"] == 3 for row in res.rows)
 
 
-def test_rh_inequality_z5(z5_islands):
-    ram = {row["r"]: row["ramification"] for row in z5_islands.rows}
-    res = verify_rh_inequality(parse_map("z^5"), [2.0, 5.0, 10.0], ram)
+def test_rh_inequality_z5(z5_contexts):
+    res = verify_rh_inequality(z5_contexts)
     assert res.passed
     row10 = res.rows[-1]
     assert row10["rh_lhs"] == 5  # 1 + ramification 4
@@ -62,19 +72,20 @@ def test_rh_inequality_z5(z5_islands):
 
 
 def test_rh_identity_map():
-    res = verify_rh_inequality(parse_map("z"), [2.0, 5.0], {2.0: 0, 5.0: 0})
+    disks = [SphericalDisk.of(c, RHO) for c in (0, 1, -1)]
+    res = verify_rh_inequality(contexts("z", [2.0, 5.0], 256, disks))
     assert res.passed
 
 
 def test_mean_degree_verifier():
-    res = verify_mean_degree(parse_map("z^3"), [2.0, 10.0], n_samples=200, seed=5)
+    res = verify_mean_degree(contexts("z^3", [2.0, 10.0]), n_samples=200, seed=5)
     assert res.passed
     assert res.trend_ok
 
 
 def test_graph_verifier_z3():
     res = verify_asymptotic_equality(
-        parse_map("z^3"), GraphSpec(node=0.5j, scale=0.5), [3.0], 512
+        contexts("z^3", [3.0], 512, graph_spec=GraphSpec(node=0.5j, scale=0.5))
     )
     assert res.passed
     assert res.rows[0]["graph_euler"] == -3
