@@ -212,12 +212,18 @@ def _chain(segments, quantum):
     def key(p):
         return (round(p.real / quantum), round(p.imag / quantum))
 
-    by_start = {}
+    # segment indices by start and by end key, in index order; degenerate
+    # p == q segments never start a forward step but may end a backward one
+    by_start, by_end = {}, {}
     for idx, (p, q, size) in enumerate(segments):
-        if p == q:
-            continue
-        by_start.setdefault(key(p), []).append(idx)
+        by_end.setdefault(key(q), []).append(idx)
+        if p != q:
+            by_start.setdefault(key(p), []).append(idx)
     used = [False] * len(segments)
+
+    def first_unused(candidates):
+        return next((c for c in candidates if not used[c]), None)
+
     chains = []
     for idx in range(len(segments)):
         if used[idx]:
@@ -231,28 +237,16 @@ def _chain(segments, quantum):
         max_size = size
         # extend forward
         while True:
-            nxt = None
-            for cand in by_start.get(key(pts[-1]), []):
-                if not used[cand]:
-                    nxt = cand
-                    break
+            nxt = first_unused(by_start.get(key(pts[-1]), ()))
             if nxt is None:
                 break
             used[nxt] = True
             cp, cq, csize = segments[nxt]
             pts.append(cq)
             max_size = max(max_size, csize)
-        # extend backward: find a segment whose end matches our start
+        # extend backward: a segment whose end matches our start
         while True:
-            prev = None
-            k0 = key(pts[0])
-            for cand in range(len(segments)):
-                if used[cand]:
-                    continue
-                _, cq, _ = segments[cand]
-                if key(cq) == k0:
-                    prev = cand
-                    break
+            prev = first_unused(by_end.get(key(pts[0]), ()))
             if prev is None:
                 break
             used[prev] = True

@@ -42,8 +42,6 @@ from coverlab.metric import (
     MAX_DISK_RADIUS,
     SphericalDisk,
     _fmt12,
-    area,
-    boundary_length,
     build_profile,
     chordal_distance,
     select_radii,
@@ -523,12 +521,11 @@ def main(argv=None):
 
     try:
         if args.command == "profile":
-            cfg = _effective_config(args)
-            m = parse_map(cfg.map_source)
-            for r in cfg.radii_list:
-                a = area(m, r, tol=cfg.tolerance)
-                l = boundary_length(m, r)
-                print(f"r={_fmt12(r)} a={_fmt12(a)} l={_fmt12(l)} ratio={_fmt12(l / a)}")
+            for ctx in _contexts(_effective_config(args)):
+                print(
+                    f"r={_fmt12(ctx.r)} a={_fmt12(ctx.a)} l={_fmt12(ctx.l)} "
+                    f"ratio={_fmt12(ctx.l / ctx.a)}"
+                )
             return 0
 
         if args.command == "islands":

@@ -1,26 +1,29 @@
 """Preimage counting, islands, covering degrees and ramification.
 
-Counts for many targets come from the boundary image f(|z| = r).  By the
-argument principle n(r, p) = wind(f(|z| = r), p) + P(r), where P(r) counts
-the poles of f in |z| < r with their order (count_preimages_many).  The
-circle is sampled once with f and f'; an arc is bisected where |f'| changes
+Every count here is a winding number by the argument principle, and one
+helper computes them all (_windings): it winds f along a closed path
+t -> z(t) around many targets at once.  Two kinds of path occur: the
+circle |z| = r with t = theta, and polygons with t = edge index + fraction.
+The path is sampled with f and f'; an arc is bisected where |f'| changes
 by more than 2x, and wherever a target lies in the arc's bound ball (about
-f at its start, radius max(chord, 2 * step * r|f'|)).  All windings then
-come from one vectorized crossing-number pass.  Band rule: a target still
-inside a ball whose arc cannot shrink below the root-on-circle scale
-(radius about 3e-7 r |f'|) is undecided, and callers send it to
-count_preimages, which raises RootOnCircleError if its root is on the
-circle.  Counts are distinct roots; they equal the winding count except
-at critical values, which random targets miss.
+f at its start, radius max(chord, 2 * step * |z'(t)| |f'|)).  Arcs never
+straddle a polygon corner.  The windings then come from one vectorized
+crossing-number pass over the sampled polyline.  Band rule: a target still
+inside a ball whose arc cannot shrink below the root-on-path scale (radius
+about 3e-7 |z'(t)| |f'|) is undecided.
 
-count_preimages and find_roots locate roots by the argument principle
-too: recursive subdivision of the disk's bounding square, with the winding
-number of f - p along each cell boundary deciding where roots are.  Cells
-whose winding vanishes are discarded unless the boundary argument
-variation is large (which flags a possible zero/pole cancellation inside,
-as happens for rational maps); those are subdivided as well.  Isolated
-cells are polished by Newton.  They serve where root locations matter:
-graph vertices, critical points and the undecided targets above.
+- count_preimages_many: n(r, p) = wind(f(|z| = r), p) + P(r), where P(r)
+  counts the poles of f in |z| < r with their order.  Undecided targets go
+  to count_preimages, which raises RootOnCircleError if the root is on the
+  circle.  Counts are distinct roots; they equal the winding count except
+  at critical values, which random targets miss.
+- find_roots (and count_preimages): recursive subdivision of the disk's
+  bounding square, winding the entire function N - p D of f = N/D around
+  0 along each square cell.  A cell of winding 0 holds no root and is
+  discarded; an undecided cell raises ContourPassesThroughRoot so its
+  parent re-splits off-centre.  Isolated cells are polished by Newton.
+- Pole orders (_local_winding) and island degrees (_contour_degree) wind
+  f, or N - c D, along a small square or an island contour.
 """
 
 from __future__ import annotations
@@ -53,17 +56,15 @@ from coverlab.metric import (
     sample_sphere_uniform,
 )
 
-_MAX_CONTOUR_POINTS = 30_000
-_VARIATION_THRESHOLD = 3.5 * math.pi
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.4617)
 
 
 class WindingError(ArithmeticError):
-    """Argument tracking failed to stabilize (step control exhausted)."""
+    """Contour refinement did not finish within its budget."""
 
 
 class ContourPassesThroughRoot(ArithmeticError):
-    """A sample on the contour was (numerically) a root or a pole."""
+    """A root or a pole sits (numerically) on the contour."""
 
 
 class RootOnCircleError(ArithmeticError):
@@ -76,95 +77,59 @@ class Root:
     multiplicity: int
 
 
-def _winding_number(F, path, dF=None):
-    """(winding, total variation) of arg F along a closed polygonal path.
+# ---------------------------------------------------------------------------
+# Contour winding
 
-    `path` is a list of complex corners (closed implicitly).  The initial
-    sampling density per edge comes from the log-derivative |F'/F| (when
-    `dF` is given), which bounds the rotation rate and prevents phase
-    aliasing; points are then inserted until every step of arg is at most
-    pi/4 AND every chord is short relative to |F| (so a step cannot hide a
-    full extra turn).
+_CIRCLE_SAMPLES = 256
+_BALL_SAFETY = 2.0  # |f'| on an arc is at most this times its larger end value
+_BAND = 3e-7  # undecided band in units of |z'(t)| |f'|: the image of the 1e-7 r test
+_MIN_STEP = _BAND / _BALL_SAFETY  # arcs this short are not split further
+_MAX_CURVE_POINTS = 400_000
+_CHUNK = 1 << 16  # (segment, target) pairs per numpy pass
+
+
+class _Circle(NamedTuple):
+    """The circle |z| = r, with t = theta."""
+
+    r: float
+
+    def start(self):
+        """Initial arcs: their start parameters and common step."""
+        step = 2 * math.pi / _CIRCLE_SAMPLES
+        return step * np.arange(_CIRCLE_SAMPLES), step
+
+    def point(self, t):
+        return self.r * np.exp(1j * t)
+
+    def scale(self, t):
+        """|z'(t)| on the arcs starting at t."""
+        return self.r
+
+
+class _Polygon(NamedTuple):
+    """Closed polygon through `corners`, with t = edge index + fraction.
+
+    One initial arc per edge, so no arc straddles a corner.
     """
-    corners = np.asarray(path, dtype=np.complex128)
-    nseg = len(corners)
-    nxt = np.roll(corners, -1)
-    seg_len = np.abs(nxt - corners)
 
-    def positions(tvals):
-        base = np.floor(tvals).astype(int) % nseg
-        frac = tvals - np.floor(tvals)
-        a = corners[base]
-        b = corners[(base + 1) % nseg]
-        return a + frac * (b - a)
+    corners: np.ndarray
 
-    if dF is not None:
-        probe_t = np.concatenate(
-            [np.arange(nseg), np.arange(nseg) + 0.5]
-        )
-        probe_z = positions(probe_t)
-        with np.errstate(all="ignore"):
-            pw = np.asarray(F(probe_z), dtype=np.complex128)
-            pd = np.asarray(dF(probe_z), dtype=np.complex128)
-            rate = np.abs(pd) / np.maximum(np.abs(pw), 1e-280)
-        rate = np.where(np.isfinite(rate), rate, 1e30)
-        edge_rate = np.maximum(
-            np.maximum(rate[:nseg], np.roll(rate[:nseg], -1)), rate[nseg:]
-        )
-        n_per_edge = np.clip(
-            np.ceil(seg_len * edge_rate / 0.35), 1, 3000
-        ).astype(int)
-        total = int(n_per_edge.sum())
-        if total > 20000:
-            n_per_edge = np.maximum(1, (n_per_edge * 20000) // total)
-    else:
-        n_per_edge = np.full(nseg, 4, dtype=int)
+    def start(self):
+        return np.arange(len(self.corners), dtype=float), 1.0
 
-    ts = np.concatenate(
-        [k + np.arange(n_per_edge[k]) / n_per_edge[k] for k in range(nseg)]
-    )
-    zs = positions(ts)
-    ws = np.asarray(F(zs), dtype=np.complex128)
-    diam = float(np.abs(corners - corners.mean()).max()) * 2.0 + 1e-300
-    for _ in range(80):
-        if not np.isfinite(ws).all():
-            raise ContourPassesThroughRoot("pole on the contour")
-        mags = np.abs(ws)
-        if mags.min() <= 1e-290:
-            raise ContourPassesThroughRoot("root on the contour")
-        ph = np.angle(ws)
-        dph = np.diff(ph, append=ph[0])
-        dph = (dph + math.pi) % (2 * math.pi) - math.pi
-        chord = np.abs(np.diff(ws, append=ws[:1]))
-        neighbor_min = np.minimum(mags, np.roll(mags, -1))
-        big = (np.abs(dph) > math.pi / 4) | (chord > 0.6 * neighbor_min)
-        if not big.any():
-            winding = dph.sum() / (2 * math.pi)
-            nearest = round(winding)
-            if abs(winding - nearest) > 0.1:
-                raise WindingError(f"non-integer winding {winding}")
-            return int(nearest), float(np.abs(dph).sum())
-        # a segment that keeps flipping after shrinking to nothing is pinched
-        # on a zero (or pole) of F sitting essentially on the path
-        gaps = np.abs(np.diff(zs, append=zs[:1]))
-        if (big & (gaps < 1e-13 * diam)).any():
-            raise ContourPassesThroughRoot("root on the contour")
-        if len(ts) > _MAX_CONTOUR_POINTS:
-            raise WindingError("contour refinement budget exceeded")
-        t_next = np.roll(ts, -1)
-        t_next[-1] += nseg
-        mid = (ts[big] + t_next[big]) / 2.0
-        new_z = positions(mid % nseg)
-        new_w = np.asarray(F(new_z), dtype=np.complex128)
-        ts = np.concatenate([ts, mid])
-        zs = np.concatenate([zs, new_z])
-        ws = np.concatenate([ws, new_w])
-        order = np.argsort(ts)
-        ts, zs, ws = ts[order], zs[order], ws[order]
-    raise WindingError("step control did not converge")
+    def edge(self, k):
+        return self.corners[(k + 1) % len(self.corners)] - self.corners[k]
+
+    def point(self, t):
+        k = t.astype(int)
+        return self.corners[k] + (t - k) * self.edge(k)
+
+    def scale(self, t):
+        return np.abs(self.edge(t.astype(int)))
 
 
-def _rect_path(x0, x1, y0, y1, n_per_side=6):
+def _rect(x0, x1, y0, y1):
+    """Counterclockwise boundary of a rectangle, six edges a side."""
     pts = []
     for a, b in (
         (complex(x0, y0), complex(x1, y0)),
@@ -172,13 +137,171 @@ def _rect_path(x0, x1, y0, y1, n_per_side=6):
         (complex(x1, y1), complex(x0, y1)),
         (complex(x0, y1), complex(x0, y0)),
     ):
-        for k in range(n_per_side):
-            pts.append(a + (b - a) * k / n_per_side)
-    return pts
+        for k in range(6):
+            pts.append(a + (b - a) * k / 6)
+    return _Polygon(np.array(pts))
 
 
-def _newton_polish(target_root, q, z0, cell_size, max_iter=40):
-    m, dm = target_root
+def _sample(m, dm, path, t):
+    """f and |f'| at the path points of parameters t."""
+    zs = path.point(t)
+    w = evaluate_array(m, zs)
+    dabs = np.abs(evaluate_array(dm, zs))
+    if not (np.isfinite(w).all() and np.isfinite(dabs).all()):
+        raise ContourPassesThroughRoot("pole of f on or next to the contour")
+    return w, dabs
+
+
+class _Arcs(NamedTuple):
+    """Arcs [t, t + step] of a path with f and |z'(t)| |f'| at both ends."""
+
+    t: np.ndarray
+    step: np.ndarray
+    wa: np.ndarray
+    wb: np.ndarray
+    sa: np.ndarray
+    sb: np.ndarray
+
+    def take(self, idx):
+        return _Arcs(*(a[idx] for a in self))
+
+    def join(self, other):
+        return _Arcs(*(np.concatenate([a, b]) for a, b in zip(self, other)))
+
+    def bisect(self, m, dm, path):
+        """Children of every arc: all left halves, then all right halves."""
+        half = self.step / 2
+        wm, dabs = _sample(m, dm, path, self.t + half)
+        sm = path.scale(self.t) * dabs
+        left = _Arcs(self.t, half, self.wa, wm, self.sa, sm)
+        return left.join(_Arcs(self.t + half, half, wm, self.wb, sm, self.sb))
+
+    def trusted(self):
+        """|f'| changes by at most 2x, so its end values bound it on the arc."""
+        return np.maximum(self.sa, self.sb) <= 2 * np.minimum(self.sa, self.sb)
+
+    def radius(self):
+        """Radius of a ball about f(start) holding the arc's image and chord."""
+        speed = np.maximum(self.sa, self.sb)
+        return np.maximum(
+            np.abs(self.wb - self.wa), np.maximum(_BALL_SAFETY * self.step, _BAND) * speed
+        )
+
+
+def _ball_pairs(arcs, targets):
+    """(arc, target) index pairs with the target inside the arc's ball."""
+    radius = arcs.radius()
+    rows = max(1, _CHUNK // len(targets))
+    arc_idx, tgt_idx = [], []
+    for lo in range(0, len(radius), rows):
+        dist = np.abs(targets[None, :] - arcs.wa[lo:lo + rows, None])
+        a, t = np.nonzero(dist < radius[lo:lo + rows, None])
+        arc_idx.append(a + lo)
+        tgt_idx.append(t)
+    return np.concatenate(arc_idx), np.concatenate(tgt_idx)
+
+
+def _image_polygon(m, dm, path, targets):
+    """Closed polyline for f(path) and the targets it cannot decide.
+
+    Each arc's ball holds both its image and its chord, so a target outside
+    the balls of some ancestor of every final arc has the same winding for
+    polyline and curve.  Arcs are bisected where |f'| changes by more than
+    2x, then wherever their ball holds a target.  A target still inside a
+    ball whose arc is down to _MIN_STEP (radius _BAND |z'(t)| |f'|) is
+    undecided.
+    """
+    t, step = path.start()
+    w, dabs = _sample(m, dm, path, t)
+    scale = path.scale(t)
+    arcs = _Arcs(
+        t, np.full_like(t, step), w, np.roll(w, -1), scale * dabs, scale * np.roll(dabs, -1)
+    )
+    while True:
+        split = ~arcs.trusted() & (arcs.step > _MIN_STEP)
+        if not split.any():
+            break
+        if len(arcs.t) > _MAX_CURVE_POINTS:
+            raise WindingError("contour refinement budget exceeded")
+        arcs = arcs.take(~split).join(arcs.take(split).bisect(m, dm, path))
+    params, values = [arcs.t], [arcs.wa]
+    n_points = len(arcs.t)
+    undecided = np.zeros(len(targets), dtype=bool)
+    arc_idx, tgt_idx = _ball_pairs(arcs, targets)
+    while True:
+        floor = arcs.step[arc_idx] <= _MIN_STEP
+        undecided[tgt_idx[floor]] = True
+        arc_idx, tgt_idx = arc_idx[~floor], tgt_idx[~floor]
+        if not arc_idx.size:
+            break
+        if n_points > _MAX_CURVE_POINTS:
+            raise WindingError("contour refinement budget exceeded")
+        parents, inverse = np.unique(arc_idx, return_inverse=True)
+        arcs = arcs.take(parents).bisect(m, dm, path)
+        n = len(parents)
+        params.append(arcs.t[n:])
+        values.append(arcs.wa[n:])
+        n_points += n
+        arc_idx = np.concatenate([inverse, inverse + n])
+        tgt_idx = np.concatenate([tgt_idx, tgt_idx])
+        inside = np.abs(targets[tgt_idx] - arcs.wa[arc_idx]) < arcs.radius()[arc_idx]
+        keep = inside | ~arcs.trusted()[arc_idx]
+        arc_idx, tgt_idx = arc_idx[keep], tgt_idx[keep]
+    order = np.argsort(np.concatenate(params), kind="stable")
+    return np.concatenate(values)[order], undecided
+
+
+def _windings(m, dm, path, targets):
+    """Winding numbers of f along `path` around each target, and a mask of
+    the targets in the undecided band (their winding is meaningless).
+
+    The winding of the sampled polyline comes from the crossing rule of
+    Hormann & Agathos: an edge going up past a target's height with the
+    target on its left adds 1, one going down with the target on its right
+    subtracts 1.  Targets are sorted by height, so each edge meets only the
+    targets in its height range.
+    """
+    vertices, undecided = _image_polygon(m, dm, path, targets)
+    start, end = vertices, np.roll(vertices, -1)
+    order = np.argsort(targets.imag)
+    heights = targets.imag[order]
+    lo = np.searchsorted(heights, np.minimum(start.imag, end.imag))
+    hits = np.searchsorted(heights, np.maximum(start.imag, end.imag)) - lo
+    bounds = np.concatenate([[0], np.cumsum(hits)])
+    wind = np.zeros(len(targets))
+    e0 = 0
+    while e0 < len(hits):
+        e1 = max(e0 + 1, int(np.searchsorted(bounds, bounds[e0] + _CHUNK, "right")) - 1)
+        edge = np.repeat(np.arange(e0, e1), hits[e0:e1])
+        first = np.repeat(bounds[e0:e1] - bounds[e0] - lo[e0:e1], hits[e0:e1])
+        tgt = order[np.arange(len(edge)) - first]
+        a, b, p = start[edge], end[edge], targets[tgt]
+        side = (b.real - a.real) * (p.imag - a.imag) - (p.real - a.real) * (b.imag - a.imag)
+        up = b.imag > a.imag
+        sign = (up & (side > 0)).astype(float) - (~up & (side < 0))
+        wind += np.bincount(tgt, weights=sign, minlength=len(targets))
+        e0 = e1
+    return np.rint(wind).astype(int), undecided
+
+
+def _winding(m, dm, path):
+    """Winding number of f along `path` around 0.
+
+    A zero of f in the undecided band raises ContourPassesThroughRoot.
+    """
+    wind, undecided = _windings(m, dm, path, np.zeros(1, dtype=np.complex128))
+    if undecided[0]:
+        raise ContourPassesThroughRoot("root on the contour")
+    return int(wind[0])
+
+
+# ---------------------------------------------------------------------------
+# Root finding
+
+
+def _newton_polish(m, dm, z0, cell_size, max_iter=40):
+    """Newton's iteration for a zero of m from z0; None unless it converges
+    within 3 cell sizes of z0."""
     z = complex(z0)
     converged = False
     for _ in range(max_iter):
@@ -191,7 +314,7 @@ def _newton_polish(target_root, q, z0, cell_size, max_iter=40):
             return None
         if dz == 0:
             return None
-        step = (fz - q) / dz
+        step = fz / dz
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             return None
         z -= step
@@ -226,20 +349,15 @@ def _root_target(m, p):
 def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
     """Distinct solutions of f(z) = p with |z| < r (plus boundary guard).
 
-    Returns Root records (location, multiplicity).  A root within 1e-7 * r
-    of the circle |z| = r raises RootOnCircleError.
+    Square cells of the bounding square are wound around 0 by the entire
+    function N - p D (D for p at infinity), so a cell of winding 0 holds no
+    root and is dropped; the others are split or Newton-polished.  Returns
+    Root records (location, multiplicity).  A root within 1e-7 * r of the
+    circle |z| = r raises RootOnCircleError.
     """
     p = SpherePoint.of(p)
     g = _root_target(m, p)
-    q = 0j
     dg = differentiate(g)
-
-    def F(zs):
-        return evaluate_array(g, zs)
-
-    def dF(zs):
-        return evaluate_array(dg, zs)
-
     isolation = max(isolation_rel * r, 1e-12)
     found = []
     cells = [0]
@@ -254,15 +372,15 @@ def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
         if cells[0] > max_cells:
             raise WindingError("cell subdivision budget exceeded")
         size = max(x1 - x0, y1 - y0)
-        w, var = _winding_number(F, _rect_path(x0, x1, y0, y1), dF=dF)
-        if w <= 0 and (var < _VARIATION_THRESHOLD or size <= 4 * isolation):
+        w = _winding(g, dg, _rect(x0, x1, y0, y1))
+        if w <= 0:
             return
+        centre = complex((x0 + x1) / 2, (y0 + y1) / 2)
         if size <= isolation:
-            if w > 0:
-                sink.append(Root(complex((x0 + x1) / 2, (y0 + y1) / 2), w))
+            sink.append(Root(centre, w))
             return
         if w == 1:
-            z = _newton_polish((g, dg), q, complex((x0 + x1) / 2, (y0 + y1) / 2), size)
+            z = _newton_polish(g, dg, centre, size)
             if (
                 z is not None
                 and x0 - 1e-12 <= z.real <= x1 + 1e-12
@@ -271,8 +389,7 @@ def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
                 sink.append(Root(z, 1))
                 return
         last_error = None
-        for attempt in range(len(_SPLIT_FRACTIONS)):
-            frac = _SPLIT_FRACTIONS[attempt]
+        for frac in _SPLIT_FRACTIONS:
             xm = x0 + frac * (x1 - x0)
             ym = y0 + frac * (y1 - y0)
             local = []
@@ -339,14 +456,8 @@ def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
 
 def _local_winding(m, z0, half_width):
     """Winding of f around 0 along the square of half-width `half_width` at z0."""
-    dm = differentiate(m)
-    path = _rect_path(
-        z0.real - half_width, z0.real + half_width, z0.imag - half_width, z0.imag + half_width
-    )
-    w, _ = _winding_number(
-        lambda zs: evaluate_array(m, zs), path, dF=lambda zs: evaluate_array(dm, zs)
-    )
-    return w
+    x, y, h = z0.real, z0.imag, half_width
+    return _winding(m, differentiate(m), _rect(x - h, x + h, y - h, y + h))
 
 
 def count_preimages(m, p, r):
@@ -361,149 +472,6 @@ def multiplicity_count(m, p, r):
 
 # ---------------------------------------------------------------------------
 # Batched counting from the boundary image f(|z| = r)
-
-_CIRCLE_SAMPLES = 256
-_BALL_SAFETY = 2.0  # |f'| on an arc is at most this times its larger end value
-_BAND = 3e-7  # undecided band in units of r |f'|: the image of the 1e-7 r test
-_MIN_STEP = _BAND / _BALL_SAFETY  # arcs this short are not split further
-_MAX_CURVE_POINTS = 400_000
-_CHUNK = 1 << 16  # (segment, target) pairs per numpy pass
-
-
-def _sample_circle(m, dm, r, thetas):
-    """f and |d/dtheta f(r e^{i theta})| = r |f'| at the given angles."""
-    zs = r * np.exp(1j * thetas)
-    w = evaluate_array(m, zs)
-    speed = r * np.abs(evaluate_array(dm, zs))
-    if not (np.isfinite(w).all() and np.isfinite(speed).all()):
-        raise ContourPassesThroughRoot(f"pole of f on or next to |z| = {r}")
-    return w, speed
-
-
-class _Arcs(NamedTuple):
-    """Arcs [theta, theta + step] of the circle with f and r|f'| at both ends."""
-
-    theta: np.ndarray
-    step: np.ndarray
-    wa: np.ndarray
-    wb: np.ndarray
-    sa: np.ndarray
-    sb: np.ndarray
-
-    def take(self, idx):
-        return _Arcs(*(a[idx] for a in self))
-
-    def join(self, other):
-        return _Arcs(*(np.concatenate([a, b]) for a, b in zip(self, other)))
-
-    def bisect(self, m, dm, r):
-        """Children of every arc: all left halves, then all right halves."""
-        half = self.step / 2
-        wm, sm = _sample_circle(m, dm, r, self.theta + half)
-        left = _Arcs(self.theta, half, self.wa, wm, self.sa, sm)
-        return left.join(_Arcs(self.theta + half, half, wm, self.wb, sm, self.sb))
-
-    def trusted(self):
-        """|f'| changes by at most 2x, so its end values bound it on the arc."""
-        return np.maximum(self.sa, self.sb) <= 2 * np.minimum(self.sa, self.sb)
-
-    def radius(self):
-        """Radius of a ball about f(start) holding the arc's image and chord."""
-        speed = np.maximum(self.sa, self.sb)
-        return np.maximum(
-            np.abs(self.wb - self.wa), np.maximum(_BALL_SAFETY * self.step, _BAND) * speed
-        )
-
-
-def _ball_pairs(arcs, targets):
-    """(arc, target) index pairs with the target inside the arc's ball."""
-    radius = arcs.radius()
-    rows = max(1, _CHUNK // len(targets))
-    arc_idx, tgt_idx = [], []
-    for lo in range(0, len(radius), rows):
-        dist = np.abs(targets[None, :] - arcs.wa[lo:lo + rows, None])
-        a, t = np.nonzero(dist < radius[lo:lo + rows, None])
-        arc_idx.append(a + lo)
-        tgt_idx.append(t)
-    return np.concatenate(arc_idx), np.concatenate(tgt_idx)
-
-
-def _boundary_polygon(m, r, targets):
-    """Closed polyline for f(|z| = r) and the targets it cannot decide.
-
-    Each arc's ball holds both its image and its chord, so a target outside
-    the balls of some ancestor of every final arc has the same winding for
-    polyline and curve.  Arcs are bisected where |f'| changes by more than
-    2x, then wherever their ball holds a target.  A target still inside a
-    ball whose arc is down to _MIN_STEP (radius _BAND r |f'|) is undecided.
-    """
-    dm = differentiate(m)
-    step = 2 * math.pi / _CIRCLE_SAMPLES
-    theta = step * np.arange(_CIRCLE_SAMPLES)
-    w, speed = _sample_circle(m, dm, r, theta)
-    arcs = _Arcs(theta, np.full_like(theta, step), w, np.roll(w, -1), speed, np.roll(speed, -1))
-    while True:
-        split = ~arcs.trusted() & (arcs.step > _MIN_STEP)
-        if not split.any():
-            break
-        if len(arcs.theta) > _MAX_CURVE_POINTS:
-            raise WindingError("boundary image refinement budget exceeded")
-        arcs = arcs.take(~split).join(arcs.take(split).bisect(m, dm, r))
-    thetas, values = [arcs.theta], [arcs.wa]
-    n_points = len(arcs.theta)
-    undecided = np.zeros(len(targets), dtype=bool)
-    arc_idx, tgt_idx = _ball_pairs(arcs, targets)
-    while True:
-        floor = arcs.step[arc_idx] <= _MIN_STEP
-        undecided[tgt_idx[floor]] = True
-        arc_idx, tgt_idx = arc_idx[~floor], tgt_idx[~floor]
-        if not arc_idx.size:
-            break
-        if n_points > _MAX_CURVE_POINTS:
-            raise WindingError("boundary image refinement budget exceeded")
-        parents, inverse = np.unique(arc_idx, return_inverse=True)
-        arcs = arcs.take(parents).bisect(m, dm, r)
-        n = len(parents)
-        thetas.append(arcs.theta[n:])
-        values.append(arcs.wa[n:])
-        n_points += n
-        arc_idx = np.concatenate([inverse, inverse + n])
-        tgt_idx = np.concatenate([tgt_idx, tgt_idx])
-        inside = np.abs(targets[tgt_idx] - arcs.wa[arc_idx]) < arcs.radius()[arc_idx]
-        keep = inside | ~arcs.trusted()[arc_idx]
-        arc_idx, tgt_idx = arc_idx[keep], tgt_idx[keep]
-    order = np.argsort(np.concatenate(thetas), kind="stable")
-    return np.concatenate(values)[order], undecided
-
-
-def _winding_numbers(vertices, targets):
-    """Winding number of a closed polygon around each target.
-
-    Crossing rule of Hormann & Agathos: an edge going up past a target's
-    height with the target on its left adds 1, one going down with the
-    target on its right subtracts 1.  Targets are sorted by height, so each
-    edge meets only the targets in its height range.
-    """
-    start, end = vertices, np.roll(vertices, -1)
-    order = np.argsort(targets.imag)
-    heights = targets.imag[order]
-    lo = np.searchsorted(heights, np.minimum(start.imag, end.imag))
-    hits = np.searchsorted(heights, np.maximum(start.imag, end.imag)) - lo
-    bounds = np.concatenate([[0], np.cumsum(hits)])
-    wind = np.zeros(len(targets))
-    e0 = 0
-    while e0 < len(hits):
-        e1 = max(e0 + 1, int(np.searchsorted(bounds, bounds[e0] + _CHUNK, "right")) - 1)
-        edge = np.repeat(np.arange(e0, e1), hits[e0:e1])
-        first = np.repeat(bounds[e0:e1] - bounds[e0] - lo[e0:e1], hits[e0:e1])
-        tgt = order[np.arange(len(edge)) - first]
-        a, b, p = start[edge], end[edge], targets[tgt]
-        side = (b.real - a.real) * (p.imag - a.imag) - (p.real - a.real) * (b.imag - a.imag)
-        up = b.imag > a.imag
-        sign = (up & (side > 0)).astype(float) - (~up & (side < 0))
-        wind += np.bincount(tgt, weights=sign, minlength=len(targets))
-        e0 = e1
-    return np.rint(wind).astype(int)
 
 
 def count_preimages_many(m, points, r):
@@ -523,15 +491,14 @@ def count_preimages_many(m, points, r):
     targets = np.array([points[k].value for k in finite], dtype=np.complex128)
     try:
         poles = multiplicity_count(m, "inf", r)
-        polygon, undecided = _boundary_polygon(m, r, targets)
+        windings, undecided = _windings(m, differentiate(m), _Circle(r), targets)
     except (WindingError, RootOnCircleError, ContourPassesThroughRoot):
         return result
-    counts = _winding_numbers(polygon, targets) + poles
+    counts = windings + poles
     for k, count, unsure in zip(finite, counts, undecided):
         if not unsure and count >= 0:
             result[k] = int(count)
     return result
-
 
 @dataclass(frozen=True)
 class MeanDegree:
@@ -743,17 +710,11 @@ def _contour_degree(m, center, outer, holes):
     """Degree of f over `center` on a region: winding of f - center along the
     outer boundary minus along each hole, every contour counterclockwise."""
     g = _root_target(m, center)
-    dg_t = differentiate(g)
-
-    def F(zs):
-        return evaluate_array(g, zs)
-
-    def dF(zs):
-        return evaluate_array(dg_t, zs)
+    dg = differentiate(g)
 
     def winding(points):
-        pts = list(points[:-1]) if points[0] == points[-1] else list(points)
-        w, _ = _winding_number(F, pts, dF=dF)
+        corners = points[:-1] if points[0] == points[-1] else points
+        w = _winding(g, dg, _Polygon(np.asarray(corners)))
         return w if _polygon_area(points) > 0 else -w
 
     return winding(outer) - sum(winding(hole) for hole in holes)

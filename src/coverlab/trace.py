@@ -204,11 +204,6 @@ class Polyline:
     closed: bool
     touches_clip: bool  # was cut by the circle |z| = r
     resolution: int
-    r: float
-    cell_size: float
-
-    def max_abs(self):
-        return float(np.abs(self.points).max())
 
 
 def trace_preimage(m, curve, r, resolution=512, on_ambiguous="error"):
@@ -241,11 +236,9 @@ def trace_preimage(m, curve, r, resolution=512, on_ambiguous="error"):
                 for sub in _filter_x_range(pts, m, curve):
                     if len(sub) >= 2:
                         sub_touched = bool(np.abs(sub).max() >= r * (1 - 1e-9))
-                        out.append(
-                            Polyline(sub, False, sub_touched, resolution, r, ch.cell_size)
-                        )
+                        out.append(Polyline(sub, False, sub_touched, resolution))
             elif len(pts) >= 2:
-                out.append(Polyline(pts, closed, touched, resolution, r, ch.cell_size))
+                out.append(Polyline(pts, closed, touched, resolution))
     out.sort(key=lambda p: (p.points.real.min(), p.points.imag.min()))
     return out
 
@@ -348,33 +341,34 @@ def level_fidelity(m, curve, polylines):
 def classify_arcs(polylines, m, curve, r):
     """(good, bad, suspect) counts for the traced components of one arc.
 
-    bad: meets the boundary margin band |z| >= r (1 - 10/resolution);
-    good: stays interior, away from zeros of f', and covers the curve
-    parameter exactly once, monotonically; suspect: everything else
-    (near-critical components are never silently promoted).
+    Tags follow _arc_tag; a good component must also cover the curve
+    parameter exactly once, monotonically, or it counts as suspect.
     """
     dm = differentiate(m)
     good = bad = suspect = 0
     for pl in polylines:
-        margin_r = r * (1.0 - 10.0 / pl.resolution)
-        if pl.touches_clip or pl.max_abs() >= margin_r:
+        tag = _arc_tag(dm, pl.points, pl.touches_clip, r, pl.resolution)
+        if tag == "bad":
             bad += 1
-            continue
-        if _near_critical(dm, pl.points):
-            suspect += 1
-        elif _covers_once(pl, m, curve):
+        elif tag == "good" and _covers_once(pl, m, curve):
             good += 1
         else:
             suspect += 1
     return good, bad, suspect
 
 
-def _near_critical(dm, points):
-    """The ramified-suspect rule: |f'| on the points dips below 1e-4 of its
-    largest value, or has no finite value at all."""
+def _arc_tag(dm, points, touches_clip, r, resolution):
+    """The arc-tagging rule: "bad" when the arc is cut by the circle or
+    meets the margin band |z| >= r (1 - 10/resolution); else
+    "ramified-suspect" when |f'| on it dips below 1e-4 of its largest value
+    or has no finite value at all; else "good"."""
+    if touches_clip or float(np.abs(points).max()) >= r * (1.0 - 10.0 / resolution):
+        return "bad"
     dvals = np.abs(evaluate_array(dm, points))
     dvals = dvals[np.isfinite(dvals)]
-    return len(dvals) == 0 or dvals.min() < 1e-4 * max(dvals.max(), 1e-280)
+    if len(dvals) == 0 or dvals.min() < 1e-4 * max(dvals.max(), 1e-280):
+        return "ramified-suspect"
+    return "good"
 
 
 def _covers_once(pl, m, curve):
@@ -555,7 +549,6 @@ class Arc:
 class PreimageGraph:
     arcs: list
     vertices: list  # complex preimages of the graph node(s)
-    adjacency: list  # per arc: endpoint vertex indices
     euler: int
     r: float
     resolution: int
@@ -610,17 +603,15 @@ def build_preimage_graph(m, graph, r, resolution=512):
         for pl in polylines:
             arcs.extend(_cut_at_vertices(pl, m, graph, vertices, cut_radius))
 
-    final_arcs = []
-    adjacency = []
-    for pts, endpoint_ids, closed, touched in arcs:
-        if touched or float(np.abs(pts).max()) >= margin_r:
-            tag = "bad"
-        elif _near_critical(dm, pts):
-            tag = "ramified-suspect"
-        else:
-            tag = "good"
-        final_arcs.append(Arc(points=pts, tag=tag, endpoints=endpoint_ids, closed=closed))
-        adjacency.append(endpoint_ids)
+    final_arcs = [
+        Arc(
+            points=pts,
+            tag=_arc_tag(dm, pts, touched, r, resolution),
+            endpoints=endpoint_ids,
+            closed=closed,
+        )
+        for pts, endpoint_ids, closed, touched in arcs
+    ]
 
     retained = [a for a in final_arcs if a.tag != "bad"]
     n_edges = sum(1 for a in retained if not a.closed or a.endpoints[0] is not None)
@@ -628,7 +619,6 @@ def build_preimage_graph(m, graph, r, resolution=512):
     return PreimageGraph(
         arcs=final_arcs,
         vertices=vertices,
-        adjacency=adjacency,
         euler=euler,
         r=r,
         resolution=resolution,
@@ -908,7 +898,7 @@ def arc_test_integral(m, chart, t, r, beta_profile=None, n_nodes=24):
 # Exports
 
 
-def export_svg(path, r, graph=None, components=None, islands=None):
+def export_svg(path, r, graph=None, islands=None):
     """Static SVG render of the source disk: arcs, vertices, islands."""
     size = 800
     scale = size / (2.2 * r)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from coverlab import count as count_module
 from coverlab.expr import evaluate, parse_map
 from coverlab.count import (
     IslandRecord,
@@ -106,6 +107,63 @@ def test_multiplicity_at_infinity_is_pole_order():
     assert multiplicity_count(parse_map("(z-0.5)^2/(z-0.5)^3"), "inf", 1.0) == 1
     assert multiplicity_count(parse_map("1/(z-0.5)^2 + z"), "inf", 1.0) == 2
     assert multiplicity_count(parse_map("(z^2-1)/(z-1)"), "inf", 2.0) == 0
+
+
+@pytest.mark.parametrize(
+    "source, numerator, denominator, r",
+    [
+        ("z^3 - 2*z + 1", [1, 0, -2, 1], [1], 1.5),
+        ("(z^2+1)/(z-0.3)", [1, 0, 1], [1, -0.3], 2.0),
+        ("1/(z-0.2)^2 + z", [1, -0.4, 0.04, 1], [1, -0.4, 0.04], 1.0),
+    ],
+)
+def test_counts_match_polynomial_roots(source, numerator, denominator, r):
+    # exact oracle sharing no code with the winding helper: the roots of
+    # N - p D and of D from numpy.roots, for f = N/D with explicit coefficients
+    m = parse_map(source)
+
+    def inside(roots):
+        return [z for z in roots if abs(z) < r]
+
+    poles = inside(np.roots(denominator))
+    assert multiplicity_count(m, "inf", r) == len(poles)
+    rng = np.random.default_rng(1311)
+    # half the targets are images of points 1e-3 r off the circle
+    near = r * (1 + 1e-3 * rng.choice([-1, 1], 20)) * np.exp(2j * np.pi * rng.random(20))
+    candidates = np.concatenate(
+        [
+            3 * (rng.standard_normal(20) + 1j * rng.standard_normal(20)),
+            np.polyval(numerator, near) / np.polyval(denominator, near),
+        ]
+    )
+    targets, expected = [], []
+    for p in candidates:
+        roots = np.roots(np.polysub(numerator, p * np.asarray(denominator)))
+        roots = [z for z in roots if abs(np.polyval(denominator, z)) > 1e-9]
+        if any(abs(abs(z) - r) < 1e-6 * r for z in roots):
+            continue
+        targets.append(complex(p))
+        expected.append(len(inside(roots)))
+    assert len(targets) >= 30
+    assert [count_preimages(m, p, r) for p in targets] == expected
+    batched = count_preimages_many(m, targets, r)
+    assert [got for got in batched if got is not None] == [
+        want for got, want in zip(batched, expected) if got is not None
+    ]
+
+
+def test_find_roots_winds_one_cell_of_a_zero_free_map(monkeypatch):
+    # exp has no zeros, so the bounding square's winding 0 ends the search
+    calls = []
+    windings = count_module._windings
+
+    def counted(*args):
+        calls.append(args)
+        return windings(*args)
+
+    monkeypatch.setattr(count_module, "_windings", counted)
+    assert find_roots(parse_map("exp(z)"), 0, 80.0) == []
+    assert len(calls) == 1
 
 
 def test_find_roots_locations():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coverlab import _march
 from coverlab.expr import parse_map
 from coverlab.metric import SphericalDisk, chordal_distance
 from coverlab.count import find_islands
@@ -288,3 +289,20 @@ def test_exports(tmp_path):
     # identical second write (determinism)
     doc2 = export_json(tmp_path / "g2.json", graph=pg, components=comps, islands=islands)
     assert doc == doc2
+
+
+def test_chain_extends_backward_in_segment_order():
+    # the first segment sits mid-chain, so the rest attaches backward: one
+    # segment ending at the chain start at a time, the lowest index first,
+    # degenerate p == q segments included
+    segments = [(1, 2), (2, 3), (0, 1), (0, 0), (-1, 0), (-2, -1)]
+    chains = _march._chain([(complex(p), complex(q), 0.1) for p, q in segments], 1e-3)
+    assert len(chains) == 1
+    assert chains[0].points.real.tolist() == [-2, -1, 0, 0, 1, 2, 3]
+    assert not chains[0].closed
+    # a long polyline given back to front is assembled into one chain
+    pts = np.exp(1j * np.linspace(0.0, 3.0, 2001))
+    backward = [(pts[k], pts[k + 1], 1e-3) for k in reversed(range(2000))]
+    chains = _march._chain(backward, 1e-6)
+    assert len(chains) == 1
+    assert np.array_equal(chains[0].points, pts)
