@@ -8,6 +8,12 @@ the traced level is 0 (callers bake the level into the field).
 Segments are oriented so the negative side of F lies to the left; chains
 are assembled by endpoint matching with a tolerance that absorbs the tiny
 cracks hanging nodes introduce at coarse/fine cell interfaces.
+
+The pixel-mask helpers of island and complement topology live here too:
+`components` labels a mask once and gives each component with its
+bounding box and its mask inside that box, so per-component work costs
+the box, not the grid.  `deepest_pixel` and `mask_euler_characteristic`
+take a component's box and give what the full grid would.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 
 class AmbiguityError(ArithmeticError):
@@ -34,6 +41,8 @@ class Chain:
     closed: bool
     cell_size: float  # finest cell size along this chain
 
+
+_MAX_DEPTH = 6  # saddle subdivision levels before the centre-sign fallback
 
 # corner order: 0 = (x0,y0), 1 = (x1,y0), 2 = (x1,y1), 3 = (x0,y1)
 # edges: 0 = bottom, 1 = right, 2 = top, 3 = left
@@ -89,11 +98,11 @@ def _resolve_saddle(code, center_positive):
     return [(0, 3), (2, 1)] if center_positive else [(0, 1), (2, 3)]
 
 
-def extract(field, rect, nx, ny, max_depth=6, on_ambiguous="error"):
+def extract(field, rect, nx, ny, on_ambiguous="error"):
     """Trace {field = 0} on `rect` = (x0, x1, y0, y1).
 
     Returns a list of :class:`Chain`.  Ambiguous cells are subdivided up to
-    `max_depth` times; a still-ambiguous cell raises AmbiguityError when
+    _MAX_DEPTH times; a still-ambiguous cell raises AmbiguityError when
     `on_ambiguous` is "error", and is resolved by the center sign when it is
     "resolve" (callers that split at graph vertices use the latter).
     """
@@ -150,7 +159,7 @@ def extract(field, rect, nx, ny, max_depth=6, on_ambiguous="error"):
         corners, cvals, code, depth = ambiguous_queue.pop()
         cell = (corners[0].real, corners[2].real, corners[0].imag, corners[2].imag)
         size = max(corners[2].real - corners[0].real, corners[2].imag - corners[0].imag)
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             center = 0.25 * sum(corners)
             cval = float(np.asarray(field(np.array([center])), dtype=float)[0])
             if on_ambiguous == "error":
@@ -201,7 +210,7 @@ def extract(field, rect, nx, ny, max_depth=6, on_ambiguous="error"):
                     for p, q in _cell_segments(sc, sv, sub_code):
                         segments.append((p, q, size * 0.5))
 
-    return _chain(segments, quantum=0.25 * min(hx, hy) * 0.5**max_depth)
+    return _chain(segments, quantum=0.25 * min(hx, hy) * 0.5**_MAX_DEPTH)
 
 
 def _chain(segments, quantum):
@@ -309,6 +318,34 @@ def _mend_cracks(chains):
                     changed = True
                     break
     return chains
+
+
+def components(mask):
+    """Connected components of a boolean pixel mask (4-connectivity).
+
+    Returns the label grid of ``ndimage.label`` and one entry
+    ``(label, box, local)`` per component in label order: ``box`` is the
+    pair of slices of its bounding box and ``local`` is
+    ``labels[box] == label``, the component's mask inside that box.
+    """
+    labels, _ = ndimage.label(mask)
+    return labels, [
+        (label, box, labels[box] == label)
+        for label, box in enumerate(ndimage.find_objects(labels), start=1)
+    ]
+
+
+def deepest_pixel(labels, label, box):
+    """(row, col) of the first pixel, in row-major order, of component
+    `label` (bounding box `box`) at the largest chessboard distance from
+    the rest of the grid.  The box grown by one pixel, as far as the grid
+    reaches, holds the nearest non-component pixel of every component
+    pixel, so this is the argmax of the full-grid distance transform.
+    """
+    grown = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
+    dist = ndimage.distance_transform_cdt(labels[grown] == label)
+    j, i = np.unravel_index(int(np.argmax(dist)), dist.shape)
+    return grown[0].start + j, grown[1].start + i
 
 
 def mask_euler_characteristic(mask):

@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy import ndimage
 
 from coverlab import _march
 from coverlab.expr import (
@@ -52,11 +51,13 @@ from coverlab.metric import (
     SphericalDisk,
     chordal_distance,
     chordal_distance_array,
-    density_array,
     sample_sphere_uniform,
 )
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.4617)
+_ISOLATION_REL = 1e-5  # root cells this small, relative to r, are isolated
+_MAX_CELLS = 60_000  # root-finder cell budget
+_LOCAL_N = 160  # pixels a side of the window an island candidate is refined in
 
 
 class WindingError(ArithmeticError):
@@ -346,7 +347,7 @@ def _root_target(m, p):
     return MapExpr(root=target, source_text=_print(target))
 
 
-def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
+def find_roots(m, p, r):
     """Distinct solutions of f(z) = p with |z| < r (plus boundary guard).
 
     Square cells of the bounding square are wound around 0 by the entire
@@ -358,7 +359,7 @@ def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
     p = SpherePoint.of(p)
     g = _root_target(m, p)
     dg = differentiate(g)
-    isolation = max(isolation_rel * r, 1e-12)
+    isolation = max(_ISOLATION_REL * r, 1e-12)
     found = []
     cells = [0]
 
@@ -369,7 +370,7 @@ def find_roots(m, p, r, isolation_rel=1e-5, max_cells=60_000):
         own boundary hits a root, so the parent can re-split off-center.
         """
         cells[0] += 1
-        if cells[0] > max_cells:
+        if cells[0] > _MAX_CELLS:
             raise WindingError("cell subdivision budget exceeded")
         size = max(x1 - x0, y1 - y0)
         w = _winding(g, dg, _rect(x0, x1, y0, y1))
@@ -507,11 +508,8 @@ class MeanDegree:
     n_samples: int
     n_resampled: int
 
-    def __iter__(self):  # tuple-compatible: (mean, stderr)
-        return iter((self.mean, self.stderr))
 
-
-def mean_degree(m, r, n_samples, seed=0, resample_budget=None):
+def mean_degree(m, r, n_samples, seed=0):
     """Monte-Carlo average of n(r, p) over uniform sphere points p.
 
     All candidate points are counted at once by count_preimages_many from
@@ -523,8 +521,7 @@ def mean_degree(m, r, n_samples, seed=0, resample_budget=None):
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    if resample_budget is None:
-        resample_budget = max(50, n_samples // 4)
+    resample_budget = max(50, n_samples // 4)
     pts = sample_sphere_uniform(seed, n_samples + resample_budget)
     counts = []
     resampled = 0
@@ -560,7 +557,6 @@ class IslandRecord:
     chi: int
     degree: int
     ramification: int
-    area_share: float
     centroid: complex = 0j
     holes: list = field(default_factory=list)  # inner boundaries, if any
 
@@ -590,28 +586,25 @@ def find_islands(m, disk, r, resolution=512):
     h = 2.0 * r / resolution
     zz, mask = _window_mask(m, disk, -r, r, -r, r, resolution, resolution)
     mask &= np.abs(zz) <= r
-    labels, n_comp = ndimage.label(mask)
+    _, comps = _march.components(mask)
     islands = []
-    ambiguous = []
-    for comp_id in range(1, n_comp + 1):
-        comp = labels == comp_id
-        pts = zz[comp]
-        reach = np.abs(pts).max()
+    n_ambiguous = 0
+    for _, (rows, cols), local in comps:
+        reach = np.abs(zz[rows, cols][local]).max()
         if reach > margin_r - h:
             # reaches the margin band: boundary-touching or undecidable
             if reach >= r - 2.5 * h:
                 continue  # definitely touches the boundary: not proper
-            ambiguous.append(comp_id)
+            n_ambiguous += 1
             continue
-        js, iis = np.nonzero(comp)
         pad = 6 * h
-        wx0 = zz[0, iis.min()].real - pad
-        wx1 = zz[0, iis.max()].real + pad
-        wy0 = zz[js.min(), 0].imag - pad
-        wy1 = zz[js.max(), 0].imag + pad
+        wx0 = zz[0, cols.start].real - pad
+        wx1 = zz[0, cols.stop - 1].real + pad
+        wy0 = zz[rows.start, 0].imag - pad
+        wy1 = zz[rows.stop - 1, 0].imag + pad
         rec = _refine_island(m, disk, (wx0, wx1, wy0, wy1), r)
         if rec is None:
-            ambiguous.append(comp_id)
+            n_ambiguous += 1
             continue
         islands.extend(rec)
     # deduplicate refined islands that fell in overlapping windows
@@ -620,42 +613,37 @@ def find_islands(m, disk, r, resolution=512):
         if any(abs(rec.centroid - u.centroid) < 2 * h for u in unique):
             continue
         unique.append(rec)
-    return unique, len(ambiguous)
+    return unique, n_ambiguous
 
 
-def _refine_island(m, disk, window, r, local_n=160):
+def _refine_island(m, disk, window, r):
     """Re-rasterize one candidate window; return IslandRecords or None."""
     x0, x1, y0, y1 = window
-    nx = ny = local_n
-    zz, mask = _window_mask(m, disk, x0, x1, y0, y1, nx, ny)
+    n = _LOCAL_N
+    zz, mask = _window_mask(m, disk, x0, x1, y0, y1, n, n)
     mask &= np.abs(zz) <= r
-    labels, n_comp = ndimage.label(mask)
-    if n_comp == 0:
-        return []
-    hx = (x1 - x0) / nx
+    _, comps = _march.components(mask)
+    hx = (x1 - x0) / n
     records = []
-    dm = differentiate(m)
 
     def fieldfn(zs):
         w = evaluate_array(m, zs)
         return chordal_distance_array(w, disk.center) - disk.radius
 
-    for comp_id in range(1, n_comp + 1):
-        comp = labels == comp_id
-        js, iis = np.nonzero(comp)
+    for _, (rows, cols), local in comps:
         # components clipped by the window edge belong to a different window
         # (or are non-proper); skip them here
-        if js.min() == 0 or iis.min() == 0 or js.max() == ny - 1 or iis.max() == nx - 1:
+        if rows.start == 0 or cols.start == 0 or rows.stop == n or cols.stop == n:
             continue
         # trace the boundary contours restricted to this component's box;
         # pad well past the pixel-center bbox so the zero level stays inside
-        bx0 = x0 + (iis.min() - 8) * hx
-        bx1 = x0 + (iis.max() + 9) * hx
-        by0 = y0 + (js.min() - 8) * hx
-        by1 = y0 + (js.max() + 9) * hx
+        bx0 = x0 + (cols.start - 8) * hx
+        bx1 = x0 + (cols.stop + 8) * hx
+        by0 = y0 + (rows.start - 8) * hx
+        by1 = y0 + (rows.stop + 8) * hx
         chains = _march.extract(fieldfn, (bx0, bx1, by0, by1), 128, 128, on_ambiguous="resolve")
         # keep contours hugging this component
-        comp_pts = zz[comp]
+        comp_pts = zz[rows, cols][local]
         centroid = complex(comp_pts.mean())
         mine = []
         for ch in chains:
@@ -683,9 +671,6 @@ def _refine_island(m, disk, window, r, local_n=160):
             return None
         if degree <= 0:
             return None
-        # pullback area over the component pixels
-        hloc = density_array(m, dm, comp_pts)
-        area_share = float(np.sum(hloc * hloc)) * hx * hx
         records.append(
             IslandRecord(
                 disk_index=-1,
@@ -693,7 +678,6 @@ def _refine_island(m, disk, window, r, local_n=160):
                 chi=chi,
                 degree=int(degree),
                 ramification=int(degree) - chi,
-                area_share=area_share,
                 centroid=centroid,
                 holes=holes,
             )

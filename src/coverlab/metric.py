@@ -34,10 +34,11 @@ from coverlab.expr import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
-NORMALIZED_DIAMETER = 1.0 / SQRT_PI
 MAX_DISK_RADIUS = 0.5 / SQRT_PI  # topological-disk bound for SphericalDisk
 
 _BIG = 1e80  # |f| beyond this: switch to the reciprocal form of h
+_MAX_AREA_CELLS = 200_000
+_MAX_CIRCLE_SEGMENTS = 4000
 
 
 class QuadratureError(ArithmeticError):
@@ -314,13 +315,13 @@ def _halves(s0, s1, t0, t1):
     return [(s0, s1, t0, t_mid), (s0, s1, t_mid, t1)]
 
 
-def area(m, r, tol=1e-7, max_cells=200_000):
+def area(m, r, tol=1e-7):
     """Pullback area a(r) over |z| <= r by adaptive polar quadrature.
 
     Cells carry a Richardson-style error estimate (Gauss 4x4 versus its 2x2
     split); the worst cells are bisected along their physically longer side
     until the estimated error is at most tol * (1 + |a|).  Going over
-    `max_cells` raises QuadratureError with the partial value and worst cell.
+    _MAX_AREA_CELLS raises QuadratureError with the partial value and worst cell.
     """
     if r <= 0:
         raise ValueError("r must be positive")
@@ -355,7 +356,7 @@ def area(m, r, tol=1e-7, max_cells=200_000):
         heapq.heappush(heap, (-err, counter, b, val))
         counter += 1
     while errsum > tol * (1.0 + abs(total)) and heap:
-        if ncells > max_cells:
+        if ncells > _MAX_AREA_CELLS:
             worst = heap[0][2]
             raise QuadratureError("area quadrature budget exceeded", total, worst)
         batch = []
@@ -379,15 +380,14 @@ def area(m, r, tol=1e-7, max_cells=200_000):
     return total
 
 
-def _adaptive_circle_integral(fvals, r, tol, max_segments, pole_check=None):
+def _adaptive_circle_integral(fvals, tol, pole_check):
     """Adaptive integral of f(theta) d(theta) over [0, 2pi).
 
     `fvals(thetas)` must be vectorized.  `pole_check(thetas)` may raise.
     The seed segment count comes from a scan so that narrow angular features
     (integrands concentrated near a strip) are not stepped over.
     """
-    if pole_check is not None:
-        pole_check(np.linspace(0.0, 2 * math.pi, 256, endpoint=False))
+    pole_check(np.linspace(0.0, 2 * math.pi, 256, endpoint=False))
     scan = fvals((np.arange(1024) + 0.5) * 2 * math.pi / 1024)
     w_min = _angular_feature_runs(np.abs(np.asarray(scan)))
     if w_min is None or w_min >= 2 * math.pi:
@@ -418,7 +418,7 @@ def _adaptive_circle_integral(fvals, r, tol, max_segments, pole_check=None):
     count = nseg
     while errsum > tol * (1.0 + abs(total)) and heap:
         neg_e, _, a, b, i2 = heapq.heappop(heap)
-        if count > max_segments:
+        if count > _MAX_CIRCLE_SEGMENTS:
             raise QuadratureError(
                 "circle quadrature budget exceeded", total, (a, b)
             )
@@ -453,7 +453,7 @@ def _make_pole_check(m, r):
     return check
 
 
-def boundary_length(m, r, tol=1e-8, max_segments=4000):
+def boundary_length(m, r, tol=1e-8):
     """Pullback length l(r) of |z| = r by adaptive quadrature."""
     if r <= 0:
         raise ValueError("r must be positive")
@@ -463,12 +463,10 @@ def boundary_length(m, r, tol=1e-8, max_segments=4000):
         zs = r * np.exp(1j * thetas)
         return density_array(m, dm, zs) * r
 
-    return _adaptive_circle_integral(
-        fvals, r, tol, max_segments, pole_check=_make_pole_check(m, r)
-    )
+    return _adaptive_circle_integral(fvals, tol, _make_pole_check(m, r))
 
 
-def area_derivative(m, r, tol=1e-8, max_segments=4000):
+def area_derivative(m, r, tol=1e-8):
     """a'(r) computed directly as the polar integral of h^2 r d(theta)."""
     if r <= 0:
         raise ValueError("r must be positive")
@@ -479,9 +477,7 @@ def area_derivative(m, r, tol=1e-8, max_segments=4000):
         h = density_array(m, dm, zs)
         return h * h * r
 
-    return _adaptive_circle_integral(
-        fvals, r, tol, max_segments, pole_check=_make_pole_check(m, r)
-    )
+    return _adaptive_circle_integral(fvals, tol, _make_pole_check(m, r))
 
 
 def _length_with_nudge(m, r, tol=1e-8):
@@ -568,17 +564,15 @@ def select_radii(m, r_min, r_max, count, tol=1e-6):
         raise ValueError("need 0 < r_min < r_max")
     if count < 1:
         raise ValueError("count must be positive")
-    a_min = area(m, r_min, tol=tol)
-    if a_min <= 1e-12:
-        raise ValueError(f"a(r_min)={a_min}: map is constant on the range")
-
     n = max(16, 6 * count)
-    grid = np.geomspace(r_min, r_max, n)
+    grid = np.geomspace(r_min, r_max, n)  # grid[0] is exactly r_min
     ratios = []
     radii = []
     for r in grid:
         rr, lv = _length_with_nudge(m, float(r), tol=1e-9)
         av = area(m, rr, tol=tol)
+        if not radii and av <= 1e-12:
+            raise ValueError(f"a(r_min)={av}: map is constant on the range")
         radii.append(rr)
         ratios.append(lv / av if av > 0 else math.inf)
     logr = np.log(np.asarray(radii))

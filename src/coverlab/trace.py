@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from coverlab import _march
 from coverlab.expr import IndeterminateError, differentiate, evaluate, evaluate_array
@@ -33,6 +32,8 @@ from coverlab.count import (
 )
 
 AmbiguityError = _march.AmbiguityError
+
+_ARC_NODES = 24  # Gauss-Legendre nodes of the arc test integral
 
 
 class TransversalityError(ArithmeticError):
@@ -106,7 +107,6 @@ class ImplicitCurve:
     scale: float = 0.0
     chart: RectangleChart | None = None
     t: float = 0.0
-    ccw: bool = True
 
     @classmethod
     def circle(cls, center, radius):
@@ -641,46 +641,21 @@ def _cut_at_vertices(pl, m, graph, vertices, cut_radius):
         near_node |= np.where(np.isfinite(d), d, np.inf) < cut_radius
 
     if not near_node.any():
-        vid = None
-        return [(pts, (vid, vid), pl.closed, pl.touches_clip)]
+        return [(pts, (None, None), pl.closed, pl.touches_clip)]
 
     def snap(z):
         if not vertices:
             return None
-        dists = [abs(z - v) for v in vertices]
-        k = int(np.argmin(dists))
-        return k
+        return int(np.argmin([abs(z - v) for v in vertices]))
 
-    pieces = []
-    if pl.closed:
-        base = pts[:-1] if len(pts) > 1 and pts[0] == pts[-1] else pts
-        keep = ~near_node[: len(base)]
-        if not keep.any():
-            return []
-        start = int(np.argmin(keep))  # first removed index
-        base = np.roll(base, -start)
-        keep = np.roll(keep, -start)
-        run = []
-        for z, ok in zip(base, keep):
-            if ok:
-                run.append(z)
-            elif run:
-                pieces.append(np.asarray(run))
-                run = []
-        if run:
-            pieces.append(np.asarray(run))
-        out = []
-        for piece in pieces:
-            va = snap(piece[0])
-            vb = snap(piece[-1])
-            arc_pts = piece
-            if va is not None:
-                arc_pts = np.concatenate([[vertices[va]], arc_pts])
-            if vb is not None:
-                arc_pts = np.concatenate([arc_pts, [vertices[vb]]])
-            out.append((arc_pts, (va, vb), False, pl.touches_clip))
-        return out
     keep = ~near_node
+    if pl.closed:
+        # start at the first removed point and end on it again, so that
+        # every run is cut at both ends
+        n = len(pts) - 1 if len(pts) > 1 and pts[0] == pts[-1] else len(pts)
+        start = int(np.argmin(keep[:n]))
+        order = np.r_[start:n, : start + 1]
+        pts, keep = pts[order], keep[order]
     run = []
     runs = []
     for z, ok in zip(pts, keep):
@@ -715,7 +690,6 @@ class ComplementComponent:
     chi: int
     touches_boundary: bool
     face: str
-    sample_point: complex
     n_pixels: int
     label: int
 
@@ -808,21 +782,12 @@ def complement_components(g, r, resolution=512):
                 f"retry with a finer resolution"
             )
 
-    free = inside & ~blocked
-    labels, n_comp = ndimage.label(free)
+    labels, comps = _march.components(inside & ~blocked)
     ring = inside & (np.abs(zz) > r - 2.5 * h)
     components = []
-    for comp_id in range(1, n_comp + 1):
-        comp = labels == comp_id
-        npix = int(comp.sum())
-        if npix == 0:
-            continue
-        chi = _march.mask_euler_characteristic(comp)
-        touches = bool((comp & ring).any())
+    for label, box, local in comps:
         # sample point far from the blocked set for a stable face probe
-        dist = ndimage.distance_transform_cdt(comp)
-        j, i = np.unravel_index(int(np.argmax(dist)), comp.shape)
-        sample = complex(zz[j, i])
+        sample = complex(zz[_march.deepest_pixel(labels, label, box)])
         try:
             w = evaluate(m, sample)
             # the point at infinity always lies in the outer face
@@ -831,12 +796,11 @@ def complement_components(g, r, resolution=512):
             face = "outer"
         components.append(
             ComplementComponent(
-                chi=chi,
-                touches_boundary=touches,
+                chi=_march.mask_euler_characteristic(local),
+                touches_boundary=bool((local & ring[box]).any()),
                 face=face,
-                sample_point=sample,
-                n_pixels=npix,
-                label=comp_id,
+                n_pixels=int(local.sum()),
+                label=label,
             )
         )
     return ComplementAnalysis(
@@ -862,7 +826,7 @@ def make_unit_bump(x_range):
     return beta
 
 
-def arc_test_integral(m, chart, t, r, beta_profile=None, n_nodes=24):
+def arc_test_integral(m, chart, t, r, beta_profile=None):
     """Integral of d_n(gamma_t(x)) beta(x) dx along the chart line t.
 
     beta_profile must integrate to 1 over x_range (checked); the result
@@ -883,7 +847,7 @@ def arc_test_integral(m, chart, t, r, beta_profile=None, n_nodes=24):
         raise ValueError(
             f"beta_profile integrates to {total_mass!r} over x_range, not 1"
         )
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = np.polynomial.legendre.leggauss(_ARC_NODES)
     xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * nodes
     targets = [complex(chart.inverse(complex(x, t))) for x in xs]
     total = 0.0

@@ -49,7 +49,6 @@ class VerifierResult:
     rows: list
     worst_slack: float
     trend_ok: bool
-    message: str = ""
 
 
 @dataclass(eq=False)

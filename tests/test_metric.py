@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from coverlab import metric
 from coverlab.expr import parse_map, differentiate
 from coverlab.metric import (
     MAX_DISK_RADIUS,
@@ -197,6 +198,18 @@ def test_select_radii_exp_decreasing():
     m = parse_map("exp(z)")
     ratios = [boundary_length(m, r) / area(m, r) for r in rs]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
+
+
+def test_select_radii_computes_one_area_per_grid_point(monkeypatch):
+    calls = []
+
+    def counted(m, r, tol=1e-7):
+        calls.append(r)
+        return area(m, r, tol)
+
+    monkeypatch.setattr(metric, "area", counted)
+    select_radii(parse_map("z"), 1.0, 100.0, 4)
+    assert len(calls) == len(set(calls)) == 24  # the grid of max(16, 6 * 4) points
 
 
 def test_select_radii_degenerate_error():

@@ -2,9 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from coverlab import _march
-from coverlab.expr import parse_map
+from coverlab.expr import evaluate, parse_map
 from coverlab.metric import SphericalDisk, chordal_distance
 from coverlab.count import find_islands
 from coverlab.trace import (
@@ -271,6 +272,40 @@ def test_euler_identity_exp():
     assert chi_c0 + pg.euler + sum_chi_c == 1
 
 
+def _complement_reference(pg, comps, r):
+    """The full-grid walk: one `labels == k` mask per component, its chi,
+    ring test and pixel count, and the face at the argmax of its distance
+    transform."""
+    m = parse_map(pg.map_source)
+    n = comps.resolution
+    h = 2.0 * r / n
+    xs = -r + (np.arange(n) + 0.5) * h
+    zz = xs[None, :] + 1j * xs[:, None]
+    ring = (np.abs(zz) <= r) & (np.abs(zz) > r - 2.5 * h)
+    labels, count = ndimage.label(comps.label_grid > 0)
+    assert np.array_equal(labels, comps.label_grid)
+    rows = []
+    for k in range(1, count + 1):
+        comp = labels == k
+        dist = ndimage.distance_transform_cdt(comp)
+        w = evaluate(m, complex(zz[np.unravel_index(int(np.argmax(dist)), comp.shape)]))
+        face = pg.graph.face_of(w) if isinstance(w, complex) else "outer"
+        chi = _march.mask_euler_characteristic(comp)
+        rows.append((chi, bool((comp & ring).any()), face, int(comp.sum()), k))
+    return rows
+
+
+@pytest.mark.parametrize(
+    "src,node,scale,r", [("z^3", 0.5j, 0.5, 2.0), ("exp(z)", 0.25j, 1.0, 20.0)]
+)
+def test_complement_matches_full_grid_reference(src, node, scale, r):
+    pg = build_preimage_graph(parse_map(src), GraphSpec(node=node, scale=scale), r, 512)
+    comps = complement_components(pg, r, 512)
+    got = [(c.chi, c.touches_boundary, c.face, c.n_pixels, c.label) for c in comps.components]
+    assert got == _complement_reference(pg, comps, r)
+    assert len({face for _, _, face, _, _ in got}) > 1
+
+
 # ---------------------------------------------------------------------------
 # exports
 
@@ -306,3 +341,28 @@ def test_chain_extends_backward_in_segment_order():
     chains = _march._chain(backward, 1e-6)
     assert len(chains) == 1
     assert np.array_equal(chains[0].points, pts)
+
+
+def test_components_match_full_grid_reference():
+    mask = np.zeros((40, 50), dtype=bool)
+    mask[0:6, 0:4] = mask[0:2, 0:13] = True  # touches the grid edge
+    mask[10:21, 10:23] = True  # a ring: a component with a hole
+    mask[13:17, 14:19] = False
+    mask[25:32, 30:45] = True  # fills its bounding box
+    mask[35, 5] = mask[36, 6] = True  # diagonal neighbours: two components
+    mask[30:40, 47:50] = True  # touches the grid corner
+    labels, entries = _march.components(mask)
+    ref_labels, count = ndimage.label(mask)
+    assert np.array_equal(labels, ref_labels)
+    assert [label for label, _, _ in entries] == list(range(1, count + 1))
+    for label, box, local in entries:
+        comp = ref_labels == label
+        assert np.array_equal(local, comp[box])
+        assert local.sum() == comp.sum()
+        chi = _march.mask_euler_characteristic(comp)
+        assert _march.mask_euler_characteristic(local) == chi
+        dist = ndimage.distance_transform_cdt(comp)
+        deepest = np.unravel_index(int(np.argmax(dist)), comp.shape)
+        assert _march.deepest_pixel(labels, label, box) == deepest
+    chis = sorted(_march.mask_euler_characteristic(local) for _, _, local in entries)
+    assert chis == [0, 1, 1, 1, 1, 1]
