@@ -5,6 +5,12 @@ This is the shared tracer behind curve preimages and island boundaries.
 `field` must map a numpy complex array of sample points to real values;
 the traced level is 0 (callers bake the level into the field).
 
+One array kernel (_march_grid) marches every cell of a grid: a table maps
+each unambiguous case to its edge pair, and one vectorized interpolation
+(_crossings) places the segment ends.  It returns the saddle cells (cases
+5 and 10) as well.  The top grid and the 3 x 3 sub-grid of every saddle
+cell go through it; a saddle still ambiguous after _MAX_DEPTH levels is
+split by the sign at its centre, through the same interpolation.
 Segments are oriented so the negative side of F lies to the left; chains
 are assembled by endpoint matching with a tolerance that absorbs the tiny
 cracks hanging nodes introduce at coarse/fine cell interfaces.
@@ -44,50 +50,19 @@ class Chain:
 
 _MAX_DEPTH = 6  # saddle subdivision levels before the centre-sign fallback
 
-# corner order: 0 = (x0,y0), 1 = (x1,y0), 2 = (x1,y1), 3 = (x0,y1)
-# edges: 0 = bottom, 1 = right, 2 = top, 3 = left
-_EDGE_CORNERS = ((0, 1), (1, 2), (3, 2), (0, 3))
+# corners as (row, col) offsets: 0 = (x0,y0), 1 = (x1,y0), 2 = (x1,y1), 3 = (x0,y1)
+_CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
+# edges as their two corners: 0 = bottom, 1 = right, 2 = top, 3 = left
+_EDGE_CORNERS = np.array([(0, 1), (1, 2), (3, 2), (0, 3)])
 
 # oriented segment table: case index = bit i set when corner i has F > 0.
-# each entry is a list of (edge_from, edge_to) pairs, oriented so that the
-# F < 0 region is on the left of from->to.
-_CASES = {
-    0: [],
-    15: [],
-    1: [(3, 0)],
-    14: [(0, 3)],
-    2: [(0, 1)],
-    13: [(1, 0)],
-    4: [(1, 2)],
-    11: [(2, 1)],
-    8: [(2, 3)],
-    7: [(3, 2)],
-    3: [(3, 1)],
-    12: [(1, 3)],
-    6: [(0, 2)],
-    9: [(2, 0)],
-    # 5 and 10 are the ambiguous saddle cases, resolved by subdivision or
-    # by the cell-center sign
-}
-
-
-def _interp(p0, v0, p1, v1):
-    """Zero crossing on the edge p0-p1 given corner values v0, v1."""
-    denominator = v1 - v0
-    t = 0.5 if denominator == 0 else -v0 / denominator
-    t = min(1.0, max(0.0, t))
-    return p0 + t * (p1 - p0)
-
-
-def _cell_segments(corners, values, code):
-    segs = []
-    for e_from, e_to in _CASES[code]:
-        a0, a1 = _EDGE_CORNERS[e_from]
-        b0, b1 = _EDGE_CORNERS[e_to]
-        p = _interp(corners[a0], values[a0], corners[a1], values[a1])
-        q = _interp(corners[b0], values[b0], corners[b1], values[b1])
-        segs.append((p, q))
-    return segs
+# Each unambiguous case has one (edge_from, edge_to) pair, oriented so that
+# the F < 0 region is on the left of from->to.  Cases 0 and 15 cross nothing;
+# 5 and 10 are the saddles, resolved by subdivision or by the centre sign.
+_CASE_EDGES = np.array([
+    (-1, -1), (3, 0), (0, 1), (3, 1), (1, 2), (-1, -1), (0, 2), (3, 2),
+    (2, 3), (2, 0), (-1, -1), (2, 1), (1, 3), (1, 0), (0, 3), (-1, -1),
+])
 
 
 def _resolve_saddle(code, center_positive):
@@ -96,6 +71,51 @@ def _resolve_saddle(code, center_positive):
     if code == 5:
         return [(3, 2), (1, 0)] if center_positive else [(3, 0), (1, 2)]
     return [(0, 3), (2, 1)] if center_positive else [(0, 1), (2, 3)]
+
+
+def _crossings(cz, cv, edges):
+    """Zero crossing of F on edge `edges[k]` of cell k, whose corner points
+    and values are row k of `cz` and `cv`.
+
+    t = -v0 / (v1 - v0), or 0.5 where v1 == v0, is clamped to [0, 1] the
+    way min(1, max(0, t)) clamps: a NaN corner value (sub-grids are not
+    sanitised) gives t = 0, where np.clip would keep the NaN.
+    """
+    k = np.arange(len(edges))
+    a, b = _EDGE_CORNERS[edges, 0], _EDGE_CORNERS[edges, 1]
+    p0, v0, p1, v1 = cz[k, a], cv[k, a], cz[k, b], cv[k, b]
+    denominator = v1 - v0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(denominator == 0, 0.5, -v0 / denominator)
+    t = np.where(t > 0, t, 0.0)
+    t = np.where(t < 1, t, 1.0)
+    return p0 + t * (p1 - p0)
+
+
+def _segments(cz, cv, pairs, size):
+    """One (p, q, size) row per cell for its (edge_from, edge_to) pair."""
+    p = _crossings(cz, cv, pairs[:, 0])
+    q = _crossings(cz, cv, pairs[:, 1])
+    return np.column_stack((p, q, np.full(len(p), size)))
+
+
+def _march_grid(zz, vals, size):
+    """March every cell of the grid of points `zz` with node values `vals`.
+
+    Returns the (p, q, size) segment rows of the unambiguous crossing cells
+    and the saddle cells (codes 5 and 10) as (corner points, corner values,
+    code), both in row-major cell order.
+    """
+    pos = vals > 0
+    codes = pos[:-1, :-1] + 2 * pos[:-1, 1:] + 4 * pos[1:, 1:] + 8 * pos[1:, :-1]
+    j, i = np.nonzero((codes != 0) & (codes != 15))
+    code = codes[j, i]
+    cz = np.stack([zz[j + dj, i + di] for dj, di in _CORNERS], axis=1)
+    cv = np.stack([vals[j + dj, i + di] for dj, di in _CORNERS], axis=1)
+    saddle = (code == 5) | (code == 10)
+    plain = ~saddle
+    rows = _segments(cz[plain], cv[plain], _CASE_EDGES[code[plain]], size)
+    return rows, list(zip(cz[saddle], cv[saddle], code[saddle]))
 
 
 def extract(field, rect, nx, ny, on_ambiguous="error"):
@@ -123,147 +143,84 @@ def extract(field, rect, nx, ny, on_ambiguous="error"):
 
     hx = xs[1] - xs[0]
     hy = ys[1] - ys[0]
-    segments = []  # (p, q, cell_size)
-
-    pos = vals > 0
-    codes = (
-        pos[:-1, :-1].astype(int)
-        + 2 * pos[:-1, 1:]
-        + 4 * pos[1:, 1:]
-        + 8 * pos[1:, :-1]
-    )
-    interesting = np.nonzero((codes != 0) & (codes != 15))
-    ambiguous_queue = []
-    for j, i in zip(*interesting):
-        code = int(codes[j, i])
-        corners = (
-            xs[i] + 1j * ys[j],
-            xs[i + 1] + 1j * ys[j],
-            xs[i + 1] + 1j * ys[j + 1],
-            xs[i] + 1j * ys[j + 1],
-        )
-        cvals = (
-            vals[j, i],
-            vals[j, i + 1],
-            vals[j + 1, i + 1],
-            vals[j + 1, i],
-        )
-        if code in (5, 10):
-            ambiguous_queue.append((corners, cvals, code, 0))
-        else:
-            for p, q in _cell_segments(corners, cvals, code):
-                segments.append((p, q, max(hx, hy)))
-
-    # local recursive subdivision of saddle cells
-    while ambiguous_queue:
-        corners, cvals, code, depth = ambiguous_queue.pop()
-        cell = (corners[0].real, corners[2].real, corners[0].imag, corners[2].imag)
-        size = max(corners[2].real - corners[0].real, corners[2].imag - corners[0].imag)
+    rows, saddles = _march_grid(zz, vals, max(hx, hy))
+    segments = [rows]
+    # local recursive subdivision of saddle cells, last found first
+    queue = [(cz, cv, code, 0) for cz, cv, code in saddles]
+    while queue:
+        cz, cv, code, depth = queue.pop()
+        cx0, cx1, cy0, cy1 = cell = (cz[0].real, cz[2].real, cz[0].imag, cz[2].imag)
+        size = max(cx1 - cx0, cy1 - cy0)
         if depth >= _MAX_DEPTH:
-            center = 0.25 * sum(corners)
+            center = 0.25 * sum(cz)
             cval = float(np.asarray(field(np.array([center])), dtype=float)[0])
             if on_ambiguous == "error":
                 raise AmbiguityError(cell)
-            pairs = _resolve_saddle(code, cval > 0)
-            for e_from, e_to in pairs:
-                a0, a1 = _EDGE_CORNERS[e_from]
-                b0, b1 = _EDGE_CORNERS[e_to]
-                p = _interp(corners[a0], cvals[a0], corners[a1], cvals[a1])
-                q = _interp(corners[b0], cvals[b0], corners[b1], cvals[b1])
-                segments.append((p, q, size))
+            pairs = np.array(_resolve_saddle(code, cval > 0))
+            segments.append(_segments(np.tile(cz, (2, 1)), np.tile(cv, (2, 1)), pairs, size))
             continue
-        cx0, cx1 = corners[0].real, corners[2].real
-        cy0, cy1 = corners[0].imag, corners[2].imag
-        sub_xs = np.linspace(cx0, cx1, 3)
-        sub_ys = np.linspace(cy0, cy1, 3)
-        sub_zz = sub_xs[None, :] + 1j * sub_ys[:, None]
+        sub_zz = np.linspace(cx0, cx1, 3)[None, :] + 1j * np.linspace(cy0, cy1, 3)[:, None]
         sub_vals = np.asarray(field(sub_zz), dtype=float)
         # keep the already-sampled corner values exact so neighbors agree
-        sub_vals[0, 0], sub_vals[0, 2] = cvals[0], cvals[1]
-        sub_vals[2, 2], sub_vals[2, 0] = cvals[2], cvals[3]
-        sub_pos = sub_vals > 0
-        for jj in range(2):
-            for ii in range(2):
-                sub_code = int(
-                    sub_pos[jj, ii]
-                    + 2 * sub_pos[jj, ii + 1]
-                    + 4 * sub_pos[jj + 1, ii + 1]
-                    + 8 * sub_pos[jj + 1, ii]
-                )
-                if sub_code in (0, 15):
-                    continue
-                sc = (
-                    sub_xs[ii] + 1j * sub_ys[jj],
-                    sub_xs[ii + 1] + 1j * sub_ys[jj],
-                    sub_xs[ii + 1] + 1j * sub_ys[jj + 1],
-                    sub_xs[ii] + 1j * sub_ys[jj + 1],
-                )
-                sv = (
-                    sub_vals[jj, ii],
-                    sub_vals[jj, ii + 1],
-                    sub_vals[jj + 1, ii + 1],
-                    sub_vals[jj + 1, ii],
-                )
-                if sub_code in (5, 10):
-                    ambiguous_queue.append((sc, sv, sub_code, depth + 1))
-                else:
-                    for p, q in _cell_segments(sc, sv, sub_code):
-                        segments.append((p, q, size * 0.5))
+        sub_vals[0, 0], sub_vals[0, 2], sub_vals[2, 2], sub_vals[2, 0] = cv
+        rows, saddles = _march_grid(sub_zz, sub_vals, size * 0.5)
+        segments.append(rows)
+        queue.extend((sz, sv, scode, depth + 1) for sz, sv, scode in saddles)
 
-    return _chain(segments, quantum=0.25 * min(hx, hy) * 0.5**_MAX_DEPTH)
+    return _chain(np.concatenate(segments), quantum=0.25 * min(hx, hy) * 0.5**_MAX_DEPTH)
 
 
 def _chain(segments, quantum):
-    """Assemble oriented segments into chains by endpoint matching."""
-    if not segments:
-        return []
+    """Assemble oriented segments into chains by endpoint matching.
 
-    def key(p):
-        return (round(p.real / quantum), round(p.imag / quantum))
+    `segments` holds one (p, q, size) row per segment: a list of triples or
+    an (n, 3) complex array.  Endpoints match when they round to the same
+    multiple of `quantum`.
+    """
+    seg = np.asarray(segments, dtype=complex).reshape(-1, 3)
+    p, q, size = seg[:, 0], seg[:, 1], seg[:, 2].real
 
+    def keys(z):
+        return list(zip(
+            np.rint(z.real / quantum).astype(np.int64).tolist(),
+            np.rint(z.imag / quantum).astype(np.int64).tolist(),
+        ))
+
+    start, end = keys(p), keys(q)
+    degenerate = (p == q).tolist()
     # segment indices by start and by end key, in index order; degenerate
     # p == q segments never start a forward step but may end a backward one
     by_start, by_end = {}, {}
-    for idx, (p, q, size) in enumerate(segments):
-        by_end.setdefault(key(q), []).append(idx)
-        if p != q:
-            by_start.setdefault(key(p), []).append(idx)
-    used = [False] * len(segments)
+    for idx in range(len(seg)):
+        by_end.setdefault(end[idx], []).append(idx)
+        if not degenerate[idx]:
+            by_start.setdefault(start[idx], []).append(idx)
+    used = [False] * len(seg)
 
-    def first_unused(candidates):
-        return next((c for c in candidates if not used[c]), None)
+    def take_first_unused(candidates):
+        idx = next((c for c in candidates if not used[c]), None)
+        if idx is not None:
+            used[idx] = True
+        return idx
 
     chains = []
-    for idx in range(len(segments)):
+    for idx in range(len(seg)):
         if used[idx]:
             continue
-        p, q, size = segments[idx]
-        if p == q:
-            used[idx] = True
-            continue
         used[idx] = True
-        pts = [p, q]
-        max_size = size
-        # extend forward
-        while True:
-            nxt = first_unused(by_start.get(key(pts[-1]), ()))
-            if nxt is None:
-                break
-            used[nxt] = True
-            cp, cq, csize = segments[nxt]
-            pts.append(cq)
-            max_size = max(max_size, csize)
-        # extend backward: a segment whose end matches our start
-        while True:
-            prev = first_unused(by_end.get(key(pts[0]), ()))
-            if prev is None:
-                break
-            used[prev] = True
-            cp, _, csize = segments[prev]
-            pts.insert(0, cp)
-            max_size = max(max_size, csize)
-        closed = key(pts[0]) == key(pts[-1]) and len(pts) > 2
-        chains.append(Chain(points=np.array(pts), closed=closed, cell_size=max_size))
+        if degenerate[idx]:
+            continue
+        # extend forward by segments starting at our end, then backward by
+        # segments ending at our start; both lists begin with idx
+        forward, backward = [idx], [idx]
+        while (nxt := take_first_unused(by_start.get(end[forward[-1]], ()))) is not None:
+            forward.append(nxt)
+        while (prev := take_first_unused(by_end.get(start[backward[-1]], ()))) is not None:
+            backward.append(prev)
+        pts = np.concatenate((p[backward[::-1]], q[forward]))
+        closed = start[backward[-1]] == end[forward[-1]] and len(pts) > 2
+        cell_size = float(size[backward + forward].max())
+        chains.append(Chain(points=pts, closed=closed, cell_size=cell_size))
 
     # close sub-cell cracks: greedily join chains whose loose ends are within
     # a fraction of the local cell size

@@ -285,12 +285,12 @@ def _windings(m, dm, path, targets):
     return np.rint(wind).astype(int), undecided
 
 
-def _winding(m, dm, path):
-    """Winding number of f along `path` around 0.
+def _winding(m, dm, path, p=0):
+    """Winding number of f along `path` around p.
 
-    A zero of f in the undecided band raises ContourPassesThroughRoot.
+    A p-point of f in the undecided band raises ContourPassesThroughRoot.
     """
-    wind, undecided = _windings(m, dm, path, np.zeros(1, dtype=np.complex128))
+    wind, undecided = _windings(m, dm, path, np.array([p], dtype=np.complex128))
     if undecided[0]:
         raise ContourPassesThroughRoot("root on the contour")
     return int(wind[0])
@@ -354,10 +354,13 @@ def find_roots(m, p, r):
     function N - p D (D for p at infinity), so a cell of winding 0 holds no
     root and is dropped; the others are split or Newton-polished.  Returns
     Root records (location, multiplicity).  A root within 1e-7 * r of the
-    circle |z| = r raises RootOnCircleError.
+    circle |z| = r raises RootOnCircleError.  At a zero of the cleared
+    denominator D, the multiplicity is the order of f - p (for p at
+    infinity, of 1/f) there, from the winding of f on a small square.
     """
     p = SpherePoint.of(p)
     g = _root_target(m, p)
+    d = as_fraction(m)[1]
     dg = differentiate(g)
     isolation = max(_ISOLATION_REL * r, 1e-12)
     found = []
@@ -441,24 +444,28 @@ def find_roots(m, p, r):
             # a zero of the cleared denominator may be shared with the
             # numerator; the pole order of f itself is -wind(f) around it
             order = -_local_winding(m, root.location, 3 * isolation)
-            if order > 0:
-                inside.append(Root(root.location, order))
+        elif not isinstance(d.root, Const) and _local_winding(d, root.location, 3 * isolation) > 0:
+            # a zero shared with the cleared denominator (a 0/0 point of f):
+            # the order of f - p there is wind(f) around p
+            order = _local_winding(m, root.location, 3 * isolation, p.value)
+        else:
+            # keep a root only where f itself takes the value p
+            try:
+                value = evaluate(m, root.location)
+            except IndeterminateError:
+                continue
+            if chordal_distance(value, p) <= 1e-5:
+                inside.append(root)
             continue
-        # reject zeros shared with the cleared denominator (0/0 points of f)
-        try:
-            value = evaluate(m, root.location)
-        except IndeterminateError:
-            continue
-        if chordal_distance(value, p) > 1e-5:
-            continue
-        inside.append(root)
+        if order > 0:
+            inside.append(Root(root.location, order))
     return inside
 
 
-def _local_winding(m, z0, half_width):
-    """Winding of f around 0 along the square of half-width `half_width` at z0."""
+def _local_winding(m, z0, half_width, p=0):
+    """Winding of f around p along the square of half-width `half_width` at z0."""
     x, y, h = z0.real, z0.imag, half_width
-    return _winding(m, differentiate(m), _rect(x - h, x + h, y - h, y + h))
+    return _winding(m, differentiate(m), _rect(x - h, x + h, y - h, y + h), p)
 
 
 def count_preimages(m, p, r):

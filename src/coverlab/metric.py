@@ -544,13 +544,28 @@ def _fmt12(x):
 
 
 def build_profile(m, radii, tol=1e-7):
+    """Rows (r, a(r), l(r)) at each radius: a at `tol`, l at max(tol / 10, 1e-10).
+
+    When `radii` come from select_radii at the same `tol`, a(r) is taken
+    from its grid, where it was computed at the same r and tolerance.
+    """
+    known = radii.areas if isinstance(radii, _SelectedRadii) and radii.tol == tol else {}
     prof = MetricProfile(map_source=m.source_text if hasattr(m, "source_text") else str(m))
     for r in radii:
         rr, lv = _length_with_nudge(m, r, tol=max(tol * 1e-1, 1e-10))
         prof.radii.append(rr)
-        prof.a.append(area(m, rr, tol=tol))
+        prof.a.append(known[rr] if rr in known else area(m, rr, tol=tol))
         prof.l.append(lv)
     return prof
+
+
+class _SelectedRadii(list):
+    """select_radii's radii, with `areas` (r -> a(r) at `tol`) from its grid."""
+
+    def __init__(self, radii, areas, tol):
+        super().__init__(radii)
+        self.areas = areas
+        self.tol = tol
 
 
 def select_radii(m, r_min, r_max, count, tol=1e-6):
@@ -568,12 +583,14 @@ def select_radii(m, r_min, r_max, count, tol=1e-6):
     grid = np.geomspace(r_min, r_max, n)  # grid[0] is exactly r_min
     ratios = []
     radii = []
+    areas = []
     for r in grid:
         rr, lv = _length_with_nudge(m, float(r), tol=1e-9)
         av = area(m, rr, tol=tol)
         if not radii and av <= 1e-12:
             raise ValueError(f"a(r_min)={av}: map is constant on the range")
         radii.append(rr)
+        areas.append(av)
         ratios.append(lv / av if av > 0 else math.inf)
     logr = np.log(np.asarray(radii))
 
@@ -597,7 +614,7 @@ def select_radii(m, r_min, r_max, count, tol=1e-6):
             continue
         out_r.append(radii[j])
         out_q.append(ratios[j])
-    return out_r[:count]
+    return _SelectedRadii(out_r[:count], {radii[j]: areas[j] for j in picked}, tol)
 
 
 def lengtharea_certificate(m, r1, r2, tol=1e-6, points_per_decade=14):

@@ -710,6 +710,21 @@ class ComplementAnalysis:
         return int(self.label_grid[j, i])
 
 
+def _pixel_blocks(zs, r, n):
+    """The 3x3 pixel blocks of the n x n grid on [-r, r]^2 around points zs.
+
+    Returns the flat indices of the block pixels inside the grid, point by
+    point and in (row, column) order within a block, and the index of the
+    point each pixel belongs to.
+    """
+    i = ((zs.real + r) / (2 * r) * n).astype(int)
+    j = ((zs.imag + r) / (2 * r) * n).astype(int)
+    jj = (j[:, None] + np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])).ravel()
+    ii = (i[:, None] + np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1])).ravel()
+    inside = (0 <= jj) & (jj < n) & (0 <= ii) & (ii < n)
+    return (jj * n + ii)[inside], np.nonzero(inside)[0] // 9
+
+
 def complement_components(g, r, resolution=512):
     """Flood fill of the disk minus the retained arcs of a preimage graph.
 
@@ -727,60 +742,42 @@ def complement_components(g, r, resolution=512):
     zz = xs[None, :] + 1j * xs[:, None]
     inside = np.abs(zz) <= r
 
-    blocked = np.zeros((n, n), dtype=bool)
-    owner = np.full((n, n), -1, dtype=int)
-    conflict = []
-
-    def paint(z, arc_id):
-        i = int((z.real + r) / (2 * r) * n)
-        j = int((z.imag + r) / (2 * r) * n)
-        for dj in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                jj, ii = j + dj, i + di
-                if 0 <= jj < n and 0 <= ii < n:
-                    blocked[jj, ii] = True
-                    prev = owner[jj, ii]
-                    if prev >= 0 and prev != arc_id:
-                        conflict.append((prev, arc_id, zz[jj, ii]))
-                    owner[jj, ii] = arc_id
-
     # vertices are part of the retained graph even when all their incident
     # arcs were deleted as bad; block them so isolated ones puncture C_0
-    for v in g.vertices:
-        i = int((v.real + r) / (2 * r) * n)
-        j = int((v.imag + r) / (2 * r) * n)
-        for dj in (-1, 0, 1):
-            for di in (-1, 0, 1):
-                if 0 <= j + dj < n and 0 <= i + di < n:
-                    blocked[j + dj, i + di] = True
+    blocked = np.zeros((n, n), dtype=bool)
+    blocked.flat[_pixel_blocks(np.asarray(g.vertices, dtype=complex), r, n)[0]] = True
 
+    # supercover: resample each segment of each retained arc at sub-pixel
+    # steps, p + (q - p) * s / steps for s = 0..steps, in paint order
     retained = g.retained_arcs
-    for arc_id, arc in enumerate(retained):
-        pts = arc.points
-        # supercover: resample each segment at sub-pixel steps
-        for p, q in zip(pts[:-1], pts[1:]):
-            steps = max(1, int(abs(q - p) / (0.5 * h)) + 1)
-            for s in range(steps + 1):
-                paint(p + (q - p) * s / steps, arc_id)
+    p = np.concatenate([a.points[:-1] for a in retained] + [np.zeros(0, complex)])
+    q = np.concatenate([a.points[1:] for a in retained] + [np.zeros(0, complex)])
+    arc_of = np.repeat(np.arange(len(retained)), [len(a.points) - 1 for a in retained])
+    steps = (np.abs(q - p) / (0.5 * h)).astype(int) + 1
+    seg = np.repeat(np.arange(len(p)), steps + 1)
+    s = np.arange(len(seg)) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
+    pixels, from_sample = _pixel_blocks(p[seg] + (q - p)[seg] * s / steps[seg], r, n)
+    blocked.flat[pixels] = True
 
-    if conflict:
-        shared = {}
-        for a_id, b_id, where in conflict:
-            a, b = retained[a_id], retained[b_id]
-            # arcs that legitimately meet at a common vertex may touch there
-            common = set(v for v in a.endpoints if v is not None) & set(
-                v for v in b.endpoints if v is not None
-            )
-            near_vertex = any(
-                abs(where - g.vertices[v]) < 4 * h for v in common
-            )
-            if not near_vertex:
-                shared[(min(a_id, b_id), max(a_id, b_id))] = where
-        if shared:
-            raise ResolutionError(
-                f"arcs share a pixel corridor at {list(shared.values())[:3]!r}; "
-                f"retry with a finer resolution"
-            )
+    # a pixel painted by one arc right after another puts the two arcs in
+    # one corridor, unless it lies within 4h of a vertex both arcs end on;
+    # the conflicts are taken in paint order
+    arc = arc_of[seg[from_sample]]
+    by_pixel = np.argsort(pixels, kind="stable")
+    prev, cur = by_pixel[:-1], by_pixel[1:]
+    clash = (pixels[prev] == pixels[cur]) & (arc[prev] != arc[cur])
+    prev, cur = prev[clash], cur[clash]
+    shared = {}
+    for k in np.argsort(cur):
+        a_id, b_id, where = int(arc[prev[k]]), int(arc[cur[k]]), zz.flat[pixels[cur[k]]]
+        common = (set(retained[a_id].endpoints) & set(retained[b_id].endpoints)) - {None}
+        if not any(abs(where - g.vertices[v]) < 4 * h for v in common):
+            shared[(min(a_id, b_id), max(a_id, b_id))] = where
+    if shared:
+        raise ResolutionError(
+            f"arcs share a pixel corridor at {list(shared.values())[:3]!r}; "
+            f"retry with a finer resolution"
+        )
 
     labels, comps = _march.components(inside & ~blocked)
     ring = inside & (np.abs(zz) > r - 2.5 * h)

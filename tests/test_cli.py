@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from coverlab import metric
 from coverlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -15,6 +16,7 @@ from coverlab.cli import (
     parse_config_text,
     run,
 )
+from coverlab.expr import parse_map
 from coverlab.verify import ExperimentReport, verdicts_from_report
 
 GOOD_CONFIG = """\
@@ -156,6 +158,36 @@ def test_run_length_area_selected_mode(tmp_path):
     radii = summary["radii"]
     assert len(radii) >= 1
     assert radii == sorted(radii)
+
+
+def test_selected_profile_reuses_the_selection_areas(tmp_path, monkeypatch):
+    # radii_count 2 gives a selection grid of max(16, 6 * 2) = 16 radii; the
+    # profile takes a(r) at the selected ones from that grid
+    area = metric.area
+    calls = []
+
+    def counted(m, r, tol=1e-7):
+        calls.append(r)
+        return area(m, r, tol)
+
+    monkeypatch.setattr(metric, "area", counted)
+    cfg = ExperimentConfig(
+        map_source="z^2",
+        radii_mode="length-area-selected",
+        radii_min=1.0,
+        radii_max=10.0,
+        radii_count=2,
+        verifiers=("mean_degree",),
+        samples=100,
+        outputs=str(tmp_path),
+    ).validate()
+    assert run(cfg) == 0
+    assert len(calls) == len(set(calls)) == 16
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    rows = (tmp_path / "profile.csv").read_text().splitlines()[1:]
+    assert [float(row.split(",")[1]) for row in rows] == [
+        float(metric._fmt12(area(parse_map("z^2"), r, cfg.tolerance))) for r in summary["radii"]
+    ]
 
 
 def test_cli_graph_z3(capsys):

@@ -110,6 +110,20 @@ def test_multiplicity_at_infinity_is_pole_order():
 
 
 @pytest.mark.parametrize(
+    ("source", "p", "expected"),
+    [
+        ("(z^2-1)/(z-1)", 2, 1),  # f = z + 1, a simple 2-point at z = 1
+        ("z^2*(z-1)/(z-1)", 1, 2),  # f = z^2: simple 1-points at z = 1 and z = -1
+        ("(z-1)^3/(z-1)", 0, 2),  # f = (z - 1)^2, a double zero at z = 1
+    ],
+)
+def test_multiplicity_at_a_zero_of_the_cleared_denominator(source, p, expected):
+    # N - p D has a zero of higher order at z = 1, where D vanishes too;
+    # f - p itself has the order of the closed form there
+    assert multiplicity_count(parse_map(source), p, 3.0) == expected
+
+
+@pytest.mark.parametrize(
     "source, numerator, denominator, r",
     [
         ("z^3 - 2*z + 1", [1, 0, -2, 1], [1], 1.5),

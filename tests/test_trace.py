@@ -14,6 +14,7 @@ from coverlab.trace import (
     GraphSpec,
     ImplicitCurve,
     RectangleChart,
+    ResolutionError,
     TransversalityError,
     arc_test_integral,
     build_preimage_graph,
@@ -341,6 +342,104 @@ def test_chain_extends_backward_in_segment_order():
     chains = _march._chain(backward, 1e-6)
     assert len(chains) == 1
     assert np.array_equal(chains[0].points, pts)
+
+
+# Chains of extract on [-1, 1]^2 with a 4 x 4 grid, recorded before the cell
+# loops became one array kernel: (points, closed, cell_size) per chain.
+_SADDLE_CHAINS = [
+    ([(1+0.2718000014669209j), (0.5+0.2718000055035773j), (0.375+0.27180001763668427j),
+      (0.34375+0.27180003929273083j), (0.328125+0.2718001017811705j),
+      (0.3203125+0.27180049689440994j), (0.31829983805668016+0.265625j),
+      (0.31829995412844037+0.25j), (0.3182999963208241+0j), (0.31829999870432757-0.5j),
+      (0.3182999992137128-1j)], False, 0.5),
+    ([(-1+0.27179999924144727j), (-0.5+0.2717999987779543j), 0.27179999685830974j,
+      (0.25+0.2717999853587115j), (0.3125+0.2717998275862069j),
+      (0.3183006106870229+0.2734375j), (0.31830010582010587+0.28125j),
+      (0.3183000245700246+0.3125j), (0.3183000096899225+0.375j),
+      (0.31830000438212097+0.5j), (0.31830000137324915+1j)], False, 0.5),
+]
+_HOLED_CHAINS = [
+    (_SADDLE_CHAINS[1][0], False, 0.5),
+    ([(1+0.2718000014669209j), (0.5+0.2718000055035773j), (0.375+0.27180001763668427j),
+      (0.34375+0.27180003929273083j), (0.328125+0.2718001017811705j),
+      (0.3203125+0.27180049689440994j), (0.31829983805668016+0.265625j),
+      (0.3182999541284404+0.25j), (0.25+0j), 0j, (0.3182999963208241+0j),
+      (0.31829999870432757-0.5j), (0.3182999992137128-1j)], False, 0.5),
+]
+
+
+def _saddle_field(zs):
+    # the saddle at (0.3183, 0.2718) lies strictly inside a cell at every
+    # subdivision depth, so it is still ambiguous at the deepest one
+    return (zs.real - 0.3183) * (zs.imag - 0.2718) - 1e-9
+
+
+def _holed_field(zs):
+    # NaN at a first-level sub-grid node, on an edge the curve crosses
+    return np.where(zs == 0.25, np.nan, _saddle_field(zs))
+
+
+@pytest.mark.parametrize(
+    ("field", "expected"), [(_saddle_field, _SADDLE_CHAINS), (_holed_field, _HOLED_CHAINS)]
+)
+def test_extract_chains_are_unchanged(field, expected):
+    chains = _march.extract(field, (-1, 1, -1, 1), 4, 4, on_ambiguous="resolve")
+    assert [(c.points.tolist(), c.closed, c.cell_size) for c in chains] == expected
+    with pytest.raises(AmbiguityError):
+        _march.extract(field, (-1, 1, -1, 1), 4, 4)
+
+
+@pytest.mark.parametrize(
+    ("source", "node", "scale", "r", "resolution", "raises"),
+    [
+        ("z^8", 0.5j, 0.5, 3, 64, True),
+        ("exp(z)", 0.25j, 1, 80, 128, True),
+        ("z^5", 0.5j, 0.5, 10, 64, False),
+    ],
+)
+def test_complement_corridor_conflict(source, node, scale, r, resolution, raises):
+    g = build_preimage_graph(parse_map(source), GraphSpec(node=node, scale=scale), r, resolution)
+    if raises:
+        with pytest.raises(ResolutionError, match="share a pixel corridor"):
+            complement_components(g, r, resolution)
+    else:
+        complement_components(g, r, resolution)
+
+
+def _painted_by_sample_loop(g, r, n):
+    """The blocked pixels, painted one sample and one block pixel at a time."""
+    blocked = np.zeros((n, n), dtype=bool)
+
+    def paint(z):
+        i = int((z.real + r) / (2 * r) * n)
+        j = int((z.imag + r) / (2 * r) * n)
+        for dj in (-1, 0, 1):
+            for di in (-1, 0, 1):
+                if 0 <= j + dj < n and 0 <= i + di < n:
+                    blocked[j + dj, i + di] = True
+
+    for v in g.vertices:
+        paint(v)
+    for arc in g.retained_arcs:
+        for p, q in zip(arc.points[:-1], arc.points[1:]):
+            steps = max(1, int(abs(q - p) / (0.5 * (2.0 * r / n))) + 1)
+            for s in range(steps + 1):
+                paint(p + (q - p) * s / steps)
+    return blocked
+
+
+@pytest.mark.parametrize(
+    ("source", "node", "scale", "r", "resolution"),
+    [("z^5", 0.5j, 0.5, 7, 512), ("exp(z)", 0.25j, 1, 20, 300)],
+)
+def test_complement_blocks_what_the_sample_loop_paints(source, node, scale, r, resolution):
+    g = build_preimage_graph(parse_map(source), GraphSpec(node=node, scale=scale), r, resolution)
+    analysis = complement_components(g, r, resolution)
+    h = 2.0 * r / resolution
+    xs = -r + (np.arange(resolution) + 0.5) * h
+    outside = np.abs(xs[None, :] + 1j * xs[:, None]) > r
+    expected = outside | _painted_by_sample_loop(g, r, resolution)
+    assert np.array_equal(analysis.label_grid == 0, expected)
 
 
 def test_components_match_full_grid_reference():
