@@ -42,6 +42,7 @@ from coverlab.metric import (
     MAX_DISK_RADIUS,
     SphericalDisk,
     _fmt12,
+    _profile,
     build_profile,
     chordal_distance,
     select_radii,
@@ -369,11 +370,12 @@ def run(cfg):
             radii = select_radii(
                 m, cfg.radii_min, cfg.radii_max, cfg.radii_count, tol=cfg.tolerance
             )
+            areas = radii.areas  # a(r) at cfg.tolerance from the selection grid
         else:
-            radii = list(cfg.radii_list)
+            radii, areas = list(cfg.radii_list), {}
         summary["radii"] = radii
         stage = "profile"
-        profile = build_profile(m, radii, tol=cfg.tolerance)
+        profile = _profile(m, radii, cfg.tolerance, areas)
         profile.to_csv(outdir / "profile.csv")
     except (ValueError, ArithmeticError) as exc:
         summary["errors"].append({"stage": stage, "error": str(exc)})

@@ -328,9 +328,10 @@ def _newton_polish(m, dm, z0, cell_size, max_iter=40):
 
 
 def _root_target(m, p):
-    """Pole-free function whose zeros in the cell scheme are f^{-1}(p).
+    """(g, D): the pole-free g whose zeros in the cell scheme are f^{-1}(p),
+    and the cleared denominator D of f = N/D.
 
-    Clearing denominators turns f = N/D into the entire target N - p D
+    Clearing denominators turns f into the entire target g = N - p D
     (or D itself for p at infinity), so cell windings are always >= 0 and
     zero/pole cancellation cannot hide roots.
     """
@@ -344,7 +345,7 @@ def _root_target(m, p):
         target = Sub(n_f.root, Mul(Const(complex(p.value)), d_f.root))
     from coverlab.expr import _print  # canonical text for error messages
 
-    return MapExpr(root=target, source_text=_print(target))
+    return MapExpr(root=target, source_text=_print(target)), d_f
 
 
 def find_roots(m, p, r):
@@ -354,13 +355,11 @@ def find_roots(m, p, r):
     function N - p D (D for p at infinity), so a cell of winding 0 holds no
     root and is dropped; the others are split or Newton-polished.  Returns
     Root records (location, multiplicity).  A root within 1e-7 * r of the
-    circle |z| = r raises RootOnCircleError.  At a zero of the cleared
-    denominator D, the multiplicity is the order of f - p (for p at
-    infinity, of 1/f) there, from the winding of f on a small square.
+    circle |z| = r raises RootOnCircleError.  At a zero of D shared with N,
+    the multiplicity is the order of f - p (of 1/f for p at infinity).
     """
     p = SpherePoint.of(p)
-    g = _root_target(m, p)
-    d = as_fraction(m)[1]
+    g, d = _root_target(m, p)
     dg = differentiate(g)
     isolation = max(_ISOLATION_REL * r, 1e-12)
     found = []
@@ -444,22 +443,36 @@ def find_roots(m, p, r):
             # a zero of the cleared denominator may be shared with the
             # numerator; the pole order of f itself is -wind(f) around it
             order = -_local_winding(m, root.location, 3 * isolation)
-        elif not isinstance(d.root, Const) and _local_winding(d, root.location, 3 * isolation) > 0:
-            # a zero shared with the cleared denominator (a 0/0 point of f):
-            # the order of f - p there is wind(f) around p
-            order = _local_winding(m, root.location, 3 * isolation, p.value)
-        else:
-            # keep a root only where f itself takes the value p
-            try:
-                value = evaluate(m, root.location)
-            except IndeterminateError:
-                continue
-            if chordal_distance(value, p) <= 1e-5:
-                inside.append(root)
+            if order > 0:
+                inside.append(Root(root.location, order))
             continue
+        order = _order_at_shared_zero(m, d, root, p.value, 3 * isolation)
         if order > 0:
             inside.append(Root(root.location, order))
+            continue
+        # keep a root only where f itself takes the value p
+        try:
+            value = evaluate(m, root.location)
+        except IndeterminateError:
+            continue
+        if chordal_distance(value, p) > 1e-5:
+            continue
+        inside.append(root)
     return inside
+
+
+def _order_at_shared_zero(m, d, root, p, half_width):
+    """Order of f - p at a multiple root of N - p D that D shares (a 0/0
+    point of f), else 0: wind(f) around p on the square, if D winds on it.
+    A pole of f inside the square also counts against the order."""
+    if root.multiplicity < 2 or isinstance(d.root, Const):
+        return 0
+    try:
+        if _local_winding(d, root.location, half_width) <= 0:
+            return 0
+        return _local_winding(m, root.location, half_width, p)
+    except ContourPassesThroughRoot:
+        return 0
 
 
 def _local_winding(m, z0, half_width, p=0):
@@ -700,7 +713,7 @@ def _polygon_area(points):
 def _contour_degree(m, center, outer, holes):
     """Degree of f over `center` on a region: winding of f - center along the
     outer boundary minus along each hole, every contour counterclockwise."""
-    g = _root_target(m, center)
+    g = _root_target(m, center)[0]
     dg = differentiate(g)
 
     def winding(points):

@@ -544,28 +544,27 @@ def _fmt12(x):
 
 
 def build_profile(m, radii, tol=1e-7):
-    """Rows (r, a(r), l(r)) at each radius: a at `tol`, l at max(tol / 10, 1e-10).
+    """Rows (r, a(r), l(r)) at each radius: a at `tol`, l at max(tol / 10, 1e-10)."""
+    return _profile(m, radii, tol, {})
 
-    When `radii` come from select_radii at the same `tol`, a(r) is taken
-    from its grid, where it was computed at the same r and tolerance.
-    """
-    known = radii.areas if isinstance(radii, _SelectedRadii) and radii.tol == tol else {}
+
+def _profile(m, radii, tol, areas):
+    """build_profile, with a(r) from `areas` (r -> a(r) at `tol`) where known."""
     prof = MetricProfile(map_source=m.source_text if hasattr(m, "source_text") else str(m))
     for r in radii:
         rr, lv = _length_with_nudge(m, r, tol=max(tol * 1e-1, 1e-10))
         prof.radii.append(rr)
-        prof.a.append(known[rr] if rr in known else area(m, rr, tol=tol))
+        prof.a.append(areas[rr] if rr in areas else area(m, rr, tol=tol))
         prof.l.append(lv)
     return prof
 
 
 class _SelectedRadii(list):
-    """select_radii's radii, with `areas` (r -> a(r) at `tol`) from its grid."""
+    """select_radii's radii, with `areas` (r -> a(r)) from its grid."""
 
-    def __init__(self, radii, areas, tol):
+    def __init__(self, radii, areas):
         super().__init__(radii)
         self.areas = areas
-        self.tol = tol
 
 
 def select_radii(m, r_min, r_max, count, tol=1e-6):
@@ -573,7 +572,8 @@ def select_radii(m, r_min, r_max, count, tol=1e-6):
 
     Log-spaced candidates are walked downhill to local minimizers of l/a on
     a refinement grid; the ascending result keeps only strictly ratio-
-    decreasing entries, up to `count` of them.
+    decreasing entries, up to `count` of them.  The list's `areas` maps
+    each of them to its a(r) at `tol`, from the grid.
     """
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
@@ -614,7 +614,7 @@ def select_radii(m, r_min, r_max, count, tol=1e-6):
             continue
         out_r.append(radii[j])
         out_q.append(ratios[j])
-    return _SelectedRadii(out_r[:count], {radii[j]: areas[j] for j in picked}, tol)
+    return _SelectedRadii(out_r[:count], {radii[j]: areas[j] for j in picked})
 
 
 def lengtharea_certificate(m, r1, r2, tol=1e-6, points_per_decade=14):

@@ -123,6 +123,15 @@ def test_multiplicity_at_a_zero_of_the_cleared_denominator(source, p, expected):
     assert multiplicity_count(parse_map(source), p, 3.0) == expected
 
 
+@pytest.mark.parametrize("p", [3e4, 1e5, 1e6])
+def test_a_p_point_next_to_a_pole_it_does_not_share_is_kept(p):
+    # 1/z = p at z = 1/p, within a few isolation squares (1e-5 r) of the pole
+    # at 0; the pole is no zero of N - p D = 1 - p z, so the point counts once
+    m = parse_map("1/z")
+    assert count_preimages(m, p, 1.0) == 1
+    assert multiplicity_count(m, p, 1.0) == 1
+
+
 @pytest.mark.parametrize(
     "source, numerator, denominator, r",
     [
