@@ -6,8 +6,11 @@ extended-complex points is
 
     dist(p, q) = |p - q| / (sqrt(pi) sqrt(1+|p|^2) sqrt(1+|q|^2))
 
-with the usual limits at infinity, and a holomorphic map f pulls the metric
-back to the density
+with the usual limits at infinity: dist(p, inf) = 1 / (sqrt(pi) sqrt(1+|p|^2)).
+The point at infinity is `INF`, `SpherePoint(None)` or the string "inf";
+a pole of f, and any non-finite complex value (inf or nan in either part),
+stands for it too.  `chordal_distance_array` is the one implementation of
+this formula.  A holomorphic map f pulls the metric back to the density
 
     h(z) = |f'(z)| / (sqrt(pi) (1 + |f(z)|^2)).
 
@@ -18,6 +21,7 @@ and a chordal disk of radius rho has normalized area pi rho^2 exactly.
 
 from __future__ import annotations
 
+import cmath
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -86,7 +90,8 @@ class SpherePoint:
             if v.strip().lower() in ("inf", "infinity", "oo"):
                 return cls(None)
             raise ValueError(f"not a sphere point: {v!r}")
-        return cls(complex(v))
+        v = complex(v)
+        return cls(v if cmath.isfinite(v) else None)
 
     @property
     def is_infinity(self):
@@ -96,45 +101,29 @@ class SpherePoint:
         return "SpherePoint(inf)" if self.is_infinity else f"SpherePoint({self.value!r})"
 
 
-def _lift(w):
-    """Stereographic lift to the unit 2-sphere in R^3."""
-    if w is None:
-        return (0.0, 0.0, 1.0)
-    x, y = w.real, w.imag
-    n2 = x * x + y * y
-    if not math.isfinite(n2) or n2 > 1e300:
-        return (0.0, 0.0, 1.0)
-    d = 1.0 + n2
-    return (2.0 * x / d, 2.0 * y / d, (n2 - 1.0) / d)
-
-
 def chordal_distance(p, q):
     """Chordal distance in the area-1 normalization (diameter 1/sqrt(pi))."""
-    a = _lift(SpherePoint.of(p).value)
-    b = _lift(SpherePoint.of(q).value)
-    d3 = math.sqrt((a[0] - b[0]) ** 2 + (a[1] - b[1]) ** 2 + (a[2] - b[2]) ** 2)
-    return d3 / (2.0 * SQRT_PI)
+    p = SpherePoint.of(p)
+    w = complex(math.inf) if p.is_infinity else p.value
+    return float(chordal_distance_array(w, q))
 
 
 def chordal_distance_array(ws, center):
-    """Vectorized chordal distance from complex array `ws` to a SpherePoint."""
-    center = SpherePoint.of(center)
+    """Chordal distance from complex array `ws` to a SpherePoint, in closed form.
+
+    Non-finite entries of `ws` (poles, inf, nan) are the point at infinity.
+    """
+    c = SpherePoint.of(center).value
     ws = np.asarray(ws, dtype=np.complex128)
-    x, y = ws.real, ws.imag
-    n2 = x * x + y * y
+    # at_inf is sqrt(pi) dist(inf, c); for c = inf the factor
+    # |w - c| / sqrt(1+|c|^2) is 1.  `d /=` divides in place because ws may
+    # be a full 2048^2 grid, where each temporary takes 32-64 MB
+    at_inf = 0.0 if c is None else 1.0 / math.hypot(1.0, abs(c))
     with np.errstate(all="ignore"):
-        d = 1.0 + n2
-        X = 2.0 * x / d
-        Y = 2.0 * y / d
-        Z = (n2 - 1.0) / d
-    far = ~np.isfinite(n2) | (n2 > 1e300)
-    if np.any(far):
-        X = np.where(far, 0.0, X)
-        Y = np.where(far, 0.0, Y)
-        Z = np.where(far, 1.0, Z)
-    cx, cy, cz = _lift(center.value)
-    d3 = np.sqrt((X - cx) ** 2 + (Y - cy) ** 2 + (Z - cz) ** 2)
-    return d3 / (2.0 * SQRT_PI)
+        d = 1.0 if c is None else np.abs(ws - c) * at_inf
+        scale = np.hypot(1.0, np.abs(ws))
+        d /= scale
+        return np.where(np.isfinite(scale), d, at_inf) / SQRT_PI
 
 
 def disk_area(chordal_radius):

@@ -186,8 +186,10 @@ class GraphSpec:
         return [self.node]
 
     def face_of(self, w):
-        """'lobe-', 'lobe+' or 'outer' for a target point."""
-        w = complex(w)
+        """'lobe-', 'lobe+' or 'outer' for a target point; infinity is outer."""
+        w = SpherePoint.of(w).value
+        if w is None:
+            return "outer"
         u = (w - self.node) ** 2 - self.scale**2
         if abs(u) >= self.scale**2:
             return "outer"
@@ -252,9 +254,11 @@ def _clip_to_disk(points, closed, r):
     if not inside.any():
         return []
     if closed:
-        # rotate so the chain starts outside, then cut runs
+        # rotate so the ring starts outside and close it again, so that
+        # every run is entered and left through the circle
         first_out = int(np.argmin(inside))
         pts = np.roll(pts[:-1] if pts[0] == pts[-1] else pts, -first_out)
+        pts = np.append(pts, pts[:1])
         inside = np.abs(pts) <= r
     pieces = []
     run = []
@@ -262,7 +266,7 @@ def _clip_to_disk(points, closed, r):
     for k, (z, isin) in enumerate(zip(pts, inside)):
         if isin:
             if not prev_in and k > 0:
-                run.append(_circle_cut(pts[k - 1], z, r))
+                run.append(_circle_cut(z, pts[k - 1], r))
             run.append(z)
         else:
             if prev_in:
@@ -786,9 +790,7 @@ def complement_components(g, r, resolution=512):
         # sample point far from the blocked set for a stable face probe
         sample = complex(zz[_march.deepest_pixel(labels, label, box)])
         try:
-            w = evaluate(m, sample)
-            # the point at infinity always lies in the outer face
-            face = g.graph.face_of(w) if isinstance(w, complex) else "outer"
+            face = g.graph.face_of(evaluate(m, sample))
         except IndeterminateError:
             face = "outer"
         components.append(

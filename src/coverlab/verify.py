@@ -351,9 +351,7 @@ def verify_island_in_component(components, islands, graph_spec, disks):
     """
     disk_face = {}
     for k, disk in enumerate(disks):
-        center = disk.center
-        w = complex(1e9) if center.is_infinity else center.value
-        disk_face[graph_spec.face_of(w)] = k
+        disk_face[graph_spec.face_of(disk.center)] = k
     rows = []
     for comp in components.components:
         if comp.touches_boundary:

@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -286,6 +287,20 @@ def test_islands_resolution_stability():
             )
         )
     assert counts[0] == counts[1] == 6
+
+
+def test_find_islands_full_grid_memory():
+    # exp-topology's largest pass: 2048^2 complex grids are 64 MB each, and
+    # find_islands' allocations set the benchmark's peak memory
+    m = parse_map("exp(z)")
+    disk = SphericalDisk.of(1 + 0.25j, 0.05)
+    tracemalloc.start()
+    try:
+        find_islands(m, disk, 80.0, resolution=2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 260e6
 
 
 def test_island_degree_independent_recompute():

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from coverlab.metric import (
     boundary_length,
     build_profile,
     chordal_distance,
+    chordal_distance_array,
     disk_area,
     lengtharea_certificate,
     sample_sphere_uniform,
@@ -52,6 +54,80 @@ def test_chordal_symmetry_and_diameter():
             d1 = chordal_distance(p, q)
             assert abs(d1 - chordal_distance(q, p)) < 1e-15
             assert d1 <= 1 / SQRT_PI + 1e-15
+
+
+def _chordal_decimal(p, q):
+    """dist(p, q) for finite p, q in 50-digit decimal arithmetic."""
+    pi = Decimal("3.14159265358979323846264338327950288419716939937510")
+    with localcontext() as ctx:
+        ctx.prec = 50
+        re_p, im_p, re_q, im_q = (Decimal(x) for x in (p.real, p.imag, q.real, q.imag))
+        num = ((re_p - re_q) ** 2 + (im_p - im_q) ** 2).sqrt()
+        den = (pi * (1 + re_p**2 + im_p**2) * (1 + re_q**2 + im_q**2)).sqrt()
+        return float(num / den)
+
+
+@pytest.mark.parametrize(
+    "p,q",
+    [
+        (0.3 + 0.4j, 0.3 + 0.4j + 1e-9j),
+        (1000.0, 1000.0 + 1e-6),
+        (1e-12, -1e-12j),
+        (-2.5 + 7j, -2.5 + 7j + (3e-11 - 4e-11j)),
+        (1e8 + 1e8j, 1e8 + 1.0001e8j),
+        (0.5 - 0.5j, 0.7 + 0.1j),
+    ],
+)
+def test_chordal_distance_matches_a_decimal_reference(p, q):
+    exact = _chordal_decimal(complex(p), complex(q))
+    assert abs(chordal_distance(p, q) - exact) <= 1e-14 * exact
+    assert abs(chordal_distance_array(np.array([p]), q)[0] - exact) <= 1e-14 * exact
+
+
+def _moebius(a, b, c, d):
+    def t(w):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return (a * w + b) / (c * w + d)
+
+    return t
+
+
+@pytest.mark.parametrize(
+    "isometry",
+    [
+        _moebius(np.exp(0.7j), 0, 0, 1),  # w -> e^{i theta} w
+        _moebius(0, 1, 1, 0),  # w -> 1/w, swapping 0 and infinity
+        _moebius(1, -(0.4 - 0.9j), 0.4 + 0.9j, 1),  # (w - b) / (1 + conj(b) w)
+        _moebius(1, -(3 + 1j), 3 - 1j, 1),
+    ],
+    ids=["rotation", "inversion", "unitary-b-small", "unitary-b-large"],
+)
+def test_chordal_distance_is_invariant_under_sphere_rotations(isometry):
+    rng = np.random.default_rng(11)
+    ws = np.concatenate([rng.normal(0, 2, 200) + 1j * rng.normal(0, 2, 200), [0, 1, -1j]])
+    for center in (0.25 - 1.5j, 0, 4j):
+        before = chordal_distance_array(ws, center)
+        after = chordal_distance_array(isometry(ws), complex(isometry(np.complex128(center))))
+        assert np.abs(after - before).max() <= 1e-12
+
+
+@pytest.mark.parametrize("center", [0.3 - 2j, 0, 1e6, "inf"])
+def test_non_finite_entries_are_the_point_at_infinity(center):
+    inf, nan = math.inf, math.nan
+    far = np.array([complex(inf, 0), complex(nan, 0), complex(inf, 1), complex(1, nan)])
+    expected = chordal_distance("inf", center)
+    assert np.all(chordal_distance_array(far, center) == expected)
+    assert chordal_distance(complex(math.inf, 1), center) == expected
+    assert SpherePoint.of(complex(math.nan, 0)).is_infinity
+
+
+def test_chordal_distance_scalar_and_array_agree():
+    rng = np.random.default_rng(3)
+    ws = rng.normal(0, 5, 50) + 1j * rng.normal(0, 5, 50)
+    for center in (1.5 + 0.5j, "inf"):
+        arr = chordal_distance_array(ws, center)
+        assert [chordal_distance(w, center) for w in ws] == list(arr)
+        assert float(chordal_distance_array(ws[7], center)) == arr[7]  # 0-d input
 
 
 def test_spherical_disk_bounds():

@@ -5,8 +5,8 @@ import pytest
 from scipy import ndimage
 
 from coverlab import _march
-from coverlab.expr import evaluate, parse_map
-from coverlab.metric import SphericalDisk, chordal_distance
+from coverlab.expr import INF, evaluate, parse_map
+from coverlab.metric import SpherePoint, SphericalDisk, chordal_distance
 from coverlab.count import find_islands
 from coverlab.trace import (
     AmbiguityError,
@@ -16,6 +16,7 @@ from coverlab.trace import (
     RectangleChart,
     ResolutionError,
     TransversalityError,
+    _clip_to_disk,
     arc_test_integral,
     build_preimage_graph,
     classify_arcs,
@@ -74,6 +75,26 @@ def test_trace_identity_reproduces_curve():
     curve = ImplicitCurve.circle(0.3 + 0.2j, 0.08)
     pls = trace_preimage(m, curve, 2.0, 256)
     assert level_fidelity(m, curve, pls) < 1e-3
+
+
+@pytest.mark.parametrize(
+    "points,closed",
+    [
+        (np.linspace(-2, 2, 9) + 0.1j, False),
+        (np.array([2, 0.5 + 0.5j, 2 + 1j, 0.2 + 0.1j, 0.3 - 0.4j]), True),
+    ],
+    ids=["open-line", "closed-ring"],
+)
+def test_clip_cuts_every_piece_on_the_circle(points, closed):
+    r = 1.0
+    pieces = _clip_to_disk(points, closed, r)
+    assert pieces
+    for pts, _, touched in pieces:
+        assert touched
+        assert abs(abs(pts[0]) - r) <= 1e-12 * r
+        assert abs(abs(pts[-1]) - r) <= 1e-12 * r
+        assert pts[0] != pts[1] and pts[-1] != pts[-2]
+        assert np.all(np.abs(pts[1:-1]) <= r)
 
 
 def test_trace_resolution_validation():
@@ -194,6 +215,13 @@ def test_arc_integral_unit_weight_precondition():
 # graph preimages
 
 
+def test_face_of_infinity_is_outer():
+    g8 = GraphSpec(node=0.5j, scale=0.5)
+    assert g8.face_of(INF) == g8.face_of(SpherePoint.of("inf")) == "outer"
+    assert g8.face_of(0.5j + 0.5) == "lobe+"
+    assert g8.face_of(SpherePoint.of(0.5j - 0.5)) == "lobe-"
+
+
 def test_build_graph_z3():
     g8 = GraphSpec(node=0.5j, scale=0.5)
     pg = build_preimage_graph(parse_map("z^3"), g8, 3.0, 512)
@@ -290,7 +318,7 @@ def _complement_reference(pg, comps, r):
         comp = labels == k
         dist = ndimage.distance_transform_cdt(comp)
         w = evaluate(m, complex(zz[np.unravel_index(int(np.argmax(dist)), comp.shape)]))
-        face = pg.graph.face_of(w) if isinstance(w, complex) else "outer"
+        face = pg.graph.face_of(w)
         chi = _march.mask_euler_characteristic(comp)
         rows.append((chi, bool((comp & ring).any()), face, int(comp.sum()), k))
     return rows
