@@ -15,6 +15,11 @@ Segments are oriented so the negative side of F lies to the left; chains
 are assembled by endpoint matching with a tolerance that absorbs the tiny
 cracks hanging nodes introduce at coarse/fine cell interfaces.
 
+`runs` splits a sampled sequence into its maximal kept runs, walking a
+closed one from a dropped entry around to it again; every cut of a traced
+curve (disk, chart x-range, node ball) and the angular scans of the
+quadrature go through it.
+
 The pixel-mask helpers of island and complement topology live here too:
 `components` labels a mask once and gives each component with its
 bounding box and its mask inside that box, so per-component work costs
@@ -275,6 +280,29 @@ def _mend_cracks(chains):
                     changed = True
                     break
     return chains
+
+
+def runs(keep, closed):
+    """Walk order and maximal kept runs of a sampled sequence.
+
+    Returns ``(order, spans)``: ``order`` indexes the sequence in walk
+    order and ``spans`` holds one ``(lo, hi)`` per maximal run of kept
+    entries, as the slice ``order[lo:hi]``.  An open sequence, or a closed
+    one with every entry kept, is walked once from its start.  A closed
+    sequence with a dropped entry is walked from its first dropped entry
+    around to that entry again, so no run wraps the seam and every run
+    has a dropped neighbour in the walk on both sides.  A run with
+    ``lo > 0`` (``hi < len(order)``) was entered (left) through the walk
+    entry before (after) it.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    n = len(keep)
+    order = np.arange(n)
+    if closed and not keep.all():
+        start = int(np.argmin(keep))
+        order = np.r_[start:n, : start + 1]
+    edges = np.flatnonzero(np.diff(np.r_[False, keep[order], False]))
+    return order, list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
 def components(mask):

@@ -446,7 +446,7 @@ def find_roots(m, p, r):
             if order > 0:
                 inside.append(Root(root.location, order))
             continue
-        order = _order_at_shared_zero(m, d, root, p.value, 3 * isolation)
+        order = _order_at_shared_zero(m, g, d, root, p.value, 3 * isolation)
         if order > 0:
             inside.append(Root(root.location, order))
             continue
@@ -461,16 +461,25 @@ def find_roots(m, p, r):
     return inside
 
 
-def _order_at_shared_zero(m, d, root, p, half_width):
-    """Order of f - p at a multiple root of N - p D that D shares (a 0/0
-    point of f), else 0: wind(f) around p on the square, if D winds on it.
-    A pole of f inside the square also counts against the order."""
+def _order_at_shared_zero(m, g, d, root, p, half_width):
+    """Order of f - p at a multiple root of g = N - p D that D shares (a 0/0
+    point of f), else 0: wind(f) around p on the square, if D winds on it
+    and g vanishes at D's zero there.  A pole of f inside the square also
+    counts against the order."""
     if root.multiplicity < 2 or isinstance(d.root, Const):
         return 0
+    z0, h = root.location, half_width
     try:
-        if _local_winding(d, root.location, half_width) <= 0:
+        if _local_winding(d, z0, h) <= 0:
             return 0
-        return _local_winding(m, root.location, half_width, p)
+        # D's zero is shared when g, relative to its size on the square,
+        # vanishes there; a pole next to the root leaves g well away from 0
+        zero = _newton_polish(d, differentiate(d), z0, h)
+        if zero is not None:
+            corners = z0 + h * np.array([1 + 1j, 1 - 1j, -1 - 1j, -1 + 1j])
+            if abs(evaluate(g, zero)) > 1e-6 * np.abs(evaluate_array(g, corners)).max():
+                return 0
+        return _local_winding(m, z0, h, p)
     except ContourPassesThroughRoot:
         return 0
 
@@ -581,6 +590,19 @@ class IslandRecord:
     holes: list = field(default_factory=list)  # inner boundaries, if any
 
 
+def margin_radius(r, resolution):
+    """Inner edge of the properness margin of |z| < r: the band of 10 cells
+    of a resolution-`resolution` grid along the circle.  An island reaching
+    it is ambiguous and a graph arc reaching it is bad."""
+    return r * (1.0 - 10.0 / resolution)
+
+
+def ring_radius(r, resolution):
+    """Inner edge of the ring of pixels (2.5 pixel widths, 2r/resolution
+    each) that touch the circle |z| = r."""
+    return r - 2.5 * (2.0 * r / resolution)
+
+
 def _window_mask(m, disk, x0, x1, y0, y1, nx, ny):
     xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
     ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
@@ -602,7 +624,7 @@ def find_islands(m, disk, r, resolution=512):
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     disk = disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
-    margin_r = r * (1.0 - 10.0 / resolution)
+    margin_r = margin_radius(r, resolution)
     h = 2.0 * r / resolution
     zz, mask = _window_mask(m, disk, -r, r, -r, r, resolution, resolution)
     mask &= np.abs(zz) <= r
@@ -613,7 +635,7 @@ def find_islands(m, disk, r, resolution=512):
         reach = np.abs(zz[rows, cols][local]).max()
         if reach > margin_r - h:
             # reaches the margin band: boundary-touching or undecidable
-            if reach >= r - 2.5 * h:
+            if reach >= ring_radius(r, resolution):
                 continue  # definitely touches the boundary: not proper
             n_ambiguous += 1
             continue

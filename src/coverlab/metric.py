@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from coverlab import _march
 from coverlab.expr import (
     INF,
     IndeterminateError,
@@ -240,27 +241,10 @@ def _angular_feature_runs(row, threshold_ratio=1e-6):
     mx = row.max()
     if mx <= 0:
         return None
-    mask = row > threshold_ratio * mx
-    if mask.all():
-        return 2 * math.pi
-    if not mask.any():
+    _, spans = _march.runs(row > threshold_ratio * mx, closed=True)
+    if not spans:
         return None
-    # rotate so the scan starts outside a run, then measure run lengths
-    idx = np.nonzero(~mask)[0][0]
-    rolled = np.roll(mask, -idx)
-    runs = []
-    count = 0
-    for v in rolled:
-        if v:
-            count += 1
-        elif count:
-            runs.append(count)
-            count = 0
-    if count:
-        runs.append(count)
-    if not runs:
-        return None
-    return min(runs) * 2 * math.pi / len(row)
+    return 2 * math.pi * (min(hi - lo for lo, hi in spans) / len(row))
 
 
 def _probe_seed_counts(m, dm, r):

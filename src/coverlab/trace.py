@@ -3,9 +3,12 @@
 Curves on the target sphere are implicit level sets (circles in the chordal
 metric, a lemniscate realizing the figure-eight, and horizontal chart
 segments), so the preimage {G(f(z)) = c} is traced by marching squares on
-an adaptive grid.  Graphs are traced curve by curve; polylines are split at
-the preimages of crossing vertices, bad arcs (those meeting the boundary
-circle) are deleted, and the Euler characteristic of what remains is V - E.
+an adaptive grid.  A traced chain is cut where it leaves the disk |z| < r,
+the chart's x-range or the figure-eight's node ball, all by one run rule
+(_march.runs): a closed chain is walked from a dropped sample around to it
+again, so no kept run wraps its seam.  The figure-eight preimage is split
+at the preimages of its node, bad arcs (those meeting the boundary circle)
+are deleted, and the Euler characteristic of what remains is V - E.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ from coverlab.count import (
     count_preimages,
     count_preimages_many,
     find_roots,
+    margin_radius,
+    ring_radius,
 )
 
 AmbiguityError = _march.AmbiguityError
@@ -179,12 +184,6 @@ class GraphSpec:
     def foci(self):
         return (self.node - self.scale, self.node + self.scale)
 
-    def curves(self):
-        return [ImplicitCurve.lemniscate(self.node, self.scale)]
-
-    def vertex_points(self):
-        return [self.node]
-
     def face_of(self, w):
         """'lobe-', 'lobe+' or 'outer' for a target point; infinity is outer."""
         w = SpherePoint.of(w).value
@@ -230,12 +229,11 @@ def trace_preimage(m, curve, r, resolution=512, on_ambiguous="error"):
     )
     out = []
     for ch in chains:
-        pieces = _clip_to_disk(ch.points, ch.closed, r)
-        for pts, closed, touched in pieces:
+        for pts, closed, touched in _clip_to_disk(ch.points, ch.closed, r):
             if curve.kind == "segment":
                 # the full level set spans the square; only the x-filtered
                 # subpieces that actually reach the circle are clipped
-                for sub in _filter_x_range(pts, m, curve):
+                for sub in _filter_x_range(pts, closed, m, curve):
                     if len(sub) >= 2:
                         sub_touched = bool(np.abs(sub).max() >= r * (1 - 1e-9))
                         out.append(Polyline(sub, False, sub_touched, resolution))
@@ -245,38 +243,29 @@ def trace_preimage(m, curve, r, resolution=512, on_ambiguous="error"):
     return out
 
 
+def _chain_runs(points, keep, closed):
+    """_march.runs over the samples of a chain; a closed chain that repeats
+    its first point at the end is walked as the ring without the repeat."""
+    if closed and len(points) > 1 and points[0] == points[-1]:
+        keep = keep[:-1]
+    return _march.runs(keep, closed)
+
+
 def _clip_to_disk(points, closed, r):
     """Split a chain at the circle |z| = r; keep inside pieces."""
     pts = np.asarray(points)
     inside = np.abs(pts) <= r
     if inside.all():
         return [(pts, closed, False)]
-    if not inside.any():
-        return []
-    if closed:
-        # rotate so the ring starts outside and close it again, so that
-        # every run is entered and left through the circle
-        first_out = int(np.argmin(inside))
-        pts = np.roll(pts[:-1] if pts[0] == pts[-1] else pts, -first_out)
-        pts = np.append(pts, pts[:1])
-        inside = np.abs(pts) <= r
+    order, spans = _chain_runs(pts, inside, closed)
+    walk = pts[order]
     pieces = []
-    run = []
-    prev_in = False
-    for k, (z, isin) in enumerate(zip(pts, inside)):
-        if isin:
-            if not prev_in and k > 0:
-                run.append(_circle_cut(z, pts[k - 1], r))
-            run.append(z)
-        else:
-            if prev_in:
-                run.append(_circle_cut(run[-1], z, r))
-                if len(run) >= 2:
-                    pieces.append((np.asarray(run), False, True))
-                run = []
-        prev_in = isin
-    if len(run) >= 2:
-        pieces.append((np.asarray(run), False, True))
+    for lo, hi in spans:
+        start = [_circle_cut(walk[lo], walk[lo - 1], r)] if lo > 0 else []
+        end = [_circle_cut(walk[hi - 1], walk[hi], r)] if hi < len(walk) else []
+        piece = np.concatenate([start, walk[lo:hi], end])
+        if len(piece) >= 2:
+            pieces.append((piece, False, True))
     return pieces
 
 
@@ -294,38 +283,38 @@ def _circle_cut(z_in, z_out, r):
     return z_in + t * d
 
 
-def _filter_x_range(pts, m, curve):
+def _filter_x_range(pts, closed, m, curve):
     """Enforce the chart x-range pointwise, splitting where it exits.
 
     Cut points are interpolated onto the exact range boundary so the kept
-    pieces cover the full parameter interval.
+    pieces cover the full parameter interval.  A piece with a sample
+    farther from the chart line than the chart's height t1 - t0 is no lift
+    of the line (marching squares puts such pieces next to poles) and is
+    dropped.
     """
-    x_of = curve.chart.apply(evaluate_array(m, pts)).real
+    zeta = curve.chart.apply(evaluate_array(m, pts))
     x0, x1 = curve.chart.x_range
-    keep = (x_of >= x0) & (x_of <= x1)
+    t0, t1 = curve.chart.t_range
+    order, spans = _chain_runs(pts, (zeta.real >= x0) & (zeta.real <= x1), closed)
+    walk, zeta = pts[order], zeta[order]
+    x_of = zeta.real
 
     def edge_point(k_in, k_out):
         xin, xout = x_of[k_in], x_of[k_out]
         edge = x0 if xout < x0 else x1
         if xout == xin:
-            return pts[k_in]
+            return walk[k_in]
         tau = (edge - xin) / (xout - xin)
         tau = min(1.0, max(0.0, tau))
-        return pts[k_in] + tau * (pts[k_out] - pts[k_in])
+        return walk[k_in] + tau * (walk[k_out] - walk[k_in])
 
     pieces = []
-    run = []
-    for k, (z, ok) in enumerate(zip(pts, keep)):
-        if ok:
-            if not run and k > 0:
-                run.append(edge_point(k, k - 1))
-            run.append(z)
-        elif run:
-            run.append(edge_point(k - 1, k))
-            pieces.append(np.asarray(run))
-            run = []
-    if run:
-        pieces.append(np.asarray(run))
+    for lo, hi in spans:
+        if np.abs(zeta.imag[lo:hi] - curve.t).max() > t1 - t0:
+            continue
+        start = [edge_point(lo, lo - 1)] if lo > 0 else []
+        end = [edge_point(hi - 1, hi)] if hi < len(walk) else []
+        pieces.append(np.concatenate([start, walk[lo:hi], end]))
     return pieces
 
 
@@ -366,7 +355,7 @@ def _arc_tag(dm, points, touches_clip, r, resolution):
     meets the margin band |z| >= r (1 - 10/resolution); else
     "ramified-suspect" when |f'| on it dips below 1e-4 of its largest value
     or has no finite value at all; else "good"."""
-    if touches_clip or float(np.abs(points).max()) >= r * (1.0 - 10.0 / resolution):
+    if touches_clip or float(np.abs(points).max()) >= margin_radius(r, resolution):
         return "bad"
     dvals = np.abs(evaluate_array(dm, points))
     dvals = dvals[np.isfinite(dvals)]
@@ -552,7 +541,7 @@ class Arc:
 @dataclass
 class PreimageGraph:
     arcs: list
-    vertices: list  # complex preimages of the graph node(s)
+    vertices: list  # complex preimages of the graph node
     euler: int
     r: float
     resolution: int
@@ -573,9 +562,7 @@ def build_preimage_graph(m, graph, r, resolution=512):
     arcs (meeting the boundary band) are deleted; euler = V - E counts the
     retained graph (closed loops carry an implicit vertex each).
     """
-    margin_r = r * (1.0 - 10.0 / resolution)
-
-    # crossing vertices must avoid critical values (else: perturb the node)
+    # the crossing vertex must avoid critical values (else: perturb the node)
     dm = differentiate(m)
     try:
         crit_points = find_roots(dm, 0, r)
@@ -586,27 +573,18 @@ def build_preimage_graph(m, graph, r, resolution=512):
             cv = evaluate(m, cp.location)
         except IndeterminateError:
             continue
-        for w_star in graph.vertex_points():
-            if chordal_distance(cv, w_star) < 1e-3:
-                raise GraphPlacementError(
-                    f"graph vertex {w_star!r} within 1e-3 of critical value {cv!r}; "
-                    f"perturb the node parameter"
-                )
+        if chordal_distance(cv, graph.node) < 1e-3:
+            raise GraphPlacementError(
+                f"graph vertex {graph.node!r} within 1e-3 of critical value {cv!r}; "
+                f"perturb the node parameter"
+            )
 
-    vertices = []
-    for w_star in graph.vertex_points():
-        for root in find_roots(m, w_star, r):
-            if abs(root.location) < margin_r:
-                vertices.append(root.location)
-
-    curves = graph.curves()
-    cut_radius = 0.08 * graph.scale
-    arcs = []
-    for curve in curves:
-        polylines = trace_preimage(m, curve, r, resolution, on_ambiguous="resolve")
-        for pl in polylines:
-            arcs.extend(_cut_at_vertices(pl, m, graph, vertices, cut_radius))
-
+    margin_r = margin_radius(r, resolution)
+    vertices = [
+        root.location for root in find_roots(m, graph.node, r)
+        if abs(root.location) < margin_r
+    ]
+    curve = ImplicitCurve.lemniscate(graph.node, graph.scale)
     final_arcs = [
         Arc(
             points=pts,
@@ -614,7 +592,8 @@ def build_preimage_graph(m, graph, r, resolution=512):
             endpoints=endpoint_ids,
             closed=closed,
         )
-        for pts, endpoint_ids, closed, touched in arcs
+        for pl in trace_preimage(m, curve, r, resolution, on_ambiguous="resolve")
+        for pts, endpoint_ids, closed, touched in _cut_at_vertices(pl, m, graph, vertices)
     ]
 
     retained = [a for a in final_arcs if a.tag != "bad"]
@@ -631,20 +610,16 @@ def build_preimage_graph(m, graph, r, resolution=512):
     )
 
 
-def _cut_at_vertices(pl, m, graph, vertices, cut_radius):
-    """Cut a polyline where f enters the node ball; snap ends to vertices.
+def _cut_at_vertices(pl, m, graph, vertices):
+    """Cut a polyline where f enters the node ball (radius 0.08 * scale);
+    snap the cut ends to the nearest vertex.
 
     Returns tuples (points, (vid_a, vid_b), closed, touches_clip).
     """
     pts = pl.points
-    ws = evaluate_array(m, pts)
-    near_node = np.zeros(len(pts), dtype=bool)
-    for w_star in graph.vertex_points():
-        with np.errstate(all="ignore"):
-            d = np.abs(ws - w_star)
-        near_node |= np.where(np.isfinite(d), d, np.inf) < cut_radius
-
-    if not near_node.any():
+    with np.errstate(all="ignore"):
+        keep = ~(np.abs(evaluate_array(m, pts) - graph.node) < 0.08 * graph.scale)
+    if keep.all():
         return [(pts, (None, None), pl.closed, pl.touches_clip)]
 
     def snap(z):
@@ -652,31 +627,13 @@ def _cut_at_vertices(pl, m, graph, vertices, cut_radius):
             return None
         return int(np.argmin([abs(z - v) for v in vertices]))
 
-    keep = ~near_node
-    if pl.closed:
-        # start at the first removed point and end on it again, so that
-        # every run is cut at both ends
-        n = len(pts) - 1 if len(pts) > 1 and pts[0] == pts[-1] else len(pts)
-        start = int(np.argmin(keep[:n]))
-        order = np.r_[start:n, : start + 1]
-        pts, keep = pts[order], keep[order]
-    run = []
-    runs = []
-    for z, ok in zip(pts, keep):
-        if ok:
-            run.append(z)
-        elif run:
-            runs.append((run, True))
-            run = []
-    if run:
-        runs.append((run, False))
+    order, spans = _chain_runs(pts, keep, pl.closed)
+    walk = pts[order]
     out = []
-    for k, (piece, cut_at_end) in enumerate(runs):
-        piece = np.asarray(piece)
-        cut_at_start = not (k == 0 and keep[0])
-        va = snap(piece[0]) if cut_at_start else None
-        vb = snap(piece[-1]) if cut_at_end else None
-        arc_pts = piece
+    for lo, hi in spans:
+        va = snap(walk[lo]) if lo > 0 else None
+        vb = snap(walk[hi - 1]) if hi < len(walk) else None
+        arc_pts = walk[lo:hi]
         if va is not None:
             arc_pts = np.concatenate([[vertices[va]], arc_pts])
         if vb is not None:
@@ -784,7 +741,7 @@ def complement_components(g, r, resolution=512):
         )
 
     labels, comps = _march.components(inside & ~blocked)
-    ring = inside & (np.abs(zz) > r - 2.5 * h)
+    ring = inside & (np.abs(zz) > ring_radius(r, n))
     components = []
     for label, box, local in comps:
         # sample point far from the blocked set for a stable face probe

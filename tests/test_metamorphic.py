@@ -1,18 +1,24 @@
-"""Invariances of a(r), l(r) and preimage counts under rotations of the sphere.
+"""Invariances of a(r), l(r), preimage counts and topology under rotations
+of the sphere.
 
 Rotating the source, z -> e^{i theta} z, maps |z| < r onto itself.  A unitary
 Moebius map T(w) = (w - b) / (1 + conj(b) w) is an isometry of the chordal
 metric, so T o f has the same pullback density as f, and f = p exactly where
-T o f = T(p).
+T o f = T(p).  Under the source rotation the islands, the figure-eight
+preimage graph and its complement are rotated copies, so their counts and
+Euler numbers do not change.
 """
 
 import cmath
+import math
 
 import pytest
 
-from coverlab.count import count_preimages
+from coverlab.count import count_preimages, find_islands
 from coverlab.expr import parse_map
 from coverlab.metric import area, boundary_length
+from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
+from coverlab.verify import verify_euler_identity
 
 ROTATION = "(0.6+0.8i)"  # e^{i theta}, theta = atan2(0.8, 0.6)
 B = 0.3 + 0.2j
@@ -57,3 +63,28 @@ def test_preimage_counts_are_invariant(template, r):
         expected = count_preimages(m, p, r)
         assert count_preimages(rotated, p, r) == expected
         assert count_preimages(composed, _moved(p), r) == expected
+
+
+TOPOLOGY_CASES = [("{z}^3-{z}", 1.5), ("{z}^5", 2.0)]
+DISK_CENTERS = [0, 1, "inf"]
+DISK_RADIUS = 0.2 / math.sqrt(math.pi)
+RESOLUTION = 512
+
+
+def _topology(m, r):
+    """Per disk the sorted (degree, chi) of its islands; the graph's V and
+    Euler number; the Euler identity total."""
+    islands = [
+        sorted((rec.degree, rec.chi) for rec in find_islands(m, (c, DISK_RADIUS), r, RESOLUTION)[0])
+        for c in DISK_CENTERS
+    ]
+    graph = build_preimage_graph(m, GraphSpec(node=0.5j, scale=0.5), r, RESOLUTION)
+    complement = complement_components(graph, r, RESOLUTION)
+    identity = verify_euler_identity(graph, complement).rows[0]["euler_identity"]
+    return islands, len(graph.vertices), graph.euler, identity
+
+
+@pytest.mark.parametrize("template,r", TOPOLOGY_CASES)
+def test_topology_is_invariant_under_source_rotation(template, r):
+    expected = _topology(parse_map(template.format(z="z")), r)
+    assert _topology(_rotated(template), r) == expected

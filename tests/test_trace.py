@@ -82,8 +82,10 @@ def test_trace_identity_reproduces_curve():
     [
         (np.linspace(-2, 2, 9) + 0.1j, False),
         (np.array([2, 0.5 + 0.5j, 2 + 1j, 0.2 + 0.1j, 0.3 - 0.4j]), True),
+        # a closed chain may repeat its first point at the end; walked once
+        (np.array([0.2 + 0.1j, 0.3 - 0.4j, 2, 0.5 + 0.5j, 2 + 1j, 0.2 + 0.1j]), True),
     ],
-    ids=["open-line", "closed-ring"],
+    ids=["open-line", "closed-ring", "closed-ring-repeating-its-start"],
 )
 def test_clip_cuts_every_piece_on_the_circle(points, closed):
     r = 1.0
@@ -93,7 +95,7 @@ def test_clip_cuts_every_piece_on_the_circle(points, closed):
         assert touched
         assert abs(abs(pts[0]) - r) <= 1e-12 * r
         assert abs(abs(pts[-1]) - r) <= 1e-12 * r
-        assert pts[0] != pts[1] and pts[-1] != pts[-2]
+        assert np.all(np.diff(pts) != 0)
         assert np.all(np.abs(pts[1:-1]) <= r)
 
 
@@ -141,6 +143,19 @@ def test_classify_exp_segment():
     assert good == 7
     assert bad <= 2
     assert suspect == 0
+
+
+@pytest.mark.parametrize("t", [0.05, -0.05])
+def test_segment_lift_next_to_a_pole_is_one_good_arc(t):
+    # Im(1/z) = t is one circle through the pole z = 0; its x-range part is
+    # the single lift, whatever sample the traced ring starts at, and the
+    # marching piece next to the pole (far off the line) is no lift at all
+    m = parse_map("1/z")
+    chart = RectangleChart(1, 0, 0, 1, x_range=(-0.3, 0.3), t_range=(-0.1, 0.1))
+    seg = ImplicitCurve.segment(chart, t)
+    pls = trace_preimage(m, seg, 25.0, 256)
+    assert classify_arcs(pls, m, seg, 25.0) == (1, 0, 0)
+    assert len(pls) == 1
 
 
 def test_classify_conservation():
@@ -353,6 +368,25 @@ def test_exports(tmp_path):
     # identical second write (determinism)
     doc2 = export_json(tmp_path / "g2.json", graph=pg, components=comps, islands=islands)
     assert doc == doc2
+
+
+@pytest.mark.parametrize(
+    "keep, closed, order, spans",
+    [
+        ([1, 1, 0, 1, 0, 0, 1], False, range(7), [(0, 2), (3, 4), (6, 7)]),
+        ([0, 1, 1, 0, 1], True, [0, 1, 2, 3, 4, 0], [(1, 3), (4, 5)]),
+        ([1, 1, 1], True, range(3), [(0, 3)]),
+        ([0, 0, 0], True, [0, 1, 2, 0], []),
+        ([0, 0], False, range(2), []),
+        # the run 4, 5, 0, 1 wraps the seam of the ring and stays whole
+        ([1, 1, 0, 0, 1, 1], True, [2, 3, 4, 5, 0, 1, 2], [(2, 6)]),
+    ],
+    ids=["open", "closed", "all-kept", "none-kept", "open-none-kept", "seam-in-run"],
+)
+def test_runs(keep, closed, order, spans):
+    got_order, got_spans = _march.runs(np.array(keep, dtype=bool), closed)
+    assert got_order.tolist() == list(order)
+    assert got_spans == spans
 
 
 def test_chain_extends_backward_in_segment_order():
