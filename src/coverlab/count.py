@@ -49,6 +49,7 @@ from coverlab.expr import (
 from coverlab.metric import (
     SpherePoint,
     SphericalDisk,
+    _chordal_distance,
     chordal_distance,
     chordal_distance_array,
     sample_sphere_uniform,
@@ -603,36 +604,56 @@ def ring_radius(r, resolution):
     return r - 2.5 * (2.0 * r / resolution)
 
 
-def _window_mask(m, disk, x0, x1, y0, y1, nx, ny):
-    xs = x0 + (np.arange(nx) + 0.5) * (x1 - x0) / nx
-    ys = y0 + (np.arange(ny) + 0.5) * (y1 - y0) / ny
-    zz = xs[None, :] + 1j * ys[:, None]
-    w = evaluate_array(m, zz)
-    dist = chordal_distance_array(w, disk.center)
-    return zz, dist < disk.radius
+class IslandGrid(NamedTuple):
+    """f rasterized on the pixel centres of |z| < r, shared by the island
+    scans of every disk at this (map, radius, resolution).  Read-only."""
+
+    m: MapExpr
+    r: float
+    resolution: int
+    xs: np.ndarray  # pixel-centre axis, shared by x and y
+    w: np.ndarray  # f(xs[col] + i xs[row])
+    scale: np.ndarray  # hypot(1, |w|), the chordal factor of w
+    inside: np.ndarray  # |z| <= r
 
 
-def find_islands(m, disk, r, resolution=512):
-    """Islands of `disk`: proper preimage components inside |z| < r.
-
-    Two-phase rasterization: a coarse global mask finds candidate
-    components; each is re-rasterized in a padded local window at higher
-    resolution, where its boundary is traced and its degree computed by the
-    argument principle.  Components entering the 10-cell properness margin
-    are flagged ambiguous (returned separately, never counted).
-    """
+def island_grid(m, r, resolution=512):
+    """The full-grid raster that `find_islands` reads, built once per radius."""
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
+    xs = -r + (np.arange(resolution) + 0.5) * (2.0 * r) / resolution
+    zz = xs[None, :] + 1j * xs[:, None]
+    inside = np.abs(zz) <= r
+    w = evaluate_array(m, zz)
+    del zz  # 64 MB at resolution 2048; rows and columns come from xs
+    with np.errstate(all="ignore"):
+        scale = np.hypot(1.0, np.abs(w))
+    for a in (xs, w, scale, inside):
+        a.flags.writeable = False
+    return IslandGrid(m, r, resolution, xs, w, scale, inside)
+
+
+def find_islands(grid, disk):
+    """Islands of `disk`: proper preimage components inside |z| < r.
+
+    Two-phase rasterization: the shared `island_grid` of f on |z| < r gives
+    a coarse mask of this disk, whose components are the candidates; each
+    is re-rasterized in a padded local window at higher resolution, where
+    its boundary is traced and its degree computed by the argument
+    principle.  Components entering the 10-cell properness margin are
+    flagged ambiguous (returned separately, never counted).
+    """
     disk = disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
+    m, r, resolution, xs = grid.m, grid.r, grid.resolution, grid.xs
     margin_r = margin_radius(r, resolution)
     h = 2.0 * r / resolution
-    zz, mask = _window_mask(m, disk, -r, r, -r, r, resolution, resolution)
-    mask &= np.abs(zz) <= r
+    mask = _chordal_distance(grid.w, grid.scale, disk.center) < disk.radius
+    mask &= grid.inside
     _, comps = _march.components(mask)
     islands = []
     n_ambiguous = 0
     for _, (rows, cols), local in comps:
-        reach = np.abs(zz[rows, cols][local]).max()
+        reach = np.abs(xs[cols] + 1j * xs[rows][:, None])[local].max()
         if reach > margin_r - h:
             # reaches the margin band: boundary-touching or undecidable
             if reach >= ring_radius(r, resolution):
@@ -640,10 +661,10 @@ def find_islands(m, disk, r, resolution=512):
             n_ambiguous += 1
             continue
         pad = 6 * h
-        wx0 = zz[0, cols.start].real - pad
-        wx1 = zz[0, cols.stop - 1].real + pad
-        wy0 = zz[rows.start, 0].imag - pad
-        wy1 = zz[rows.stop - 1, 0].imag + pad
+        wx0 = xs[cols.start] - pad
+        wx1 = xs[cols.stop - 1] + pad
+        wy0 = xs[rows.start] - pad
+        wy1 = xs[rows.stop - 1] + pad
         rec = _refine_island(m, disk, (wx0, wx1, wy0, wy1), r)
         if rec is None:
             n_ambiguous += 1
@@ -662,7 +683,10 @@ def _refine_island(m, disk, window, r):
     """Re-rasterize one candidate window; return IslandRecords or None."""
     x0, x1, y0, y1 = window
     n = _LOCAL_N
-    zz, mask = _window_mask(m, disk, x0, x1, y0, y1, n, n)
+    xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
+    ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
+    zz = xs[None, :] + 1j * ys[:, None]
+    mask = chordal_distance_array(evaluate_array(m, zz), disk.center) < disk.radius
     mask &= np.abs(zz) <= r
     _, comps = _march.components(mask)
     hx = (x1 - x0) / n

@@ -25,6 +25,7 @@ from functools import cached_property
 
 from coverlab.count import (
     find_islands,
+    island_grid,
     mean_degree,
     total_ramification,
 )
@@ -71,10 +72,14 @@ class RadiusContext:
 
     @cached_property
     def island_scan(self):
-        """(islands of all disks, each with its disk_index; ambiguous count)."""
+        """(islands of all disks, each with its disk_index; ambiguous count).
+
+        The disks share one `island_grid`, a local, so its full-grid arrays
+        are freed before the graph stage builds its own."""
         islands, ambiguous = [], 0
+        grid = island_grid(self.m, self.r, self.resolution)
         for k, disk in enumerate(self.disks):
-            found, amb = find_islands(self.m, disk, self.r, self.resolution)
+            found, amb = find_islands(grid, disk)
             for rec in found:
                 rec.disk_index = k
             islands.extend(found)

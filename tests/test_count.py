@@ -15,6 +15,7 @@ from coverlab.count import (
     find_islands,
     find_roots,
     island_degree,
+    island_grid,
     mean_degree,
     multiplicity_count,
     total_ramification,
@@ -250,8 +251,9 @@ def test_mean_degree_validates_samples():
 def test_islands_z5_standard_disks():
     m = parse_map("z^5")
     per_disk = []
+    grid = island_grid(m, 10.0, 512)
     for center in (0, 1, "inf"):
-        isl, ambiguous = find_islands(m, SphericalDisk.of(center, RHO), 10.0, 512)
+        isl, ambiguous = find_islands(grid, SphericalDisk.of(center, RHO))
         assert ambiguous == 0
         per_disk.append(isl)
     assert [len(d) for d in per_disk] == [1, 5, 0]
@@ -265,15 +267,16 @@ def test_islands_z5_standard_disks():
 def test_islands_exp_thirteen():
     m = parse_map("exp(z)")
     total = 0
+    grid = island_grid(m, 20.0, 512)
     for center in (1, -1, "inf"):
-        isl, ambiguous = find_islands(m, SphericalDisk.of(center, RHO), 20.0, 512)
+        isl, ambiguous = find_islands(grid, SphericalDisk.of(center, RHO))
         assert ambiguous == 0
         total += len(isl)
     assert total == 13
 
 
 def test_islands_identity():
-    isl, ambiguous = find_islands(parse_map("z"), SphericalDisk.of(0, RHO), 2.0, 256)
+    isl, ambiguous = find_islands(island_grid(parse_map("z"), 2.0, 256), SphericalDisk.of(0, RHO))
     assert ambiguous == 0
     assert len(isl) == 1
     assert isl[0].degree == 1
@@ -284,46 +287,69 @@ def test_islands_resolution_stability():
     m = parse_map("z^5")
     counts = []
     for res in (256, 512):
+        grid = island_grid(m, 10.0, res)
         counts.append(
-            sum(
-                len(find_islands(m, SphericalDisk.of(c, RHO), 10.0, res)[0])
-                for c in (0, 1, "inf")
-            )
+            sum(len(find_islands(grid, SphericalDisk.of(c, RHO))[0]) for c in (0, 1, "inf"))
         )
     assert counts[0] == counts[1] == 6
 
 
 def test_find_islands_full_grid_memory():
-    # exp-topology's largest pass: 2048^2 complex grids are 64 MB each, and
-    # find_islands' allocations set the benchmark's peak memory
+    # exp-topology's island scan at its largest radius: one shared grid
+    # (2048^2 complex values are 64 MB) and its three disks
     m = parse_map("exp(z)")
-    disk = SphericalDisk.of(1 + 0.25j, 0.05)
+    disks = [
+        SphericalDisk.of(1 + 0.25j, 0.05),
+        SphericalDisk.of(-1 + 0.25j, 0.05),
+        SphericalDisk.of("inf", RHO),
+    ]
     tracemalloc.start()
     try:
-        find_islands(m, disk, 80.0, resolution=2048)
+        grid = island_grid(m, 80.0, resolution=2048)
+        for disk in disks:
+            find_islands(grid, disk)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 260e6
 
 
+def test_island_scans_share_the_grid_unchanged():
+    # a disk's islands do not depend on which disks read the grid before it
+    grid = island_grid(parse_map("exp(z)"), 20.0, 512)
+    disks = [SphericalDisk.of(c, RHO) for c in (1, -1, "inf")]
+    forward = [find_islands(grid, disk) for disk in disks]
+    backward = [find_islands(grid, disk) for disk in reversed(disks)][::-1]
+    for (isl, amb), (isl2, amb2) in zip(forward, backward):
+        assert amb == amb2
+        assert len(isl) == len(isl2)
+        for rec, rec2 in zip(isl, isl2):
+            assert (rec.chi, rec.degree, rec.ramification, rec.centroid) == (
+                rec2.chi, rec2.degree, rec2.ramification, rec2.centroid
+            )
+            assert np.array_equal(rec.boundary, rec2.boundary)
+            assert len(rec.holes) == len(rec2.holes)
+            assert all(np.array_equal(a, b) for a, b in zip(rec.holes, rec2.holes))
+
+
 def test_island_degree_independent_recompute():
     m = parse_map("z^5")
-    isl, _ = find_islands(m, SphericalDisk.of(0, RHO), 10.0, 512)
+    isl, _ = find_islands(island_grid(m, 10.0, 512), SphericalDisk.of(0, RHO))
     assert island_degree(m, isl[0], 0) == 5
 
 
 def test_island_boundary_properness():
     m = parse_map("z^5")
-    isl, _ = find_islands(m, SphericalDisk.of(1, RHO), 10.0, 512)
+    isl, _ = find_islands(island_grid(m, 10.0, 512), SphericalDisk.of(1, RHO))
     for rec in isl:
         assert np.abs(rec.boundary).max() < 10.0 * (1 - 10.0 / 512)
 
 
 def test_degree_sum_vs_count_with_multiplicity():
     m = parse_map("z^5")
+    grid = island_grid(m, 10.0, 512)
     for center in (0, 1):
-        isl, _ = find_islands(m, SphericalDisk.of(center, RHO), 10.0, 512)
+        isl, _ = find_islands(grid, SphericalDisk.of(center, RHO))
         degree_sum = sum(rec.degree for rec in isl)
         assert degree_sum <= multiplicity_count(m, center, 10.0)
         assert degree_sum == multiplicity_count(m, center, 10.0)
@@ -332,8 +358,9 @@ def test_degree_sum_vs_count_with_multiplicity():
 def test_total_ramification():
     m = parse_map("z^5")
     records = []
+    grid = island_grid(m, 10.0, 512)
     for center in (0, 1, "inf"):
-        records.extend(find_islands(m, SphericalDisk.of(center, RHO), 10.0, 512)[0])
+        records.extend(find_islands(grid, SphericalDisk.of(center, RHO))[0])
     assert total_ramification(records) == 4
     assert total_ramification([]) == 0
 
@@ -341,6 +368,7 @@ def test_total_ramification():
 def test_ramification_zero_without_critical_points():
     m = parse_map("exp(z)")
     records = []
+    grid = island_grid(m, 20.0, 512)
     for center in (1, -1):
-        records.extend(find_islands(m, SphericalDisk.of(center, RHO), 20.0, 512)[0])
+        records.extend(find_islands(grid, SphericalDisk.of(center, RHO))[0])
     assert total_ramification(records) == 0

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from coverlab.count import count_preimages, find_islands
+from coverlab.count import count_preimages, find_islands, island_grid
 from coverlab.expr import parse_map
 from coverlab.metric import area, boundary_length
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
@@ -71,13 +71,19 @@ DISK_RADIUS = 0.2 / math.sqrt(math.pi)
 RESOLUTION = 512
 
 
+def _islands(m, r, centers):
+    """Per disk centre the sorted (degree, chi) of its islands."""
+    grid = island_grid(m, r, RESOLUTION)
+    return [
+        sorted((rec.degree, rec.chi) for rec in find_islands(grid, (c, DISK_RADIUS))[0])
+        for c in centers
+    ]
+
+
 def _topology(m, r):
     """Per disk the sorted (degree, chi) of its islands; the graph's V and
     Euler number; the Euler identity total."""
-    islands = [
-        sorted((rec.degree, rec.chi) for rec in find_islands(m, (c, DISK_RADIUS), r, RESOLUTION)[0])
-        for c in DISK_CENTERS
-    ]
+    islands = _islands(m, r, DISK_CENTERS)
     graph = build_preimage_graph(m, GraphSpec(node=0.5j, scale=0.5), r, RESOLUTION)
     complement = complement_components(graph, r, RESOLUTION)
     identity = verify_euler_identity(graph, complement).rows[0]["euler_identity"]
@@ -88,3 +94,11 @@ def _topology(m, r):
 def test_topology_is_invariant_under_source_rotation(template, r):
     expected = _topology(parse_map(template.format(z="z")), r)
     assert _topology(_rotated(template), r) == expected
+
+
+@pytest.mark.parametrize("template,r", TOPOLOGY_CASES)
+def test_islands_are_invariant_under_moebius_composition(template, r):
+    # T o f over T(D) has the islands of f over D: same domains, same degrees
+    expected = _islands(parse_map(template.format(z="z")), r, DISK_CENTERS)
+    moved = [_moved(c) for c in DISK_CENTERS]
+    assert _islands(_composed(template), r, moved) == expected
