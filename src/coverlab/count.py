@@ -21,7 +21,12 @@ about 3e-7 |z'(t)| |f'|) is undecided.
   bounding square, winding the entire function N - p D of f = N/D around
   0 along each square cell.  A cell of winding 0 holds no root and is
   discarded; an undecided cell raises ContourPassesThroughRoot so its
-  parent re-splits off-centre.  Isolated cells are polished by Newton.
+  parent re-splits off-centre.  A cell of winding w is polished by Newton
+  (Schroeder's step w g / g' for w >= 2); for w >= 2 it is one root of
+  multiplicity w when g winds w times on a small square about that point.
+- find_islands: an island maps properly onto its disk, so it holds a
+  preimage of the disk's centre.  Those preimages (find_roots) seed local
+  windows, each grown until the seed's component of f^{-1}(disk) fits.
 - Pole orders (_local_winding) and island degrees (_contour_degree) wind
   f, or N - c D, along a small square or an island contour.
 """
@@ -49,7 +54,6 @@ from coverlab.expr import (
 from coverlab.metric import (
     SpherePoint,
     SphericalDisk,
-    _chordal_distance,
     chordal_distance,
     chordal_distance_array,
     sample_sphere_uniform,
@@ -71,6 +75,11 @@ class ContourPassesThroughRoot(ArithmeticError):
 
 class RootOnCircleError(ArithmeticError):
     """A preimage sits on |z| = r within tolerance; perturb the radius."""
+
+
+class ResolutionError(ArithmeticError):
+    """Grid too coarse to resolve the preimage of a disk or a graph; retry
+    with a finer resolution."""
 
 
 @dataclass(frozen=True)
@@ -301,11 +310,12 @@ def _winding(m, dm, path, p=0):
 # Root finding
 
 
-def _newton_polish(m, dm, z0, cell_size, max_iter=40):
+def _newton_polish(m, dm, z0, cell_size, multiplicity=1, max_iter=40):
     """Newton's iteration for a zero of m from z0; None unless it converges
-    within 3 cell sizes of z0."""
+    without leaving the disk of 3 cell sizes about z0.  At a zero of order
+    `multiplicity` the step is Schroeder's, multiplicity * m / m', which
+    converges quadratically."""
     z = complex(z0)
-    converged = False
     for _ in range(max_iter):
         try:
             fz = evaluate(m, z)
@@ -314,18 +324,21 @@ def _newton_polish(m, dm, z0, cell_size, max_iter=40):
             return None
         if not isinstance(fz, complex) or not isinstance(dz, complex):
             return None
+        if fz == 0:
+            return z
         if dz == 0:
             return None
         step = fz / dz
+        if multiplicity != 1:
+            step *= multiplicity
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             return None
         z -= step
+        if abs(z - z0) > 3.0 * cell_size:
+            return None
         if abs(step) < 1e-13 * (1.0 + abs(z)):
-            converged = True
-            break
-    if not converged or abs(z - z0) > 3.0 * cell_size:
-        return None
-    return z
+            return z
+    return None
 
 
 def _root_target(m, p):
@@ -354,16 +367,18 @@ def find_roots(m, p, r):
 
     Square cells of the bounding square are wound around 0 by the entire
     function N - p D (D for p at infinity), so a cell of winding 0 holds no
-    root and is dropped; the others are split or Newton-polished.  Returns
-    Root records (location, multiplicity).  A root within 1e-7 * r of the
-    circle |z| = r raises RootOnCircleError.  At a zero of D shared with N,
-    the multiplicity is the order of f - p (of 1/f for p at infinity).
+    root and is dropped; the others are Newton-polished or split.  A cell
+    of winding w >= 2 is one root of multiplicity w when N - p D winds w
+    times on a small square about its polished zero.  Returns Root records
+    (location, multiplicity).  A root within 1e-7 * r of the circle
+    |z| = r raises RootOnCircleError.  At a zero of D shared with N, the
+    multiplicity is the order of f - p (of 1/f for p at infinity).
     """
     p = SpherePoint.of(p)
     g, d = _root_target(m, p)
     dg = differentiate(g)
     isolation = max(_ISOLATION_REL * r, 1e-12)
-    found = []
+    found = []  # (Root, half-width of the square its order is wound on)
     cells = [0]
 
     def process(x0, x1, y0, y1, sink):
@@ -381,16 +396,20 @@ def find_roots(m, p, r):
             return
         centre = complex((x0 + x1) / 2, (y0 + y1) / 2)
         if size <= isolation:
-            sink.append(Root(centre, w))
+            sink.append((Root(centre, w), 3 * isolation))
             return
-        if w == 1:
-            z = _newton_polish(g, dg, centre, size)
-            if (
-                z is not None
-                and x0 - 1e-12 <= z.real <= x1 + 1e-12
-                and y0 - 1e-12 <= z.imag <= y1 + 1e-12
-            ):
-                sink.append(Root(z, 1))
+        z = _newton_polish(g, dg, centre, size, w)
+        if (
+            z is not None
+            and x0 - 1e-12 <= z.real <= x1 + 1e-12
+            and y0 - 1e-12 <= z.imag <= y1 + 1e-12
+        ):
+            if w == 1:
+                sink.append((Root(z, 1), 3 * isolation))
+                return
+            half = _multiple_root_square(g, z, w, (x0, x1, y0, y1), isolation)
+            if half is not None:
+                sink.append((Root(z, w), half))
                 return
         last_error = None
         for frac in _SPLIT_FRACTIONS:
@@ -423,16 +442,19 @@ def find_roots(m, p, r):
 
     # cluster anything closer than the isolation scale
     merged = []
-    for root in sorted(found, key=lambda rt: (rt.location.real, rt.location.imag)):
-        for k, other in enumerate(merged):
+    for root, half in sorted(found, key=lambda rh: (rh[0].location.real, rh[0].location.imag)):
+        for k, (other, other_half) in enumerate(merged):
             if abs(other.location - root.location) <= 2 * isolation:
-                merged[k] = Root(other.location, other.multiplicity + root.multiplicity)
+                merged[k] = (
+                    Root(other.location, other.multiplicity + root.multiplicity),
+                    max(half, other_half),
+                )
                 break
         else:
-            merged.append(root)
+            merged.append((root, half))
 
     inside = []
-    for root in merged:
+    for root, half in merged:
         d_to_circle = abs(abs(root.location) - r)
         if d_to_circle < 1e-7 * r:
             raise RootOnCircleError(
@@ -443,11 +465,11 @@ def find_roots(m, p, r):
         if p.is_infinity:
             # a zero of the cleared denominator may be shared with the
             # numerator; the pole order of f itself is -wind(f) around it
-            order = -_local_winding(m, root.location, 3 * isolation)
+            order = -_local_winding(m, root.location, half)
             if order > 0:
                 inside.append(Root(root.location, order))
             continue
-        order = _order_at_shared_zero(m, g, d, root, p.value, 3 * isolation)
+        order = _order_at_shared_zero(m, g, d, root, p.value, half)
         if order > 0:
             inside.append(Root(root.location, order))
             continue
@@ -460,6 +482,20 @@ def find_roots(m, p, r):
             continue
         inside.append(root)
     return inside
+
+
+def _multiple_root_square(g, z, w, cell, isolation):
+    """Half-width of a square about z, inside `cell`, on which g winds w
+    times, or None.  It starts at the isolation scale and grows 4x while
+    the rounding noise of g about a multiple zero puts a root on it."""
+    x0, x1, y0, y1 = cell
+    half = isolation
+    while min(z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag) >= half:
+        try:
+            return half if _local_winding(g, z, half) == w else None
+        except (ContourPassesThroughRoot, WindingError):
+            half *= 4
+    return None
 
 
 def _order_at_shared_zero(m, g, d, root, p, half_width):
@@ -604,151 +640,118 @@ def ring_radius(r, resolution):
     return r - 2.5 * (2.0 * r / resolution)
 
 
-class IslandGrid(NamedTuple):
-    """f rasterized on the pixel centres of |z| < r, shared by the island
-    scans of every disk at this (map, radius, resolution).  Read-only."""
+def find_islands(m, disk, r, resolution=512):
+    """Islands of `disk`: proper preimage components inside |z| < r, and
+    the number of ambiguous components.
 
-    m: MapExpr
-    r: float
-    resolution: int
-    xs: np.ndarray  # pixel-centre axis, shared by x and y
-    w: np.ndarray  # f(xs[col] + i xs[row])
-    scale: np.ndarray  # hypot(1, |w|), the chordal factor of w
-    inside: np.ndarray  # |z| <= r
-
-
-def island_grid(m, r, resolution=512):
-    """The full-grid raster that `find_islands` reads, built once per radius."""
+    An island maps properly onto the disk, so it holds a preimage of the
+    disk's centre.  The seeds are those preimages inside the ring of pixels
+    along the circle (find_roots); a seed past the ring lies on a component
+    that touches the boundary anyway.  Each seed's component is rasterized
+    in a window of _LOCAL_N pixels a side about the seed, starting at
+    half-width 6 pixels of the resolution grid and doubled while the
+    component touches the window edge.  A component reaching the ring
+    touches the boundary and is dropped; one reaching the 10-cell
+    properness margin is ambiguous (counted, never an island).  Any other
+    has its boundary traced and its degree computed by the argument
+    principle.  A component covers every seed on it, so each island is
+    found once.  A seed on no component raises ResolutionError.
+    """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    xs = -r + (np.arange(resolution) + 0.5) * (2.0 * r) / resolution
-    zz = xs[None, :] + 1j * xs[:, None]
-    inside = np.abs(zz) <= r
-    w = evaluate_array(m, zz)
-    del zz  # 64 MB at resolution 2048; rows and columns come from xs
-    with np.errstate(all="ignore"):
-        scale = np.hypot(1.0, np.abs(w))
-    for a in (xs, w, scale, inside):
-        a.flags.writeable = False
-    return IslandGrid(m, r, resolution, xs, w, scale, inside)
-
-
-def find_islands(grid, disk):
-    """Islands of `disk`: proper preimage components inside |z| < r.
-
-    Two-phase rasterization: the shared `island_grid` of f on |z| < r gives
-    a coarse mask of this disk, whose components are the candidates; each
-    is re-rasterized in a padded local window at higher resolution, where
-    its boundary is traced and its degree computed by the argument
-    principle.  Components entering the 10-cell properness margin are
-    flagged ambiguous (returned separately, never counted).
-    """
     disk = disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
-    m, r, resolution, xs = grid.m, grid.r, grid.resolution, grid.xs
-    margin_r = margin_radius(r, resolution)
     h = 2.0 * r / resolution
-    mask = _chordal_distance(grid.w, grid.scale, disk.center) < disk.radius
-    mask &= grid.inside
-    _, comps = _march.components(mask)
+    ring = ring_radius(r, resolution)
+    margin_r = margin_radius(r, resolution)
+    seeds = [root.location for root in find_roots(m, disk.center, ring)]
+    mid = _LOCAL_N // 2  # the window pixel centred on its seed
+    done = [False] * len(seeds)
     islands = []
     n_ambiguous = 0
-    for _, (rows, cols), local in comps:
-        reach = np.abs(xs[cols] + 1j * xs[rows][:, None])[local].max()
+    for k, seed in enumerate(seeds):
+        if done[k]:
+            continue
+        hx = 12 * h / _LOCAL_N  # window half-width 6h
+        while True:
+            offsets = (np.arange(_LOCAL_N) - mid) * hx
+            zz = seed + offsets[None, :] + 1j * offsets[:, None]
+            mask = chordal_distance_array(evaluate_array(m, zz), disk.center) < disk.radius
+            mask &= np.abs(zz) <= r
+            labels, comps = _march.components(mask)
+            label = labels[mid, mid]
+            if not label:
+                raise ResolutionError(f"preimage {seed!r} of the disk centre lies on no island")
+            _, (rows, cols), local = comps[label - 1]
+            reach = np.abs(zz[rows, cols][local]).max()
+            edge = rows.start == 0 or cols.start == 0 or _LOCAL_N in (rows.stop, cols.stop)
+            if reach >= ring or not edge:
+                break
+            hx *= 2
+        for j in range(k + 1, len(seeds)):
+            offset = (seeds[j] - seed) / hx
+            row, col = round(offset.imag) + mid, round(offset.real) + mid
+            if 0 <= row < _LOCAL_N and 0 <= col < _LOCAL_N and labels[row, col] == label:
+                done[j] = True
         if reach > margin_r - h:
             # reaches the margin band: boundary-touching or undecidable
-            if reach >= ring_radius(r, resolution):
-                continue  # definitely touches the boundary: not proper
-            n_ambiguous += 1
+            if reach < ring:
+                n_ambiguous += 1
             continue
-        pad = 6 * h
-        wx0 = xs[cols.start] - pad
-        wx1 = xs[cols.stop - 1] + pad
-        wy0 = xs[rows.start] - pad
-        wy1 = xs[rows.stop - 1] + pad
-        rec = _refine_island(m, disk, (wx0, wx1, wy0, wy1), r)
+        rec = _island_record(m, disk, zz, hx, (rows, cols), local)
         if rec is None:
             n_ambiguous += 1
             continue
-        islands.extend(rec)
-    # deduplicate refined islands that fell in overlapping windows
-    unique = []
-    for rec in sorted(islands, key=lambda q: (q.centroid.real, q.centroid.imag)):
-        if any(abs(rec.centroid - u.centroid) < 2 * h for u in unique):
-            continue
-        unique.append(rec)
-    return unique, n_ambiguous
+        islands.append(rec)
+    islands.sort(key=lambda q: (q.centroid.real, q.centroid.imag))
+    return islands, n_ambiguous
 
 
-def _refine_island(m, disk, window, r):
-    """Re-rasterize one candidate window; return IslandRecords or None."""
-    x0, x1, y0, y1 = window
-    n = _LOCAL_N
-    xs = x0 + (np.arange(n) + 0.5) * (x1 - x0) / n
-    ys = y0 + (np.arange(n) + 0.5) * (y1 - y0) / n
-    zz = xs[None, :] + 1j * ys[:, None]
-    mask = chordal_distance_array(evaluate_array(m, zz), disk.center) < disk.radius
-    mask &= np.abs(zz) <= r
-    _, comps = _march.components(mask)
-    hx = (x1 - x0) / n
-    records = []
+def _island_record(m, disk, zz, hx, box, local):
+    """IslandRecord of one window component (bounding box `box`, mask
+    `local` in it), or None if its boundary or degree is not resolved."""
+    rows, cols = box
+    # trace the boundary contours in the component's box padded by 8 pixels,
+    # well past the pixel centres, so the zero level stays inside
+    z0 = zz[rows.start, cols.start] - 8.5 * hx * (1 + 1j)
+    z1 = zz[rows.stop - 1, cols.stop - 1] + 8.5 * hx * (1 + 1j)
 
     def fieldfn(zs):
-        w = evaluate_array(m, zs)
-        return chordal_distance_array(w, disk.center) - disk.radius
+        return chordal_distance_array(evaluate_array(m, zs), disk.center) - disk.radius
 
-    for _, (rows, cols), local in comps:
-        # components clipped by the window edge belong to a different window
-        # (or are non-proper); skip them here
-        if rows.start == 0 or cols.start == 0 or rows.stop == n or cols.stop == n:
-            continue
-        # trace the boundary contours restricted to this component's box;
-        # pad well past the pixel-center bbox so the zero level stays inside
-        bx0 = x0 + (cols.start - 8) * hx
-        bx1 = x0 + (cols.stop + 8) * hx
-        by0 = y0 + (rows.start - 8) * hx
-        by1 = y0 + (rows.stop + 8) * hx
-        chains = _march.extract(fieldfn, (bx0, bx1, by0, by1), 128, 128, on_ambiguous="resolve")
-        # keep contours hugging this component
-        comp_pts = zz[rows, cols][local]
-        centroid = complex(comp_pts.mean())
-        mine = []
-        for ch in chains:
-            if not ch.closed:
-                continue
-            probe = ch.points[len(ch.points) // 2]
-            d = np.abs(comp_pts - probe).min()
-            if d < 3 * hx:
-                mine.append(ch)
-        if not mine:
-            return None
-        # outer contour = largest bounding box
-        def extent(c):
-            return (c.points.real.max() - c.points.real.min()) + (
-                c.points.imag.max() - c.points.imag.min()
-            )
+    chains = _march.extract(
+        fieldfn, (z0.real, z1.real, z0.imag, z1.imag), 128, 128, on_ambiguous="resolve"
+    )
+    # keep the closed contours hugging this component
+    comp_pts = zz[rows, cols][local]
+    mine = [
+        ch.points
+        for ch in chains
+        if ch.closed and np.abs(comp_pts - ch.points[len(ch.points) // 2]).min() < 3 * hx
+    ]
+    if not mine:
+        return None
 
-        mine.sort(key=extent, reverse=True)
-        outer = mine[0].points
-        holes = [ch.points for ch in mine[1:]]
-        chi = 2 - (1 + len(holes))
-        try:
-            degree = _contour_degree(m, disk.center, outer, holes)
-        except (WindingError, ContourPassesThroughRoot):
-            return None
-        if degree <= 0:
-            return None
-        records.append(
-            IslandRecord(
-                disk_index=-1,
-                boundary=outer,
-                chi=chi,
-                degree=int(degree),
-                ramification=int(degree) - chi,
-                centroid=centroid,
-                holes=holes,
-            )
-        )
-    return records
+    def extent(points):
+        return np.ptp(points.real) + np.ptp(points.imag)
+
+    # outer contour = largest bounding box
+    outer, *holes = sorted(mine, key=extent, reverse=True)
+    chi = 2 - (1 + len(holes))
+    try:
+        degree = _contour_degree(m, disk.center, outer, holes)
+    except (WindingError, ContourPassesThroughRoot):
+        return None
+    if degree <= 0:
+        return None
+    return IslandRecord(
+        disk_index=-1,
+        boundary=outer,
+        chi=chi,
+        degree=int(degree),
+        ramification=int(degree) - chi,
+        centroid=complex(comp_pts.mean()),
+        holes=holes,
+    )
 
 
 def _polygon_area(points):

@@ -10,9 +10,7 @@ with the usual limits at infinity: dist(p, inf) = 1 / (sqrt(pi) sqrt(1+|p|^2)).
 The point at infinity is `INF`, `SpherePoint(None)` or the string "inf";
 a pole of f, and any non-finite complex value (inf or nan in either part),
 stands for it too.  `chordal_distance_array` is the one implementation of
-this formula; its core `_chordal_distance` also serves callers that hold
-hypot(1, |w|) already.  A holomorphic map f pulls the metric back to the
-density
+this formula.  A holomorphic map f pulls the metric back to the density
 
     h(z) = |f'(z)| / (sqrt(pi) (1 + |f(z)|^2)).
 
@@ -116,21 +114,14 @@ def chordal_distance_array(ws, center):
 
     Non-finite entries of `ws` (poles, inf, nan) are the point at infinity.
     """
-    ws = np.asarray(ws, dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        return _chordal_distance(ws, np.hypot(1.0, np.abs(ws)), center)
-
-
-def _chordal_distance(ws, scale, center):
-    """`chordal_distance_array` given the factor scale = hypot(1, |ws|), which
-    a caller measuring one grid against many centres computes once."""
     c = SpherePoint.of(center).value
+    ws = np.asarray(ws, dtype=np.complex128)
     # at_inf is sqrt(pi) dist(inf, c); for c = inf the factor
-    # |w - c| / sqrt(1+|c|^2) is 1.  `d /=` divides in place because ws may
-    # be a full 2048^2 grid, where each temporary takes 32-64 MB
+    # |w - c| / sqrt(1+|c|^2) is 1
     at_inf = 0.0 if c is None else 1.0 / math.hypot(1.0, abs(c))
     with np.errstate(all="ignore"):
         d = 1.0 if c is None else np.abs(ws - c) * at_inf
+        scale = np.hypot(1.0, np.abs(ws))
         d /= scale
         return np.where(np.isfinite(scale), d, at_inf) / SQRT_PI
 

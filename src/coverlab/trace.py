@@ -28,6 +28,7 @@ from coverlab.metric import (
 )
 from coverlab.count import (
     ContourPassesThroughRoot,
+    ResolutionError,
     WindingError,
     count_preimages,
     count_preimages_many,
@@ -47,10 +48,6 @@ class TransversalityError(ArithmeticError):
 
 class GraphPlacementError(ValueError):
     """Graph crossing vertices sit too close to critical values."""
-
-
-class ResolutionError(ArithmeticError):
-    """Grid too coarse to separate arcs; retry with a finer resolution."""
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,6 @@ from functools import cached_property
 
 from coverlab.count import (
     find_islands,
-    island_grid,
     mean_degree,
     total_ramification,
 )
@@ -72,14 +71,11 @@ class RadiusContext:
 
     @cached_property
     def island_scan(self):
-        """(islands of all disks, each with its disk_index; ambiguous count).
-
-        The disks share one `island_grid`, a local, so its full-grid arrays
-        are freed before the graph stage builds its own."""
+        """(islands of all disks, each with its disk_index; ambiguous count),
+        from one `find_islands` call per disk."""
         islands, ambiguous = [], 0
-        grid = island_grid(self.m, self.r, self.resolution)
         for k, disk in enumerate(self.disks):
-            found, amb = find_islands(grid, disk)
+            found, amb = find_islands(self.m, disk, self.r, self.resolution)
             for rec in found:
                 rec.disk_index = k
             islands.extend(found)

@@ -21,7 +21,7 @@ from coverlab.metric import (
     lengtharea_certificate,
     select_radii,
 )
-from coverlab.count import find_islands, island_grid, mean_degree, total_ramification
+from coverlab.count import find_islands, mean_degree, total_ramification
 from coverlab.trace import (
     GraphSpec,
     ImplicitCurve,
@@ -62,9 +62,8 @@ def z5_island_data():
     per_disk = {}
     for res in (256, 512):
         rows = []
-        grid = island_grid(m, 10.0, res)
         for center in (0, 1, "inf"):
-            isl, amb = find_islands(grid, SphericalDisk.of(center, RHO))
+            isl, amb = find_islands(m, SphericalDisk.of(center, RHO), 10.0, res)
             rows.append((len(isl), amb, isl))
         per_disk[res] = rows
     return per_disk
@@ -151,11 +150,10 @@ def test_criterion_05_island_theorem(z5_island_data):
     me = parse_map("exp(z)")
     total = 0
     totals_hi = 0
-    grid, grid_hi = island_grid(me, 20.0, 512), island_grid(me, 20.0, 1024)
     for center in (1, -1, "inf"):
-        isl, amb = find_islands(grid, SphericalDisk.of(center, RHO))
+        isl, amb = find_islands(me, SphericalDisk.of(center, RHO), 20.0, 512)
         total += len(isl)
-        isl2, _ = find_islands(grid_hi, SphericalDisk.of(center, RHO))
+        isl2, _ = find_islands(me, SphericalDisk.of(center, RHO), 20.0, 1024)
         totals_hi += len(isl2)
     ae = area(me, 20.0, tol=1e-7)
     ok &= total == 13 and 13 >= ae
@@ -240,9 +238,8 @@ def test_criterion_10_island_in_component():
         comps = complement_components(pg, r, 512)
         islands = []
         ambiguous = 0
-        grid = island_grid(m, r, 512)
         for k, disk in enumerate(disks):
-            isl, amb = find_islands(grid, disk)
+            isl, amb = find_islands(m, disk, r, 512)
             ambiguous += amb
             for rec in isl:
                 rec.disk_index = k

@@ -246,8 +246,8 @@ def test_islands_verdict_includes_slack_trend(tmp_path, radii):
 
 def test_run_computes_each_quantity_once(tmp_path, monkeypatch):
     """On the criterion-11 config (GOOD_CONFIG), one radius and three disks."""
-    names = ("area", "boundary_length", "island_grid", "find_islands",
-             "build_preimage_graph", "complement_components")
+    names = ("area", "boundary_length", "find_islands", "build_preimage_graph",
+             "complement_components")
     calls = dict.fromkeys(names, 0)
     for modname, module in list(sys.modules.items()):
         if not modname.startswith("coverlab"):
@@ -265,7 +265,6 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch):
     assert calls == {
         "area": 1,
         "boundary_length": 1,
-        "island_grid": 1,
         "find_islands": 3,
         "build_preimage_graph": 1,
         "complement_components": 1,

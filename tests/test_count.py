@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coverlab import count as count_module
 from coverlab.expr import evaluate, parse_map
@@ -15,7 +17,6 @@ from coverlab.count import (
     find_islands,
     find_roots,
     island_degree,
-    island_grid,
     mean_degree,
     multiplicity_count,
     total_ramification,
@@ -214,6 +215,58 @@ def test_find_roots_multiple_root():
     assert abs(roots[0].location) < 1e-3
 
 
+@pytest.mark.parametrize(
+    ("source", "r", "expected"),
+    [
+        ("(z^3-3*z^2+3*z-1)/(z-1)", 1.05, 2),  # f = (z - 1)^2
+        ("(z^3-3*z^2+3*z-1)/(z-1)", 3.0, 2),
+        ("(z^4-4*z^3+6*z^2-4*z+1)/(z-1)^2", 3.0, 2),  # f = (z - 1)^2
+        ("(z^3-3*z^2+3*z-1)/(z^2-2*z+1)", 3.0, 1),  # f = z - 1
+    ],
+)
+def test_multiple_root_in_expanded_form(source, r, expected):
+    # rounding noise of N - p D about its triple or quadruple zero at z = 1
+    # puts roots on every split line there; the root's winding is taken on a
+    # square about its Schroeder-polished location instead
+    assert multiplicity_count(parse_map(source), 0, r) == expected
+
+
+def test_a_cluster_of_simple_roots_is_not_merged():
+    # z^5 = 1e-16 has 5 simple roots on |z| = 6.3e-4, 70 isolation scales apart
+    roots = find_roots(parse_map("z^5-1e-16"), 0, 1.0)
+    assert len(roots) == 5
+    assert all(root.multiplicity == 1 for root in roots)
+
+
+def _separated(factors):
+    roots = [a for a, _ in factors]
+    return all(abs(a - b) >= 0.1 for k, a in enumerate(roots) for b in roots[:k])
+
+
+_FACTORS = st.lists(
+    st.tuples(
+        st.complex_numbers(max_magnitude=0.79, allow_nan=False, allow_infinity=False).map(
+            lambda a: complex(round(a.real, 3), round(a.imag, 3))
+        ),
+        st.integers(1, 4),
+    ),
+    min_size=1,
+    max_size=3,
+).filter(_separated)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_FACTORS)
+def test_find_roots_of_a_product_of_powers(factors):
+    # (z - a1)^m1 (z - a2)^m2 ... has exactly the roots a_k of order m_k
+    source = "*".join(f"(z{-a.real:+.3f}{-a.imag:+.3f}i)^{k}" for a, k in factors)
+    roots = find_roots(parse_map(source), 0, 1.0)
+    assert len(roots) == len(factors)
+    for a, k in factors:
+        (root,) = [root for root in roots if abs(root.location - a) < 1e-6]
+        assert root.multiplicity == k
+
+
 def test_mean_degree_constant_cover():
     md = mean_degree(parse_map("z^3"), 10.0, 200, seed=11)
     assert md.mean == pytest.approx(3.0, abs=0.02)
@@ -251,9 +304,8 @@ def test_mean_degree_validates_samples():
 def test_islands_z5_standard_disks():
     m = parse_map("z^5")
     per_disk = []
-    grid = island_grid(m, 10.0, 512)
     for center in (0, 1, "inf"):
-        isl, ambiguous = find_islands(grid, SphericalDisk.of(center, RHO))
+        isl, ambiguous = find_islands(m, SphericalDisk.of(center, RHO), 10.0, 512)
         assert ambiguous == 0
         per_disk.append(isl)
     assert [len(d) for d in per_disk] == [1, 5, 0]
@@ -267,16 +319,15 @@ def test_islands_z5_standard_disks():
 def test_islands_exp_thirteen():
     m = parse_map("exp(z)")
     total = 0
-    grid = island_grid(m, 20.0, 512)
     for center in (1, -1, "inf"):
-        isl, ambiguous = find_islands(grid, SphericalDisk.of(center, RHO))
+        isl, ambiguous = find_islands(m, SphericalDisk.of(center, RHO), 20.0, 512)
         assert ambiguous == 0
         total += len(isl)
     assert total == 13
 
 
 def test_islands_identity():
-    isl, ambiguous = find_islands(island_grid(parse_map("z"), 2.0, 256), SphericalDisk.of(0, RHO))
+    isl, ambiguous = find_islands(parse_map("z"), SphericalDisk.of(0, RHO), 2.0, 256)
     assert ambiguous == 0
     assert len(isl) == 1
     assert isl[0].degree == 1
@@ -287,16 +338,15 @@ def test_islands_resolution_stability():
     m = parse_map("z^5")
     counts = []
     for res in (256, 512):
-        grid = island_grid(m, 10.0, res)
         counts.append(
-            sum(len(find_islands(grid, SphericalDisk.of(c, RHO))[0]) for c in (0, 1, "inf"))
+            sum(len(find_islands(m, SphericalDisk.of(c, RHO), 10.0, res)[0]) for c in (0, 1, "inf"))
         )
     assert counts[0] == counts[1] == 6
 
 
 def test_find_islands_full_grid_memory():
-    # exp-topology's island scan at its largest radius: one shared grid
-    # (2048^2 complex values are 64 MB) and its three disks
+    # exp-topology's island scan at its largest radius: its three disks, each
+    # refined in seed windows only (a full 2048^2 complex grid would be 64 MB)
     m = parse_map("exp(z)")
     disks = [
         SphericalDisk.of(1 + 0.25j, 0.05),
@@ -305,21 +355,20 @@ def test_find_islands_full_grid_memory():
     ]
     tracemalloc.start()
     try:
-        grid = island_grid(m, 80.0, resolution=2048)
         for disk in disks:
-            find_islands(grid, disk)
+            find_islands(m, disk, 80.0, resolution=2048)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 260e6
+    assert peak <= 16e6
 
 
 def test_island_scans_share_the_grid_unchanged():
-    # a disk's islands do not depend on which disks read the grid before it
-    grid = island_grid(parse_map("exp(z)"), 20.0, 512)
+    # a disk's islands do not depend on which disks were scanned before it
+    m = parse_map("exp(z)")
     disks = [SphericalDisk.of(c, RHO) for c in (1, -1, "inf")]
-    forward = [find_islands(grid, disk) for disk in disks]
-    backward = [find_islands(grid, disk) for disk in reversed(disks)][::-1]
+    forward = [find_islands(m, disk, 20.0, 512) for disk in disks]
+    backward = [find_islands(m, disk, 20.0, 512) for disk in reversed(disks)][::-1]
     for (isl, amb), (isl2, amb2) in zip(forward, backward):
         assert amb == amb2
         assert len(isl) == len(isl2)
@@ -332,24 +381,76 @@ def test_island_scans_share_the_grid_unchanged():
             assert all(np.array_equal(a, b) for a, b in zip(rec.holes, rec2.holes))
 
 
+@pytest.mark.parametrize("resolution", [256, 512, 2048])
+@pytest.mark.parametrize("radius", [0.005, 0.05])
+def test_islands_smaller_than_a_pixel_are_found(radius, resolution):
+    # exp(z) = 1+0.25i has 13 solutions in |z| < 40, each the seed of a
+    # simple island; at radius 0.005 an island is about 0.035 across, below
+    # the pixel size 80/resolution (0.039 at 2048) of every resolution here
+    m = parse_map("exp(z)")
+    isl, ambiguous = find_islands(m, SphericalDisk.of(1 + 0.25j, radius), 40.0, resolution)
+    assert (len(isl), ambiguous, sum(rec.degree for rec in isl)) == (13, 0, 13)
+
+
+def _inside(polyline, z):
+    """Crossing-number test: z inside the closed polyline."""
+    x, y = polyline.real, polyline.imag
+    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    straddles = (y > z.imag) != (y2 > z.imag)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x_cross = x + (z.imag - y) * (x2 - x) / (y2 - y)
+    return bool(np.count_nonzero(straddles & (z.real < x_cross)) % 2)
+
+
+@pytest.mark.parametrize(
+    "source, r, centers",
+    [
+        ("exp(z)", 20.0, (1, -1, "inf")),
+        # the disk at 0.5 holds the critical value 2 / (3 sqrt 3) = 0.385, so
+        # one of its islands holds two distinct solutions
+        ("z^3-z", 1.5, (0, 1, "inf", 0.5)),
+    ],
+)
+def test_island_degree_counts_the_centre_preimages_it_encloses(source, r, centers):
+    # argument-principle oracle: an island of degree d holds d solutions of
+    # f = centre, counted with multiplicity, inside its outer boundary and
+    # outside its holes; no solution is counted by two islands
+    m = parse_map(source)
+    n_islands = 0
+    for center in centers:
+        roots = find_roots(m, center, r)
+        isl, ambiguous = find_islands(m, SphericalDisk.of(center, RHO), r, 512)
+        assert ambiguous == 0
+        assert sum(rec.degree for rec in isl) <= sum(root.multiplicity for root in roots)
+        for rec in isl:
+            enclosed = sum(
+                root.multiplicity
+                for root in roots
+                if _inside(rec.boundary, root.location)
+                and not any(_inside(hole, root.location) for hole in rec.holes)
+            )
+            assert rec.degree == enclosed
+        n_islands += len(isl)
+    assert n_islands >= 5
+
+
 def test_island_degree_independent_recompute():
     m = parse_map("z^5")
-    isl, _ = find_islands(island_grid(m, 10.0, 512), SphericalDisk.of(0, RHO))
+    isl, _ = find_islands(m, SphericalDisk.of(0, RHO), 10.0, 512)
     assert island_degree(m, isl[0], 0) == 5
 
 
 def test_island_boundary_properness():
     m = parse_map("z^5")
-    isl, _ = find_islands(island_grid(m, 10.0, 512), SphericalDisk.of(1, RHO))
+    isl, _ = find_islands(m, SphericalDisk.of(1, RHO), 10.0, 512)
     for rec in isl:
         assert np.abs(rec.boundary).max() < 10.0 * (1 - 10.0 / 512)
 
 
 def test_degree_sum_vs_count_with_multiplicity():
     m = parse_map("z^5")
-    grid = island_grid(m, 10.0, 512)
     for center in (0, 1):
-        isl, _ = find_islands(grid, SphericalDisk.of(center, RHO))
+        isl, _ = find_islands(m, SphericalDisk.of(center, RHO), 10.0, 512)
         degree_sum = sum(rec.degree for rec in isl)
         assert degree_sum <= multiplicity_count(m, center, 10.0)
         assert degree_sum == multiplicity_count(m, center, 10.0)
@@ -358,9 +459,8 @@ def test_degree_sum_vs_count_with_multiplicity():
 def test_total_ramification():
     m = parse_map("z^5")
     records = []
-    grid = island_grid(m, 10.0, 512)
     for center in (0, 1, "inf"):
-        records.extend(find_islands(grid, SphericalDisk.of(center, RHO))[0])
+        records.extend(find_islands(m, SphericalDisk.of(center, RHO), 10.0, 512)[0])
     assert total_ramification(records) == 4
     assert total_ramification([]) == 0
 
@@ -368,7 +468,6 @@ def test_total_ramification():
 def test_ramification_zero_without_critical_points():
     m = parse_map("exp(z)")
     records = []
-    grid = island_grid(m, 20.0, 512)
     for center in (1, -1):
-        records.extend(find_islands(grid, SphericalDisk.of(center, RHO))[0])
+        records.extend(find_islands(m, SphericalDisk.of(center, RHO), 20.0, 512)[0])
     assert total_ramification(records) == 0

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from coverlab.count import count_preimages, find_islands, island_grid
+from coverlab.count import count_preimages, find_islands
 from coverlab.expr import parse_map
 from coverlab.metric import area, boundary_length
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
@@ -73,9 +73,8 @@ RESOLUTION = 512
 
 def _islands(m, r, centers):
     """Per disk centre the sorted (degree, chi) of its islands."""
-    grid = island_grid(m, r, RESOLUTION)
     return [
-        sorted((rec.degree, rec.chi) for rec in find_islands(grid, (c, DISK_RADIUS))[0])
+        sorted((rec.degree, rec.chi) for rec in find_islands(m, (c, DISK_RADIUS), r, RESOLUTION)[0])
         for c in centers
     ]
 

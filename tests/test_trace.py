@@ -7,7 +7,7 @@ from scipy import ndimage
 from coverlab import _march
 from coverlab.expr import INF, evaluate, parse_map
 from coverlab.metric import SpherePoint, SphericalDisk, chordal_distance
-from coverlab.count import find_islands, island_grid
+from coverlab.count import find_islands
 from coverlab.trace import (
     AmbiguityError,
     GraphPlacementError,
@@ -359,7 +359,7 @@ def test_exports(tmp_path):
     m = parse_map("z^3")
     pg = build_preimage_graph(m, g8, 3.0, 256)
     comps = complement_components(pg, 3.0, 256)
-    islands, _ = find_islands(island_grid(m, 3.0, 256), SphericalDisk.of(g8.foci[1], 0.055))
+    islands, _ = find_islands(m, SphericalDisk.of(g8.foci[1], 0.055), 3.0, 256)
     svg = export_svg(tmp_path / "g.svg", 3.0, graph=pg, islands=islands)
     assert svg.startswith("<svg")
     assert "polyline" in svg

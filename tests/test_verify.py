@@ -3,7 +3,7 @@ import math
 import pytest
 
 from coverlab.expr import parse_map
-from coverlab.count import find_islands, island_grid
+from coverlab.count import find_islands
 from coverlab.metric import SphericalDisk, build_profile
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
 from coverlab.verify import (
@@ -104,9 +104,8 @@ def test_euler_and_containment_verifiers():
     eu = verify_euler_identity(pg, comps)
     assert eu.passed
     islands = []
-    grid = island_grid(m, 4.0, 512)
     for k, disk in enumerate(disks):
-        isl, amb = find_islands(grid, disk)
+        isl, amb = find_islands(m, disk, 4.0, 512)
         assert amb == 0
         for rec in isl:
             rec.disk_index = k
