@@ -1,7 +1,7 @@
 """Marching-squares extraction of {F = 0} on a rectangle, with local
 subdivision of ambiguous (saddle) cells.
 
-This is the shared tracer behind curve preimages and island boundaries.
+This is the shared tracer behind curve preimages.
 `field` must map a numpy complex array of sample points to real values;
 the traced level is 0 (callers bake the level into the field).
 
@@ -20,7 +20,7 @@ closed one from a dropped entry around to it again; every cut of a traced
 curve (disk, chart x-range, node ball) and the angular scans of the
 quadrature go through it.
 
-The pixel-mask helpers of island and complement topology live here too:
+The pixel-mask helpers of complement topology live here too:
 `components` labels a mask once and gives each component with its
 bounding box and its mask inside that box, so per-component work costs
 the box, not the grid.  `deepest_pixel` and `mask_euler_characteristic`

@@ -455,7 +455,7 @@ def _base_parser(sub, name, help_text):
     p.add_argument("--config", help="config file (flags override its values)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--resolution", type=int, help="grid resolution")
+    p.add_argument("--resolution", type=int, help="grid resolution (islands: ring and margin)")
     return p
 
 

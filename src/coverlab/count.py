@@ -24,11 +24,9 @@ about 3e-7 |z'(t)| |f'|) is undecided.
   parent re-splits off-centre.  A cell of winding w is polished by Newton
   (Schroeder's step w g / g' for w >= 2); for w >= 2 it is one root of
   multiplicity w when g winds w times on a small square about that point.
-- find_islands: an island maps properly onto its disk, so it holds a
-  preimage of the disk's centre.  Those preimages (find_roots) seed local
-  windows, each grown until the seed's component of f^{-1}(disk) fits.
-- Pole orders (_local_winding) and island degrees (_contour_degree) wind
-  f, or N - c D, along a small square or an island contour.
+- find_islands: an island holds a preimage of its disk's centre and is
+  bounded by lifts (_lift) of the disk's boundary circle from there.
+- Pole orders (_local_winding) wind f, or N - c D, along a small square.
 """
 
 from __future__ import annotations
@@ -39,9 +37,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from coverlab import _march
 from coverlab.expr import (
     Const,
+    Div,
     IndeterminateError,
     MapExpr,
     Mul,
@@ -55,14 +53,12 @@ from coverlab.metric import (
     SpherePoint,
     SphericalDisk,
     chordal_distance,
-    chordal_distance_array,
     sample_sphere_uniform,
 )
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.4617)
 _ISOLATION_REL = 1e-5  # root cells this small, relative to r, are isolated
 _MAX_CELLS = 60_000  # root-finder cell budget
-_LOCAL_N = 160  # pixels a side of the window an island candidate is refined in
 
 
 class WindingError(ArithmeticError):
@@ -78,8 +74,8 @@ class RootOnCircleError(ArithmeticError):
 
 
 class ResolutionError(ArithmeticError):
-    """Grid too coarse to resolve the preimage of a disk or a graph; retry
-    with a finer resolution."""
+    """Grid too coarse to resolve the preimage of a graph (retry with a finer
+    resolution), or a path lift stalled, as at a critical point on the path."""
 
 
 @dataclass(frozen=True)
@@ -623,7 +619,7 @@ class IslandRecord:
     chi: int
     degree: int
     ramification: int
-    centroid: complex = 0j
+    centroid: complex = 0j  # a preimage of the disk centre inside the island
     holes: list = field(default_factory=list)  # inner boundaries, if any
 
 
@@ -644,114 +640,95 @@ def find_islands(m, disk, r, resolution=512):
     """Islands of `disk`: proper preimage components inside |z| < r, and
     the number of ambiguous components.
 
-    An island maps properly onto the disk, so it holds a preimage of the
-    disk's centre.  The seeds are those preimages inside the ring of pixels
-    along the circle (find_roots); a seed past the ring lies on a component
-    that touches the boundary anyway.  Each seed's component is rasterized
-    in a window of _LOCAL_N pixels a side about the seed, starting at
-    half-width 6 pixels of the resolution grid and doubled while the
-    component touches the window edge.  A component reaching the ring
-    touches the boundary and is dropped; one reaching the 10-cell
-    properness margin is ambiguous (counted, never an island).  Any other
-    has its boundary traced and its degree computed by the argument
-    principle.  A component covers every seed on it, so each island is
-    found once.  A seed on no component raises ResolutionError.
+    Seeds are the preimages of the centre c inside the ring (find_roots).
+    In the chart of _chart, a k-fold seed starts k lifts of the segment
+    from c to a point b of the disk's boundary circle.  The circle, lifted
+    once from each end point, lands on the next end point of the same
+    boundary curve: the cycles of these landings are the boundary curves,
+    with turn counts k_j.  A lift that reaches the ring or lands on no end
+    point touches the boundary.  Counterclockwise cycles are outer curves;
+    a clockwise one is a hole of the smallest outer curve around it.  An
+    island has degree sum(k_j) and chi = 2 - #curves; one whose outer curve
+    reaches the properness margin is ambiguous.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     disk = disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
-    h = 2.0 * r / resolution
     ring = ring_radius(r, resolution)
-    margin_r = margin_radius(r, resolution)
-    seeds = [root.location for root in find_roots(m, disk.center, ring)]
-    mid = _LOCAL_N // 2  # the window pixel centred on its seed
-    done = [False] * len(seeds)
-    islands = []
-    n_ambiguous = 0
-    for k, seed in enumerate(seeds):
-        if done[k]:
-            continue
-        hx = 12 * h / _LOCAL_N  # window half-width 6h
-        while True:
-            offsets = (np.arange(_LOCAL_N) - mid) * hx
-            zz = seed + offsets[None, :] + 1j * offsets[:, None]
-            mask = chordal_distance_array(evaluate_array(m, zz), disk.center) < disk.radius
-            mask &= np.abs(zz) <= r
-            labels, comps = _march.components(mask)
-            label = labels[mid, mid]
-            if not label:
-                raise ResolutionError(f"preimage {seed!r} of the disk centre lies on no island")
-            _, (rows, cols), local = comps[label - 1]
-            reach = np.abs(zz[rows, cols][local]).max()
-            edge = rows.start == 0 or cols.start == 0 or _LOCAL_N in (rows.stop, cols.stop)
-            if reach >= ring or not edge:
-                break
-            hx *= 2
-        for j in range(k + 1, len(seeds)):
-            offset = (seeds[j] - seed) / hx
-            row, col = round(offset.imag) + mid, round(offset.real) + mid
-            if 0 <= row < _LOCAL_N and 0 <= col < _LOCAL_N and labels[row, col] == label:
-                done[j] = True
-        if reach > margin_r - h:
-            # reaches the margin band: boundary-touching or undecidable
-            if reach < ring:
-                n_ambiguous += 1
-            continue
-        rec = _island_record(m, disk, zz, hx, (rows, cols), local)
-        if rec is None:
+    seeds = find_roots(m, disk.center, ring)
+    g, c, centre, radius = _chart(m, disk)
+    dg = differentiate(g)
+    b = centre + radius * np.exp(2.399963229728653j)  # the golden angle: a generic point
+    # a k-fold seed z0, where g = c + a (z - z0)^k + ..., starts k branches
+    # of w(s) = c + s^k (b - c) at s = 0.01, a k-th turn apart; z0 per branch
+    seed_of = np.repeat(np.arange(len(seeds)), [root.multiplicity for root in seeds])
+    z0 = np.array([root.location for root in seeds], dtype=np.complex128)[seed_of]
+    k = np.array([root.multiplicity for root in seeds], dtype=int)[seed_of]
+    delta = 1e-3 * (1 + np.abs(z0))
+    a = (evaluate_array(g, z0 + delta) - c) / delta**k
+    turn = np.exp(2j * np.pi * (np.arange(len(k)) - np.searchsorted(seed_of, seed_of)) / k)
+    start = z0 + 0.01 * ((b - c) / a) ** (1 / k) * turn
+
+    def segment(s):
+        return c + s**k * (b - c), k * s ** (k - 1) * (b - c)
+
+    def circle(t):
+        arm = (b - centre) * np.exp(2j * np.pi * t)
+        return centre + arm, 2j * np.pi * arm
+
+    rows, alive = _lift(g, dg, start, segment, 0.01, 1.0, ring)
+    ends, z0 = rows[-1][alive], z0[alive]
+    if not len(ends):
+        return [], 0
+    rows, alive = _lift(g, dg, ends, circle, 0.0, 1.0, ring)
+    # each lift lands on the end point within 1e-6 radius / |g'| of it, if any
+    dist = np.abs(rows[-1][:, None] - ends[None, :])
+    nxt = dist.argmin(axis=1)
+    nxt[~alive | (dist.min(axis=1) > 1e-6 * radius / np.abs(evaluate_array(dg, ends[nxt])))] = -1
+    if len(set(nxt[nxt >= 0])) < np.count_nonzero(nxt >= 0):
+        raise ResolutionError("two lifts of the disk boundary land on one point")
+    curves = []  # (end points, closed polyline) of each cycle, from its least end point
+    for j in range(len(ends)):
+        walk = [j]
+        while nxt[walk[-1]] > j:
+            walk.append(nxt[walk[-1]])
+        if nxt[walk[-1]] == j:
+            curves.append((walk, np.concatenate([rows[:-1, i] for i in walk] + [ends[j:j + 1]])))
+    areas = [_polygon_area(loop) for _, loop in curves]
+    holes = {j: [] for j, area in enumerate(areas) if area > 0}
+    for j, area in enumerate(areas):
+        around = [o for o in holes if area < 0 and _encloses(curves[o][1], curves[j][1][0])]
+        if around:
+            holes[min(around, key=areas.__getitem__)].append(j)
+    islands, n_ambiguous = [], 0
+    for o, inner in holes.items():
+        members, loop = curves[o]
+        if np.abs(loop).max() > margin_radius(r, resolution) - 2.0 * r / resolution:
             n_ambiguous += 1
             continue
-        islands.append(rec)
+        degree = len(members) + sum(len(curves[j][0]) for j in inner)
+        chi = 1 - len(inner)
+        centroid, hole_loops = complex(z0[members[0]]), [curves[j][1] for j in inner]
+        islands.append(IslandRecord(-1, loop, chi, degree, degree - chi, centroid, hole_loops))
     islands.sort(key=lambda q: (q.centroid.real, q.centroid.imag))
     return islands, n_ambiguous
 
 
-def _island_record(m, disk, zz, hx, box, local):
-    """IslandRecord of one window component (bounding box `box`, mask
-    `local` in it), or None if its boundary or degree is not resolved."""
-    rows, cols = box
-    # trace the boundary contours in the component's box padded by 8 pixels,
-    # well past the pixel centres, so the zero level stays inside
-    z0 = zz[rows.start, cols.start] - 8.5 * hx * (1 + 1j)
-    z1 = zz[rows.stop - 1, cols.stop - 1] + 8.5 * hx * (1 + 1j)
+def _chart(m, disk):
+    """(g, c, C, R): f, or D/N of f = N/D when |c| > 1, with the centre c and
+    the disk |w - C| < R: |w - c|^2 < k (1 + |w|^2), k = pi rho^2 (1 + |c|^2)."""
+    g, c = m, disk.center.value
+    if c is None or abs(c) > 1:  # the chordal distance is invariant under w -> 1/w
+        n, d = as_fraction(m)
+        g = MapExpr(root=Div(d.root, n.root), source_text=f"({d.source_text})/({n.source_text})")
+        c = 0j if c is None else 1 / c
+    k = math.pi * disk.radius**2 * (1 + abs(c) ** 2)
+    return g, c, c / (1 - k), math.sqrt(k * (1 + abs(c) ** 2 - k)) / (1 - k)
 
-    def fieldfn(zs):
-        return chordal_distance_array(evaluate_array(m, zs), disk.center) - disk.radius
 
-    chains = _march.extract(
-        fieldfn, (z0.real, z1.real, z0.imag, z1.imag), 128, 128, on_ambiguous="resolve"
-    )
-    # keep the closed contours hugging this component
-    comp_pts = zz[rows, cols][local]
-    mine = [
-        ch.points
-        for ch in chains
-        if ch.closed and np.abs(comp_pts - ch.points[len(ch.points) // 2]).min() < 3 * hx
-    ]
-    if not mine:
-        return None
-
-    def extent(points):
-        return np.ptp(points.real) + np.ptp(points.imag)
-
-    # outer contour = largest bounding box
-    outer, *holes = sorted(mine, key=extent, reverse=True)
-    chi = 2 - (1 + len(holes))
-    try:
-        degree = _contour_degree(m, disk.center, outer, holes)
-    except (WindingError, ContourPassesThroughRoot):
-        return None
-    if degree <= 0:
-        return None
-    return IslandRecord(
-        disk_index=-1,
-        boundary=outer,
-        chi=chi,
-        degree=int(degree),
-        ramification=int(degree) - chi,
-        centroid=complex(comp_pts.mean()),
-        holes=holes,
-    )
+def _encloses(loop, z):
+    """Whether the closed polyline `loop` winds around z."""
+    return abs(np.angle((loop[1:] - z) / (loop[:-1] - z)).sum()) > math.pi
 
 
 def _polygon_area(points):
@@ -759,26 +736,48 @@ def _polygon_area(points):
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def _contour_degree(m, center, outer, holes):
-    """Degree of f over `center` on a region: winding of f - center along the
-    outer boundary minus along each hole, every contour counterclockwise."""
-    g = _root_target(m, center)[0]
-    dg = differentiate(g)
+# ---------------------------------------------------------------------------
+# Path lifting
 
-    def winding(points):
-        corners = points[:-1] if points[0] == points[-1] else points
-        w = _winding(g, dg, _Polygon(np.asarray(corners)))
-        return w if _polygon_area(points) > 0 else -w
-
-    return winding(outer) - sum(winding(hole) for hole in holes)
+_LIFT_STEPS = 32  # a lift takes at least this many steps over its range
+_MIN_LIFT_STEP = 1e-12  # a shorter step, relative to the range, is an underflow
 
 
-def island_degree(m, island, center):
-    """Covering degree of an island: winding of f - center along its boundary."""
-    degree = _contour_degree(m, center, island.boundary, island.holes)
-    if degree <= 0:
-        raise WindingError(f"non-positive island degree {degree}")
-    return int(degree)
+def _lift(g, dg, z, path, t0, t1, stop):
+    """Lift t -> path(t) = (w, dw/dt), t0 <= t <= t1, through g from points
+    z near g(z) = w(t0), in lockstep: an Euler predictor dz = dw / g'(z) and
+    three Newton corrections, taken when every live path's corrector
+    converged and moved less than dz / 4, else halved.  A path stops at
+    |z| >= stop.  Returns the points after each step (rows; a stopped path
+    keeps its last point) and the mask of paths never stopped."""
+    z = np.array(z, dtype=np.complex128)
+    slope = evaluate_array(dg, z)
+    live = np.ones(len(z), dtype=bool)
+    rows = [z.copy()]
+    u, h = 0.0, 1.0 / _LIFT_STEPS  # t = t0 + u (t1 - t0); dyadic steps end at u = 1 exactly
+    while u < 1 and live.any():
+        h = min(h, 1 - u)
+        t, t_next = t0 + u * (t1 - t0), t0 + (u + h) * (t1 - t0)
+        dz = np.broadcast_to(path(t)[1] * (t_next - t), z.shape)[live] / slope[live]
+        w = np.broadcast_to(path(t_next)[0], z.shape)[live]
+        moved = z[live] + dz
+        for _ in range(3):
+            new_slope = evaluate_array(dg, moved)
+            with np.errstate(all="ignore"):
+                err = (evaluate_array(g, moved) - w) / new_slope
+            moved = moved - err
+        ok = (np.abs(moved - z[live] - dz) < np.abs(dz) / 4) & (np.abs(err) <= 1e-6 * np.abs(dz))
+        if not ok.all():
+            h /= 2
+            if h < _MIN_LIFT_STEP:
+                raise ResolutionError(f"path lifting stalled at t = {t!r}: refine the disk")
+            continue
+        u += h
+        z[live], slope[live] = moved, new_slope  # g' at the last corrector iterate
+        live &= np.abs(z) < stop
+        rows.append(z.copy())
+        h = min(2 * h, 1.0 / _LIFT_STEPS)
+    return np.array(rows), live
 
 
 def total_ramification(islands):

@@ -8,20 +8,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverlab import count as count_module
-from coverlab.expr import evaluate, parse_map
+from coverlab.expr import evaluate, evaluate_array, parse_map
 from coverlab.count import (
     IslandRecord,
+    ResolutionError,
     RootOnCircleError,
     count_preimages,
     count_preimages_many,
     find_islands,
     find_roots,
-    island_degree,
     mean_degree,
     multiplicity_count,
     total_ramification,
 )
-from coverlab.metric import SphericalDisk, area, sample_sphere_uniform
+from coverlab.metric import (
+    SphericalDisk,
+    area,
+    chordal_distance,
+    chordal_distance_array,
+    sample_sphere_uniform,
+)
 
 RHO = 0.2 / math.sqrt(math.pi)  # the standard disk radius used throughout
 
@@ -344,9 +350,9 @@ def test_islands_resolution_stability():
     assert counts[0] == counts[1] == 6
 
 
-def test_find_islands_full_grid_memory():
-    # exp-topology's island scan at its largest radius: its three disks, each
-    # refined in seed windows only (a full 2048^2 complex grid would be 64 MB)
+def test_find_islands_memory():
+    # exp-topology's island scan at its largest radius: its three disks, with
+    # no pixel grid or window (a full 2048^2 complex grid would be 64 MB)
     m = parse_map("exp(z)")
     disks = [
         SphericalDisk.of(1 + 0.25j, 0.05),
@@ -360,10 +366,10 @@ def test_find_islands_full_grid_memory():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16e6
+    assert peak <= 1e6
 
 
-def test_island_scans_share_the_grid_unchanged():
+def test_island_scans_do_not_depend_on_scan_order():
     # a disk's islands do not depend on which disks were scanned before it
     m = parse_map("exp(z)")
     disks = [SphericalDisk.of(c, RHO) for c in (1, -1, "inf")]
@@ -409,6 +415,8 @@ def _inside(polyline, z):
         # the disk at 0.5 holds the critical value 2 / (3 sqrt 3) = 0.385, so
         # one of its islands holds two distinct solutions
         ("z^3-z", 1.5, (0, 1, "inf", 0.5)),
+        # one island of degree 5 about the 5-fold seed 0
+        ("z^5", 10.0, (0, 1, "inf")),
     ],
 )
 def test_island_degree_counts_the_centre_preimages_it_encloses(source, r, centers):
@@ -434,10 +442,63 @@ def test_island_degree_counts_the_centre_preimages_it_encloses(source, r, center
     assert n_islands >= 5
 
 
-def test_island_degree_independent_recompute():
-    m = parse_map("z^5")
-    isl, _ = find_islands(m, SphericalDisk.of(0, RHO), 10.0, 512)
-    assert island_degree(m, isl[0], 0) == 5
+@pytest.mark.parametrize("resolution", [256, 512])
+def test_an_island_hole_smaller_than_a_pixel_is_found(resolution):
+    # z + 1e-4/z has the critical points +-0.01, whose values +-0.02 lie in
+    # the disk at 0, so by Riemann-Hurwitz its degree-2 island there has
+    # chi = 2 - 2 = 0: an annulus whose hole about the pole 0 is about 1e-3
+    # across, below the pixel size 4/resolution
+    isl, ambiguous = find_islands(parse_map("z+1e-4/z"), SphericalDisk.of(0, RHO), 2.0, resolution)
+    assert ambiguous == 0
+    assert [(rec.degree, rec.chi, len(rec.holes)) for rec in isl] == [(2, 0, 1)]
+
+
+def test_a_disk_just_missing_a_critical_value_has_two_islands():
+    # the disk about 0.3 reaching to 1e-6 short of z^2's critical value 0
+    # pulls back to two simple islands about +-sqrt(0.3), about 3e-3 apart at
+    # the critical point; with the critical value on its boundary the two
+    # touch there, and the lift through the critical point cannot go on
+    m = parse_map("z^2")
+    radius = chordal_distance(0.3, 0)
+    isl, ambiguous = find_islands(m, SphericalDisk.of(0.3, radius - 1e-6), 2.0, 512)
+    assert (ambiguous, [rec.degree for rec in isl]) == (0, [1, 1])
+    with pytest.raises(ResolutionError):
+        find_islands(m, SphericalDisk.of(0.3, radius), 2.0, 512)
+
+
+@pytest.mark.parametrize(
+    "source, center, r",
+    [
+        ("exp(z)", 1, 20.0),
+        ("z^5", 0, 10.0),
+        ("z^5", 1, 10.0),
+        ("z+0.01/z", 0, 2.0),
+        ("(z^2-1)/(z^2+4)", "inf", 3.0),
+    ],
+)
+def test_island_boundaries_lie_on_the_disk_boundary(source, center, r):
+    m = parse_map(source)
+    disk = SphericalDisk.of(center, RHO)
+    isl, _ = find_islands(m, disk, r, 512)
+    assert isl
+    for rec in isl:
+        for loop in [rec.boundary, *rec.holes]:
+            dist = chordal_distance_array(evaluate_array(m, loop), disk.center)
+            assert np.abs(dist - RHO).max() <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "source, expected",
+    [
+        # a double pole at 0.3: one 2-fold seed, two branches
+        ("z^2/(z-0.3)^2", [(2, 1)]),
+        ("1/(z^3-0.5)", [(1, 1)] * 3),
+    ],
+)
+def test_islands_over_infinity_of_rational_maps(source, expected):
+    isl, ambiguous = find_islands(parse_map(source), SphericalDisk.of("inf", RHO), 2.0, 512)
+    assert ambiguous == 0
+    assert sorted((rec.degree, rec.chi) for rec in isl) == expected
 
 
 def test_island_boundary_properness():
