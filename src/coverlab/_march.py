@@ -20,11 +20,14 @@ closed one from a dropped entry around to it again; every cut of a traced
 curve (disk, chart x-range, node ball) and the angular scans of the
 quadrature go through it.
 
-The pixel-mask helpers of complement topology live here too:
-`components` labels a mask once and gives each component with its
-bounding box and its mask inside that box, so per-component work costs
-the box, not the grid.  `deepest_pixel` and `mask_euler_characteristic`
-take a component's box and give what the full grid would.
+The pixel-mask helpers of complement topology live here too, in plain
+numpy.  `components` labels a mask by its row runs, joined across rows by
+a union-find over the touching pairs of runs, and gives each component
+with its bounding box, its mask inside that box and its deepest pixel,
+read off one chessboard depth grid of the whole mask (`_depth`, two
+raster passes).  Per-component work then costs the box, not the grid;
+`mask_euler_characteristic` takes a component's box and gives what the
+full grid would.
 """
 
 from __future__ import annotations
@@ -32,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 
 class AmbiguityError(ArithmeticError):
@@ -308,29 +310,98 @@ def runs(keep, closed):
 def components(mask):
     """Connected components of a boolean pixel mask (4-connectivity).
 
-    Returns the label grid of ``ndimage.label`` and one entry
-    ``(label, box, local)`` per component in label order: ``box`` is the
-    pair of slices of its bounding box and ``local`` is
-    ``labels[box] == label``, the component's mask inside that box.
+    Returns the label grid, numbered 1, 2, ... in the raster order of each
+    component's first pixel (the grid ``ndimage.label`` gives), and one
+    entry ``(label, box, local, deepest)`` per component in label order:
+    ``box`` is the pair of slices of its bounding box, ``local`` is
+    ``labels[box] == label``, the component's mask inside that box, and
+    ``deepest`` is the (row, col) of its first pixel, in row-major order,
+    at the largest chessboard distance from the pixels off the mask.
+
+    The mask is labelled by runs: the runs of one row that 4-touch a run
+    of the row above are joined by a union-find that keeps the smallest
+    run index, so the Python loop runs once per touching pair of runs.
     """
-    labels, _ = ndimage.label(mask)
-    return labels, [
-        (label, box, labels[box] == label)
-        for label, box in enumerate(ndimage.find_objects(labels), start=1)
-    ]
+    mask = np.asarray(mask, dtype=bool)
+    n_cols = mask.shape[1]
+    row, edge = np.nonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
+    row, lo, hi = row[::2], edge[::2], edge[1::2]  # run k covers [lo, hi) of its row
+    # runs a of row i - 1 that touch run b of row i: lo_a < hi_b and lo_b < hi_a
+    above = (row - 1) * (n_cols + 1)
+    first = np.searchsorted(row * (n_cols + 1) + hi, above + lo, side="right")
+    stop = np.searchsorted(row * (n_cols + 1) + lo, above + hi, side="left")
+    touching = np.maximum(stop - first, 0)
+    # one (a, b) per touching pair: a = first[b], ..., stop[b] - 1
+    b = np.repeat(np.arange(len(lo)), touching)
+    a = np.arange(len(b)) - np.repeat(np.cumsum(touching) - touching - first, touching)
+    root = list(range(len(lo)))
+
+    def find(k):
+        while root[k] != k:
+            root[k] = root[root[k]]
+            k = root[k]
+        return k
+
+    for ka, kb in zip(a.tolist(), b.tolist()):
+        ra, rb = find(ka), find(kb)
+        root[max(ra, rb)] = min(ra, rb)
+    # a root is its component's first run in raster order
+    run_root = np.array([find(k) for k in range(len(lo))], dtype=int)
+    roots, run_label = np.unique(run_root, return_inverse=True)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    labels[mask] = np.repeat(run_label + 1, hi - lo)
+
+    top, bottom = row[roots], np.zeros(len(roots), dtype=int)
+    left, right = np.full(len(roots), n_cols), np.zeros(len(roots), dtype=int)
+    np.maximum.at(bottom, run_label, row + 1)
+    np.minimum.at(left, run_label, lo)
+    np.maximum.at(right, run_label, hi)
+    depth = _depth(mask)
+    entries = []
+    bounds = zip(top.tolist(), bottom.tolist(), left.tolist(), right.tolist())
+    for label, (r0, r1, c0, c1) in enumerate(bounds, start=1):
+        box = (slice(r0, r1), slice(c0, c1))
+        local = labels[box] == label
+        j, i = np.unravel_index(int(np.argmax(np.where(local, depth[box], -1))), local.shape)
+        entries.append((label, box, local, (r0 + int(j), c0 + int(i))))
+    return labels, entries
 
 
-def deepest_pixel(labels, label, box):
-    """(row, col) of the first pixel, in row-major order, of component
-    `label` (bounding box `box`) at the largest chessboard distance from
-    the rest of the grid.  The box grown by one pixel, as far as the grid
-    reaches, holds the nearest non-component pixel of every component
-    pixel, so this is the argmax of the full-grid distance transform.
+def _depth(mask):
+    """Chessboard distance of every mask pixel to the nearest pixel off the
+    mask (0 off it); pixels beyond the grid count as on the mask.
+
+    Two raster passes of the unit 3 x 3 chamfer (Rosenfeld & Pfaltz 1966):
+    each row takes the least of its three neighbours in the row before it,
+    plus one, then runs along itself with a cumulative minimum.  Two
+    components touch only at corners, across two pixels off the mask, so
+    on each component this is its own distance transform.
     """
-    grown = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
-    dist = ndimage.distance_transform_cdt(labels[grown] == label)
-    j, i = np.unravel_index(int(np.argmax(dist)), dist.shape)
-    return grown[0].start + j, grown[1].start + i
+    n_rows, n_cols = mask.shape
+    col = np.arange(n_cols, dtype=np.int32)
+    far = n_rows + n_cols  # more than any distance to a pixel off the mask
+    depth = np.empty((n_rows, n_cols), dtype=np.int32)
+    # the row swept last, between two columns beyond the grid; m - col and
+    # m + col turn each row's run into a cumulative minimum
+    before = np.full(n_cols + 2, far, dtype=np.int32)
+    left, last, right = before[:-2], before[1:-1], before[2:]
+    m = np.empty(n_cols, dtype=np.int32)
+    for row_mask, row_depth in zip(mask, depth):
+        np.minimum(np.minimum(left, right, out=m), last, out=m)
+        m += 1
+        m *= row_mask
+        m -= col
+        np.minimum.accumulate(m, out=m)
+        row_depth[:] = np.add(m, col, out=last)
+    before[:] = far
+    for row_depth in depth[::-1]:
+        np.minimum(np.minimum(left, right, out=m), last, out=m)
+        m += 1
+        np.minimum(m, row_depth, out=m)
+        m += col
+        np.minimum.accumulate(m[::-1], out=m[::-1])
+        row_depth[:] = np.subtract(m, col, out=last)
+    return np.minimum(depth, far, out=depth)  # a mask with no pixel off it: far everywhere
 
 
 def mask_euler_characteristic(mask):

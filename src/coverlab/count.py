@@ -660,14 +660,14 @@ def find_islands(m, disk, r, resolution=512):
     dg = differentiate(g)
     b = centre + radius * np.exp(2.399963229728653j)  # the golden angle: a generic point
     # a k-fold seed z0, where g = c + a (z - z0)^k + ..., starts k branches
-    # of w(s) = c + s^k (b - c) at s = 0.01, a k-th turn apart; z0 per branch
+    # of w(s) = c + s^k (b - c) at s = s0, a k-th turn apart; z0 per branch
     seed_of = np.repeat(np.arange(len(seeds)), [root.multiplicity for root in seeds])
     z0 = np.array([root.location for root in seeds], dtype=np.complex128)[seed_of]
     k = np.array([root.multiplicity for root in seeds], dtype=int)[seed_of]
     delta = 1e-3 * (1 + np.abs(z0))
     a = (evaluate_array(g, z0 + delta) - c) / delta**k
     turn = np.exp(2j * np.pi * (np.arange(len(k)) - np.searchsorted(seed_of, seed_of)) / k)
-    start = z0 + 0.01 * ((b - c) / a) ** (1 / k) * turn
+    direction = ((b - c) / a) ** (1 / k) * turn
 
     def segment(s):
         return c + s**k * (b - c), k * s ** (k - 1) * (b - c)
@@ -676,7 +676,19 @@ def find_islands(m, disk, r, resolution=512):
         arm = (b - centre) * np.exp(2j * np.pi * t)
         return centre + arm, 2j * np.pi * arm
 
-    rows, alive = _lift(g, dg, start, segment, 0.01, 1.0, ring)
+    # s0 = 0.01 unless a critical value near c puts a start off its branch:
+    # then three Newton steps towards w(s0) move it by a quarter of its
+    # distance from the seed or more, and s0 shrinks tenfold, to 1e-6 at most
+    for s0 in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        start = moved = z0 + s0 * direction
+        with np.errstate(all="ignore"):
+            for _ in range(3):
+                step = (evaluate_array(g, moved) - segment(s0)[0]) / evaluate_array(dg, moved)
+                moved = moved - step
+        if np.all(np.abs(moved - start) < np.abs(start - z0) / 4):
+            break
+
+    rows, alive = _lift(g, dg, start, segment, s0, 1.0, ring)
     ends, z0 = rows[-1][alive], z0[alive]
     if not len(ends):
         return [], 0

@@ -27,6 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random import default_rng  # numpy loads numpy.random lazily; load it at import
 
 from coverlab import _march
 from coverlab.expr import (
@@ -628,7 +629,7 @@ def sample_sphere_uniform(seed, n):
     """n i.i.d. points for the normalized area measure; deterministic in seed."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     zcoord = rng.uniform(-1.0, 1.0, size=n)
     phi = rng.uniform(0.0, 2 * math.pi, size=n)
     s = np.sqrt(np.maximum(0.0, 1.0 - zcoord**2))

@@ -740,9 +740,10 @@ def complement_components(g, r, resolution=512):
     labels, comps = _march.components(inside & ~blocked)
     ring = inside & (np.abs(zz) > ring_radius(r, n))
     components = []
-    for label, box, local in comps:
-        # sample point far from the blocked set for a stable face probe
-        sample = complex(zz[_march.deepest_pixel(labels, label, box)])
+    for label, box, local, deepest in comps:
+        # the face probe samples the pixel deepest inside the component,
+        # far from the blocked set
+        sample = complex(zz[deepest])
         try:
             face = g.graph.face_of(evaluate(m, sample))
         except IndeterminateError:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -269,3 +271,23 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch):
         "build_preimage_graph": 1,
         "complement_components": 1,
     }
+
+
+def test_cli_import_loads_no_scipy_and_loads_numpy_random():
+    # scipy is a test oracle, not a runtime dependency: a fresh process that
+    # imports the command line must not load it; numpy loads numpy.random
+    # lazily, so metric imports it eagerly to keep it out of every run's time
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import sys, coverlab.cli; "
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')); "
+        "print('numpy.random' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    assert out == ["[]", "True"]

@@ -453,6 +453,16 @@ def test_an_island_hole_smaller_than_a_pixel_is_found(resolution):
     assert [(rec.degree, rec.chi, len(rec.holes)) for rec in isl] == [(2, 0, 1)]
 
 
+def test_islands_start_below_a_critical_value_near_the_centre():
+    # z + 1e-6/z has the critical values +-2e-3, close to the centre 0 of the
+    # disk: the branches must start nearer their seeds +-1e-3 i than s = 0.01
+    # of the segment to the boundary, else the lift leaves them at once; by
+    # Riemann-Hurwitz the degree-2 island over the disk has chi = 0
+    isl, ambiguous = find_islands(parse_map("z+1e-6/z"), SphericalDisk.of(0, RHO), 2.0, 512)
+    assert ambiguous == 0
+    assert [(rec.degree, rec.chi, len(rec.holes)) for rec in isl] == [(2, 0, 1)]
+
+
 def test_a_disk_just_missing_a_critical_value_has_two_islands():
     # the disk about 0.3 reaching to 1e-6 short of z^2's critical value 0
     # pulls back to two simple islands about +-sqrt(0.3), about 3e-3 apart at

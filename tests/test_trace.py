@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import ndimage
 
 from coverlab import _march
@@ -504,6 +506,30 @@ def test_complement_blocks_what_the_sample_loop_paints(source, node, scale, r, r
     assert np.array_equal(analysis.label_grid == 0, expected)
 
 
+def _assert_components_match_ndimage(mask):
+    """`components` gives ndimage's label grid, its find_objects boxes and
+    the first distance_transform_cdt argmax of every component on its box
+    grown by one pixel; `_depth` is that transform on every component."""
+    labels, entries = _march.components(mask)
+    ref_labels, count = ndimage.label(mask)
+    assert np.array_equal(labels, ref_labels)
+    assert [entry[0] for entry in entries] == list(range(1, count + 1))
+    depth = _march._depth(mask)
+    for (label, box, local, deepest), ref_box in zip(entries, ndimage.find_objects(ref_labels)):
+        assert box == ref_box
+        assert np.array_equal(local, ref_labels[box] == label)
+        grown = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
+        comp = ref_labels[grown] == label
+        dist = ndimage.distance_transform_cdt(comp)
+        j, i = np.unravel_index(int(np.argmax(dist)), dist.shape)
+        assert deepest == (grown[0].start + j, grown[1].start + i)
+        if comp.all():  # no pixel off the mask: cdt gives -1, _depth its "far"
+            assert (depth == sum(mask.shape)).all()
+        else:
+            assert np.array_equal(depth[grown][comp], dist[comp])
+    return entries
+
+
 def test_components_match_full_grid_reference():
     mask = np.zeros((40, 50), dtype=bool)
     mask[0:6, 0:4] = mask[0:2, 0:13] = True  # touches the grid edge
@@ -512,18 +538,33 @@ def test_components_match_full_grid_reference():
     mask[25:32, 30:45] = True  # fills its bounding box
     mask[35, 5] = mask[36, 6] = True  # diagonal neighbours: two components
     mask[30:40, 47:50] = True  # touches the grid corner
-    labels, entries = _march.components(mask)
-    ref_labels, count = ndimage.label(mask)
-    assert np.array_equal(labels, ref_labels)
-    assert [label for label, _, _ in entries] == list(range(1, count + 1))
-    for label, box, local in entries:
+    entries = _assert_components_match_ndimage(mask)
+    ref_labels, _ = ndimage.label(mask)
+    for label, box, local, deepest in entries:
         comp = ref_labels == label
-        assert np.array_equal(local, comp[box])
         assert local.sum() == comp.sum()
         chi = _march.mask_euler_characteristic(comp)
         assert _march.mask_euler_characteristic(local) == chi
         dist = ndimage.distance_transform_cdt(comp)
-        deepest = np.unravel_index(int(np.argmax(dist)), comp.shape)
-        assert _march.deepest_pixel(labels, label, box) == deepest
-    chis = sorted(_march.mask_euler_characteristic(local) for _, _, local in entries)
+        assert deepest == np.unravel_index(int(np.argmax(dist)), comp.shape)
+    chis = sorted(_march.mask_euler_characteristic(local) for _, _, local, _ in entries)
     assert chis == [0, 1, 1, 1, 1, 1]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(
+    st.integers(1, 40),
+    st.integers(1, 50),
+    st.floats(0.2, 0.8),
+    st.integers(0, 2**32 - 1),
+)
+def test_components_match_ndimage_on_random_masks(n_rows, n_cols, density, seed):
+    # dense random masks put components on the grid edges, holes in them and
+    # diagonal-only contacts between them
+    mask = np.random.default_rng(seed).random((n_rows, n_cols)) < density
+    _assert_components_match_ndimage(mask)
+
+
+@pytest.mark.parametrize("fill", [False, True])
+def test_components_of_a_uniform_mask(fill):
+    _assert_components_match_ndimage(np.full((3, 4), fill))
