@@ -3,7 +3,7 @@
 Subpackages:
     expr    -- map expression language (parse, differentiate, evaluate)
     metric  -- normalized spherical metric, pullback area/length, radius selection
-    trace   -- preimage tracing of implicit curves and graphs
+    trace   -- lifts of chart segments, the figure-eight preimage graph
     count   -- preimage counting, islands, degrees, ramification
     verify  -- per-radius reports and the asymptotic checks
     cli     -- configuration and experiment orchestration

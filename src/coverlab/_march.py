@@ -1,7 +1,7 @@
 """Marching-squares extraction of {F = 0} on a rectangle, with local
 subdivision of ambiguous (saddle) cells.
 
-This is the shared tracer behind curve preimages.
+It traces the figure-eight's preimage (trace.build_preimage_graph).
 `field` must map a numpy complex array of sample points to real values;
 the traced level is 0 (callers bake the level into the field).
 
@@ -17,8 +17,8 @@ cracks hanging nodes introduce at coarse/fine cell interfaces.
 
 `runs` splits a sampled sequence into its maximal kept runs, walking a
 closed one from a dropped entry around to it again; every cut of a traced
-curve (disk, chart x-range, node ball) and the angular scans of the
-quadrature go through it.
+curve (disk, node ball) and the angular scans of the quadrature go
+through it.
 
 The pixel-mask helpers of complement topology live here too, in plain
 numpy.  `components` labels a mask by its row runs, joined across rows by
@@ -35,17 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-
-class AmbiguityError(ArithmeticError):
-    """A saddle cell stayed ambiguous at maximum subdivision depth."""
-
-    def __init__(self, cell):
-        super().__init__(
-            f"unresolved topological ambiguity in cell {cell!r}; "
-            f"perturb the traced level"
-        )
-        self.cell = cell
 
 
 @dataclass
@@ -125,13 +114,12 @@ def _march_grid(zz, vals, size):
     return rows, list(zip(cz[saddle], cv[saddle], code[saddle]))
 
 
-def extract(field, rect, nx, ny, on_ambiguous="error"):
+def extract(field, rect, nx, ny):
     """Trace {field = 0} on `rect` = (x0, x1, y0, y1).
 
     Returns a list of :class:`Chain`.  Ambiguous cells are subdivided up to
-    _MAX_DEPTH times; a still-ambiguous cell raises AmbiguityError when
-    `on_ambiguous` is "error", and is resolved by the center sign when it is
-    "resolve" (callers that split at graph vertices use the latter).
+    _MAX_DEPTH times; a still-ambiguous cell is split by the sign of the
+    field at its centre.
     """
     x0, x1, y0, y1 = rect
     xs = np.linspace(x0, x1, nx + 1)
@@ -156,13 +144,11 @@ def extract(field, rect, nx, ny, on_ambiguous="error"):
     queue = [(cz, cv, code, 0) for cz, cv, code in saddles]
     while queue:
         cz, cv, code, depth = queue.pop()
-        cx0, cx1, cy0, cy1 = cell = (cz[0].real, cz[2].real, cz[0].imag, cz[2].imag)
+        cx0, cx1, cy0, cy1 = cz[0].real, cz[2].real, cz[0].imag, cz[2].imag
         size = max(cx1 - cx0, cy1 - cy0)
         if depth >= _MAX_DEPTH:
             center = 0.25 * sum(cz)
             cval = float(np.asarray(field(np.array([center])), dtype=float)[0])
-            if on_ambiguous == "error":
-                raise AmbiguityError(cell)
             pairs = np.array(_resolve_saddle(code, cval > 0))
             segments.append(_segments(np.tile(cz, (2, 1)), np.tile(cv, (2, 1)), pairs, size))
             continue

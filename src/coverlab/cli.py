@@ -140,6 +140,10 @@ class ExperimentConfig:
             0 < self.radii_min < self.radii_max
         ):
             raise ConfigError("radii.min", "need 0 < min < max")
+        if self.radii_mode == "explicit-list" and not all(
+            0 < r < math.inf for r in self.radii_list
+        ):
+            raise ConfigError("radii.list", "radii must be positive and finite")
         if self.resolution < 64:
             raise ConfigError("resolution", "resolution must be at least 64")
         enabled = set(self.verifiers)
@@ -286,12 +290,9 @@ def build_config(pairs):
 
     if any(k.startswith("graph.") for k in pairs):
         try:
-            node = parse_complex(pairs.get("graph.node", "0.5i"))
-            if node == "inf":
-                raise ValueError("graph node must be finite")
             cfg.graph = GraphSpec(
                 kind=pairs.get("graph.kind", "figure8").strip(),
-                node=complex(node),
+                node=complex(parse_complex(pairs.get("graph.node", "0.5i"))),
                 scale=float(pairs.get("graph.scale", "0.5")),
             )
         except ValueError as exc:
@@ -455,7 +456,8 @@ def _base_parser(sub, name, help_text):
     p.add_argument("--config", help="config file (flags override its values)")
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="RNG seed")
-    p.add_argument("--resolution", type=int, help="grid resolution (islands: ring and margin)")
+    p.add_argument("--resolution", type=int,
+                   help="graph and complement grids; ring and margin of islands and arcs")
     return p
 
 
@@ -476,14 +478,17 @@ def _effective_config(args, default_disks=None, need_graph=False, need_chart=Fal
         cfg.map_source = args.map_source
     if args.radius:
         cfg.radii_mode = "explicit-list"
-        cfg.radii_list = [float(v) for v in str(args.radius).split(",")]
+        try:
+            cfg.radii_list = [float(v) for v in str(args.radius).split(",")]
+        except ValueError as exc:
+            raise ConfigError("radii.list", str(exc))
     if args.out:
         cfg.outputs = args.out
     if args.seed is not None:
         cfg.seed = args.seed
     if args.resolution is not None:
         cfg.resolution = args.resolution
-    return cfg
+    return cfg.validate()
 
 
 def _contexts(cfg):
@@ -513,7 +518,7 @@ def main(argv=None):
     g = _base_parser(sub, "graph", "trace the figure-eight preimage")
     g.add_argument("--node", help="figure-eight node (complex literal)")
     g.add_argument("--scale", type=float, help="figure-eight scale")
-    _base_parser(sub, "arcs", "classify arcs over a chart segment")
+    _base_parser(sub, "arcs", "classify the lifts of a chart segment")
     _base_parser(sub, "verify-all", "run every enabled verifier from a config")
 
     try:
@@ -546,10 +551,13 @@ def main(argv=None):
 
         if args.command == "graph":
             cfg = _effective_config(args, need_graph=True)
-            if args.node or args.scale:
-                node = complex(parse_complex(args.node)) if args.node else cfg.graph.node
-                scale = args.scale if args.scale else cfg.graph.scale
-                cfg.graph = GraphSpec(node=node, scale=scale)
+            if args.node is not None or args.scale is not None:
+                try:
+                    node = cfg.graph.node if args.node is None else parse_complex(args.node)
+                    scale = cfg.graph.scale if args.scale is None else args.scale
+                    cfg.graph = GraphSpec(node=complex(node), scale=scale)
+                except ValueError as exc:
+                    raise ConfigError("graph", str(exc))
             for ctx in _contexts(cfg):
                 row = verify_euler_identity(ctx.graph, ctx.complement).rows[0]
                 print(

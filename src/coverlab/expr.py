@@ -124,9 +124,6 @@ class MapExpr:
     def __call__(self, z):
         return evaluate(self, z)
 
-    def derivative(self):
-        return differentiate(self)
-
     def to_source(self):
         return _print(self.root)
 

@@ -36,7 +36,6 @@ from coverlab.expr import (
     differentiate,
     evaluate,
     evaluate_array,
-    parse_map,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -643,7 +642,3 @@ def sample_sphere_uniform(seed, n):
             pts.append(SpherePoint(complex(xi, yi) / (1.0 - zi)))
     return pts
 
-
-if __name__ == "__main__":  # tiny self-check
-    m = parse_map("z")
-    print("a(1) =", area(m, 1.0), " l(1) =", boundary_length(m, 1.0))

@@ -1,18 +1,21 @@
-"""Preimage tracing of implicit curves and graphs in the source disk.
+"""Preimages of chart segments and of the figure-eight graph in the source disk.
 
-Curves on the target sphere are implicit level sets (circles in the chordal
-metric, a lemniscate realizing the figure-eight, and horizontal chart
-segments), so the preimage {G(f(z)) = c} is traced by marching squares on
-an adaptive grid.  A traced chain is cut where it leaves the disk |z| < r,
-the chart's x-range or the figure-eight's node ball, all by one run rule
-(_march.runs): a closed chain is walked from a dropped sample around to it
-again, so no kept run wraps its seam.  The figure-eight preimage is split
-at the preimages of its node, bad arcs (those meeting the boundary circle)
-are deleted, and the Euler characteristic of what remains is V - E.
+A chart segment (the horizontal line t of a Moebius chart zeta) is lifted
+through zeta o f from the preimages of its end points (count._lift), so
+each lift is one good or bad arc of the arcs statement.  The figure-eight
+is the level set {level = 0} of one function on the target (a lemniscate),
+and its preimage is marched (_march.extract) on an adaptive grid.  A
+marched chain is cut where it leaves the disk |z| < r or enters the
+figure-eight's node ball, both by one run rule (_march.runs): a closed
+chain is walked from a dropped sample around to it again, so no kept run
+wraps its seam.  The figure-eight preimage is split at the preimages of
+its node, bad arcs (those meeting the boundary circle) are deleted, and
+the Euler characteristic of what remains is V - E.
 """
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -20,24 +23,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from coverlab import _march
-from coverlab.expr import IndeterminateError, differentiate, evaluate, evaluate_array
-from coverlab.metric import (
-    SpherePoint,
-    chordal_distance,
-    chordal_distance_array,
+from coverlab.expr import (
+    Add,
+    Const,
+    Div,
+    IndeterminateError,
+    MapExpr,
+    Mul,
+    differentiate,
+    evaluate,
+    evaluate_array,
 )
+from coverlab.metric import SpherePoint, chordal_distance
 from coverlab.count import (
     ContourPassesThroughRoot,
     ResolutionError,
     WindingError,
+    _lift,
     count_preimages,
     count_preimages_many,
     find_roots,
     margin_radius,
     ring_radius,
 )
-
-AmbiguityError = _march.AmbiguityError
 
 _ARC_NODES = 24  # Gauss-Legendre nodes of the arc test integral
 
@@ -93,66 +101,16 @@ class RectangleChart:
 
 @dataclass(frozen=True)
 class ImplicitCurve:
-    """A curve {G = level} on the target sphere.
+    """The chart segment {zeta(w) = x + i t : x in chart.x_range} on the
+    target sphere: the horizontal chart line t, which the chart may send
+    through infinity."""
 
-    kinds:
-      - "circle": chordal circle around `center` of radius `radius`
-      - "lemniscate": {|(w - node)^2 - scale^2| = scale^2}, the figure-eight
-        with node at `node` and foci node +- scale
-      - "segment": horizontal chart line t = `t` within chart.x_range
-    """
-
-    kind: str
-    center: SpherePoint | None = None
-    radius: float = 0.0
-    node: complex = 0j
-    scale: float = 0.0
-    chart: RectangleChart | None = None
+    chart: RectangleChart
     t: float = 0.0
 
     @classmethod
-    def circle(cls, center, radius):
-        return cls(kind="circle", center=SpherePoint.of(center), radius=float(radius))
-
-    @classmethod
-    def lemniscate(cls, node, scale):
-        if scale <= 0:
-            raise ValueError("lemniscate scale must be positive")
-        return cls(kind="lemniscate", node=complex(node), scale=float(scale))
-
-    @classmethod
     def segment(cls, chart, t=0.0):
-        return cls(kind="segment", chart=chart, t=float(t))
-
-    def field(self, ws):
-        """G(w) - level, vectorized over a complex array of target values."""
-        ws = np.asarray(ws, dtype=np.complex128)
-        if self.kind == "circle":
-            return chordal_distance_array(ws, self.center) - self.radius
-        if self.kind == "lemniscate":
-            with np.errstate(all="ignore"):
-                u = (ws - self.node) ** 2 - self.scale**2
-                g = np.abs(u) - self.scale**2
-            return np.where(np.isfinite(g), g, 1e300)
-        zeta = self.chart.apply(ws)
-        return zeta.imag - self.t
-
-    def parameter(self, ws):
-        """Curve parameter of target values: angle for circles, x for segments."""
-        ws = np.asarray(ws, dtype=np.complex128)
-        if self.kind == "circle":
-            c = self.center
-            if c.is_infinity:
-                with np.errstate(all="ignore"):
-                    t = 1.0 / ws
-                return np.angle(np.where(np.isfinite(t), t, 0))
-            cv = c.value
-            with np.errstate(all="ignore"):
-                t = (ws - cv) / (1.0 + np.conj(cv) * ws)
-            return np.angle(np.where(np.isfinite(t), t, 1))
-        if self.kind == "segment":
-            return self.chart.apply(ws).real
-        raise ValueError("parameter() is defined for circle and segment curves")
+        return cls(chart=chart, t=float(t))
 
 
 @dataclass(frozen=True)
@@ -170,7 +128,9 @@ class GraphSpec:
     def __post_init__(self):
         if self.kind != "figure8":
             raise ValueError(f"unsupported graph kind {self.kind!r}")
-        if self.scale <= 0:
+        if not cmath.isfinite(self.node):
+            raise ValueError("graph node must be finite")
+        if not self.scale > 0:
             raise ValueError("figure-eight scale must be positive")
 
     @property
@@ -181,13 +141,18 @@ class GraphSpec:
     def foci(self):
         return (self.node - self.scale, self.node + self.scale)
 
+    def level(self, ws):
+        """|(w - node)^2 - scale^2| - scale^2 over target values: negative
+        in the lobes, 0 on the figure-eight, 1e300 where not finite."""
+        s2 = self.scale**2
+        with np.errstate(all="ignore"):
+            g = np.abs((np.asarray(ws, dtype=np.complex128) - self.node) ** 2 - s2) - s2
+        return np.where(np.isfinite(g), g, 1e300)
+
     def face_of(self, w):
         """'lobe-', 'lobe+' or 'outer' for a target point; infinity is outer."""
         w = SpherePoint.of(w).value
-        if w is None:
-            return "outer"
-        u = (w - self.node) ** 2 - self.scale**2
-        if abs(u) >= self.scale**2:
+        if w is None or self.level(w) >= 0:
             return "outer"
         return "lobe+" if (w - self.node).real > 0 else "lobe-"
 
@@ -200,42 +165,45 @@ class GraphSpec:
 class Polyline:
     points: np.ndarray  # complex samples along the arc
     closed: bool
-    touches_clip: bool  # was cut by the circle |z| = r
+    touches_clip: bool  # was cut by, or left the disk through, |z| = r
     resolution: int
 
 
-def trace_preimage(m, curve, r, resolution=512, on_ambiguous="error"):
-    """Polylines of {z : |z| <= r, G(f(z)) = level} by marching squares.
+def trace_preimage(m, curve, r, resolution=512):
+    """Lifts of the chart segment `curve` that start in the disk |z| < r.
 
-    The initial grid is resolution x resolution over the bounding square;
-    ambiguous saddle cells are subdivided up to 6 times.  A still-ambiguous
-    cell raises (the caller perturbs the level) unless on_ambiguous is
-    "resolve", which the graph pipeline uses because it re-splits arcs at
-    vertex preimages anyway.  Output polylines are clipped at |z| = r and
-    canonically ordered.
+    The chart segment x -> x + i t is lifted through g = zeta o f
+    (count._lift), a straight path even where the chart sends it through
+    infinity: forward from every preimage of its start in the disk, and
+    backward from every preimage of its end.  A backward lift that
+    completes retraces a forward one and is dropped.  A lift that leaves
+    the disk stops at its first point with |z| >= r and touches the clip.
+    Each polyline runs along increasing x; they are ordered by their
+    lowest-left point and carry `resolution`, which sets the margin band
+    of _arc_tag.  A preimage component with no end point in the disk, one
+    that enters and leaves through |z| = r, is no lift from inside and is
+    not reported.  A lift that stalls raises ResolutionError.
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    R = r * (1.0 + 2.0 / resolution)
+    chart, t = curve.chart, curve.t
+    a, b, c, d = (Const(complex(k)) for k in (chart.a, chart.b, chart.c, chart.d))
+    g = MapExpr(Div(Add(Mul(a, m.root), b), Add(Mul(c, m.root), d)), f"zeta({m.source_text})")
+    dg = differentiate(g)
 
-    def fieldfn(zs):
-        return curve.field(evaluate_array(m, zs))
+    def path(x):
+        return x + 1j * t, 1.0
 
-    chains = _march.extract(
-        fieldfn, (-R, R, -R, R), resolution, resolution, on_ambiguous=on_ambiguous
-    )
     out = []
-    for ch in chains:
-        for pts, closed, touched in _clip_to_disk(ch.points, ch.closed, r):
-            if curve.kind == "segment":
-                # the full level set spans the square; only the x-filtered
-                # subpieces that actually reach the circle are clipped
-                for sub in _filter_x_range(pts, closed, m, curve):
-                    if len(sub) >= 2:
-                        sub_touched = bool(np.abs(sub).max() >= r * (1 - 1e-9))
-                        out.append(Polyline(sub, False, sub_touched, resolution))
-            elif len(pts) >= 2:
-                out.append(Polyline(pts, closed, touched, resolution))
+    for start, end in (chart.x_range, chart.x_range[::-1]):
+        roots = find_roots(m, complex(chart.inverse(start + 1j * t)), r)
+        rows, alive = _lift(g, dg, [root.location for root in roots], path, start, end, r)
+        for pts, complete in zip(rows.T, alive):
+            if complete and end < start:
+                continue  # a forward lift, reversed
+            pts = pts[np.r_[True, pts[1:] != pts[:-1]]]  # a stopped lift repeats its last point
+            pts = pts if start < end else pts[::-1]
+            out.append(Polyline(pts, False, not complete, resolution))
     out.sort(key=lambda p: (p.points.real.min(), p.points.imag.min()))
     return out
 
@@ -280,71 +248,22 @@ def _circle_cut(z_in, z_out, r):
     return z_in + t * d
 
 
-def _filter_x_range(pts, closed, m, curve):
-    """Enforce the chart x-range pointwise, splitting where it exits.
-
-    Cut points are interpolated onto the exact range boundary so the kept
-    pieces cover the full parameter interval.  A piece with a sample
-    farther from the chart line than the chart's height t1 - t0 is no lift
-    of the line (marching squares puts such pieces next to poles) and is
-    dropped.
-    """
-    zeta = curve.chart.apply(evaluate_array(m, pts))
-    x0, x1 = curve.chart.x_range
-    t0, t1 = curve.chart.t_range
-    order, spans = _chain_runs(pts, (zeta.real >= x0) & (zeta.real <= x1), closed)
-    walk, zeta = pts[order], zeta[order]
-    x_of = zeta.real
-
-    def edge_point(k_in, k_out):
-        xin, xout = x_of[k_in], x_of[k_out]
-        edge = x0 if xout < x0 else x1
-        if xout == xin:
-            return walk[k_in]
-        tau = (edge - xin) / (xout - xin)
-        tau = min(1.0, max(0.0, tau))
-        return walk[k_in] + tau * (walk[k_out] - walk[k_in])
-
-    pieces = []
-    for lo, hi in spans:
-        if np.abs(zeta.imag[lo:hi] - curve.t).max() > t1 - t0:
-            continue
-        start = [edge_point(lo, lo - 1)] if lo > 0 else []
-        end = [edge_point(hi - 1, hi)] if hi < len(walk) else []
-        pieces.append(np.concatenate([start, walk[lo:hi], end]))
-    return pieces
-
-
-def level_fidelity(m, curve, polylines):
-    """Worst |G(f(z)) - level| over all polyline sample points."""
-    worst = 0.0
-    for pl in polylines:
-        vals = np.abs(curve.field(evaluate_array(m, pl.points)))
-        worst = max(worst, float(vals.max()))
-    return worst
-
-
 # ---------------------------------------------------------------------------
 # Arc classification
 
 
 def classify_arcs(polylines, m, curve, r):
-    """(good, bad, suspect) counts for the traced components of one arc.
+    """(good, bad, suspect) counts of the lifts of the chart segment `curve`
+    from trace_preimage, by the tags of _arc_tag.
 
-    Tags follow _arc_tag; a good component must also cover the curve
-    parameter exactly once, monotonically, or it counts as suspect.
+    A lift covers the segment once and monotonically by construction.  A
+    preimage component with no end point in the disk is no lift from
+    inside and is not counted, so bad counts the lifts that leave the disk
+    or reach its margin band.
     """
     dm = differentiate(m)
-    good = bad = suspect = 0
-    for pl in polylines:
-        tag = _arc_tag(dm, pl.points, pl.touches_clip, r, pl.resolution)
-        if tag == "bad":
-            bad += 1
-        elif tag == "good" and _covers_once(pl, m, curve):
-            good += 1
-        else:
-            suspect += 1
-    return good, bad, suspect
+    tags = [_arc_tag(dm, pl.points, pl.touches_clip, r, pl.resolution) for pl in polylines]
+    return tags.count("good"), tags.count("bad"), tags.count("ramified-suspect")
 
 
 def _arc_tag(dm, points, touches_clip, r, resolution):
@@ -359,28 +278,6 @@ def _arc_tag(dm, points, touches_clip, r, resolution):
     if len(dvals) == 0 or dvals.min() < 1e-4 * max(dvals.max(), 1e-280):
         return "ramified-suspect"
     return "good"
-
-
-def _covers_once(pl, m, curve):
-    ws = evaluate_array(m, pl.points)
-    params = curve.parameter(ws)
-    if curve.kind == "segment":
-        x0, x1 = curve.chart.x_range
-        width = x1 - x0
-        span_ok = params.min() <= x0 + 0.02 * width and params.max() >= x1 - 0.02 * width
-        d = np.diff(params)
-        monotone = (d >= -0.01 * width).all() or (d <= 0.01 * width).all()
-        return bool(span_ok and monotone)
-    if curve.kind == "circle":
-        if not pl.closed:
-            return False
-        d = np.diff(np.unwrap(params))
-        total = d.sum()
-        if abs(abs(total) - 2 * math.pi) > 0.05 * 2 * math.pi:
-            return False
-        backtrack = np.abs(d[np.sign(d) != np.sign(total)]).sum()
-        return bool(backtrack < 0.02 * 2 * math.pi)
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -553,12 +450,17 @@ class PreimageGraph:
 def build_preimage_graph(m, graph, r, resolution=512):
     """Trace the whole graph preimage and assemble Euler data.
 
-    Vertex preimages are located by the argument-principle root finder and
-    polished by Newton; polylines are cut where the target value enters a
-    small ball around the node and the loose ends snap to vertices.  Bad
-    arcs (meeting the boundary band) are deleted; euler = V - E counts the
-    retained graph (closed loops carry an implicit vertex each).
+    The preimage {graph.level(f(z)) = 0} is marched (_march.extract) on a
+    resolution x resolution grid over the disk's bounding square, and the
+    chains are clipped at |z| = r.  Vertex preimages are located by the
+    argument-principle root finder and polished by Newton; polylines are
+    cut where the target value enters a small ball around the node and
+    the loose ends snap to vertices.  Bad arcs (meeting the boundary band)
+    are deleted; euler = V - E counts the retained graph (closed loops
+    carry an implicit vertex each).
     """
+    if resolution < 64:
+        raise ValueError("resolution must be at least 64")
     # the crossing vertex must avoid critical values (else: perturb the node)
     dm = differentiate(m)
     try:
@@ -581,7 +483,17 @@ def build_preimage_graph(m, graph, r, resolution=512):
         root.location for root in find_roots(m, graph.node, r)
         if abs(root.location) < margin_r
     ]
-    curve = ImplicitCurve.lemniscate(graph.node, graph.scale)
+    R = r * (1.0 + 2.0 / resolution)
+    chains = _march.extract(
+        lambda zs: graph.level(evaluate_array(m, zs)), (-R, R, -R, R), resolution, resolution
+    )
+    polylines = [
+        Polyline(pts, closed, touched, resolution)
+        for ch in chains
+        for pts, closed, touched in _clip_to_disk(ch.points, ch.closed, r)
+        if len(pts) >= 2
+    ]
+    polylines.sort(key=lambda p: (p.points.real.min(), p.points.imag.min()))
     final_arcs = [
         Arc(
             points=pts,
@@ -589,7 +501,7 @@ def build_preimage_graph(m, graph, r, resolution=512):
             endpoints=endpoint_ids,
             closed=closed,
         )
-        for pl in trace_preimage(m, curve, r, resolution, on_ambiguous="resolve")
+        for pl in polylines
         for pts, endpoint_ids, closed, touched in _cut_at_vertices(pl, m, graph, vertices)
     ]
 

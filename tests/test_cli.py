@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from coverlab import metric
+from coverlab import _march, metric
 from coverlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -205,6 +205,49 @@ def test_cli_arcs_z3(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "good=3 bad=0 suspect=0" in out
+
+
+def test_cli_arcs_lifts_without_marching_squares(capsys, monkeypatch):
+    def no_marching(*args, **kwargs):
+        raise AssertionError("chart segments are lifted, not marched")
+
+    monkeypatch.setattr(_march, "extract", no_marching)
+    assert main(["arcs", "--map", "z^3", "--r", "2"]) == 0
+    assert "good=3 bad=0 suspect=0" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["arcs", "--map", "z^3", "--r", "2", "--resolution", "32"],
+        ["graph", "--map", "z", "--r", "2", "--scale", "0"],
+        ["graph", "--map", "z", "--r", "2", "--scale", "-1"],
+        ["graph", "--map", "z", "--r", "2", "--node", "inf"],
+        ["profile", "--map", "z", "--r", "abc"],
+        ["profile", "--map", "z", "--r", "inf"],
+    ],
+    ids=[
+        "coarse-resolution",
+        "zero-scale",
+        "negative-scale",
+        "node-at-infinity",
+        "radius-not-a-number",
+        "radius-at-infinity",
+    ],
+)
+def test_cli_flag_overrides_are_validated(argv, capsys):
+    # a flag is checked like the same value in a config file
+    assert main(argv) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_config_rejects_non_positive_radii(tmp_path, capsys):
+    config = tmp_path / "radii.cfg"
+    config.write_text(
+        f"map = z\nradii.list = 0, 2\nverifiers = mean_degree\noutputs = {tmp_path / 'out'}\n"
+    )
+    assert main(["verify-all", "--config", str(config)]) == 2
+    assert "config error" in capsys.readouterr().err
 
 
 # z^3 over disks at 0, 1 and inf: one island (over 0) at both radii, while

@@ -206,6 +206,39 @@ def test_length_power_maps(d, r):
     assert abs(got - want) / max(want, 1e-12) < 1e-6
 
 
+@pytest.mark.parametrize(
+    ("source", "coefficients", "r"),
+    [
+        ("z/(z-2)", (1, 0, 1, -2), 1.5),
+        ("z/(z-2)", (1, 0, 1, -2), 2.5),
+        ("(z+1i)/(2*z+3)", (1, 1j, 2, 3), 1.0),
+        ("(3*z-1)/(z+1)", (3, -1, 1, 1), 0.5),
+        ("(3*z-1)/(z+1)", (3, -1, 1, 1), 1.2),
+        ("(z+0.5)/(0.3i*z+1)", (1, 0.5, 0.3j, 1), 4.0),
+    ],
+)
+def test_area_and_length_of_moebius_maps(source, coefficients, r):
+    # f = (alpha z + beta) / (gamma z + delta) maps |z| < r one to one onto
+    # a disk |w - C| < R, or onto its outside when the pole lies in |z| < r:
+    # a spherical cap, whose normalized area is
+    # (1 - s / sqrt(s^2 + 4 R^2)) / 2 with s = 1 + |C|^2 - R^2
+    alpha, beta, gamma, delta = coefficients
+
+    def f(z):
+        return (alpha * z + beta) / (gamma * z + delta)
+
+    pole = complex(-delta / gamma)
+    centre = f(r * r / pole.conjugate())  # C is the image of the pole's mirror point
+    radius = abs(f(r) - centre)
+    s = 1 + abs(centre) ** 2 - radius**2
+    cap = (1 - s / math.sqrt(s * s + 4 * radius**2)) / 2
+    a = 1 - cap if abs(pole) < r else cap
+    l = 2 * SQRT_PI * math.sqrt(a * (1 - a))  # the cap's boundary circle
+    m = parse_map(source)
+    assert abs(area(m, r) - a) <= 1e-9 * a
+    assert abs(boundary_length(m, r) - l) <= 1e-9 * l
+
+
 def test_pole_on_circle_error():
     m = parse_map("1/(z-1)")
     with pytest.raises(PoleOnCircleError):

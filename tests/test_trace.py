@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +5,10 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from coverlab import _march
-from coverlab.expr import INF, evaluate, parse_map
-from coverlab.metric import SpherePoint, SphericalDisk, chordal_distance
-from coverlab.count import find_islands
+from coverlab.expr import INF, evaluate, evaluate_array, parse_map
+from coverlab.metric import SpherePoint, SphericalDisk
+from coverlab.count import find_islands, find_roots
 from coverlab.trace import (
-    AmbiguityError,
     GraphPlacementError,
     GraphSpec,
     ImplicitCurve,
@@ -25,7 +22,6 @@ from coverlab.trace import (
     complement_components,
     export_json,
     export_svg,
-    level_fidelity,
     make_unit_bump,
     select_perturbation,
     trace_preimage,
@@ -49,34 +45,6 @@ def test_chart_round_trip():
 
 # ---------------------------------------------------------------------------
 # tracing
-
-
-def test_trace_square_preimage_of_unit_circle():
-    m = parse_map("z^2")
-    curve = ImplicitCurve.circle(0, chordal_distance(0, 1.0))
-    pls = trace_preimage(m, curve, 2.0, 256)
-    assert len(pls) == 1
-    assert pls[0].closed
-    assert np.abs(np.abs(pls[0].points) - 1.0).max() < 1e-3
-
-
-def test_trace_triple_cover_loops():
-    m = parse_map("z^3")
-    curve = ImplicitCurve.circle(1, 0.05)
-    pls = trace_preimage(m, curve, 2.0, 256)
-    assert len(pls) == 3
-    assert all(p.closed for p in pls)
-    roots = [np.exp(2j * math.pi * k / 3) for k in range(3)]
-    for pl in pls:
-        center = pl.points.mean()
-        assert min(abs(center - w) for w in roots) < 0.05
-
-
-def test_trace_identity_reproduces_curve():
-    m = parse_map("z")
-    curve = ImplicitCurve.circle(0.3 + 0.2j, 0.08)
-    pls = trace_preimage(m, curve, 2.0, 256)
-    assert level_fidelity(m, curve, pls) < 1e-3
 
 
 @pytest.mark.parametrize(
@@ -103,38 +71,11 @@ def test_clip_cuts_every_piece_on_the_circle(points, closed):
 
 def test_trace_resolution_validation():
     with pytest.raises(ValueError):
-        trace_preimage(parse_map("z"), ImplicitCurve.circle(0, 0.1), 1.0, 32)
-
-
-def test_trace_ambiguity_error_mode():
-    # the lemniscate node is a genuine saddle of the level function; rotate
-    # the source by 45 degrees so the saddle sectors align with the grid and
-    # the ambiguous cell survives every subdivision depth
-    m = parse_map("(0.7071067811865476+0.7071067811865476i)*z")
-    curve = ImplicitCurve.lemniscate(0.0103 + 0.0117j, 0.5)
-    with pytest.raises(AmbiguityError):
-        trace_preimage(m, curve, 2.0, 64, on_ambiguous="error")
-    pls = trace_preimage(m, curve, 2.0, 64, on_ambiguous="resolve")
-    assert len(pls) >= 1
+        trace_preimage(parse_map("z"), ImplicitCurve.segment(CHART), 1.0, 32)
 
 
 # ---------------------------------------------------------------------------
 # classification
-
-
-def test_classify_triple_cover():
-    m = parse_map("z^3")
-    curve = ImplicitCurve.circle(1, 0.05)
-    pls = trace_preimage(m, curve, 2.0, 256)
-    assert classify_arcs(pls, m, curve, 2.0) == (3, 0, 0)
-
-
-def test_classify_critical_curve_suspect():
-    m = parse_map("z^2")
-    curve = ImplicitCurve.circle(0.3, chordal_distance(0.3, 0))  # passes through w=0
-    pls = trace_preimage(m, curve, 2.0, 256, on_ambiguous="resolve")
-    good, bad, suspect = classify_arcs(pls, m, curve, 2.0)
-    assert suspect > 0
 
 
 def test_classify_exp_segment():
@@ -149,9 +90,8 @@ def test_classify_exp_segment():
 
 @pytest.mark.parametrize("t", [0.05, -0.05])
 def test_segment_lift_next_to_a_pole_is_one_good_arc(t):
-    # Im(1/z) = t is one circle through the pole z = 0; its x-range part is
-    # the single lift, whatever sample the traced ring starts at, and the
-    # marching piece next to the pole (far off the line) is no lift at all
+    # Im(1/z) = t is one circle through the pole z = 0; the part of it over
+    # the x-range is the single lift
     m = parse_map("1/z")
     chart = RectangleChart(1, 0, 0, 1, x_range=(-0.3, 0.3), t_range=(-0.1, 0.1))
     seg = ImplicitCurve.segment(chart, t)
@@ -166,6 +106,69 @@ def test_classify_conservation():
     pls = trace_preimage(m, seg, 2.0, 256)
     good, bad, suspect = classify_arcs(pls, m, seg, 2.0)
     assert good + bad + suspect == len(pls)
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_segment_lifts_of_a_power_run_between_its_roots(d):
+    # z^d lifts the segment from a d-th root of its start to one of its
+    # end, on the line Im zeta(f(z)) = t and with Re zeta(f(z)) increasing
+    m = parse_map(f"z^{d}")
+    pls = trace_preimage(m, ImplicitCurve.segment(CHART, 0.03), 2.0, 512)
+    assert len(pls) == d
+
+    def roots(w):
+        return w ** (1 / d) * np.exp(2j * np.pi * np.arange(d) / d)
+
+    for pl in pls:
+        assert np.abs(pl.points[0] - roots(0.7 + 0.03j)).min() <= 1e-8
+        assert np.abs(pl.points[-1] - roots(1.3 + 0.03j)).min() <= 1e-8
+        zeta = CHART.apply(evaluate_array(m, pl.points))
+        assert np.abs(zeta.imag - 0.03).max() <= 1e-8
+        assert np.all(np.diff(zeta.real) > 0)
+
+
+def test_segment_lifts_through_a_moebius_chart_end_on_preimages_of_its_end():
+    m = parse_map("exp(z)")
+    chart = RectangleChart(1, 0, 1, 2, x_range=(0.2, 0.6), t_range=(-0.1, 0.1))
+    pls = trace_preimage(m, ImplicitCurve.segment(chart, 0.02), 6.0, 512)
+    ends = [root.location for root in find_roots(m, complex(chart.inverse(0.6 + 0.02j)), 6.0)]
+    good = [pl for pl in pls if not pl.touches_clip]
+    assert good
+    for pl in good:
+        assert np.abs(pl.points[-1] - np.array(ends)).min() <= 1e-8
+
+
+# z^2 over the chart line t = 0.5, x in (-1.5, 1.5): both end points of the
+# segment have their preimages outside |z| < 1, so nothing lifts from inside
+WIDE_CHART = RectangleChart(1, 0, 0, 1, x_range=(-1.5, 1.5), t_range=(-0.1, 0.6))
+
+
+@pytest.mark.parametrize(
+    ("source", "chart", "t", "r"),
+    [
+        ("z^3", CHART, 0.03, 0.9),
+        ("z^3", CHART, 0.03, 1.05),
+        ("exp(z)", CHART, 0.0, 19.0),
+        ("z^2", WIDE_CHART, 0.5, 1.0),
+    ],
+)
+def test_segment_lifts_from_both_ends_are_counted_once(source, chart, t, r):
+    # every preimage of either end starts a lift; a complete lift joins one
+    # preimage of the start to one of the end and is kept once
+    m = parse_map(source)
+    pls = trace_preimage(m, ImplicitCurve.segment(chart, t), r, 512)
+    n0, n1 = (len(find_roots(m, complex(chart.inverse(x + 1j * t)), r)) for x in chart.x_range)
+    assert len(pls) == n0 + n1 - sum(not pl.touches_clip for pl in pls)
+
+
+def test_segment_component_with_no_end_in_the_disk_is_not_an_arc():
+    # the preimage of the segment meets |z| < 1 in two arcs that enter and
+    # leave through the circle; they are no lifts from inside
+    m = parse_map("z^2")
+    seg = ImplicitCurve.segment(WIDE_CHART, 0.5)
+    pls = trace_preimage(m, seg, 1.0, 512)
+    assert pls == []
+    assert classify_arcs(pls, m, seg, 1.0) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +450,8 @@ def _holed_field(zs):
     ("field", "expected"), [(_saddle_field, _SADDLE_CHAINS), (_holed_field, _HOLED_CHAINS)]
 )
 def test_extract_chains_are_unchanged(field, expected):
-    chains = _march.extract(field, (-1, 1, -1, 1), 4, 4, on_ambiguous="resolve")
+    chains = _march.extract(field, (-1, 1, -1, 1), 4, 4)
     assert [(c.points.tolist(), c.closed, c.cell_size) for c in chains] == expected
-    with pytest.raises(AmbiguityError):
-        _march.extract(field, (-1, 1, -1, 1), 4, 4)
 
 
 @pytest.mark.parametrize(
