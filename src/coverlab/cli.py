@@ -23,8 +23,20 @@ Config files are flat ``key = value`` pairs with dotted sections, UTF-8,
     outputs = out
     verifiers = mean_degree, islands, graph, arcs, rh, euler, containment
 
-Exit codes: 0 all enabled verifiers pass, 1 verifier failure, 2 config
-error, 3 numeric error during a stage.
+Without a ``verifiers`` key, a config enables every verifier whose
+sections it holds (three disks, a graph, a chart), in stage order.
+
+The subcommands ``islands``, ``graph`` and ``arcs`` are validated as the
+verifier of the same name, ``profile`` as none, with or without
+``--config``: each section that verifier needs must be there.  Without
+``--config``, those sections take the values of _DEFAULT_SECTIONS: the
+disks at 1, -1 and inf of radius 0.2/sqrt(pi), the figure-eight at node
+0.5i with scale 0.5 and the chart above.  Every subcommand takes its radii
+from ``radii.mode`` as ``verify-all`` does.
+
+Exit codes: 0 all enabled verifiers pass (a subcommand printed its rows),
+1 verifier failure, 2 config error (also a bad flag), 3 numeric error
+during a stage.
 """
 
 from __future__ import annotations
@@ -34,7 +46,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from coverlab.expr import ParseError, parse_map
@@ -42,7 +54,6 @@ from coverlab.metric import (
     MAX_DISK_RADIUS,
     SphericalDisk,
     _fmt12,
-    _profile,
     build_profile,
     chordal_distance,
     select_radii,
@@ -61,31 +72,26 @@ from coverlab.trace import (
 from coverlab.verify import (
     DEFAULT_C1,
     DEFAULT_C2,
-    VERIFIER_COLUMNS,
+    VERIFIERS,
     ExperimentReport,
     radius_contexts,
-    verify_arcs,
-    verify_asymptotic_equality,
-    verify_containment,
-    verify_euler_identities,
     verify_euler_identity,
-    verify_island_theorem,
-    verify_mean_degree,
-    verify_rh_inequality,
 )
 
-# The verifiers in stage order, each a function of (contexts, config).
-VERIFIERS = {
-    "mean_degree": lambda contexts, cfg: verify_mean_degree(contexts, cfg.samples, cfg.seed),
-    "islands": lambda contexts, cfg: verify_island_theorem(contexts, cfg.c1, cfg.c2),
-    "graph": lambda contexts, cfg: verify_asymptotic_equality(contexts, cfg.c1),
-    "arcs": lambda contexts, cfg: verify_arcs(contexts, cfg.chart),
-    "rh": lambda contexts, cfg: verify_rh_inequality(contexts, cfg.c1),
-    "euler": lambda contexts, cfg: verify_euler_identities(contexts),
-    "containment": lambda contexts, cfg: verify_containment(contexts),
+# The sections a verifier can need (verify.VERIFIERS), with the values a
+# subcommand run without --config gives them.
+_RHO = 0.2 / math.sqrt(math.pi)
+_DEFAULT_SECTIONS = {
+    "disks": tuple(SphericalDisk.of(c, _RHO) for c in (1, -1, "inf")),
+    "graph": GraphSpec(node=0.5j, scale=0.5),
+    "chart": RectangleChart(1, 0, 0, 1, x_range=(0.7, 1.3), t_range=(-0.1, 0.1)),
 }
 
-ALL_VERIFIERS = tuple(VERIFIERS)
+
+def _meets(cfg, section):
+    """Whether cfg holds a section a verifier needs: 3 disks, a graph, a chart."""
+    value = getattr(cfg, section)
+    return len(value) == 3 if section == "disks" else value is not None
 
 
 class ConfigError(ValueError):
@@ -123,7 +129,7 @@ class ExperimentConfig:
     seed: int = 0
     samples: int = 400
     outputs: str = "out"
-    verifiers: tuple = ALL_VERIFIERS
+    verifiers: tuple = tuple(VERIFIERS)
     c1: float = DEFAULT_C1
     c2: float = DEFAULT_C2
 
@@ -137,24 +143,35 @@ class ExperimentConfig:
         if self.radii_mode == "explicit-list" and not self.radii_list:
             raise ConfigError("radii.list", "no radii given")
         if self.radii_mode == "length-area-selected" and not (
-            0 < self.radii_min < self.radii_max
+            0 < self.radii_min < self.radii_max < math.inf
         ):
-            raise ConfigError("radii.min", "need 0 < min < max")
+            raise ConfigError("radii.min", "need 0 < min < max < inf")
+        if self.radii_mode == "length-area-selected" and self.radii_count < 1:
+            raise ConfigError("radii.count", "count must be at least 1")
         if self.radii_mode == "explicit-list" and not all(
             0 < r < math.inf for r in self.radii_list
         ):
             raise ConfigError("radii.list", "radii must be positive and finite")
         if self.resolution < 64:
             raise ConfigError("resolution", "resolution must be at least 64")
+        if self.samples < 100:
+            raise ConfigError("samples", "samples must be at least 100")
+        if self.seed < 0:
+            raise ConfigError("seed", "seed must be non-negative")
+        if not 0 < self.tolerance < math.inf:
+            raise ConfigError("tolerance", "tolerance must be positive and finite")
+        for key, value in (("slack.c1", self.c1), ("slack.c2", self.c2)):
+            if not 0 <= value < math.inf:
+                raise ConfigError(key, "must be non-negative and finite")
         enabled = set(self.verifiers)
-        unknown = enabled - set(ALL_VERIFIERS)
+        unknown = enabled - set(VERIFIERS)
         if unknown:
             raise ConfigError("verifiers", f"unknown verifiers {sorted(unknown)}")
-        needs_disks = enabled & {"islands", "rh", "containment"}
-        if needs_disks and len(self.disks) != 3:
-            raise ConfigError(
-                "disks", f"exactly 3 disks required for {sorted(needs_disks)}"
-            )
+        for section in _DEFAULT_SECTIONS:
+            needing = sorted(name for name in enabled if section in VERIFIERS[name].needs)
+            if needing and not _meets(self, section):
+                what = "exactly 3 disks" if section == "disks" else f"{section} section"
+                raise ConfigError(section, f"{what} required for {needing}")
         for k, disk in enumerate(self.disks, start=1):
             if not 0 < disk.radius < MAX_DISK_RADIUS:
                 raise ConfigError(
@@ -168,10 +185,6 @@ class ExperimentConfig:
                     raise ConfigError(
                         f"disk.{j + 1}", f"overlaps disk.{i + 1} (disks must be disjoint)"
                     )
-        if enabled & {"graph", "euler", "containment"} and self.graph is None:
-            raise ConfigError("graph", "graph section required for graph verifiers")
-        if "arcs" in enabled and self.chart is None:
-            raise ConfigError("chart", "chart section required for the arcs verifier")
         return self
 
     def resolved(self):
@@ -317,16 +330,9 @@ def build_config(pairs):
             v.strip() for v in pairs["verifiers"].split(",") if v.strip()
         )
     else:
-        enabled = ["mean_degree"]
-        if len(cfg.disks) == 3:
-            enabled += ["islands", "rh"]
-        if cfg.graph is not None:
-            enabled += ["graph", "euler"]
-            if len(cfg.disks) == 3:
-                enabled.append("containment")
-        if cfg.chart is not None:
-            enabled.append("arcs")
-        cfg.verifiers = tuple(enabled)
+        cfg.verifiers = tuple(
+            name for name, v in VERIFIERS.items() if all(_meets(cfg, s) for s in v.needs)
+        )
     return cfg.validate()
 
 
@@ -341,10 +347,6 @@ def load_config(path):
 # Orchestration
 
 
-# Verifiers that use the islands; when one is enabled, exports draw them too.
-ISLAND_VERIFIERS = {"islands", "rh", "containment"}
-
-
 def run(cfg):
     """Execute the enabled verifiers, write artifacts, return the exit code.
 
@@ -352,10 +354,11 @@ def run(cfg):
     failure there ends the run with exit code 3.  Then one RadiusContext
     per radius takes a and l from the profile and computes the islands, the
     preimage graph and its complement at most once for all verifiers.  Each
-    enabled verifier is one stage, in VERIFIERS order: it merges its own
-    columns into report.csv, writes its exports (islands_<r>.svg,
+    enabled verifier is one stage, in verify.VERIFIERS order: it merges its
+    own columns into report.csv, writes its exports (islands_<r>.svg,
     graph_<r>.svg, graph_<r>.json; these draw the islands whenever an
-    enabled verifier uses them) and records its verdict in summary.json.
+    enabled verifier needs the disks) and records its verdict in
+    summary.json.
     A stage that raises records its error instead, and the next stage runs.
     Exit code: 3 if any stage raised, else 0 when every verdict passed,
     else 1.  The verdicts are the rules verify.verdicts_from_report applies
@@ -367,16 +370,10 @@ def run(cfg):
     summary = {"config": cfg.resolved(), "verifiers": {}, "errors": []}
     stage = "radius-selection"
     try:
-        if cfg.radii_mode == "length-area-selected":
-            radii = select_radii(
-                m, cfg.radii_min, cfg.radii_max, cfg.radii_count, tol=cfg.tolerance
-            )
-            areas = radii.areas  # a(r) at cfg.tolerance from the selection grid
-        else:
-            radii, areas = list(cfg.radii_list), {}
+        radii, areas = _radii(m, cfg)
         summary["radii"] = radii
         stage = "profile"
-        profile = _profile(m, radii, cfg.tolerance, areas)
+        profile = build_profile(m, radii, cfg.tolerance, areas)
         profile.to_csv(outdir / "profile.csv")
     except (ValueError, ArithmeticError) as exc:
         summary["errors"].append({"stage": stage, "error": str(exc)})
@@ -387,14 +384,14 @@ def run(cfg):
     for r, a, l in zip(profile.radii, profile.a, profile.l):
         report.merge_row(r, {"a": a, "l": l, "resolution": cfg.resolution})
     contexts = radius_contexts(m, profile, cfg.resolution, cfg.disks, cfg.graph)
-    draw_islands = bool(ISLAND_VERIFIERS & set(cfg.verifiers))
+    draw_islands = any("disks" in VERIFIERS[name].needs for name in cfg.verifiers)
     for name, verifier in VERIFIERS.items():
         if name not in cfg.verifiers:
             continue
         try:
-            result = verifier(contexts, cfg)
+            result = verifier.stage(contexts, cfg)
             for row in result.rows:
-                report.merge_row(row["r"], {c: row[c] for c in VERIFIER_COLUMNS[name]})
+                report.merge_row(row["r"], {c: row[c] for c in verifier.columns})
             for ctx in contexts:
                 _export(name, ctx, outdir, draw_islands)
         except (ValueError, ArithmeticError) as exc:
@@ -415,6 +412,15 @@ def run(cfg):
         code = 1
     _write_summary(outdir, summary, exit_code=code)
     return code
+
+
+def _radii(m, cfg):
+    """(radii, areas): radii.list with no a(r) known, or the length-area-
+    selected radii with their a(r) at cfg.tolerance from the selection grid."""
+    if cfg.radii_mode == "length-area-selected":
+        radii = select_radii(m, cfg.radii_min, cfg.radii_max, cfg.radii_count, tol=cfg.tolerance)
+        return radii, radii.areas
+    return list(cfg.radii_list), {}
 
 
 def _export(name, ctx, outdir, draw_islands):
@@ -461,19 +467,31 @@ def _base_parser(sub, name, help_text):
     return p
 
 
-def _effective_config(args, default_disks=None, need_graph=False, need_chart=False):
+def _effective_config(args):
+    """The config of a subcommand, validated as its verifier (see the module
+    docstring): --config or --map with _DEFAULT_SECTIONS, then the flags."""
     if args.config:
         cfg = load_config(args.config)
+    elif not args.map_source:
+        raise ConfigError("map", "missing map (--map or --config)")
     else:
-        if not args.map_source:
-            raise ConfigError("map", "missing map (--map or --config)")
-        cfg = ExperimentConfig(map_source=args.map_source, verifiers=())
-        if default_disks:
-            cfg.disks = default_disks
-        if need_graph:
-            cfg.graph = GraphSpec(node=0.5j, scale=0.5)
-        if need_chart:
-            cfg.chart = RectangleChart(1, 0, 0, 1, x_range=(0.7, 1.3), t_range=(-0.1, 0.1))
+        cfg = ExperimentConfig(map_source=args.map_source)
+    if args.command != "verify-all":
+        cfg.verifiers = (args.command,) if args.command in VERIFIERS else ()
+    if not args.config:
+        for name in cfg.verifiers:
+            for section in VERIFIERS[name].needs:
+                setattr(cfg, section, _DEFAULT_SECTIONS[section])
+    node, scale = getattr(args, "node", None), getattr(args, "scale", None)
+    if cfg.graph is not None and (node is not None or scale is not None):
+        try:
+            cfg.graph = replace(
+                cfg.graph,
+                node=cfg.graph.node if node is None else complex(parse_complex(node)),
+                scale=cfg.graph.scale if scale is None else scale,
+            )
+        except ValueError as exc:
+            raise ConfigError("graph", str(exc))
     if args.map_source:
         cfg.map_source = args.map_source
     if args.radius:
@@ -494,17 +512,9 @@ def _effective_config(args, default_disks=None, need_graph=False, need_chart=Fal
 def _contexts(cfg):
     """One RadiusContext per radius of a subcommand's config."""
     m = parse_map(cfg.map_source)
-    profile = build_profile(m, cfg.radii_list, tol=cfg.tolerance)
+    radii, areas = _radii(m, cfg)
+    profile = build_profile(m, radii, cfg.tolerance, areas)
     return radius_contexts(m, profile, cfg.resolution, cfg.disks, cfg.graph)
-
-
-def _standard_disks():
-    rho = 0.2 / math.sqrt(math.pi)
-    return [
-        SphericalDisk.of(1, rho),
-        SphericalDisk.of(-1, rho),
-        SphericalDisk.of("inf", rho),
-    ]
 
 
 def main(argv=None):
@@ -536,10 +546,7 @@ def main(argv=None):
             return 0
 
         if args.command == "islands":
-            cfg = _effective_config(args, default_disks=_standard_disks())
-            if len(cfg.disks) != 3:
-                raise ConfigError("disks", "exactly 3 disks required for islands")
-            for ctx in _contexts(cfg):
+            for ctx in _contexts(_effective_config(args)):
                 per_disk = [
                     sum(rec.disk_index == k for rec in ctx.islands) for k in range(3)
                 ]
@@ -550,15 +557,7 @@ def main(argv=None):
             return 0
 
         if args.command == "graph":
-            cfg = _effective_config(args, need_graph=True)
-            if args.node is not None or args.scale is not None:
-                try:
-                    node = cfg.graph.node if args.node is None else parse_complex(args.node)
-                    scale = cfg.graph.scale if args.scale is None else args.scale
-                    cfg.graph = GraphSpec(node=complex(node), scale=scale)
-                except ValueError as exc:
-                    raise ConfigError("graph", str(exc))
-            for ctx in _contexts(cfg):
+            for ctx in _contexts(_effective_config(args)):
                 row = verify_euler_identity(ctx.graph, ctx.complement).rows[0]
                 print(
                     f"r={_fmt12(ctx.r)} V={len(ctx.graph.vertices)} "
@@ -569,9 +568,9 @@ def main(argv=None):
             return 0
 
         if args.command == "arcs":
-            cfg = _effective_config(args, need_chart=True)
+            cfg = _effective_config(args)
             m = parse_map(cfg.map_source)
-            for r in cfg.radii_list:
+            for r in _radii(m, cfg)[0]:
                 t_star, lhs, rhs = select_perturbation(m, r, cfg.chart, 1000)
                 seg = ImplicitCurve.segment(cfg.chart, t_star)
                 pls = trace_preimage(m, seg, r, cfg.resolution)
@@ -587,12 +586,8 @@ def main(argv=None):
         if args.command == "verify-all":
             if not args.config:
                 raise ConfigError("config", "verify-all requires --config")
-            cfg = _effective_config(args)
-            return run(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ParseError as exc:
+            return run(_effective_config(args))
+    except (ConfigError, ParseError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, ArithmeticError) as exc:

@@ -515,13 +515,12 @@ def _fmt12(x):
     return f"{x:.12g}"
 
 
-def build_profile(m, radii, tol=1e-7):
-    """Rows (r, a(r), l(r)) at each radius: a at `tol`, l at max(tol / 10, 1e-10)."""
-    return _profile(m, radii, tol, {})
+def build_profile(m, radii, tol=1e-7, areas=None):
+    """Rows (r, a(r), l(r)) at each radius: a at `tol`, l at max(tol / 10, 1e-10).
 
-
-def _profile(m, radii, tol, areas):
-    """build_profile, with a(r) from `areas` (r -> a(r) at `tol`) where known."""
+    a(r) is taken from `areas` (r -> a(r) at `tol`) where it is known.
+    """
+    areas = areas or {}
     prof = MetricProfile(map_source=m.source_text if hasattr(m, "source_text") else str(m))
     for r in radii:
         rr, lv = _length_with_nudge(m, r, tol=max(tol * 1e-1, 1e-10))

@@ -8,18 +8,20 @@ schedule.  Slack constants are recorded in every report rather than hidden.
 Every verifier is a function of the run's RadiusContexts, one per radius.
 A context takes a and l from the metric profile and computes the islands,
 the preimage graph and its complement on first use, so each is computed
-at most once per (map, radius, resolution) and shared.  Each verifier has
-one verdict rule: a predicate on each of its rows, and for islands also
-the non-increasing slack trend.  The verifiers use it, so the summary and
-the exit code do, and verdicts_from_report applies it to report.csv: every
-verdict but containment's (which writes no report column) can be
-recomputed from the CSV columns alone.
+at most once per (map, radius, resolution) and shared.  VERIFIERS states
+each verifier once: its stage, the config sections it needs, its report
+columns and its one verdict rule, a predicate on each of its rows (for
+islands also the non-increasing slack trend).  The verifiers use the rule,
+so the summary and the exit code do, and verdicts_from_report applies it
+to report.csv: every verdict but containment's (which writes no report
+column) can be recomputed from the CSV columns alone.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -108,45 +110,84 @@ def radius_contexts(m, profile, resolution=512, disks=(), graph_spec=None):
 
 
 # ---------------------------------------------------------------------------
-# Verdict rules
+# The verifier table
 
 
-# Each verifier's report.csv columns; the first one marks the rows it wrote.
-VERIFIER_COLUMNS = {
-    "mean_degree": ("mean_err", "mean_allowed", "mean_degree", "mean_stderr"),
-    "islands": (
-        "island_count",
-        "degree_sum",
-        "ramification",
-        "ambiguous_islands",
-        "island_slack_allowed",
-        "island_slack_needed",
+@dataclass(frozen=True)
+class Verifier:
+    """One verifier: `stage` maps (contexts, config) to its VerifierResult;
+    `needs` names the config sections it uses ("disks", exactly three of
+    them, "graph" and "chart"); `columns` are its report.csv columns, the
+    first one marking the rows it wrote; `rule` holds on each passing row."""
+
+    stage: Callable
+    needs: tuple
+    columns: tuple
+    rule: Callable
+
+
+# Every verifier, in stage order.  The stages look the verify_* functions up
+# by their module names on each call, so a rebinding of those names (as
+# perfbench's tracer does) sees every call.
+VERIFIERS = {
+    "mean_degree": Verifier(
+        lambda contexts, cfg: verify_mean_degree(contexts, cfg.samples, cfg.seed),
+        (),
+        ("mean_degree", "mean_stderr", "mean_err", "mean_allowed"),
+        lambda row: row["mean_err"] <= row["mean_allowed"],
     ),
-    "graph": (
-        "graph_euler",
-        "good_arcs",
-        "bad_arcs",
-        "suspect_arcs",
-        "graph_ratio",
-        "graph_err",
-        "graph_allowed",
+    "islands": Verifier(
+        lambda contexts, cfg: verify_island_theorem(contexts, cfg.c1, cfg.c2),
+        ("disks",),
+        (
+            "island_count",
+            "degree_sum",
+            "ramification",
+            "ambiguous_islands",
+            "island_slack_allowed",
+            "island_slack_needed",
+        ),
+        lambda row: row["island_count"] >= row["a"] * (1 - row["island_slack_allowed"]),
     ),
-    "arcs": ("coarea_lhs", "coarea_rhs", "t_star", "arc_integral"),
-    "rh": ("rh_lhs", "rh_rhs", "ramification"),
-    "euler": ("euler_identity", "chi_c0", "sum_chi_c"),
-    "containment": (),
-}
-
-ROW_RULES = {
-    "mean_degree": lambda row: row["mean_err"] <= row["mean_allowed"],
-    "islands": lambda row: row["island_count"]
-    >= row["a"] * (1 - row["island_slack_allowed"]),
-    "graph": lambda row: row["graph_err"] <= row["graph_allowed"],
-    "arcs": lambda row: abs(row["coarea_lhs"] - row["coarea_rhs"])
-    <= 0.02 * max(row["coarea_rhs"], 1.0),
-    "rh": lambda row: row["rh_lhs"] <= row["rh_rhs"],
-    "euler": lambda row: row["euler_identity"] == 1,
-    "containment": lambda row: row["contains_island"],
+    "graph": Verifier(
+        lambda contexts, cfg: verify_asymptotic_equality(contexts, cfg.c1),
+        ("graph",),
+        (
+            "graph_euler",
+            "good_arcs",
+            "bad_arcs",
+            "suspect_arcs",
+            "graph_ratio",
+            "graph_err",
+            "graph_allowed",
+        ),
+        lambda row: row["graph_err"] <= row["graph_allowed"],
+    ),
+    "arcs": Verifier(
+        lambda contexts, cfg: verify_arcs(contexts, cfg.chart),
+        ("chart",),
+        ("t_star", "coarea_lhs", "coarea_rhs", "arc_integral"),
+        lambda row: abs(row["coarea_lhs"] - row["coarea_rhs"])
+        <= 0.02 * max(row["coarea_rhs"], 1.0),
+    ),
+    "rh": Verifier(
+        lambda contexts, cfg: verify_rh_inequality(contexts, cfg.c1),
+        ("disks",),
+        ("rh_lhs", "rh_rhs", "ramification"),
+        lambda row: row["rh_lhs"] <= row["rh_rhs"],
+    ),
+    "euler": Verifier(
+        lambda contexts, cfg: verify_euler_identities(contexts),
+        ("graph",),
+        ("chi_c0", "sum_chi_c", "euler_identity"),
+        lambda row: row["euler_identity"] == 1,
+    ),
+    "containment": Verifier(
+        lambda contexts, cfg: verify_containment(contexts),
+        ("disks", "graph"),
+        (),
+        lambda row: row["contains_island"],
+    ),
 }
 
 
@@ -169,7 +210,7 @@ def _island_trend_ok(rows):
 def _passed(name, rows):
     """The verdict of one verifier on its rows: its rule holds on every row,
     and for islands the needed slack does not increase along the radii."""
-    ok = all(ROW_RULES[name](row) for row in rows)
+    ok = all(VERIFIERS[name].rule(row) for row in rows)
     if name == "islands":
         ok = ok and _island_trend_ok(rows)
     return ok
@@ -390,39 +431,14 @@ def verify_containment(contexts):
 # Report assembly
 
 
-REPORT_COLUMNS = [
-    "r",
-    "a",
-    "l",
-    "ratio",
-    "mean_degree",
-    "mean_stderr",
-    "mean_err",
-    "mean_allowed",
-    "island_count",
-    "degree_sum",
-    "ramification",
-    "ambiguous_islands",
-    "island_slack_allowed",
-    "island_slack_needed",
-    "graph_euler",
-    "good_arcs",
-    "bad_arcs",
-    "suspect_arcs",
-    "graph_ratio",
-    "graph_err",
-    "graph_allowed",
-    "chi_c0",
-    "sum_chi_c",
-    "euler_identity",
-    "rh_lhs",
-    "rh_rhs",
-    "t_star",
-    "coarea_lhs",
-    "coarea_rhs",
-    "arc_integral",
+# The profile's columns, each verifier's in this order (a column two
+# verifiers write comes once) and the resolution.
+REPORT_COLUMNS = list(dict.fromkeys([
+    "r", "a", "l", "ratio",
+    *(c for name in ("mean_degree", "islands", "graph", "euler", "rh", "arcs")
+      for c in VERIFIERS[name].columns),
     "resolution",
-]
+]))
 
 _INT_COLUMNS = {
     "island_count",
@@ -497,8 +513,8 @@ class ExperimentReport:
 def verdicts_from_report(report):
     """Recompute every pass/fail decision from report columns alone."""
     out = {}
-    for name, columns in VERIFIER_COLUMNS.items():
-        rows = [row for row in report.rows if columns and columns[0] in row]
+    for name, verifier in VERIFIERS.items():
+        rows = [row for row in report.rows if verifier.columns and verifier.columns[0] in row]
         if rows:
             out[name] = _passed(name, rows)
     return out

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -334,3 +335,98 @@ def test_cli_import_loads_no_scipy_and_loads_numpy_random():
         check=True,
     ).stdout.split()
     assert out == ["[]", "True"]
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        "radii.mode = length-area-selected\nradii.min = 1\nradii.max = inf\n",
+        "radii.mode = length-area-selected\nradii.count = 0\n",
+        "samples = 50\n",
+        "seed = -1\n",
+        "tolerance = -1\n",
+        "tolerance = inf\n",
+        "slack.c1 = nan\n",
+        "slack.c2 = -1\n",
+    ],
+    ids=[
+        "infinite-max-radius",
+        "no-selected-radius",
+        "too-few-samples",
+        "negative-seed",
+        "negative-tolerance",
+        "infinite-tolerance",
+        "nan-slack",
+        "negative-slack",
+    ],
+)
+def test_config_values_out_of_range_are_config_errors(lines, tmp_path, capsys):
+    # rejected before any stage runs, not by the stage that trips on them
+    config = tmp_path / "range.cfg"
+    config.write_text(
+        f"map = z\nradii.list = 2\nverifiers = mean_degree\n{lines}"
+        f"outputs = {tmp_path / 'out'}\n"
+    )
+    assert main(["verify-all", "--config", str(config)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["graph"], ["arcs"], ["graph", "--node", "0.5i"], ["islands"]],
+    ids=["graph", "arcs", "graph-node-flag", "islands"],
+)
+def test_subcommands_are_validated_as_their_verifier(argv, tmp_path, capsys):
+    # the config has none of the sections these subcommands need
+    config = tmp_path / "f.cfg"
+    config.write_text("map = z^3\nradii.list = 2\n")
+    assert main([argv[0], "--config", str(config), *argv[1:]]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+SECTIONS = {
+    "disks": "".join(
+        f"disk.{k}.center = {c}\ndisk.{k}.radius = 0.112837916709551\n"
+        for k, c in enumerate(("1", "-1", "inf"), start=1)
+    ),
+    "graph": "graph.node = 0.5i\ngraph.scale = 0.5\n",
+    "chart": "chart.moebius = 1, 0, 0, 1\nchart.x_range = 0.7, 1.3\nchart.t_range = -0.1, 0.1\n",
+}
+
+
+def test_default_verifiers_are_those_whose_sections_are_given():
+    needs = [
+        ("mean_degree", set()),
+        ("islands", {"disks"}),
+        ("graph", {"graph"}),
+        ("arcs", {"chart"}),
+        ("rh", {"disks"}),
+        ("euler", {"graph"}),
+        ("containment", {"disks", "graph"}),
+    ]
+    for k in range(len(SECTIONS) + 1):
+        for given in itertools.combinations(SECTIONS, k):
+            cfg = parse_config_text("map = z\n" + "".join(SECTIONS[s] for s in given))
+            assert cfg.verifiers == tuple(
+                name for name, sections in needs if sections <= set(given)
+            ), given
+
+
+def test_subcommands_take_the_radii_of_verify_all(tmp_path, capsys):
+    config = tmp_path / "selected.cfg"
+    config.write_text(
+        "map = z^2\nradii.mode = length-area-selected\nradii.min = 1\nradii.max = 10\n"
+        "radii.count = 2\nverifiers = mean_degree\nsamples = 100\n"
+        + SECTIONS["disks"]
+        + SECTIONS["chart"]
+        + f"outputs = {tmp_path / 'out'}\n"
+    )
+    assert main(["verify-all", "--config", str(config)]) == 0
+    radii = json.loads((tmp_path / "out" / "summary.json").read_text())["radii"]
+    assert len(radii) == 2
+    for command in ("profile", "islands", "arcs"):
+        capsys.readouterr()
+        assert main([command, "--config", str(config)]) == 0
+        rows = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == [f"r={metric._fmt12(r)}" for r in radii]

@@ -239,6 +239,23 @@ def test_area_and_length_of_moebius_maps(source, coefficients, r):
     assert abs(boundary_length(m, r) - l) <= 1e-9 * l
 
 
+@pytest.mark.parametrize(
+    ("source", "r", "a"),
+    [
+        ("exp(z)", 8.0, 2.5298797152564093),
+        ("exp(z)", 20.0, 6.3596384674780898),
+        ("sin(z)", 10.0, 6.5664842458416),
+    ],
+)
+def test_area_matches_independent_high_precision_values(source, r, a):
+    # Digits from mpmath 1.3.0 at 30 digits, stored because the test
+    # environment has no mpmath.  exp(z) has the density 1 / (4 pi cosh(x)^2)
+    # of x = Re z alone, so a(r) = (1/2pi) int_{-r}^{r} sqrt(r^2 - x^2) / cosh(x)^2 dx.
+    # sin(z) is entire, so a(r) is the boundary integral
+    # (1/2pi) int_0^{2pi} Re(z f'(z) conj f(z)) / (1 + |f(z)|^2) dtheta, z = r e^{i theta}.
+    assert area(parse_map(source), r, tol=1e-7) == pytest.approx(a, rel=1e-8)
+
+
 def test_pole_on_circle_error():
     m = parse_map("1/(z-1)")
     with pytest.raises(PoleOnCircleError):
