@@ -176,9 +176,7 @@ def trace_preimage(m, curve, r, resolution=512):
     (count._lift), a straight path even where the chart sends it through
     infinity: forward from every preimage of its start in the disk, and
     backward from every preimage of its end.  A backward lift that
-    completes retraces a forward one and is dropped; so the end's
-    preimages are not root-found when count_preimages_many says that the
-    complete forward lifts reach all of them.  A lift that leaves
+    completes retraces a forward one and is dropped.  A lift that leaves
     the disk stops at its first point with |z| >= r and touches the clip.
     Each polyline runs along increasing x; they are ordered by their
     lowest-left point and carry `resolution`, which sets the margin band
@@ -196,14 +194,10 @@ def trace_preimage(m, curve, r, resolution=512):
     def path(x):
         return x + 1j * t, 1.0
 
-    out, n_complete = [], 0
+    out = []
     for start, end in (chart.x_range, chart.x_range[::-1]):
-        p = complex(chart.inverse(start + 1j * t))
-        if end < start and count_preimages_many(m, [p], r)[0] == n_complete:
-            break  # every backward lift would retrace a forward one
-        roots = find_roots(m, p, r)
+        roots = find_roots(m, complex(chart.inverse(start + 1j * t)), r)
         rows, alive = _lift(g, dg, [root.location for root in roots], path, start, end, r)
-        n_complete = int(alive.sum())
         for pts, complete in zip(rows.T, alive):
             if complete and end < start:
                 continue  # a forward lift, reversed

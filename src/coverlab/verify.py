@@ -133,7 +133,7 @@ VERIFIERS = {
     "mean_degree": Verifier(
         lambda contexts, cfg: verify_mean_degree(contexts, cfg.samples, cfg.seed),
         (),
-        ("mean_degree", "mean_stderr", "mean_err", "mean_allowed"),
+        ("mean_err", "mean_allowed", "mean_degree", "mean_stderr"),
         lambda row: row["mean_err"] <= row["mean_allowed"],
     ),
     "islands": Verifier(
@@ -166,7 +166,7 @@ VERIFIERS = {
     "arcs": Verifier(
         lambda contexts, cfg: verify_arcs(contexts, cfg.chart),
         ("chart",),
-        ("t_star", "coarea_lhs", "coarea_rhs", "arc_integral"),
+        ("coarea_lhs", "coarea_rhs", "t_star", "arc_integral"),
         lambda row: abs(row["coarea_lhs"] - row["coarea_rhs"])
         <= 0.02 * max(row["coarea_rhs"], 1.0),
     ),
@@ -179,7 +179,7 @@ VERIFIERS = {
     "euler": Verifier(
         lambda contexts, cfg: verify_euler_identities(contexts),
         ("graph",),
-        ("chi_c0", "sum_chi_c", "euler_identity"),
+        ("euler_identity", "chi_c0", "sum_chi_c"),
         lambda row: row["euler_identity"] == 1,
     ),
     "containment": Verifier(
@@ -431,14 +431,40 @@ def verify_containment(contexts):
 # Report assembly
 
 
-# The profile's columns, each verifier's in this order (a column two
-# verifiers write comes once) and the resolution.
-REPORT_COLUMNS = list(dict.fromkeys([
-    "r", "a", "l", "ratio",
-    *(c for name in ("mean_degree", "islands", "graph", "euler", "rh", "arcs")
-      for c in VERIFIERS[name].columns),
+# report.csv's columns in file order; every VERIFIERS[name].columns is among them.
+REPORT_COLUMNS = [
+    "r",
+    "a",
+    "l",
+    "ratio",
+    "mean_degree",
+    "mean_stderr",
+    "mean_err",
+    "mean_allowed",
+    "island_count",
+    "degree_sum",
+    "ramification",
+    "ambiguous_islands",
+    "island_slack_allowed",
+    "island_slack_needed",
+    "graph_euler",
+    "good_arcs",
+    "bad_arcs",
+    "suspect_arcs",
+    "graph_ratio",
+    "graph_err",
+    "graph_allowed",
+    "chi_c0",
+    "sum_chi_c",
+    "euler_identity",
+    "rh_lhs",
+    "rh_rhs",
+    "t_star",
+    "coarea_lhs",
+    "coarea_rhs",
+    "arc_integral",
     "resolution",
-]))
+]
 
 _INT_COLUMNS = {
     "island_count",

@@ -7,6 +7,8 @@ from coverlab.count import find_islands
 from coverlab.metric import SphericalDisk, build_profile
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
 from coverlab.verify import (
+    REPORT_COLUMNS,
+    VERIFIERS,
     ExperimentReport,
     radius_contexts,
     verdicts_from_report,
@@ -148,6 +150,20 @@ def test_report_csv_roundtrip_and_verdicts(tmp_path, z5_islands):
     # ratio column is consistent to 12 digits
     for row in back.rows:
         assert abs(row["ratio"] - row["l"] / row["a"]) < 5e-12 * max(1.0, row["ratio"])
+
+
+def test_report_header_holds_every_verifier_column():
+    assert ",".join(REPORT_COLUMNS) == (
+        "r,a,l,ratio,mean_degree,mean_stderr,mean_err,mean_allowed,"
+        "island_count,degree_sum,ramification,ambiguous_islands,"
+        "island_slack_allowed,island_slack_needed,graph_euler,good_arcs,"
+        "bad_arcs,suspect_arcs,graph_ratio,graph_err,graph_allowed,chi_c0,"
+        "sum_chi_c,euler_identity,rh_lhs,rh_rhs,t_star,coarea_lhs,coarea_rhs,"
+        "arc_integral,resolution"
+    )
+    written = {c for verifier in VERIFIERS.values() for c in verifier.columns}
+    assert written <= set(REPORT_COLUMNS)
+    assert set(REPORT_COLUMNS) - written == {"r", "a", "l", "ratio", "resolution"}
 
 
 def test_verdict_failure_detected(tmp_path):
