@@ -1,29 +1,30 @@
 """Preimage counting, islands, covering degrees and ramification.
 
 Every count here is a winding number by the argument principle, and one
-helper computes them all (_windings): it winds f along a closed path
-t -> z(t) around many targets at once.  Two kinds of path occur: the
-circle |z| = r with t = theta, and polygons with t = edge index + fraction.
-The path is sampled with f and f'; an arc is bisected where |f'| changes
-by more than 2x, and wherever a target lies in the arc's bound ball (about
-f at its start, radius max(chord, 2 * step * |z'(t)| |f'|)).  Arcs never
-straddle a polygon corner.  The windings then come from one vectorized
-crossing-number pass over the sampled polyline.  Band rule: a target still
-inside a ball whose arc cannot shrink below the root-on-path scale (radius
-about 3e-7 |z'(t)| |f'|) is undecided.
+helper computes them all (_windings): it winds f along every loop of a
+path t -> z(t) around many targets at once.  Two kinds of path occur: the
+circle |z| = r with t = theta, and polygons, one or many closed loops,
+with t = edge index + fraction.  The path is sampled with f and f'; an arc
+is bisected where |f'| changes by more than 2x, and wherever a target lies
+in the arc's bound ball (about f at its start, radius max(chord, 2 * step *
+|z'(t)| |f'|)).  Arcs never straddle a polygon corner.  The windings then
+come from one vectorized crossing-number pass over the sampled polylines.
+Band rule: a target still inside a ball whose arc cannot shrink below the
+root-on-path scale (radius about 3e-7 |z'(t)| |f'|) is undecided.
 
 - count_preimages_many: n(r, p) = wind(f(|z| = r), p) + P(r), where P(r)
   counts the poles of f in |z| < r with their order.  Undecided targets go
   to count_preimages, which raises RootOnCircleError if the root is on the
   circle.  Counts are distinct roots; they equal the winding count except
   at critical values, which random targets miss.
-- find_roots (and count_preimages): recursive subdivision of the disk's
-  bounding square, winding the entire function N - p D of f = N/D around
-  0 along each square cell.  A cell of winding 0 holds no root and is
-  discarded; an undecided cell raises ContourPassesThroughRoot so its
-  parent re-splits off-centre.  A cell of winding w is polished by Newton
-  (Schroeder's step w g / g' for w >= 2); for w >= 2 it is one root of
-  multiplicity w when g winds w times on a small square about that point.
+- find_roots (and count_preimages): subdivision of the disk's bounding
+  square, level by level, winding the entire function N - p D of f = N/D
+  around 0 along every cell of a level in one _windings pass.  A cell of
+  winding 0 holds no root and is discarded; a split with an undecided cell
+  is cut again off-centre in the next pass.  A cell of winding w is
+  polished by Newton (Schroeder's step w g / g' for w >= 2); for w >= 2 it
+  is one root of multiplicity w when g winds w times on a small square
+  about that point.
 - find_islands: an island holds a preimage of its disk's centre and is
   bounded by lifts (_lift) of the disk's boundary circle from there.
 - Pole orders (_local_winding) wind f, or N - c D, along a small square.
@@ -57,6 +58,7 @@ from coverlab.metric import (
 )
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.4617)
+_INFLATIONS = (1e-6, 7.3e-4)  # bounding-square margins, relative to r
 _ISOLATION_REL = 1e-5  # root cells this small, relative to r, are isolated
 _MAX_CELLS = 60_000  # root-finder cell budget
 
@@ -101,9 +103,10 @@ class _Circle(NamedTuple):
     r: float
 
     def start(self):
-        """Initial arcs: their start parameters and common step."""
+        """Initial arcs: their start parameters, common step, and the index
+        of each arc's end among the starts."""
         step = 2 * math.pi / _CIRCLE_SAMPLES
-        return step * np.arange(_CIRCLE_SAMPLES), step
+        return step * np.arange(_CIRCLE_SAMPLES), step, np.roll(np.arange(_CIRCLE_SAMPLES), -1)
 
     def point(self, t):
         return self.r * np.exp(1j * t)
@@ -112,20 +115,29 @@ class _Circle(NamedTuple):
         """|z'(t)| on the arcs starting at t."""
         return self.r
 
+    def loop(self, t):
+        """Loop index of the arcs starting at t."""
+        return np.zeros(len(t), dtype=int)
+
 
 class _Polygon(NamedTuple):
-    """Closed polygon through `corners`, with t = edge index + fraction.
+    """Closed polygons, one per loop, with t = global edge index + fraction.
 
-    One initial arc per edge, so no arc straddles a corner.
+    Edge k runs from corners[k] to corners[nxt[k]], so every loop closes on
+    its own first corner.  One initial arc per edge, so no arc straddles a
+    corner.  t - k is exact: the fractions are dyadic down to 2^-23, and
+    k < 24 _MAX_CELLS < 2^30.
     """
 
     corners: np.ndarray
+    nxt: np.ndarray
+    loops: np.ndarray  # loop index of each edge
 
     def start(self):
-        return np.arange(len(self.corners), dtype=float), 1.0
+        return np.arange(len(self.corners), dtype=float), 1.0, self.nxt
 
     def edge(self, k):
-        return self.corners[(k + 1) % len(self.corners)] - self.corners[k]
+        return self.corners[self.nxt[k]] - self.corners[k]
 
     def point(self, t):
         k = t.astype(int)
@@ -134,19 +146,25 @@ class _Polygon(NamedTuple):
     def scale(self, t):
         return np.abs(self.edge(t.astype(int)))
 
+    def loop(self, t):
+        return self.loops[t.astype(int)]
 
-def _rect(x0, x1, y0, y1):
-    """Counterclockwise boundary of a rectangle, six edges a side."""
-    pts = []
-    for a, b in (
-        (complex(x0, y0), complex(x1, y0)),
-        (complex(x1, y0), complex(x1, y1)),
-        (complex(x1, y1), complex(x0, y1)),
-        (complex(x0, y1), complex(x0, y0)),
-    ):
-        for k in range(6):
-            pts.append(a + (b - a) * k / 6)
-    return _Polygon(np.array(pts))
+
+def _rects(boxes):
+    """Counterclockwise boundaries of the rectangles (x0, x1, y0, y1) in
+    `boxes`, one loop each, six edges a side.  Corner k of a side a -> b is
+    a + (b - a) k / 6, in each coordinate."""
+    x0, x1, y0, y1 = np.asarray(boxes, dtype=float).reshape(-1, 4).T[:, :, None, None]
+    ax, bx = np.concatenate([x0, x1, x1, x0], 1), np.concatenate([x1, x1, x0, x0], 1)
+    ay, by = np.concatenate([y0, y0, y1, y1], 1), np.concatenate([y0, y1, y1, y0], 1)
+    k = np.arange(6)
+    corners = np.empty((len(ax), 4, 6), dtype=np.complex128)
+    corners.real = ax + (bx - ax) * k / 6
+    corners.imag = ay + (by - ay) * k / 6
+    n = corners.size
+    nxt = np.arange(1, n + 1)
+    nxt[23::24] -= 24
+    return _Polygon(corners.ravel(), nxt, np.arange(n) // 24)
 
 
 def _sample(m, dm, path, t):
@@ -209,58 +227,68 @@ def _ball_pairs(arcs, targets):
 
 
 def _image_polygon(m, dm, path, targets):
-    """Closed polyline for f(path) and the targets it cannot decide.
+    """Closed polylines for f along the loops of `path`, and the (loop,
+    target) pairs they cannot decide.
 
     Each arc's ball holds both its image and its chord, so a target outside
     the balls of some ancestor of every final arc has the same winding for
     polyline and curve.  Arcs are bisected where |f'| changes by more than
     2x, then wherever their ball holds a target.  A target still inside a
     ball whose arc is down to _MIN_STEP (radius _BAND |z'(t)| |f'|) is
-    undecided.
+    undecided.  Each loop refines on its own, within _MAX_CURVE_POINTS
+    points.  Returns the vertices, loop after loop, their loop indices and
+    the (loop, target) undecided mask.
     """
-    t, step = path.start()
+    t, step, nxt = path.start()
+    n_loops = path.loop(t)[-1] + 1
+
+    def over_budget(points, t):
+        """Whether a loop of the arcs starting at t has more than
+        _MAX_CURVE_POINTS points, given the per-loop counts `points`."""
+        return (points[path.loop(t)] > _MAX_CURVE_POINTS).any()
+
     w, dabs = _sample(m, dm, path, t)
     scale = path.scale(t)
-    arcs = _Arcs(
-        t, np.full_like(t, step), w, np.roll(w, -1), scale * dabs, scale * np.roll(dabs, -1)
-    )
+    arcs = _Arcs(t, np.full_like(t, step), w, w[nxt], scale * dabs, scale * dabs[nxt])
     while True:
         split = ~arcs.trusted() & (arcs.step > _MIN_STEP)
         if not split.any():
             break
-        if len(arcs.t) > _MAX_CURVE_POINTS:
+        if over_budget(np.bincount(path.loop(arcs.t), minlength=n_loops), arcs.t[split]):
             raise WindingError("contour refinement budget exceeded")
         arcs = arcs.take(~split).join(arcs.take(split).bisect(m, dm, path))
     params, values = [arcs.t], [arcs.wa]
-    n_points = len(arcs.t)
-    undecided = np.zeros(len(targets), dtype=bool)
+    n_points = np.bincount(path.loop(arcs.t), minlength=n_loops)
+    undecided = np.zeros((n_loops, len(targets)), dtype=bool)
     arc_idx, tgt_idx = _ball_pairs(arcs, targets)
     while True:
         floor = arcs.step[arc_idx] <= _MIN_STEP
-        undecided[tgt_idx[floor]] = True
+        undecided[path.loop(arcs.t[arc_idx[floor]]), tgt_idx[floor]] = True
         arc_idx, tgt_idx = arc_idx[~floor], tgt_idx[~floor]
         if not arc_idx.size:
             break
-        if n_points > _MAX_CURVE_POINTS:
+        if over_budget(n_points, arcs.t[arc_idx]):
             raise WindingError("contour refinement budget exceeded")
         parents, inverse = np.unique(arc_idx, return_inverse=True)
         arcs = arcs.take(parents).bisect(m, dm, path)
         n = len(parents)
         params.append(arcs.t[n:])
         values.append(arcs.wa[n:])
-        n_points += n
+        n_points += np.bincount(path.loop(arcs.t[n:]), minlength=n_loops)
         arc_idx = np.concatenate([inverse, inverse + n])
         tgt_idx = np.concatenate([tgt_idx, tgt_idx])
         inside = np.abs(targets[tgt_idx] - arcs.wa[arc_idx]) < arcs.radius()[arc_idx]
         keep = inside | ~arcs.trusted()[arc_idx]
         arc_idx, tgt_idx = arc_idx[keep], tgt_idx[keep]
-    order = np.argsort(np.concatenate(params), kind="stable")
-    return np.concatenate(values)[order], undecided
+    t = np.concatenate(params)
+    order = np.argsort(t, kind="stable")
+    return np.concatenate(values)[order], path.loop(t[order]), undecided
 
 
 def _windings(m, dm, path, targets):
-    """Winding numbers of f along `path` around each target, and a mask of
-    the targets in the undecided band (their winding is meaningless).
+    """Winding numbers of f along each loop of `path` around each target,
+    and a mask of the (loop, target) pairs in the undecided band (their
+    winding is meaningless); both are arrays of shape (loops, targets).
 
     The winding of the sampled polyline comes from the crossing rule of
     Hormann & Agathos: an edge going up past a target's height with the
@@ -268,14 +296,17 @@ def _windings(m, dm, path, targets):
     subtracts 1.  Targets are sorted by height, so each edge meets only the
     targets in its height range.
     """
-    vertices, undecided = _image_polygon(m, dm, path, targets)
-    start, end = vertices, np.roll(vertices, -1)
+    vertices, loop, undecided = _image_polygon(m, dm, path, targets)
+    # each vertex's edge ends at the next vertex of its loop, a loop's last at its first
+    nxt = np.arange(1, len(loop) + 1)
+    nxt[np.flatnonzero(np.diff(loop, append=-1))] = np.flatnonzero(np.diff(loop, prepend=-1))
+    start, end = vertices, vertices[nxt]
     order = np.argsort(targets.imag)
     heights = targets.imag[order]
     lo = np.searchsorted(heights, np.minimum(start.imag, end.imag))
     hits = np.searchsorted(heights, np.maximum(start.imag, end.imag)) - lo
     bounds = np.concatenate([[0], np.cumsum(hits)])
-    wind = np.zeros(len(targets))
+    wind = np.zeros(undecided.size)
     e0 = 0
     while e0 < len(hits):
         e1 = max(e0 + 1, int(np.searchsorted(bounds, bounds[e0] + _CHUNK, "right")) - 1)
@@ -286,20 +317,20 @@ def _windings(m, dm, path, targets):
         side = (b.real - a.real) * (p.imag - a.imag) - (p.real - a.real) * (b.imag - a.imag)
         up = b.imag > a.imag
         sign = (up & (side > 0)).astype(float) - (~up & (side < 0))
-        wind += np.bincount(tgt, weights=sign, minlength=len(targets))
+        wind += np.bincount(loop[edge] * len(targets) + tgt, weights=sign, minlength=wind.size)
         e0 = e1
-    return np.rint(wind).astype(int), undecided
+    return np.rint(wind).astype(int).reshape(undecided.shape), undecided
 
 
 def _winding(m, dm, path, p=0):
-    """Winding number of f along `path` around p.
+    """Winding number of f along the one loop of `path` around p.
 
     A p-point of f in the undecided band raises ContourPassesThroughRoot.
     """
     wind, undecided = _windings(m, dm, path, np.array([p], dtype=np.complex128))
-    if undecided[0]:
+    if undecided[0, 0]:
         raise ContourPassesThroughRoot("root on the contour")
-    return int(wind[0])
+    return int(wind[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -362,10 +393,14 @@ def find_roots(m, p, r):
     """Distinct solutions of f(z) = p with |z| < r (plus boundary guard).
 
     Square cells of the bounding square are wound around 0 by the entire
-    function N - p D (D for p at infinity), so a cell of winding 0 holds no
-    root and is dropped; the others are Newton-polished or split.  A cell
-    of winding w >= 2 is one root of multiplicity w when N - p D winds w
-    times on a small square about its polished zero.  Returns Root records
+    function N - p D (D for p at infinity), one _windings pass for all the
+    cells of a subdivision level.  A cell of winding 0 holds no root and is
+    dropped; the others are Newton-polished or split in four for the next
+    level.  A split with an undecided cell (a root on a split line) is cut
+    at the next of _SPLIT_FRACTIONS in the next pass, and the bounding
+    square at the next of _INFLATIONS.  A cell of winding w >= 2 is one
+    root of multiplicity w when N - p D winds w times on a small square
+    about its polished zero.  Returns Root records
     (location, multiplicity).  A root within 1e-7 * r of the circle
     |z| = r raises RootOnCircleError.  At a zero of D shared with N, the
     multiplicity is the order of f - p (of 1/f for p at infinity).
@@ -375,66 +410,35 @@ def find_roots(m, p, r):
     dg = differentiate(g)
     isolation = max(_ISOLATION_REL * r, 1e-12)
     found = []  # (Root, half-width of the square its order is wound on)
-    cells = [0]
-
-    def process(x0, x1, y0, y1, sink):
-        """Recurse on one cell; roots go into `sink` (committed by caller).
-
-        Raises ContourPassesThroughRoot up to the caller when this cell's
-        own boundary hits a root, so the parent can re-split off-center.
-        """
-        cells[0] += 1
-        if cells[0] > _MAX_CELLS:
+    # a split (cell, attempt) cuts the cell at _SPLIT_FRACTIONS[attempt]; the
+    # split of no cell is the bounding square, inflated by _INFLATIONS[attempt]
+    splits, wound = [(None, 0)], 0
+    while splits:
+        groups = [_children(cell, attempt, r) for cell, attempt in splits]
+        boxes = [box for group in groups for box in group]
+        wound += len(boxes)
+        if wound > _MAX_CELLS:
             raise WindingError("cell subdivision budget exceeded")
-        size = max(x1 - x0, y1 - y0)
-        w = _winding(g, dg, _rect(x0, x1, y0, y1))
-        if w <= 0:
-            return
-        centre = complex((x0 + x1) / 2, (y0 + y1) / 2)
-        if size <= isolation:
-            sink.append((Root(centre, w), 3 * isolation))
-            return
-        z = _newton_polish(g, dg, centre, size, w)
-        if (
-            z is not None
-            and x0 - 1e-12 <= z.real <= x1 + 1e-12
-            and y0 - 1e-12 <= z.imag <= y1 + 1e-12
-        ):
-            if w == 1:
-                sink.append((Root(z, 1), 3 * isolation))
-                return
-            half = _multiple_root_square(g, z, w, (x0, x1, y0, y1), isolation)
-            if half is not None:
-                sink.append((Root(z, w), half))
-                return
-        last_error = None
-        for frac in _SPLIT_FRACTIONS:
-            xm = x0 + frac * (x1 - x0)
-            ym = y0 + frac * (y1 - y0)
-            local = []
-            try:
-                for bb in (
-                    (x0, xm, y0, ym),
-                    (xm, x1, y0, ym),
-                    (x0, xm, ym, y1),
-                    (xm, x1, ym, y1),
-                ):
-                    process(*bb, local)
-            except ContourPassesThroughRoot as exc:
-                last_error = exc
-                continue  # a split line hit a root: re-split off-center
-            sink.extend(local)
-            return
-        raise WindingError(f"could not avoid a root on subdivision lines: {last_error}")
-
-    R = r * (1 + 1e-6)
-    try:
-        process(-R, R, -R, R, found)
-    except ContourPassesThroughRoot:
-        # root essentially on the inflated bounding square: inflate again
-        found = []
-        R = r * (1 + 7.3e-4)
-        process(-R, R, -R, R, found)
+        wind, undecided = _windings(g, dg, _rects(boxes), np.zeros(1, dtype=np.complex128))
+        pending, k = [], 0
+        for (cell, attempt), group in zip(splits, groups):
+            windings, unsure = wind[k:k + len(group), 0].tolist(), undecided[k:k + len(group), 0]
+            k += len(group)
+            if unsure.any():  # a root on a split line or on the square: cut elsewhere
+                if attempt + 1 < len(_INFLATIONS if cell is None else _SPLIT_FRACTIONS):
+                    pending.append((cell, attempt + 1))
+                    continue
+                if cell is None:
+                    raise ContourPassesThroughRoot("root on the contour")
+                raise WindingError("could not avoid a root on subdivision lines")
+            for box, w in zip(group, windings):
+                if w > 0:
+                    root = _cell_root(g, dg, box, w, isolation)
+                    if root is None:
+                        pending.append((box, 0))
+                    else:
+                        found.append(root)
+        splits = pending
 
     # cluster anything closer than the isolation scale
     merged = []
@@ -480,6 +484,46 @@ def find_roots(m, p, r):
     return inside
 
 
+def _children(cell, attempt, r):
+    """The cells of a split: `cell` cut in four at _SPLIT_FRACTIONS[attempt],
+    or for cell None the bounding square of |z| < r inflated by
+    _INFLATIONS[attempt] relative to r."""
+    if cell is None:
+        R = r * (1 + _INFLATIONS[attempt])
+        return [(-R, R, -R, R)]
+    x0, x1, y0, y1 = cell
+    frac = _SPLIT_FRACTIONS[attempt]
+    xm = x0 + frac * (x1 - x0)
+    ym = y0 + frac * (y1 - y0)
+    return [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
+
+
+def _cell_root(g, dg, cell, w, isolation):
+    """(Root, half-width of the square its order is wound on) for a cell on
+    which g winds w >= 1 times, or None when the cell is to be split.  The
+    root is the Newton (Schroeder) polished zero if it stays in the cell,
+    and for w >= 2 only if g winds w times on a small square about it.  A
+    cell down to the isolation scale is one root of multiplicity w: at the
+    polished zero in the cell, else at the cell's centre."""
+    x0, x1, y0, y1 = cell
+    centre = complex((x0 + x1) / 2, (y0 + y1) / 2)
+    size = max(x1 - x0, y1 - y0)
+    z = _newton_polish(g, dg, centre, size, w)
+    inside = (
+        z is not None
+        and x0 - 1e-12 <= z.real <= x1 + 1e-12
+        and y0 - 1e-12 <= z.imag <= y1 + 1e-12
+    )
+    if size <= isolation:
+        return Root(z if inside else centre, w), 3 * isolation
+    if not inside:
+        return None
+    if w == 1:
+        return Root(z, 1), 3 * isolation
+    half = _multiple_root_square(g, z, w, cell, isolation)
+    return None if half is None else (Root(z, w), half)
+
+
 def _multiple_root_square(g, z, w, cell, isolation):
     """Half-width of a square about z, inside `cell`, on which g winds w
     times, or None.  It starts at the isolation scale and grows 4x while
@@ -520,7 +564,7 @@ def _order_at_shared_zero(m, g, d, root, p, half_width):
 def _local_winding(m, z0, half_width, p=0):
     """Winding of f around p along the square of half-width `half_width` at z0."""
     x, y, h = z0.real, z0.imag, half_width
-    return _winding(m, differentiate(m), _rect(x - h, x + h, y - h, y + h), p)
+    return _winding(m, differentiate(m), _rects([(x - h, x + h, y - h, y + h)]), p)
 
 
 def count_preimages(m, p, r):
@@ -557,8 +601,8 @@ def count_preimages_many(m, points, r):
         windings, undecided = _windings(m, differentiate(m), _Circle(r), targets)
     except (WindingError, RootOnCircleError, ContourPassesThroughRoot):
         return result
-    counts = windings + poles
-    for k, count, unsure in zip(finite, counts, undecided):
+    counts = windings[0] + poles
+    for k, count, unsure in zip(finite, counts, undecided[0]):
         if not unsure and count >= 0:
             result[k] = int(count)
     return result

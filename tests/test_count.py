@@ -13,6 +13,7 @@ from coverlab.count import (
     IslandRecord,
     ResolutionError,
     RootOnCircleError,
+    WindingError,
     count_preimages,
     count_preimages_many,
     find_islands,
@@ -188,8 +189,8 @@ def test_counts_match_polynomial_roots(source, numerator, denominator, r):
     ]
 
 
-def test_find_roots_winds_one_cell_of_a_zero_free_map(monkeypatch):
-    # exp has no zeros, so the bounding square's winding 0 ends the search
+def _counting_windings(monkeypatch):
+    """Calls of count._windings, recorded from now on."""
     calls = []
     windings = count_module._windings
 
@@ -198,6 +199,12 @@ def test_find_roots_winds_one_cell_of_a_zero_free_map(monkeypatch):
         return windings(*args)
 
     monkeypatch.setattr(count_module, "_windings", counted)
+    return calls
+
+
+def test_find_roots_winds_one_cell_of_a_zero_free_map(monkeypatch):
+    # exp has no zeros, so the bounding square's winding 0 ends the search
+    calls = _counting_windings(monkeypatch)
     assert find_roots(parse_map("exp(z)"), 0, 80.0) == []
     assert len(calls) == 1
 
@@ -219,6 +226,189 @@ def test_find_roots_multiple_root():
     assert len(roots) == 1
     assert roots[0].multiplicity == 5
     assert abs(roots[0].location) < 1e-3
+
+# find_roots' Root lists for these configs, pinned: the cells' sample points,
+# and so every root, must not depend on how many cells share a winding pass
+_PINNED_ROOTS = [
+    (
+        "z^5", 1, 10.0,
+        [
+            ((-0.8090169943749475-0.5877852522924731j), 1),
+            ((-0.8090169943749475+0.5877852522924731j), 1),
+            ((0.3090169943749474+0.9510565162951535j), 1),
+            ((0.30901699437494745-0.9510565162951536j), 1),
+            ((1+0j), 1),
+        ],
+    ),
+    (
+        "z^5", 0.5j, 10.0,
+        [
+            ((-0.8279427859871954+0.2690149185211857j), 1),
+            ((-0.511696782480367-0.7042902001692478j), 1),
+            ((2.100342160150944e-29+0.8705505632961241j), 1),
+            ((0.5116967824803669-0.7042902001692478j), 1),
+            ((0.8279427859871954+0.2690149185211857j), 1),
+        ],
+    ),
+    (
+        "exp(z)", 1 + 0.25j, 47.298,
+        [
+            ((0.030312310908217323-43.73731848713024j), 1),
+            ((0.030312310908217347+12.811349277486038j), 1),
+            ((0.03031231090821736+25.37771989184521j), 1),
+            ((0.030312310908217392-18.604577258411894j), 1),
+            ((0.030312310908217413-24.887762565591483j), 1),
+            ((0.030312310908217423+0.24497866312686414j), 1),
+            ((0.030312310908217437+31.660905199024796j), 1),
+            ((0.030312310908217444-37.45413317995065j), 1),
+            ((0.030312310908217448+44.22727581338397j), 1),
+            ((0.030312310908217455-31.17094787277107j), 1),
+            ((0.030312310908217455-6.038206644052722j), 1),
+            ((0.030312310908217472+6.5281639703064505j), 1),
+            ((0.03031231090821749+19.094534584665624j), 1),
+            ((0.0303123109082175+37.94409050620438j), 1),
+            ((0.03031231090821753-12.32139195123231j), 1),
+        ],
+    ),
+    (
+        "exp(z)", 0.25j, 80.0,
+        [
+            ((-1.3862943611198906-73.82742735936014j), 1),
+            ((-1.3862943611198906-67.54424205218055j), 1),
+            ((-1.3862943611198906-61.26105674500097j), 1),
+            ((-1.3862943611198906-54.977871437821385j), 1),
+            ((-1.3862943611198906-48.6946861306418j), 1),
+            ((-1.3862943611198906-42.411500823462205j), 1),
+            ((-1.3862943611198906-36.12831551628262j), 1),
+            ((-1.3862943611198906-29.845130209103036j), 1),
+            ((-1.3862943611198906-23.56194490192345j), 1),
+            ((-1.3862943611198906-17.278759594743864j), 1),
+            ((-1.3862943611198906-10.995574287564276j), 1),
+            ((-1.3862943611198906-4.71238898038469j), 1),
+            ((-1.3862943611198906+1.5707963267948966j), 1),
+            ((-1.3862943611198906+7.853981633974483j), 1),
+            ((-1.3862943611198906+14.137166941154069j), 1),
+            ((-1.3862943611198906+20.420352248333657j), 1),
+            ((-1.3862943611198906+26.703537555513243j), 1),
+            ((-1.3862943611198906+32.98672286269283j), 1),
+            ((-1.3862943611198906+39.269908169872416j), 1),
+            ((-1.3862943611198906+45.553093477052j), 1),
+            ((-1.3862943611198906+51.83627878423159j), 1),
+            ((-1.3862943611198906+58.119464091411174j), 1),
+            ((-1.3862943611198906+64.40264939859077j), 1),
+            ((-1.3862943611198906+70.68583470577035j), 1),
+            ((-1.3862943611198906+76.96902001294994j), 1),
+        ],
+    ),
+    (
+        "sin(z)", 0.3, 10.0,
+        [
+            ((-9.729470614784777+0j), 1),
+            ((-5.978492653164189-4.215672677501087e-27j), 1),
+            ((-3.4462853076051907-2.4360024753224845e-27j), 1),
+            ((0.30469265401539747+0j), 1),
+            ((2.836899999574396+1.504632769052528e-36j), 1),
+            ((6.587877961194984+2.1204581132340797e-27j), 1),
+            ((9.120085306753982+5.877471754111438e-39j), 1),
+        ],
+    ),
+    (
+        "z + 0.01/z", 0, 2.0,
+        [
+            ((-1.8367099231598242e-40+0.09999999999999999j), 1),
+            (-0.1j, 1),
+        ],
+    ),
+    (
+        "(z^3-3*z^2+3*z-1)/(z-1)", 0, 3.0,
+        [
+            ((1+0j), 2),
+        ],
+    ),
+    (
+        "1/z^3", "inf", 1.0,
+        [
+            (0j, 3),
+        ],
+    ),
+]
+
+
+@pytest.mark.parametrize(("source", "p", "r", "expected"), _PINNED_ROOTS)
+def test_find_roots_output_is_pinned(source, p, r, expected):
+    roots = find_roots(parse_map(source), p, r)
+    assert [root.multiplicity for root in roots] == [k for _, k in expected]
+    for root, (location, _) in zip(roots, expected):
+        assert abs(root.location - location) <= 1e-12 * max(abs(location), 1.0)
+
+
+def test_find_roots_winds_each_subdivision_level_in_one_pass(monkeypatch):
+    calls = _counting_windings(monkeypatch)
+    # one pass per level, for 181 and 37 cells
+    assert len(find_roots(parse_map("exp(z)"), 0.25j, 80.0)) == 25
+    assert len(calls) <= 10
+    calls.clear()
+    assert len(find_roots(parse_map("z^5"), 1, 10.0)) == 5
+    assert len(calls) <= 10
+
+
+def test_find_roots_resplits_off_a_root(monkeypatch):
+    # z^2 = -1 at +-i: the 0.5 split of the bounding square cuts along x = 0
+    # through both roots, so the split is cut again at 0.53 in the next pass
+    calls = _counting_windings(monkeypatch)
+    roots = find_roots(parse_map("z^2"), -1, 2.0)
+    locations = sorted((root.location for root in roots), key=lambda z: z.imag)
+    assert locations == pytest.approx([-1j, 1j], abs=1e-12)
+    assert [root.multiplicity for root in roots] == [1, 1]
+    assert len(calls) == 3  # the square, the failed split and the re-split
+
+
+def test_cell_boundaries_match_complex_arithmetic():
+    # every corner is the float that a + (b - a) * k / 6 gives in Python's
+    # complex arithmetic, so the cells' sample points do not depend on
+    # how many cells share a pass
+    rng = np.random.default_rng(7)
+    boxes = [(-10.00001, 10.00001, -10.00001, 10.00001), (0.0, 0.6, -0.3, 0.0)]
+    for x0, y0, w, h in rng.uniform([-5, -5, 1e-6, 1e-6], [5, 5, 3, 3], (50, 4)):
+        boxes.append((x0, x0 + w, y0, y0 + h))
+    loops = count_module._rects(boxes)
+    assert np.array_equal(loops.loops, np.repeat(np.arange(len(boxes)), 24))
+    for corners, (x0, x1, y0, y1) in zip(loops.corners.reshape(-1, 24), boxes):
+        sw, se, ne, nw = complex(x0, y0), complex(x1, y0), complex(x1, y1), complex(x0, y1)
+        sides = ((sw, se), (se, ne), (ne, nw), (nw, sw))
+        expected = [a + (b - a) * k / 6 for a, b in sides for k in range(6)]
+        assert corners.tolist() == expected
+
+
+def test_find_roots_cell_budget(monkeypatch):
+    monkeypatch.setattr(count_module, "_MAX_CELLS", 8)
+    with pytest.raises(WindingError, match="cell subdivision budget"):
+        find_roots(parse_map("z^5"), 1, 10.0)
+
+
+def test_curve_point_budget_is_per_loop(monkeypatch):
+    m = parse_map("z^5")
+    points = []  # polyline vertices of each loop, per pass
+    image_polygon = count_module._image_polygon
+
+    def spy(*args):
+        vertices, loop, undecided = image_polygon(*args)
+        points.append(np.bincount(loop))
+        return vertices, loop, undecided
+
+    monkeypatch.setattr(count_module, "_image_polygon", spy)
+    expected = find_roots(m, 1, 10.0)
+    most = max(per_loop.max() for per_loop in points)
+    assert max(per_loop.sum() for per_loop in points) > 2 * most
+    # a budget every loop keeps is enough, though the passes hold more points
+    monkeypatch.setattr(count_module, "_MAX_CURVE_POINTS", int(most))
+    assert find_roots(m, 1, 10.0) == expected
+    # one cell over the budget raises, though the bounding square is within it
+    top = int(points[0].max())
+    assert top < most
+    monkeypatch.setattr(count_module, "_MAX_CURVE_POINTS", top)
+    with pytest.raises(WindingError, match="contour refinement budget"):
+        find_roots(m, 1, 10.0)
 
 
 @pytest.mark.parametrize(

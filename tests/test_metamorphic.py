@@ -13,8 +13,10 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from coverlab.count import count_preimages, find_islands
+from coverlab.count import count_preimages, find_islands, find_roots
 from coverlab.expr import parse_map
 from coverlab.metric import area, boundary_length
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
@@ -63,6 +65,33 @@ def test_preimage_counts_are_invariant(template, r):
         expected = count_preimages(m, p, r)
         assert count_preimages(rotated, p, r) == expected
         assert count_preimages(composed, _moved(p), r) == expected
+
+
+def _point(max_magnitude):
+    return st.complex_numbers(max_magnitude=max_magnitude, allow_nan=False).map(
+        lambda a: complex(round(a.real, 3), round(a.imag, 3))
+    )
+
+
+_ZEROS = st.lists(st.tuples(_point(0.9), st.integers(1, 3)), min_size=1, max_size=4).filter(
+    lambda zeros: all(abs(a - b) >= 0.05 for k, (a, _) in enumerate(zeros) for b, _ in zeros[:k])
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(zeros=_ZEROS, theta=st.floats(0, 2 * math.pi), p=st.one_of(st.just(0j), _point(1.0)))
+def test_roots_rotate_with_the_source(zeros, theta, p):
+    # f = prod (z - a_k)^m_k; f(e^{i theta} z) = p where e^{i theta} z is a p-point of f
+    template = "*".join(f"({{z}}{-a.real:+.3f}{-a.imag:+.3f}i)^{k}" for a, k in zeros)
+    turn = cmath.exp(1j * theta)
+    expected = find_roots(parse_map(template.format(z="z")), p, 1.0)
+    rotated = find_roots(
+        parse_map(template.format(z=f"((0{turn.real:+.17g}{turn.imag:+.17g}i)*z)")), p, 1.0
+    )
+    assert len(rotated) == len(expected)
+    for root in expected:
+        (match,) = [other for other in rotated if abs(other.location - root.location / turn) < 1e-9]
+        assert match.multiplicity == root.multiplicity
 
 
 TOPOLOGY_CASES = [("{z}^3-{z}", 1.5), ("{z}^5", 2.0)]
