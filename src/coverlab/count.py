@@ -18,16 +18,20 @@ root-on-path scale (radius about 3e-7 |z'(t)| |f'|) is undecided.
   circle.  Counts are distinct roots; they equal the winding count except
   at critical values, which random targets miss.
 - find_roots (and count_preimages): subdivision of the disk's bounding
-  square, level by level, winding the entire function N - p D of f = N/D
-  around 0 along every cell of a level in one _windings pass.  A cell of
-  winding 0 holds no root and is discarded; a split with an undecided cell
-  is cut again off-centre in the next pass.  A cell of winding w is
-  polished by Newton (Schroeder's step w g / g' for w >= 2); for w >= 2 it
-  is one root of multiplicity w when g winds w times on a small square
-  about that point.
+  square, level by level, winding the entire function g = N - p D of
+  f = N/D around 0 along every cell of a level in one _windings pass.  A
+  cell of winding 0 holds no root and is discarded; a split with an
+  undecided cell is cut again off-centre in the next pass.  A cell of
+  winding 1 <= w <= _MOMENT_MAX takes its zeros from contour moments
+  (Delves & Lyness): Gauss-Legendre on its sides gives the power sums of
+  its zeros, Newton's identities their polynomial, and its roots, the
+  copies of a multiple zero clustered, the distinct zeros with their
+  multiplicities.  A simple zero is polished by Newton's iteration; a
+  multiple zero must be counted whole on a small square about it.  The
+  order of f - p at a zero that D shares comes from D's moments on the
+  same nodes.  A cell whose zeros fail is split, as is one of larger w.
 - find_islands: an island holds a preimage of its disk's centre and is
   bounded by lifts (_lift) of the disk's boundary circle from there.
-- Pole orders (_local_winding) wind f, or N - c D, along a small square.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ import numpy as np
 from coverlab.expr import (
     Const,
     Div,
-    IndeterminateError,
     MapExpr,
     Mul,
     Sub,
@@ -53,7 +56,6 @@ from coverlab.expr import (
 from coverlab.metric import (
     SpherePoint,
     SphericalDisk,
-    chordal_distance,
     sample_sphere_uniform,
 )
 
@@ -61,6 +63,12 @@ _SPLIT_FRACTIONS = (0.5, 0.53, 0.4617)
 _INFLATIONS = (1e-6, 7.3e-4)  # bounding-square margins, relative to r
 _ISOLATION_REL = 1e-5  # root cells this small, relative to r, are isolated
 _MAX_CELLS = 60_000  # root-finder cell budget
+_MOMENT_MAX = 6  # a cell of winding up to this takes its zeros from contour moments
+_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(20)  # per moment panel
+_QUAD_TOL = 1e-10  # a panel is done when its moments change less than this on halving
+_QUAD_ROUNDS = 30  # panel halvings, down to 2^-30 of a cell side
+_QUAD_PANELS = 64  # undone panels of a cell, beyond which rounding noise is taken to stop them
+_CLUSTER = 1e-2  # moment zeros this close, relative to the cell's half-width, are one
 
 
 class WindingError(ArithmeticError):
@@ -322,26 +330,13 @@ def _windings(m, dm, path, targets):
     return np.rint(wind).astype(int).reshape(undecided.shape), undecided
 
 
-def _winding(m, dm, path, p=0):
-    """Winding number of f along the one loop of `path` around p.
-
-    A p-point of f in the undecided band raises ContourPassesThroughRoot.
-    """
-    wind, undecided = _windings(m, dm, path, np.array([p], dtype=np.complex128))
-    if undecided[0, 0]:
-        raise ContourPassesThroughRoot("root on the contour")
-    return int(wind[0, 0])
-
-
 # ---------------------------------------------------------------------------
 # Root finding
 
 
-def _newton_polish(m, dm, z0, cell_size, multiplicity=1, max_iter=40):
-    """Newton's iteration for a zero of m from z0; None unless it converges
-    without leaving the disk of 3 cell sizes about z0.  At a zero of order
-    `multiplicity` the step is Schroeder's, multiplicity * m / m', which
-    converges quadratically."""
+def _newton_polish(m, dm, z0, cell_size, max_iter=40):
+    """Newton's iteration for a simple zero of m from z0; None unless it
+    converges without leaving the disk of 3 cell sizes about z0."""
     z = complex(z0)
     for _ in range(max_iter):
         try:
@@ -356,8 +351,6 @@ def _newton_polish(m, dm, z0, cell_size, multiplicity=1, max_iter=40):
         if dz == 0:
             return None
         step = fz / dz
-        if multiplicity != 1:
-            step *= multiplicity
         if not (math.isfinite(step.real) and math.isfinite(step.imag)):
             return None
         z -= step
@@ -369,18 +362,17 @@ def _newton_polish(m, dm, z0, cell_size, multiplicity=1, max_iter=40):
 
 
 def _root_target(m, p):
-    """(g, D): the pole-free g whose zeros in the cell scheme are f^{-1}(p),
-    and the cleared denominator D of f = N/D.
-
-    Clearing denominators turns f into the entire target g = N - p D
-    (or D itself for p at infinity), so cell windings are always >= 0 and
-    zero/pole cancellation cannot hide roots.
+    """(g, den) with f - p = g / den (1/f = g / den for p at infinity), both
+    pole-free: g = N - p D and den = D for f = N/D, or g = D and den = N at
+    infinity.  The cell scheme finds the zeros of g, so cell windings are
+    always >= 0; the order of f - p at a zero of g is its order there less
+    den's, which is positive except at a zero they share.
     """
     p = SpherePoint.of(p)
     n_f, d_f = as_fraction(m)
     if p.is_infinity:
-        target = d_f.root
-    elif p.value == 0:
+        return d_f, n_f
+    if p.value == 0:
         target = n_f.root
     else:
         target = Sub(n_f.root, Mul(Const(complex(p.value)), d_f.root))
@@ -393,23 +385,27 @@ def find_roots(m, p, r):
     """Distinct solutions of f(z) = p with |z| < r (plus boundary guard).
 
     Square cells of the bounding square are wound around 0 by the entire
-    function N - p D (D for p at infinity), one _windings pass for all the
-    cells of a subdivision level.  A cell of winding 0 holds no root and is
-    dropped; the others are Newton-polished or split in four for the next
-    level.  A split with an undecided cell (a root on a split line) is cut
-    at the next of _SPLIT_FRACTIONS in the next pass, and the bounding
-    square at the next of _INFLATIONS.  A cell of winding w >= 2 is one
-    root of multiplicity w when N - p D winds w times on a small square
-    about its polished zero.  Returns Root records
-    (location, multiplicity).  A root within 1e-7 * r of the circle
-    |z| = r raises RootOnCircleError.  At a zero of D shared with N, the
-    multiplicity is the order of f - p (of 1/f for p at infinity).
+    function g = N - p D (D for p at infinity), one _windings pass for all
+    the cells of a subdivision level.  A cell of winding 0 holds no root and
+    is dropped.  A cell of winding 1 <= w <= _MOMENT_MAX takes its zeros and
+    their multiplicities from the contour moments of g'/g (_cell_roots); a
+    cell of larger winding, or whose zeros fail there, is split in four for
+    the next level.  A split with an undecided cell (a root on a split line)
+    is cut at the next of _SPLIT_FRACTIONS in the next pass, and the
+    bounding square at the next of _INFLATIONS.  A cell down to the
+    isolation scale 1e-5 r whose zeros fail is one root of multiplicity w
+    (_isolated_root).  Roots within 2e-5 r of each other are merged.
+    Returns Root records (location, multiplicity), sorted by (real, imag).
+    A root within 1e-7 * r of the circle |z| = r raises RootOnCircleError.
+    At a zero that g shares with the other half of f (D, or N for p at
+    infinity) the multiplicity is the order of f - p (of 1/f for p at
+    infinity).
     """
-    p = SpherePoint.of(p)
-    g, d = _root_target(m, p)
+    g, den = _root_target(m, p)
     dg = differentiate(g)
+    den = None if isinstance(den.root, Const) else (den, differentiate(den))
     isolation = max(_ISOLATION_REL * r, 1e-12)
-    found = []  # (Root, half-width of the square its order is wound on)
+    found = []  # Root(location, order of f - p); the order is <= 0 at a shared zero
     # a split (cell, attempt) cuts the cell at _SPLIT_FRACTIONS[attempt]; the
     # split of no cell is the bounding square, inflated by _INFLATIONS[attempt]
     splits, wound = [(None, 0)], 0
@@ -420,7 +416,7 @@ def find_roots(m, p, r):
         if wound > _MAX_CELLS:
             raise WindingError("cell subdivision budget exceeded")
         wind, undecided = _windings(g, dg, _rects(boxes), np.zeros(1, dtype=np.complex128))
-        pending, k = [], 0
+        pending, cells, k = [], [], 0
         for (cell, attempt), group in zip(splits, groups):
             windings, unsure = wind[k:k + len(group), 0].tolist(), undecided[k:k + len(group), 0]
             k += len(group)
@@ -431,56 +427,35 @@ def find_roots(m, p, r):
                 if cell is None:
                     raise ContourPassesThroughRoot("root on the contour")
                 raise WindingError("could not avoid a root on subdivision lines")
-            for box, w in zip(group, windings):
-                if w > 0:
-                    root = _cell_root(g, dg, box, w, isolation)
-                    if root is None:
-                        pending.append((box, 0))
-                    else:
-                        found.append(root)
+            cells += [(box, w) for box, w in zip(group, windings) if w > 0]
+        for (cell, w), roots in zip(cells, _cell_roots(g, dg, den, cells, 2 * isolation)):
+            x0, x1, y0, y1 = cell
+            if roots is not None:
+                found += roots
+            elif max(x1 - x0, y1 - y0) > isolation:
+                pending.append((cell, 0))
+            else:
+                found.append(_isolated_root(g, dg, den, cell, w))
         splits = pending
 
     # cluster anything closer than the isolation scale
     merged = []
-    for root, half in sorted(found, key=lambda rh: (rh[0].location.real, rh[0].location.imag)):
-        for k, (other, other_half) in enumerate(merged):
+    for root in sorted(found, key=lambda rt: (rt.location.real, rt.location.imag)):
+        for k, other in enumerate(merged):
             if abs(other.location - root.location) <= 2 * isolation:
-                merged[k] = (
-                    Root(other.location, other.multiplicity + root.multiplicity),
-                    max(half, other_half),
-                )
+                merged[k] = Root(other.location, other.multiplicity + root.multiplicity)
                 break
         else:
-            merged.append((root, half))
+            merged.append(root)
 
     inside = []
-    for root, half in merged:
-        d_to_circle = abs(abs(root.location) - r)
-        if d_to_circle < 1e-7 * r:
+    for root in merged:
+        if abs(abs(root.location) - r) < 1e-7 * r:
             raise RootOnCircleError(
                 f"preimage at {root.location!r} lies on |z| = {r}; perturb r"
             )
-        if abs(root.location) >= r:
-            continue
-        if p.is_infinity:
-            # a zero of the cleared denominator may be shared with the
-            # numerator; the pole order of f itself is -wind(f) around it
-            order = -_local_winding(m, root.location, half)
-            if order > 0:
-                inside.append(Root(root.location, order))
-            continue
-        order = _order_at_shared_zero(m, g, d, root, p.value, half)
-        if order > 0:
-            inside.append(Root(root.location, order))
-            continue
-        # keep a root only where f itself takes the value p
-        try:
-            value = evaluate(m, root.location)
-        except IndeterminateError:
-            continue
-        if chordal_distance(value, p) > 1e-5:
-            continue
-        inside.append(root)
+        if abs(root.location) < r and root.multiplicity > 0:
+            inside.append(root)
     return inside
 
 
@@ -498,73 +473,199 @@ def _children(cell, attempt, r):
     return [(x0, xm, y0, ym), (xm, x1, y0, ym), (x0, xm, ym, y1), (xm, x1, ym, y1)]
 
 
-def _cell_root(g, dg, cell, w, isolation):
-    """(Root, half-width of the square its order is wound on) for a cell on
-    which g winds w >= 1 times, or None when the cell is to be split.  The
-    root is the Newton (Schroeder) polished zero if it stays in the cell,
-    and for w >= 2 only if g winds w times on a small square about it.  A
-    cell down to the isolation scale is one root of multiplicity w: at the
-    polished zero in the cell, else at the cell's centre."""
+def _panel_moments(f, df, a, b, centre, half):
+    """Gauss-Legendre values of the integrals of x^k f'/f dz / (2 pi i),
+    k <= _MOMENT_MAX, x = (z - centre) / half, along the segments a -> b:
+    one row per segment."""
+    z = a[:, None] + (b - a)[:, None] * (1 + _QUAD_NODES) / 2
+    x = (z - centre[:, None]) / half[:, None]
+    s = np.empty((len(a), _MOMENT_MAX + 1), dtype=np.complex128)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        q = evaluate_array(df, z) / evaluate_array(f, z)
+        q = q * (b - a)[:, None] * (_QUAD_WEIGHTS / (4j * math.pi))
+        for k in range(_MOMENT_MAX + 1):
+            s[:, k] = q.sum(axis=1)
+            q = q * x
+    return s
+
+
+def _moments(f, df, cells, noise_limit=1e-6):
+    """Power sums s[c, k], k <= _MOMENT_MAX, of the zeros of f in each cell
+    (x0, x1, y0, y1), in the unit x = (z - centre) / half-width: the
+    integrals of x^k f'/f dz / (2 pi i) around the cell, so s[c, 0] counts
+    them.  Each side is a panel at first.  A panel whose Gauss-Legendre
+    value differs from the sum of its halves' by more than _QUAD_TOL is
+    replaced by its halves, all cells' panels in one evaluation per round,
+    so a zero near a side costs panels only there.  Rounding noise in f'/f
+    leaves every panel undone: a cell with more than _QUAD_PANELS undone
+    panels takes their halves' values as they are, and its row is NaN if
+    they differ from the panels' by more than `noise_limit` in all.  A row is
+    also NaN where f'/f is not finite at a node, or whose panels are not
+    done in _QUAD_ROUNDS."""
+    cells = np.asarray(cells, dtype=float).reshape(-1, 4)
+    corners = np.empty((len(cells), 4), dtype=np.complex128)
+    corners.real = cells[:, [0, 1, 1, 0]]
+    corners.imag = cells[:, [2, 2, 3, 3]]
+    centre = corners.mean(axis=1)
+    half = np.maximum(cells[:, 1] - cells[:, 0], cells[:, 3] - cells[:, 2]) / 2
+    cell = np.repeat(np.arange(len(cells)), 4)
+    a, b = corners.ravel(), np.roll(corners, -1, axis=1).ravel()
+    s = np.zeros((len(cells), _MOMENT_MAX + 1), dtype=np.complex128)
+    noise = np.zeros(len(cells))
+    coarse = None  # the panels' own values, taken with their halves' in the first round
+    for _ in range(_QUAD_ROUNDS):
+        if not len(a):
+            break
+        m = (a + b) / 2
+        parts = 2 if coarse is not None else 3
+        values = _panel_moments(
+            f, df, np.concatenate([a, m, a][:parts]), np.concatenate([m, b, b][:parts]),
+            np.tile(centre[cell], parts), np.tile(half[cell], parts),
+        )
+        left, right = values[:len(a)], values[len(a):2 * len(a)]
+        coarse = values[2 * len(a):] if coarse is None else coarse
+        with np.errstate(invalid="ignore"):
+            fine = left + right
+            change = np.abs(fine - coarse).max(axis=1)
+        undone = ~(change <= _QUAD_TOL)  # also where NaN
+        crowded = np.bincount(cell[undone], minlength=len(cells)) > _QUAD_PANELS
+        np.add.at(s, cell, np.where(undone[:, None] & ~crowded[cell, None], 0, fine))
+        np.add.at(noise, cell[crowded[cell]], change[crowded[cell]])
+        split = undone & ~crowded[cell]
+        a, b = np.concatenate([a[split], m[split]]), np.concatenate([m[split], b[split]])
+        cell = np.tile(cell[split], 2)
+        coarse = np.concatenate([left[split], right[split]])
+    with np.errstate(invalid="ignore"):
+        s[~(noise <= noise_limit)] = np.nan
+    s[cell] = np.nan
+    return s
+
+
+def _moment_zeros(s, n):
+    """Distinct zeros, in x, and their multiplicities from the power sums
+    s[1..n] of n zeros: Newton's identities give the monic polynomial of the
+    n zeros, numpy.roots its roots, and roots closer than _CLUSTER, which is
+    how far rounding splits the copies of a multiple zero, are one zero at
+    their mean."""
+    e = [1.0]
+    for k in range(1, n + 1):
+        e.append(sum((-1) ** (i - 1) * e[k - i] * s[i] for i in range(1, k + 1)) / k)
+    clusters = []
+    for x in np.roots([(-1) ** k * c for k, c in enumerate(e)]):
+        near = [c for c in clusters if min(abs(x - y) for y in c) < _CLUSTER]
+        clusters = [c for c in clusters if c not in near] + [[x] + sum(near, [])]
+    return [(complex(sum(c) / len(c)), len(c)) for c in clusters]
+
+
+def _count(s, tol=1e-6):
+    """The number of zeros s[0] of a row of _moments, or None if it is no
+    integer to `tol` (or NaN)."""
+    n = s[0].real.round()
+    return int(n) if abs(s[0] - n) <= tol else None
+
+
+def _polished_zeros(f, df, cell, s, n):
+    """(location, multiplicity, x) of the n zeros of f in `cell` from their
+    power sums s (_moments), x as _moment_zeros gives it; None if a polish
+    fails.  A simple zero is polished by Newton's iteration from x, which
+    must converge in the cell.  A multiple zero stays at x: the rounding
+    noise of f about it, which a polish would wander in, does not move the
+    moments taken on the cell's far boundary."""
     x0, x1, y0, y1 = cell
     centre = complex((x0 + x1) / 2, (y0 + y1) / 2)
-    size = max(x1 - x0, y1 - y0)
-    z = _newton_polish(g, dg, centre, size, w)
-    inside = (
-        z is not None
-        and x0 - 1e-12 <= z.real <= x1 + 1e-12
-        and y0 - 1e-12 <= z.imag <= y1 + 1e-12
-    )
-    if size <= isolation:
-        return Root(z if inside else centre, w), 3 * isolation
-    if not inside:
-        return None
-    if w == 1:
-        return Root(z, 1), 3 * isolation
-    half = _multiple_root_square(g, z, w, cell, isolation)
-    return None if half is None else (Root(z, w), half)
+    half = max(x1 - x0, y1 - y0) / 2
+    zeros = []
+    for x, mult in _moment_zeros(s, n):
+        z = centre + half * x if mult > 1 else _newton_polish(f, df, centre + half * x, 2 * half)
+        if z is None or not (x0 < z.real < x1 and y0 < z.imag < y1):
+            return None
+        zeros.append((z, mult, x))
+    return zeros
 
 
-def _multiple_root_square(g, z, w, cell, isolation):
-    """Half-width of a square about z, inside `cell`, on which g winds w
-    times, or None.  It starts at the isolation scale and grows 4x while
-    the rounding noise of g about a multiple zero puts a root on it."""
+def _cell_roots(g, dg, den, cells, merge):
+    """Root records (location, order of f - p) of the zeros of g in each
+    cell (box, w) on which g winds w times, or None where they fail.
+
+    A cell of winding up to _MOMENT_MAX takes its zeros from the moments of
+    g'/g on its boundary (_moments, all cells at once).  A zero next to a
+    side, or rounding noise of g there, spoils them: then they are taken on
+    the cell widened by a quarter of its half-width.  The zeros found in the
+    cell must number w.  A simple zero is one to which Newton's iteration
+    converges in the cell, apart from the others: w of them are all that
+    the winding leaves.  A multiple zero must be one zero, not a cluster of
+    simpler ones the moments cannot part: the first of the squares about
+    it, growing 4x from the merge distance to as large as lies in the cell
+    apart from the other zeros, on which the rounding noise of g leaves a
+    count must count all of it.  The order of f - p at a zero comes from
+    den's moments on the same nodes: a zero of den whose moment location is
+    within 1e-9 of g's takes its multiplicity off.
+    """
+    result = [None] * len(cells)
+    small = [k for k, (_, w) in enumerate(cells) if w <= _MOMENT_MAX]
+    if not small:
+        return result
+    contours = [cells[k][0] for k in small]
+    moments = _moments(g, dg, contours)
+    retry = [j for j, k in enumerate(small) if _count(moments[j]) != cells[k][1]]
+    if retry:
+        for j in retry:
+            x0, x1, y0, y1 = contours[j]
+            margin = max(x1 - x0, y1 - y0) / 8
+            contours[j] = (x0 - margin, x1 + margin, y0 - margin, y1 + margin)
+        moments[retry] = _moments(g, dg, [contours[j] for j in retry])
+    den_moments = _moments(*den, contours) if den else np.zeros_like(moments)
+    zooms = []  # (cell, multiplicity, the squares about a multiple zero)
+    for k, contour, s, s_den in zip(small, contours, moments, den_moments):
+        (x0, x1, y0, y1), w = cells[k]
+        n, n_den = _count(s), _count(s_den)
+        if None in (n, n_den) or max(n, n_den) > _MOMENT_MAX:
+            continue
+        zeros = _polished_zeros(g, dg, contour, s, n)
+        if zeros is None:
+            continue
+        zeros = [zero for zero in zeros if x0 < zero[0].real < x1 and y0 < zero[0].imag < y1]
+        if sum(mult for _, mult, _ in zeros) != w:
+            continue
+        poles = _moment_zeros(s_den, n_den) if n_den else []
+        half = max(x1 - x0, y1 - y0) / 2
+        roots = []
+        for j, (z, mult, x) in enumerate(zeros):
+            apart = min([abs(z - other[0]) for i, other in enumerate(zeros) if i != j],
+                        default=math.inf)
+            side = min(z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag, 0.7 * apart) / 2
+            if side < 1e-9 * half:
+                break
+            if mult > 1:
+                sides = [merge * 4**i for i in range(30) if merge * 4**i < side] + [side]
+                squares = [(z.real - h, z.real + h, z.imag - h, z.imag + h) for h in sides]
+                zooms.append((k, mult, squares))
+            order = mult - sum(m for pole, m in poles if abs(pole - x) <= 1e-9)
+            roots.append(Root(z, order))
+        else:
+            result[k] = roots
+    if zooms:
+        squares = [square for _, _, squares in zooms for square in squares]
+        counts = [_count(s, 1e-2) for s in _moments(g, dg, squares, 1e-3)]
+        for k, mult, squares in zooms:
+            first = next((n for n in counts[:len(squares)] if n is not None), None)
+            counts = counts[len(squares):]
+            if first != mult:
+                result[k] = None
+    return result
+
+
+def _isolated_root(g, dg, den, cell, w):
+    """Root for a cell down to the isolation scale on which g winds w times:
+    at the mean of its zeros by their moments, or at its centre if that
+    mean is not in the cell.  Its order is w less the count of den's zeros
+    in the cell, where the moments give one."""
     x0, x1, y0, y1 = cell
-    half = isolation
-    while min(z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag) >= half:
-        try:
-            return half if _local_winding(g, z, half) == w else None
-        except (ContourPassesThroughRoot, WindingError):
-            half *= 4
-    return None
-
-
-def _order_at_shared_zero(m, g, d, root, p, half_width):
-    """Order of f - p at a multiple root of g = N - p D that D shares (a 0/0
-    point of f), else 0: wind(f) around p on the square, if D winds on it
-    and g vanishes at D's zero there.  A pole of f inside the square also
-    counts against the order."""
-    if root.multiplicity < 2 or isinstance(d.root, Const):
-        return 0
-    z0, h = root.location, half_width
-    try:
-        if _local_winding(d, z0, h) <= 0:
-            return 0
-        # D's zero is shared when g, relative to its size on the square,
-        # vanishes there; a pole next to the root leaves g well away from 0
-        zero = _newton_polish(d, differentiate(d), z0, h)
-        if zero is not None:
-            corners = z0 + h * np.array([1 + 1j, 1 - 1j, -1 - 1j, -1 + 1j])
-            if abs(evaluate(g, zero)) > 1e-6 * np.abs(evaluate_array(g, corners)).max():
-                return 0
-        return _local_winding(m, z0, h, p)
-    except ContourPassesThroughRoot:
-        return 0
-
-
-def _local_winding(m, z0, half_width, p=0):
-    """Winding of f around p along the square of half-width `half_width` at z0."""
-    x, y, h = z0.real, z0.imag, half_width
-    return _winding(m, differentiate(m), _rects([(x - h, x + h, y - h, y + h)]), p)
+    s = _moments(g, dg, [cell])[0]
+    z = complex((x0 + x1) / 2, (y0 + y1) / 2) + max(x1 - x0, y1 - y0) / 2 * complex(s[1]) / w
+    if not (x0 < z.real < x1 and y0 < z.imag < y1):  # also false for NaN
+        z = complex((x0 + x1) / 2, (y0 + y1) / 2)
+    return Root(z, w - ((_count(_moments(*den, [cell])[0]) or 0) if den else 0))
 
 
 def count_preimages(m, p, r):

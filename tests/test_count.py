@@ -132,9 +132,15 @@ def test_multiplicity_at_infinity_is_pole_order():
 )
 def test_multiplicity_at_a_zero_of_the_cleared_denominator(source, p, expected):
     # N - p D has a zero of higher order at z = 1, where D vanishes too;
-    # f - p itself has the order of the closed form there.  A pole within
-    # the root's isolation square takes nothing off its order
+    # f - p itself has the order of the closed form there.  A pole next to
+    # the root, not at it, takes nothing off its order
     assert multiplicity_count(parse_map(source), p, 3.0) == expected
+
+
+def test_a_pole_far_inside_the_isolation_scale_takes_nothing_off():
+    # the pole at 1e-8 is a thousandth of the isolation scale 1e-5 from the
+    # double zero at 0; D's moments still place it apart from N's zero
+    assert multiplicity_count(parse_map("z^2/(z-1e-8)"), 0, 1.0) == 2
 
 
 @pytest.mark.parametrize("p", [3e4, 1e5, 1e6])
@@ -337,9 +343,13 @@ _PINNED_ROOTS = [
 @pytest.mark.parametrize(("source", "p", "r", "expected"), _PINNED_ROOTS)
 def test_find_roots_output_is_pinned(source, p, r, expected):
     roots = find_roots(parse_map(source), p, r)
+    locations = [root.location for root in roots]
+    assert locations == sorted(locations, key=lambda z: (z.real, z.imag))
     assert [root.multiplicity for root in roots] == [k for _, k in expected]
     for root, (location, _) in zip(roots, expected):
-        assert abs(root.location - location) <= 1e-12 * max(abs(location), 1.0)
+        # pinned roots whose real parts tie to 1e-12 may come in either order
+        ties = [want for want, _ in expected if abs(want.real - location.real) <= 1e-12]
+        assert any(abs(root.location - want) <= 1e-12 * max(abs(want), 1.0) for want in ties)
 
 
 def test_find_roots_winds_each_subdivision_level_in_one_pass(monkeypatch):
@@ -353,14 +363,38 @@ def test_find_roots_winds_each_subdivision_level_in_one_pass(monkeypatch):
 
 
 def test_find_roots_resplits_off_a_root(monkeypatch):
-    # z^2 = -1 at +-i: the 0.5 split of the bounding square cuts along x = 0
-    # through both roots, so the split is cut again at 0.53 in the next pass
+    # z^8 = 1: the bounding square winds 8 > _MOMENT_MAX times, and its 0.5
+    # split cuts along both axes through the roots +-1 and +-i, so the split
+    # is cut again at 0.53 in the next pass
     calls = _counting_windings(monkeypatch)
-    roots = find_roots(parse_map("z^2"), -1, 2.0)
-    locations = sorted((root.location for root in roots), key=lambda z: z.imag)
-    assert locations == pytest.approx([-1j, 1j], abs=1e-12)
-    assert [root.multiplicity for root in roots] == [1, 1]
+    roots = find_roots(parse_map("z^8"), 1, 2.0)
+    expected = np.exp(2j * np.pi * np.arange(8) / 8)
+    assert max(abs(expected - root.location).min() for root in roots) < 1e-12
+    assert [root.multiplicity for root in roots] == [1] * 8
     assert len(calls) == 3  # the square, the failed split and the re-split
+
+
+def test_a_rotated_double_root_takes_no_more_passes(monkeypatch):
+    # (wz - 0.5)(wz - 0.25)^2, w = e^{i/128}: the bounding square's moments
+    # give both roots, as for w = 1, however close to a split line they lie
+    w = cmath.exp(1j / 128)
+    turn = f"(0{w.real:+.17g}{w.imag:+.17g}i)"
+    calls = _counting_windings(monkeypatch)
+    roots = find_roots(parse_map(f"({turn}*z-0.5)*({turn}*z-0.25)^2"), 0, 1.0)
+    assert len(calls) <= 7
+    assert [root.multiplicity for root in roots] == [2, 1]
+    assert [root.location for root in roots] == pytest.approx([0.25 / w, 0.5 / w], abs=1e-12)
+
+
+def test_cells_whose_moments_fail_are_roots_at_the_isolation_scale(monkeypatch):
+    # every root cell is split down to 1e-5 r, where it is one root at the
+    # mean of its zeros, less the zeros of D in it
+    monkeypatch.setattr(count_module, "_cell_roots", lambda *args: [None] * len(args[3]))
+    roots = find_roots(parse_map("(z-0.3)^2*(z+0.5i)/(z-0.3)"), 0, 1.0)
+    assert [root.location for root in roots] == pytest.approx([-0.5j, 0.3], abs=1e-12)
+    assert [root.multiplicity for root in roots] == [1, 1]
+    (pole,) = find_roots(parse_map("1/z^3"), "inf", 1.0)
+    assert abs(pole.location) < 1e-12 and pole.multiplicity == 3
 
 
 def test_cell_boundaries_match_complex_arithmetic():
@@ -381,13 +415,16 @@ def test_cell_boundaries_match_complex_arithmetic():
 
 
 def test_find_roots_cell_budget(monkeypatch):
+    # z^8 = 1 winds 8 > _MOMENT_MAX times on the bounding square; with the
+    # failed split and the re-split that is 9 cells
     monkeypatch.setattr(count_module, "_MAX_CELLS", 8)
     with pytest.raises(WindingError, match="cell subdivision budget"):
-        find_roots(parse_map("z^5"), 1, 10.0)
+        find_roots(parse_map("z^8"), 1, 2.0)
 
 
 def test_curve_point_budget_is_per_loop(monkeypatch):
-    m = parse_map("z^5")
+    # z^7 = 1 winds 7 > _MOMENT_MAX times on the bounding square, which is split
+    m = parse_map("z^7")
     points = []  # polyline vertices of each loop, per pass
     image_polygon = count_module._image_polygon
 
@@ -422,8 +459,8 @@ def test_curve_point_budget_is_per_loop(monkeypatch):
 )
 def test_multiple_root_in_expanded_form(source, r, expected):
     # rounding noise of N - p D about its triple or quadruple zero at z = 1
-    # puts roots on every split line there; the root's winding is taken on a
-    # square about its Schroeder-polished location instead
+    # puts roots on every split line there; the zero is taken from the
+    # moments on a cell boundary far from that noise instead
     assert multiplicity_count(parse_map(source), 0, r) == expected
 
 
@@ -460,6 +497,50 @@ def test_find_roots_of_a_product_of_powers(factors):
     assert len(roots) == len(factors)
     for a, k in factors:
         (root,) = [root for root in roots if abs(root.location - a) < 1e-6]
+        assert root.multiplicity == k
+
+
+def _expanded(coefficients):
+    """Source text of the polynomial with these coefficients, highest first."""
+    degree = len(coefficients) - 1
+    return "+".join(
+        f"(0{c.real:+.17g}{c.imag:+.17g}i)*z^{degree - k}" for k, c in enumerate(coefficients)
+    )
+
+
+_ZEROS = st.lists(
+    st.tuples(
+        st.complex_numbers(max_magnitude=0.8, allow_nan=False, allow_infinity=False).map(
+            lambda a: complex(round(a.real, 3), round(a.imag, 3))
+        ),
+        st.integers(1, 3),
+    ),
+    min_size=1,
+    max_size=4,
+).filter(_separated)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_ZEROS, st.booleans())
+def test_find_roots_matches_numpy_roots(zeros, expanded):
+    # oracle apart from the windings and moments: numpy.roots of the
+    # coefficients, whose split copies of a k-fold zero are one zero at their
+    # mean.  Degrees above _MOMENT_MAX are subdivided before moments are taken
+    coefficients = np.poly([a for a, k in zeros for _ in range(k)])
+    copies = np.roots(coefficients)
+    expected = []
+    for a, _ in zeros:
+        near = copies[abs(copies - a) < 0.04]
+        expected.append((near.mean(), len(near)))
+    assert sum(k for _, k in expected) == len(copies)
+    if expanded:
+        source = _expanded(coefficients)
+    else:
+        source = "*".join(f"(z{-a.real:+.3f}{-a.imag:+.3f}i)^{k}" for a, k in zeros)
+    roots = find_roots(parse_map(source), 0, 1.0)
+    assert len(roots) == len(expected)
+    for location, k in expected:
+        (root,) = [root for root in roots if abs(root.location - location) < 1e-9]
         assert root.multiplicity == k
 
 
