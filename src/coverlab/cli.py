@@ -370,10 +370,10 @@ def run(cfg):
     summary = {"config": cfg.resolved(), "verifiers": {}, "errors": []}
     stage = "radius-selection"
     try:
-        radii, areas = _radii(m, cfg)
+        radii = _radii(m, cfg)
         summary["radii"] = radii
         stage = "profile"
-        profile = build_profile(m, radii, cfg.tolerance, areas)
+        profile = build_profile(m, radii, cfg.tolerance)
         profile.to_csv(outdir / "profile.csv")
     except (ValueError, ArithmeticError) as exc:
         summary["errors"].append({"stage": stage, "error": str(exc)})
@@ -415,12 +415,10 @@ def run(cfg):
 
 
 def _radii(m, cfg):
-    """(radii, areas): radii.list with no a(r) known, or the length-area-
-    selected radii with their a(r) at cfg.tolerance from the selection grid."""
+    """radii.list, or the length-area-selected radii."""
     if cfg.radii_mode == "length-area-selected":
-        radii = select_radii(m, cfg.radii_min, cfg.radii_max, cfg.radii_count, tol=cfg.tolerance)
-        return radii, radii.areas
-    return list(cfg.radii_list), {}
+        return select_radii(m, cfg.radii_min, cfg.radii_max, cfg.radii_count)
+    return list(cfg.radii_list)
 
 
 def _export(name, ctx, outdir, draw_islands):
@@ -512,8 +510,7 @@ def _effective_config(args):
 def _contexts(cfg):
     """One RadiusContext per radius of a subcommand's config."""
     m = parse_map(cfg.map_source)
-    radii, areas = _radii(m, cfg)
-    profile = build_profile(m, radii, cfg.tolerance, areas)
+    profile = build_profile(m, _radii(m, cfg), cfg.tolerance)
     return radius_contexts(m, profile, cfg.resolution, cfg.disks, cfg.graph)
 
 
@@ -570,7 +567,7 @@ def main(argv=None):
         if args.command == "arcs":
             cfg = _effective_config(args)
             m = parse_map(cfg.map_source)
-            for r in _radii(m, cfg)[0]:
+            for r in _radii(m, cfg):
                 t_star, lhs, rhs = select_perturbation(m, r, cfg.chart, 1000)
                 seg = ImplicitCurve.segment(cfg.chart, t_star)
                 pls = trace_preimage(m, seg, r, cfg.resolution)

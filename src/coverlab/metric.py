@@ -17,6 +17,9 @@ this formula.  A holomorphic map f pulls the metric back to the density
 With this normalization the closed forms used throughout the tests are
 a(r) = d r^{2d}/(1+r^{2d}) and l(r) = 2 sqrt(pi) d r^d/(1+r^{2d}) for z^d,
 and a chordal disk of radius rho has normalized area pi rho^2 exactly.
+
+`build_profile` reports a(r) from `area`, over polar cells of the disk;
+`select_radii` and `lengtharea_certificate` take it from `boundary_areas`.
 """
 
 from __future__ import annotations
@@ -200,7 +203,7 @@ def density_array(m, dm, zs):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature: polar cells for a(r), segments for l(r) and a'(r)
+# Adaptive quadrature: polar cells for a(r); segments for l(r), a'(r) and boundary a(r)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -452,6 +455,42 @@ def area_derivative(m, r, tol=1e-8):
     return _adaptive_circle_integral(fvals, tol, _make_pole_check(m, r))
 
 
+def boundary_areas(m, radii, tol=1e-9):
+    """a(r) at each radius from the Ahlfors-Shimizu boundary integral
+    (Hayman, Meromorphic Functions, ch. 1):
+
+        a(r) = n(r, inf) + (1/2pi) int_0^2pi Re(z f' conj f) / (1 + |f|^2) dtheta,
+
+    z = r e^{i theta}, with the integrand Re(z f'/f) / (1 + |f|^-2) where
+    |f| > 1 so that |f|^2 cannot overflow.  n(r, inf) enters the integrand
+    as k Re(z / (z - p)) per pole p of order k, which integrates to k for
+    |p| < r and to 0 for |p| > r and cancels the narrow spike that a pole
+    on or next to the circle puts into the first term.  The poles come from
+    one find_roots search out to e/2 times the largest radius (a factor no
+    pole meets on purpose).
+    """
+    from coverlab.count import find_roots  # count imports metric
+
+    dm = differentiate(m)
+    poles = find_roots(m, "inf", max(radii) * math.e / 2)
+    at = np.array([p.location for p in poles], dtype=np.complex128)
+    order = np.array([p.multiplicity for p in poles], dtype=float)
+    out = []
+    for r in radii:
+        def fvals(thetas):
+            zs = r * np.exp(1j * thetas)
+            w, zdw = evaluate_array(m, zs), zs * evaluate_array(dm, zs)
+            u = np.abs(w)
+            with np.errstate(all="ignore"):
+                first = np.where(u <= 1, (zdw * w.conj()).real / (1 + u * u),
+                                 (zdw / w).real / (1 + (1 / u) ** 2))
+                return first + (zs[:, None] / (zs[:, None] - at)).real @ order
+
+        flux = _adaptive_circle_integral(fvals, tol, _make_pole_check(m, r))
+        out.append(flux / (2 * math.pi))
+    return out
+
+
 def _length_with_nudge(m, r, tol=1e-8):
     """boundary_length with the 1e-9 relative radius nudge on a pole hit."""
     rr = r
@@ -515,36 +554,26 @@ def _fmt12(x):
     return f"{x:.12g}"
 
 
-def build_profile(m, radii, tol=1e-7, areas=None):
-    """Rows (r, a(r), l(r)) at each radius: a at `tol`, l at max(tol / 10, 1e-10).
-
-    a(r) is taken from `areas` (r -> a(r) at `tol`) where it is known.
+def build_profile(m, radii, tol=1e-7):
+    """Rows (r, a(r), l(r)) at each radius: a at `tol` by the polar `area`
+    quadrature, l at max(tol / 10, 1e-10).
     """
-    areas = areas or {}
     prof = MetricProfile(map_source=m.source_text if hasattr(m, "source_text") else str(m))
     for r in radii:
         rr, lv = _length_with_nudge(m, r, tol=max(tol * 1e-1, 1e-10))
         prof.radii.append(rr)
-        prof.a.append(areas[rr] if rr in areas else area(m, rr, tol=tol))
+        prof.a.append(area(m, rr, tol=tol))
         prof.l.append(lv)
     return prof
 
 
-class _SelectedRadii(list):
-    """select_radii's radii, with `areas` (r -> a(r)) from its grid."""
-
-    def __init__(self, radii, areas):
-        super().__init__(radii)
-        self.areas = areas
-
-
-def select_radii(m, r_min, r_max, count, tol=1e-6):
+def select_radii(m, r_min, r_max, count):
     """Radii in [r_min, r_max] with strictly decreasing boundary/area ratio.
 
     Log-spaced candidates are walked downhill to local minimizers of l/a on
-    a refinement grid; the ascending result keeps only strictly ratio-
-    decreasing entries, up to `count` of them.  The list's `areas` maps
-    each of them to its a(r) at `tol`, from the grid.
+    a refinement grid, with a(r) from `boundary_areas` (the Ahlfors-Shimizu
+    boundary integral); the ascending result keeps only strictly ratio-
+    decreasing entries, up to `count` of them.
     """
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")
@@ -552,17 +581,11 @@ def select_radii(m, r_min, r_max, count, tol=1e-6):
         raise ValueError("count must be positive")
     n = max(16, 6 * count)
     grid = np.geomspace(r_min, r_max, n)  # grid[0] is exactly r_min
-    ratios = []
-    radii = []
-    areas = []
-    for r in grid:
-        rr, lv = _length_with_nudge(m, float(r), tol=1e-9)
-        av = area(m, rr, tol=tol)
-        if not radii and av <= 1e-12:
-            raise ValueError(f"a(r_min)={av}: map is constant on the range")
-        radii.append(rr)
-        areas.append(av)
-        ratios.append(lv / av if av > 0 else math.inf)
+    radii, lengths = zip(*(_length_with_nudge(m, float(r), tol=1e-9) for r in grid))
+    areas = boundary_areas(m, radii)
+    if areas[0] <= 1e-12:
+        raise ValueError(f"a(r_min)={areas[0]}: map is constant on the range")
+    ratios = [lv / av if av > 0 else math.inf for lv, av in zip(lengths, areas)]
     logr = np.log(np.asarray(radii))
 
     # each log-spaced candidate refines to the ratio minimizer inside its own
@@ -585,35 +608,28 @@ def select_radii(m, r_min, r_max, count, tol=1e-6):
             continue
         out_r.append(radii[j])
         out_q.append(ratios[j])
-    return _SelectedRadii(out_r[:count], {radii[j]: areas[j] for j in picked})
+    return out_r[:count]
 
 
 def lengtharea_certificate(m, r1, r2, tol=1e-6, points_per_decade=14):
     """(integral of (l/a)^2 dr/r over [r1, r2], 2 pi / a(r1)).
 
-    The integral is a Simpson rule in log r over a profile grid; the
-    contract is first <= second + tolerance.
+    The integral is a Simpson rule in log r over a profile grid, with a(r)
+    from `boundary_areas` at `tol`; the contract is first <= second +
+    tolerance.
     """
     if not (0 < r1 <= r2):
         raise ValueError("need 0 < r1 <= r2")
-    a1 = area(m, r1, tol=tol)
-    if a1 <= 0:
-        raise ValueError("a(r1) must be positive")
-    bound = 2 * math.pi / a1
-    if r2 == r1:
-        return 0.0, bound
-    decades = math.log10(r2 / r1)
-    n = max(33, int(points_per_decade * decades) | 1)
-    if n % 2 == 0:
-        n += 1
+    n = max(33, int(points_per_decade * math.log10(r2 / r1)) | 1) if r2 > r1 else 1
     us = np.linspace(math.log(r1), math.log(r2), n)
-    g = []
-    for u in us:
-        r = math.exp(u)
-        _, lv = _length_with_nudge(m, r, tol=1e-9)
-        av = area(m, r, tol=tol)
-        g.append((lv / av) ** 2 if av > 0 else math.inf)
-    g = np.asarray(g)
+    radii, lengths = zip(*(_length_with_nudge(m, math.exp(u), tol=1e-9) for u in us))
+    areas = boundary_areas(m, radii, tol=tol)
+    if areas[0] <= 0:
+        raise ValueError("a(r1) must be positive")
+    bound = 2 * math.pi / areas[0]
+    if n == 1:
+        return 0.0, bound
+    g = np.asarray([(lv / av) ** 2 if av > 0 else math.inf for lv, av in zip(lengths, areas)])
     h = us[1] - us[0]
     integral = h / 3.0 * (g[0] + g[-1] + 4 * g[1:-1:2].sum() + 2 * g[2:-1:2].sum())
     return float(integral), bound

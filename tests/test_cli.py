@@ -163,14 +163,14 @@ def test_run_length_area_selected_mode(tmp_path):
     assert radii == sorted(radii)
 
 
-def test_selected_profile_reuses_the_selection_areas(tmp_path, monkeypatch):
-    # radii_count 2 gives a selection grid of max(16, 6 * 2) = 16 radii; the
-    # profile takes a(r) at the selected ones from that grid
+def test_selected_profile_computes_one_polar_area_per_reported_radius(tmp_path, monkeypatch):
+    # the selection ranks its grid with the boundary form of a(r); the
+    # profile takes a(r) from the polar `area` at each radius it reports
     area = metric.area
     calls = []
 
     def counted(m, r, tol=1e-7):
-        calls.append(r)
+        calls.append((r, tol))
         return area(m, r, tol)
 
     monkeypatch.setattr(metric, "area", counted)
@@ -185,8 +185,8 @@ def test_selected_profile_reuses_the_selection_areas(tmp_path, monkeypatch):
         outputs=str(tmp_path),
     ).validate()
     assert run(cfg) == 0
-    assert len(calls) == len(set(calls)) == 16
     summary = json.loads((tmp_path / "summary.json").read_text())
+    assert calls == [(r, cfg.tolerance) for r in summary["radii"]]
     rows = (tmp_path / "profile.csv").read_text().splitlines()[1:]
     assert [float(row.split(",")[1]) for row in rows] == [
         float(metric._fmt12(area(parse_map("z^2"), r, cfg.tolerance))) for r in summary["radii"]

@@ -14,6 +14,7 @@ from coverlab.metric import (
     SphericalDisk,
     area,
     area_derivative,
+    boundary_areas,
     boundary_length,
     build_profile,
     chordal_distance,
@@ -34,6 +35,11 @@ def closed_area(d, r):
 
 def closed_length(d, r):
     return 2 * SQRT_PI * d * r**d / (1 + r ** (2 * d))
+
+
+def boundary_area(m, r, tol=1e-9):
+    """`boundary_areas` at one radius, called like `area`."""
+    return boundary_areas(m, [r], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -180,11 +186,18 @@ def test_area_identity():
 
 @pytest.mark.parametrize("d", [2, 3, 5])
 @pytest.mark.parametrize("r", [1.0, 2.0, 10.0])
-def test_area_power_maps(d, r):
+def test_area_power_maps(d, r, area_of=area):
     m = parse_map(f"z^{d}")
-    got = area(m, r, tol=1e-8)
+    got = area_of(m, r, tol=1e-8)
     want = closed_area(d, r)
     assert abs(got - want) / want < 1e-6
+
+
+# The oracle tests of `area` run on the boundary form too, with the same cases.
+@pytest.mark.parametrize("d", [2, 3, 5])
+@pytest.mark.parametrize("r", [1.0, 2.0, 10.0])
+def test_boundary_area_power_maps(d, r):
+    test_area_power_maps(d, r, boundary_area)
 
 
 def test_area_small_radius_vanishes():
@@ -206,18 +219,18 @@ def test_length_power_maps(d, r):
     assert abs(got - want) / max(want, 1e-12) < 1e-6
 
 
-@pytest.mark.parametrize(
-    ("source", "coefficients", "r"),
-    [
-        ("z/(z-2)", (1, 0, 1, -2), 1.5),
-        ("z/(z-2)", (1, 0, 1, -2), 2.5),
-        ("(z+1i)/(2*z+3)", (1, 1j, 2, 3), 1.0),
-        ("(3*z-1)/(z+1)", (3, -1, 1, 1), 0.5),
-        ("(3*z-1)/(z+1)", (3, -1, 1, 1), 1.2),
-        ("(z+0.5)/(0.3i*z+1)", (1, 0.5, 0.3j, 1), 4.0),
-    ],
-)
-def test_area_and_length_of_moebius_maps(source, coefficients, r):
+MOEBIUS_CASES = [
+    ("z/(z-2)", (1, 0, 1, -2), 1.5),
+    ("z/(z-2)", (1, 0, 1, -2), 2.5),
+    ("(z+1i)/(2*z+3)", (1, 1j, 2, 3), 1.0),
+    ("(3*z-1)/(z+1)", (3, -1, 1, 1), 0.5),
+    ("(3*z-1)/(z+1)", (3, -1, 1, 1), 1.2),
+    ("(z+0.5)/(0.3i*z+1)", (1, 0.5, 0.3j, 1), 4.0),
+]
+
+
+@pytest.mark.parametrize(("source", "coefficients", "r"), MOEBIUS_CASES)
+def test_area_and_length_of_moebius_maps(source, coefficients, r, area_of=area):
     # f = (alpha z + beta) / (gamma z + delta) maps |z| < r one to one onto
     # a disk |w - C| < R, or onto its outside when the pole lies in |z| < r:
     # a spherical cap, whose normalized area is
@@ -235,31 +248,66 @@ def test_area_and_length_of_moebius_maps(source, coefficients, r):
     a = 1 - cap if abs(pole) < r else cap
     l = 2 * SQRT_PI * math.sqrt(a * (1 - a))  # the cap's boundary circle
     m = parse_map(source)
-    assert abs(area(m, r) - a) <= 1e-9 * a
+    assert abs(area_of(m, r) - a) <= 1e-9 * a
     assert abs(boundary_length(m, r) - l) <= 1e-9 * l
 
 
-@pytest.mark.parametrize(
-    ("source", "r", "a"),
-    [
-        ("exp(z)", 8.0, 2.5298797152564093),
-        ("exp(z)", 20.0, 6.3596384674780898),
-        ("sin(z)", 10.0, 6.5664842458416),
-    ],
-)
-def test_area_matches_independent_high_precision_values(source, r, a):
+@pytest.mark.parametrize(("source", "coefficients", "r"), MOEBIUS_CASES)
+def test_boundary_area_and_length_of_moebius_maps(source, coefficients, r):
+    test_area_and_length_of_moebius_maps(source, coefficients, r, boundary_area)
+
+
+HIGH_PRECISION_CASES = [
+    ("exp(z)", 8.0, 2.5298797152564093),
+    ("exp(z)", 20.0, 6.3596384674780898),
+    ("sin(z)", 10.0, 6.5664842458416),
+]
+
+
+@pytest.mark.parametrize(("source", "r", "a"), HIGH_PRECISION_CASES)
+def test_area_matches_independent_high_precision_values(source, r, a, area_of=area):
     # Digits from mpmath 1.3.0 at 30 digits, stored because the test
     # environment has no mpmath.  exp(z) has the density 1 / (4 pi cosh(x)^2)
     # of x = Re z alone, so a(r) = (1/2pi) int_{-r}^{r} sqrt(r^2 - x^2) / cosh(x)^2 dx.
     # sin(z) is entire, so a(r) is the boundary integral
     # (1/2pi) int_0^{2pi} Re(z f'(z) conj f(z)) / (1 + |f(z)|^2) dtheta, z = r e^{i theta}.
-    assert area(parse_map(source), r, tol=1e-7) == pytest.approx(a, rel=1e-8)
+    assert area_of(parse_map(source), r, tol=1e-7) == pytest.approx(a, rel=1e-8)
+
+
+@pytest.mark.parametrize(
+    ("source", "r", "a"),
+    HIGH_PRECISION_CASES
+    # the pole 0.01 outside the circle: the polar cells of `area` miss this
+    # value by 1.7e-6 relative at tol 1e-7 (mpmath 1.3.0, 30 digits)
+    + [("z+0.001/(z-1.01)", 1.0, 0.500180947414615)],
+)
+def test_boundary_area_matches_independent_high_precision_values(source, r, a):
+    test_area_matches_independent_high_precision_values(source, r, a, boundary_area)
+
+
+@pytest.mark.parametrize(
+    ("source", "r"),
+    [
+        ("exp(z)/(z-0.5)", 1.0),  # the pole inside: n(r, inf) = 1
+        ("exp(z)/(z-0.5)", 3.0),
+        ("(z^2-1)/(z^2+4)", 2.0),  # the poles +-2i on the circle
+        ("1/(z-(0.995004165278026+0.0998334166468282i))", 1.0),  # |p| = 1 to 1e-16
+        ("1/(z-(0.995004165278026+0.0998334166468282i))", 1.0 + 1e-9),
+    ],
+)
+def test_boundary_area_matches_area_around_poles(source, r):
+    # a pole on or next to the circle is between the quadrature nodes, and
+    # a(r) is continuous in r across it
+    m = parse_map(source)
+    assert boundary_area(m, r) == pytest.approx(area(m, r), rel=1e-9)
 
 
 def test_pole_on_circle_error():
     m = parse_map("1/(z-1)")
     with pytest.raises(PoleOnCircleError):
         boundary_length(m, 1.0)
+    with pytest.raises(PoleOnCircleError):
+        boundary_area(m, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +356,13 @@ def test_certificate_inequality(src, r2):
     assert integral <= bound + 1e-9
 
 
+def test_certificate_bound_with_poles_on_the_first_circle():
+    m = parse_map("(z^2-1)/(z^2+4)")
+    integral, bound = lengtharea_certificate(m, 2.0, 20.0)
+    assert bound == pytest.approx(2 * math.pi / area(m, 2.0), rel=1e-9)
+    assert integral <= bound
+
+
 def test_select_radii_identity():
     m = parse_map("z")
     rs = select_radii(m, 1.0, 100.0, 4)
@@ -326,7 +381,23 @@ def test_select_radii_exp_decreasing():
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
 
 
-def test_select_radii_computes_one_area_per_grid_point(monkeypatch):
+@pytest.mark.parametrize(
+    ("source", "r_min", "r_max", "count", "radii"),
+    [
+        ("exp(z)", 30.0, 80.0, 2, [47.41400739626471, 80.0]),
+        ("exp(z)", 8.0, 63.0, 4, [10.47109824245535, 21.4650329925748, 44.00184495492662, 63.0]),
+        ("exp(z)", 8.0, 40.0, 3, [11.682976884725212, 24.91612943471187, 40.0]),
+        ("z", 1.0, 100.0, 4, [1.823348000868441, 9.047357242349298, 44.89251258218605, 100.0]),
+        # r_max = 2 passes through the poles +-2i
+        ("(z^2-1)/(z^2+4)", 0.5, 2.0, 3, [0.6928371694903476, 1.330312058198122, 2.0]),
+        # |exp(z)|^2 overflows from r = 355 on; the boundary weight must not
+        ("exp(z)", 100.0, 400.0, 2, [190.9683207820834, 400.0]),
+    ],
+)
+def test_select_radii_keeps_the_polar_selection_without_area(
+    monkeypatch, source, r_min, r_max, count, radii
+):
+    # the radii the selection picked when it ranked l/a with the polar `area`
     calls = []
 
     def counted(m, r, tol=1e-7):
@@ -334,8 +405,8 @@ def test_select_radii_computes_one_area_per_grid_point(monkeypatch):
         return area(m, r, tol)
 
     monkeypatch.setattr(metric, "area", counted)
-    select_radii(parse_map("z"), 1.0, 100.0, 4)
-    assert len(calls) == len(set(calls)) == 24  # the grid of max(16, 6 * 4) points
+    assert select_radii(parse_map(source), r_min, r_max, count) == radii
+    assert calls == []
 
 
 def test_select_radii_degenerate_error():
