@@ -8,9 +8,13 @@ the traced level is 0 (callers bake the level into the field).
 One array kernel (_march_grid) marches every cell of a grid: a table maps
 each unambiguous case to its edge pair, and one vectorized interpolation
 (_crossings) places the segment ends.  It returns the saddle cells (cases
-5 and 10) as well.  The top grid and the 3 x 3 sub-grid of every saddle
-cell go through it; a saddle still ambiguous after _MAX_DEPTH levels is
-split by the sign at its centre, through the same interpolation.
+5 and 10) as well.  The top grid goes through it one band of BAND_ROWS
+cell rows at a time, each band sampled anew from the last node row of the
+one before; the plain segments of all bands, then all their saddle cells,
+come in row-major order, as from one pass.  The 3 x 3 sub-grid of every
+saddle cell goes through it too; a saddle still ambiguous after
+_MAX_DEPTH levels is split by the sign at its centre, through the same
+interpolation.
 Segments are oriented so the negative side of F lies to the left; chains
 are assembled by endpoint matching with a tolerance that absorbs the tiny
 cracks hanging nodes introduce at coarse/fine cell interfaces.
@@ -45,6 +49,7 @@ class Chain:
 
 
 _MAX_DEPTH = 6  # saddle subdivision levels before the centre-sign fallback
+BAND_ROWS = 64  # grid rows sampled at once by extract and by trace.complement_components
 
 # corners as (row, col) offsets: 0 = (x0,y0), 1 = (x1,y0), 2 = (x1,y1), 3 = (x0,y1)
 _CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
@@ -124,22 +129,21 @@ def extract(field, rect, nx, ny):
     x0, x1, y0, y1 = rect
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
-    zz = xs[None, :] + 1j * ys[:, None]
-    vals = np.asarray(field(zz), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        # pointwise rescue: nudge bad nodes slightly off the grid
+    hx, hy = xs[1] - xs[0], ys[1] - ys[0]
+    segments, saddles = [], []
+    for j in range(0, ny, BAND_ROWS):
+        # node rows j .. j + BAND_ROWS; the first is the last of the band before
+        zz = xs[None, :] + 1j * ys[j : j + BAND_ROWS + 1, None]
+        vals = np.asarray(field(zz), dtype=float)
         bad = ~np.isfinite(vals)
-        nudge = (xs[1] - xs[0]) * 1e-4
-        vals = vals.copy()
-        repl = np.asarray(field(zz[bad] + nudge * (1 + 1j)), dtype=float)
-        vals[bad] = repl
-        if not np.all(np.isfinite(vals)):
+        if bad.any():
+            # pointwise rescue: nudge bad nodes slightly off the grid
+            vals = vals.copy()
+            vals[bad] = np.asarray(field(zz[bad] + hx * 1e-4 * (1 + 1j)), dtype=float)
             vals[~np.isfinite(vals)] = 1e300
-
-    hx = xs[1] - xs[0]
-    hy = ys[1] - ys[0]
-    rows, saddles = _march_grid(zz, vals, max(hx, hy))
-    segments = [rows]
+        rows, band_saddles = _march_grid(zz, vals, max(hx, hy))
+        segments.append(rows)
+        saddles.extend(band_saddles)
     # local recursive subdivision of saddle cells, last found first
     queue = [(cz, cv, code, 0) for cz, cv, code in saddles]
     while queue:

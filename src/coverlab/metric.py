@@ -467,12 +467,15 @@ def boundary_areas(m, radii, tol=1e-9):
     |p| < r and to 0 for |p| > r and cancels the narrow spike that a pole
     on or next to the circle puts into the first term.  The poles come from
     one find_roots search out to e/2 times the largest radius (a factor no
-    pole meets on purpose).
+    pole meets on purpose), or 1% further out when a pole lies on it.
     """
-    from coverlab.count import find_roots  # count imports metric
+    from coverlab.count import RootOnCircleError, find_roots  # count imports metric
 
     dm = differentiate(m)
-    poles = find_roots(m, "inf", max(radii) * math.e / 2)
+    try:
+        poles = find_roots(m, "inf", max(radii) * math.e / 2)
+    except RootOnCircleError:
+        poles = find_roots(m, "inf", max(radii) * math.e / 2 * 1.01)
     at = np.array([p.location for p in poles], dtype=np.complex128)
     order = np.array([p.multiplicity for p in poles], dtype=float)
     out = []

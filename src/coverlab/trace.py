@@ -4,7 +4,8 @@ A chart segment (the horizontal line t of a Moebius chart zeta) is lifted
 through zeta o f from the preimages of its end points (count._lift), so
 each lift is one good or bad arc of the arcs statement.  The figure-eight
 is the level set {level = 0} of one function on the target (a lemniscate),
-and its preimage is marched (_march.extract) on an adaptive grid.  A
+and its preimage is marched (_march.extract) on an adaptive grid sampled
+in bands of rows, like the complement's disk masks, not as one grid.  A
 marched chain is cut where it leaves the disk |z| < r or enters the
 figure-eight's node ball, both by one run rule (_march.runs): a closed
 chain is walked from a dropped sample around to it again, so no kept run
@@ -451,13 +452,13 @@ def build_preimage_graph(m, graph, r, resolution=512):
     """Trace the whole graph preimage and assemble Euler data.
 
     The preimage {graph.level(f(z)) = 0} is marched (_march.extract) on a
-    resolution x resolution grid over the disk's bounding square, and the
-    chains are clipped at |z| = r.  Vertex preimages are located by the
-    argument-principle root finder and polished by Newton; polylines are
-    cut where the target value enters a small ball around the node and
-    the loose ends snap to vertices.  Bad arcs (meeting the boundary band)
-    are deleted; euler = V - E counts the retained graph (closed loops
-    carry an implicit vertex each).
+    resolution x resolution grid over the disk's bounding square, one band
+    of _march.BAND_ROWS rows at a time; the chains are clipped at |z| = r.
+    Vertex preimages are located by the argument-principle root finder and
+    polished by Newton; polylines are cut where the target value enters a
+    small ball around the node and the loose ends snap to vertices.  Bad
+    arcs (meeting the boundary band) are deleted; euler = V - E counts the
+    retained graph (closed loops carry an implicit vertex each).
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
@@ -609,8 +610,15 @@ def complement_components(g, r, resolution=512):
     n = resolution
     h = 2.0 * r / n
     xs = -r + (np.arange(n) + 0.5) * h
-    zz = xs[None, :] + 1j * xs[:, None]
-    inside = np.abs(zz) <= r
+    # the disk and its boundary ring as pixel masks, one band of rows at a time
+    inside, ring = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
+    ring_r = ring_radius(r, n)
+    for j in range(0, n, _march.BAND_ROWS):
+        band = slice(j, j + _march.BAND_ROWS)
+        dist = np.abs(xs[None, :] + 1j * xs[band, None])
+        np.less_equal(dist, r, out=inside[band])
+        np.greater(dist, ring_r, out=ring[band])
+    ring &= inside
 
     # vertices are part of the retained graph even when all their incident
     # arcs were deleted as bad; block them so isolated ones puncture C_0
@@ -639,7 +647,8 @@ def complement_components(g, r, resolution=512):
     prev, cur = prev[clash], cur[clash]
     shared = {}
     for k in np.argsort(cur):
-        a_id, b_id, where = int(arc[prev[k]]), int(arc[cur[k]]), zz.flat[pixels[cur[k]]]
+        j, i = divmod(int(pixels[cur[k]]), n)
+        a_id, b_id, where = int(arc[prev[k]]), int(arc[cur[k]]), complex(xs[i], xs[j])
         common = (set(retained[a_id].endpoints) & set(retained[b_id].endpoints)) - {None}
         if not any(abs(where - g.vertices[v]) < 4 * h for v in common):
             shared[(min(a_id, b_id), max(a_id, b_id))] = where
@@ -650,12 +659,11 @@ def complement_components(g, r, resolution=512):
         )
 
     labels, comps = _march.components(inside & ~blocked)
-    ring = inside & (np.abs(zz) > ring_radius(r, n))
     components = []
     for label, box, local, deepest in comps:
         # the face probe samples the pixel deepest inside the component,
         # far from the blocked set
-        sample = complex(zz[deepest])
+        sample = complex(xs[deepest[1]], xs[deepest[0]])
         try:
             face = g.graph.face_of(evaluate(m, sample))
         except IndeterminateError:
@@ -785,7 +793,7 @@ def export_json(path, graph=None, components=None, islands=None):
                 "endpoints": [
                     None if e is None else int(e) for e in arc.endpoints
                 ],
-                "points": [[round(z.real, 9), round(z.imag, 9)] for z in arc.points],
+                "points": np.round(np.stack((arc.points.real, arc.points.imag), 1), 9).tolist(),
             }
             for arc in graph.arcs
         ]

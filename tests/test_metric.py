@@ -226,6 +226,8 @@ MOEBIUS_CASES = [
     ("(3*z-1)/(z+1)", (3, -1, 1, 1), 0.5),
     ("(3*z-1)/(z+1)", (3, -1, 1, 1), 1.2),
     ("(z+0.5)/(0.3i*z+1)", (1, 0.5, 0.3j, 1), 4.0),
+    # the pole on |z| = e/2, the circle of boundary_areas' pole search at r = 1
+    ("1/(z-1.3591409142295225)", (0, 1, 1, -1.3591409142295225), 1.0),
 ]
 
 

@@ -1,3 +1,6 @@
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,9 +12,11 @@ from coverlab.expr import INF, evaluate, evaluate_array, parse_map
 from coverlab.metric import SpherePoint, SphericalDisk
 from coverlab.count import find_islands, find_roots
 from coverlab.trace import (
+    Arc,
     GraphPlacementError,
     GraphSpec,
     ImplicitCurve,
+    PreimageGraph,
     RectangleChart,
     ResolutionError,
     TransversalityError,
@@ -392,6 +397,30 @@ def test_exports(tmp_path):
     assert doc == doc2
 
 
+def test_export_json_rounds_arc_points_to_nine_digits(tmp_path):
+    # negatives, signed zeros, values below 1e-9 and halfway cases, written
+    # as round(x, 9) writes them
+    pts = np.array([
+        complex(-1.2345678915, 1e-10), complex(0.1234567895, -5e-10),
+        complex(-4.9999999995, 2.5e-9), complex(-0.0, 123456.7890123455),
+        complex(1e-300, -7.0000000005), complex(0.3, -0.1 - 0.2),
+    ])
+    g = PreimageGraph([Arc(pts, "good", (None, 0), False)], [0.5j], 0, 1.0, 64, "z", GraphSpec())
+    points = [
+        [-1.234567892, 0.0], [0.12345679, -0.0], [-5.0, 2e-09],
+        [-0.0, 123456.789012346], [0.0, -7.0], [0.3, -0.3],
+    ]
+    assert points == [[round(z.real, 9), round(z.imag, 9)] for z in pts]
+    doc = {
+        "arcs": [{"closed": False, "endpoints": [None, 0], "points": points, "tag": "good"}],
+        "euler": 0,
+        "vertices": [[0.0, 0.5]],
+    }
+    text = export_json(tmp_path / "g.json", graph=g)
+    assert text == json.dumps(doc, sort_keys=True, indent=2)
+    assert (tmp_path / "g.json").read_text() == text + "\n"
+
+
 @pytest.mark.parametrize(
     "keep, closed, order, spans",
     [
@@ -452,6 +481,10 @@ _HOLED_CHAINS = [
 ]
 
 
+def _chain_rows(chains):
+    return [(c.points.tolist(), c.closed, c.cell_size) for c in chains]
+
+
 def _saddle_field(zs):
     # the saddle at (0.3183, 0.2718) lies strictly inside a cell at every
     # subdivision depth, so it is still ambiguous at the deepest one
@@ -467,8 +500,42 @@ def _holed_field(zs):
     ("field", "expected"), [(_saddle_field, _SADDLE_CHAINS), (_holed_field, _HOLED_CHAINS)]
 )
 def test_extract_chains_are_unchanged(field, expected):
-    chains = _march.extract(field, (-1, 1, -1, 1), 4, 4)
-    assert [(c.points.tolist(), c.closed, c.cell_size) for c in chains] == expected
+    assert _chain_rows(_march.extract(field, (-1, 1, -1, 1), 4, 4)) == expected
+
+
+def _lattice_field(zs):
+    # nine saddles in three cell rows, NaN on the node row y = 0 (nudged back
+    # to the field) and at the node 0.5 + 0.5i and its nudge (set to 1e300)
+    with np.errstate(invalid="ignore"):
+        out = np.sin(4 * (zs.real - 0.1)) * np.sin(4 * (zs.imag - 0.07)) - 1e-9
+    out = np.where(zs.imag == 0, np.nan, out)
+    return np.where(np.abs(zs - (0.5 + 0.5j)) < 1e-3, np.nan, out)
+
+
+def _z5_level(zs):
+    return GraphSpec(node=0.5j, scale=0.5).level(evaluate_array(parse_map("z^5"), zs))
+
+
+@pytest.mark.parametrize("band", [1, 2, 5, 10_000])
+@pytest.mark.parametrize(
+    ("field", "rect", "n", "expected"),
+    [
+        (_saddle_field, (-1, 1, -1, 1), 4, _SADDLE_CHAINS),
+        (_holed_field, (-1, 1, -1, 1), 4, _HOLED_CHAINS),
+        (_lattice_field, (-1, 1, -1, 1), 8, None),
+        (_z5_level, (-2.0625, 2.0625, -2.0625, 2.0625), 64, None),
+    ],
+    ids=["saddle", "holed", "lattice", "z5-figure-eight"],
+)
+def test_extract_does_not_depend_on_the_band_height(monkeypatch, field, rect, n, expected, band):
+    # bands of 1, 2 and 5 rows put band edges next to saddle cells and NaN
+    # node rows; 10_000 rows is one band, the whole grid
+    if expected is None:
+        monkeypatch.setattr(_march, "BAND_ROWS", 10_000)
+        expected = _chain_rows(_march.extract(field, rect, n, n))
+    monkeypatch.setattr(_march, "BAND_ROWS", band)
+    chains = _march.extract(field, rect, n, n)
+    assert chains and _chain_rows(chains) == expected
 
 
 @pytest.mark.parametrize(
@@ -522,6 +589,36 @@ def test_complement_blocks_what_the_sample_loop_paints(source, node, scale, r, r
     outside = np.abs(xs[None, :] + 1j * xs[:, None]) > r
     expected = outside | _painted_by_sample_loop(g, r, resolution)
     assert np.array_equal(analysis.label_grid == 0, expected)
+
+
+def test_complement_does_not_depend_on_the_band_height(monkeypatch):
+    # 300 rows is no multiple of any band but 1 and 2
+    g = build_preimage_graph(parse_map("exp(z)"), GraphSpec(node=0.25j, scale=1), 20, 300)
+    monkeypatch.setattr(_march, "BAND_ROWS", 10_000)
+    whole = complement_components(g, 20, 300)
+    assert len(whole.components) > 1
+    for band in (1, 2, 7, 64):
+        monkeypatch.setattr(_march, "BAND_ROWS", band)
+        banded = complement_components(g, 20, 300)
+        assert np.array_equal(banded.label_grid, whole.label_grid)
+        assert banded.components == whole.components
+
+
+def test_graph_and_complement_memory():
+    # exp-topology's figure-eight at its largest radius: a full 2048^2
+    # complex grid of samples would be 64 MB
+    g8 = GraphSpec(node=0.25j, scale=1)
+    tracemalloc.start()
+    try:
+        g = build_preimage_graph(parse_map("exp(z)"), g8, 80.0, 2048)
+        graph_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        complement_components(g, 80.0, 2048)
+        complement_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert graph_peak <= 16e6
+    assert complement_peak <= 100e6
 
 
 def _assert_components_match_ndimage(mask):
