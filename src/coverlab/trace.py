@@ -49,6 +49,8 @@ from coverlab.count import (
 )
 
 _ARC_NODES = 24  # Gauss-Legendre nodes of the arc test integral
+_IMAGE_SAMPLES = 4096  # first sampling of the boundary image f(|z| = r)
+_IMAGE_BUDGET = 200_000  # samples after which the image is not refined further
 
 
 class TransversalityError(ArithmeticError):
@@ -285,27 +287,24 @@ def _arc_tag(dm, points, touches_clip, r, resolution):
 # Perturbation selection (coarea)
 
 
-def _boundary_image_polyline(m, r, chart, n0=4096, budget=200_000):
+def _boundary_image_polyline(m, r, chart):
     """f(|z| = r) sampled densely enough near the chart rectangle."""
     x0, x1 = chart.x_range
     t0, t1 = chart.t_range
     diag = math.hypot(x1 - x0, t1 - t0)
     fine = diag / 64.0
+    w = 2 * diag  # a long step with an end within w of the rectangle is split
 
-    thetas = np.linspace(0.0, 2 * math.pi, n0, endpoint=False)
+    thetas = np.linspace(0.0, 2 * math.pi, _IMAGE_SAMPLES, endpoint=False)
     for _ in range(24):
         zs = r * np.exp(1j * thetas)
         zeta = chart.apply(evaluate_array(m, zs))
-        nxt = np.roll(zeta, -1)
-        steps = np.abs(nxt - zeta)
-        near = _near_rect(zeta, chart, margin=2 * diag) | _near_rect(
-            nxt, chart, margin=2 * diag
-        )
-        big = near & (steps > fine)
-        if not big.any():
+        steps = np.abs(np.roll(zeta, -1) - zeta)
+        near = (x0 - w < zeta.real) & (zeta.real < x1 + w)
+        near &= (t0 - w < zeta.imag) & (zeta.imag < t1 + w)
+        big = (near | np.roll(near, -1)) & (steps > fine)
+        if not big.any() or len(thetas) > _IMAGE_BUDGET:
             return zeta
-        if len(thetas) > budget:
-            break
         th_next = np.roll(thetas, -1)
         th_next[-1] += 2 * math.pi
         mids = (thetas[big] + th_next[big]) / 2.0
@@ -314,111 +313,89 @@ def _boundary_image_polyline(m, r, chart, n0=4096, budget=200_000):
     return chart.apply(evaluate_array(m, zs))
 
 
-def _near_rect(zeta, chart, margin):
-    x0, x1 = chart.x_range
-    t0, t1 = chart.t_range
-    return (
-        (zeta.real > x0 - margin)
-        & (zeta.real < x1 + margin)
-        & (zeta.imag > t0 - margin)
-        & (zeta.imag < t1 + margin)
-    )
-
-
 def select_perturbation(m, r, chart, n_samples=1000):
     """Pick the horizontal chart line crossed least by the boundary image.
 
     Returns (t_star, coarea_lhs, coarea_rhs) where the coarea pair checks
     that the mean crossing count times |t_range| equals the projected
     vertical length (with multiplicity) of the boundary image inside the
-    rectangle.  t_star additionally satisfies the transversality margin: no
-    polyline vertex within 1e-3 |t_range| of the line, and no crossing
-    flatter than 5 degrees.
+    rectangle.  t_star is the least crossed of n_samples evenly spaced lines,
+    the most central among equals, with no polyline vertex within 1e-3
+    |t_range| of it and no crossing flatter than 5 degrees (transversality).
+    Each segment of the polyline is paired only with the lines it spans.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
-    zeta = _boundary_image_polyline(m, r, chart)
+    a = _boundary_image_polyline(m, r, chart)
+    b = np.roll(a, -1)
     x0, x1 = chart.x_range
     t0, t1 = chart.t_range
     span = t1 - t0
-    a = zeta
-    b = np.roll(zeta, -1)
 
     # restrict to segments that could interact with the rectangle
     sel = (np.minimum(a.real, b.real) <= x1) & (np.maximum(a.real, b.real) >= x0)
     sel &= (np.minimum(a.imag, b.imag) <= t1) & (np.maximum(a.imag, b.imag) >= t0)
     a, b = a[sel], b[sel]
+    lo, hi = np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag)
 
     # midpoint grid of candidate lines
     t_grid = t0 + (np.arange(n_samples) + 0.5) * span / n_samples
-    counts = np.zeros(n_samples, dtype=int)
-    rhs = 0.0
-    for p, q in zip(a, b):
-        lo, hi = sorted((p.imag, q.imag))
-        lo_c, hi_c = max(lo, t0), min(hi, t1)
-        if hi_c > lo_c or lo == hi:
-            rhs += _clipped_vertical_variation(p, q, x0, x1, t0, t1)
-        if hi <= lo:
-            continue
-        j0 = int(np.ceil((lo - t0) / span * n_samples - 0.5))
-        j1 = int(np.floor((hi - t0) / span * n_samples - 0.5))
-        if j1 < 0 or j0 > n_samples - 1:
-            continue
-        j0, j1 = max(j0, 0), min(j1, n_samples - 1)
-        ts = t_grid[j0 : j1 + 1]
-        xs = p.real + (q.real - p.real) * (ts - p.imag) / (q.imag - p.imag)
-        hit = (xs >= x0) & (xs <= x1)
-        counts[j0 : j1 + 1] += hit.astype(int)
 
+    def lines(lo, hi, widen=0):
+        # (range, line) index pairs: the lines each [lo, hi] spans and `widen`
+        # more on each side, clipped before the cast, since a height near a
+        # pole of the chart passes 2^63
+        j0 = np.ceil((lo - t0) / span * n_samples - 0.5) - widen
+        j1 = np.floor((hi - t0) / span * n_samples - 0.5) + widen
+        j0 = np.clip(j0, 0, n_samples).astype(int)
+        j1 = np.clip(j1, -1, n_samples - 1).astype(int)
+        n = np.maximum(j1 - j0 + 1, 0)
+        j = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n - j0, n)
+        return np.repeat(np.arange(len(lo)), n), j
+
+    tilted = hi > lo
+    p, q = a[tilted], b[tilted]
+    seg, j = lines(lo[tilted], hi[tilted])
+    # p.real + dx (t - p.imag) / dt, ordered so that numpy reuses temporaries
+    xs = (t_grid[j] - p.imag[seg]) * (q.real - p.real)[seg] / (q.imag - p.imag)[seg]
+    xs += p.real[seg]
+    counts = np.bincount(j[(xs >= x0) & (xs <= x1)], minlength=n_samples)
     lhs = float(counts.mean() * span)
 
-    # transversality: order candidate lines by crossing count and distance
-    # from the vertex set / flat crossings
+    # |dt| inside the rectangle: cut each segment where it crosses the four
+    # sides and keep the pieces whose midpoint is inside
+    d = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cuts = np.column_stack([(x0 - a.real) / d.real, (x1 - a.real) / d.real,
+                                (t0 - a.imag) / d.imag, (t1 - a.imag) / d.imag])
+    cuts = np.where((cuts > 0) & (cuts < 1), cuts, 1.0)
+    taus = np.sort(np.column_stack([np.zeros(len(a)), np.ones(len(a)), cuts]))
+    u0, u1 = taus[:, :-1], taus[:, 1:]
+    mid = a[:, None] + 0.5 * (u0 + u1) * d[:, None]
+    inside = (x0 <= mid.real) & (mid.real <= x1) & (t0 <= mid.imag) & (mid.imag <= t1)
+    inside &= (np.minimum(hi, t1) > np.maximum(lo, t0))[:, None]  # not a mere touch
+    pieces = np.where(inside, np.abs((u1 - u0) * d.imag[:, None]), 0.0)
+    # summed piece by piece, then segment by segment in polyline order
+    rhs = float(np.cumsum(np.append(0.0, np.cumsum(pieces, axis=1)[:, -1]))[-1])
+
+    # transversality; the ranges are widened by one line to hold every line
+    # that the exact comparisons block: a vertex within margin, a flat crossing
     margin = 1e-3 * span
-    min_angle = math.radians(5.0)
-    verts = np.concatenate([a, b]) if len(a) else np.array([], dtype=complex)
+    blocked = np.zeros(n_samples, dtype=bool)
+    verts = np.concatenate([a.imag, b.imag])
+    seg, j = lines(verts - margin, verts + margin, widen=1)
+    blocked[j[np.abs(verts[seg] - t_grid[j]) < margin]] = True
+    flat = np.arctan2(hi - lo, np.abs(b.real - a.real)) < math.radians(5.0)
+    lo, hi = lo[flat], hi[flat]
+    seg, j = lines(lo, hi, widen=1)
+    blocked[j[(lo[seg] < t_grid[j]) & (t_grid[j] < hi[seg])]] = True
     order = np.lexsort((np.abs(t_grid - 0.5 * (t0 + t1)), counts))
-    for j in order:
-        t = float(t_grid[j])
-        if len(verts):
-            near_v = np.abs(verts.imag - t) < margin
-            if near_v.any():
-                continue
-        ok = True
-        for p, q in zip(a, b):
-            lo, hi = sorted((p.imag, q.imag))
-            if lo < t < hi:
-                ang = math.atan2(abs(q.imag - p.imag), abs(q.real - p.real))
-                if ang < min_angle:
-                    ok = False
-                    break
-        if ok:
-            return t, lhs, rhs
-    raise TransversalityError(
-        "every candidate line fails the transversality margin; enlarge t_range"
-    )
-
-
-def _clipped_vertical_variation(p, q, x0, x1, t0, t1):
-    """|dt| of the part of segment p->q inside the rectangle."""
-    if p.imag == q.imag:
-        return 0.0
-    taus = [0.0, 1.0]
-    d = q - p
-    for bound, comp in ((x0, "re"), (x1, "re"), (t0, "im"), (t1, "im")):
-        den = d.real if comp == "re" else d.imag
-        num = (bound - (p.real if comp == "re" else p.imag))
-        if den != 0:
-            tau = num / den
-            if 0 < tau < 1:
-                taus.append(tau)
-    taus.sort()
-    total = 0.0
-    for u0, u1 in zip(taus, taus[1:]):
-        mid = p + 0.5 * (u0 + u1) * d
-        if x0 <= mid.real <= x1 and t0 <= mid.imag <= t1:
-            total += abs((u1 - u0) * d.imag)
-    return total
+    free = order[~blocked[order]]
+    if len(free) == 0:
+        raise TransversalityError(
+            "every candidate line fails the transversality margin; enlarge t_range"
+        )
+    return float(t_grid[free[0]]), lhs, rhs
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 import tracemalloc
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from coverlab import _march
+from coverlab import _march, trace
 from coverlab.expr import INF, evaluate, evaluate_array, parse_map
 from coverlab.metric import SpherePoint, SphericalDisk
 from coverlab.count import find_islands, find_roots
@@ -216,6 +217,227 @@ def test_coarea_exp():
     assert abs(lhs - rhs) <= 0.02 * max(rhs, 1.0)
 
 
+# Chart through infinity: zeta(w) = (w - 1) / (w + 1) sends w = -1 to infinity.
+MOEBIUS_CHART = RectangleChart(1, -1, 1, 1, x_range=(-0.3, 0.3), t_range=(-0.2, 0.1))
+
+# float.hex of (t_star, coarea_lhs, coarea_rhs) as the per-segment loop form
+# of select_perturbation (_select_by_loops below) gives them.
+PINNED_SELECTIONS = [
+    ("exp(z)", 2 * math.pi, CHART, 1000,
+     ("-0x1.f8a0902de00d0p-8", "0x1.d14e3bcd35a85p-6", "0x1.d1d6e525c050ep-6")),
+    ("exp(z)", 2 * math.pi, CHART, 137,
+     ("0x1.1f04dbbfb83e8p-7", "0x1.7eb124ffa053cp-6", "0x1.d1d6e525c050ep-6")),
+    ("exp(z)", 2 * math.pi, MOEBIUS_CHART, 1000,
+     ("-0x1.9ad42c3c9eeccp-5", "0x1.c91d14e3bcd37p-5", "0x1.c7a022dcf8abap-5")),
+    ("exp(z)", 2 * math.pi, MOEBIUS_CHART, 137,
+     ("-0x1.9999999999998p-5", "0x1.d267e5178b661p-5", "0x1.c7a022dcf8abap-5")),
+    ("exp(z)", 2 * math.pi + 0.05, CHART, 1000,
+     ("-0x1.a36e2eb1c4400p-14", "0x1.eb851eb851eb8p-5", "0x1.e9fe2754af060p-5")),
+    ("exp(z)", 2 * math.pi + 0.05, CHART, 137,
+     ("0x0.0p+0", "0x1.de5d6e3f8868ap-5", "0x1.e9fe2754af060p-5")),
+    ("exp(z)", 2 * math.pi + 0.05, MOEBIUS_CHART, 1000,
+     ("-0x1.9ad42c3c9eeccp-5", "0x1.06f694467381ep-4", "0x1.06fc369f0a9bbp-4")),
+    ("exp(z)", 2 * math.pi + 0.05, MOEBIUS_CHART, 137,
+     ("-0x1.9999999999998p-5", "0x1.0d148e03bcbafp-4", "0x1.06fc369f0a9bbp-4")),
+    ("exp(z)", 4 * math.pi + 0.02, CHART, 1000,
+     ("-0x1.a36e2eb1c4400p-14", "0x1.9652bd3c36114p-6", "0x1.8dff6fe67a45ap-6")),
+    ("exp(z)", 4 * math.pi + 0.02, CHART, 137,
+     ("0x0.0p+0", "0x1.7eb124ffa053cp-6", "0x1.8dff6fe67a45ap-6")),
+    ("exp(z)", 4 * math.pi + 0.02, MOEBIUS_CHART, 1000,
+     ("-0x1.9ad42c3c9eeccp-5", "0x1.ff2e48e8a71dfp-6", "0x1.009e7a26ecc3bp-5")),
+    ("exp(z)", 4 * math.pi + 0.02, MOEBIUS_CHART, 137,
+     ("-0x1.9999999999998p-5", "0x1.f648808f826dfp-6", "0x1.009e7a26ecc3bp-5")),
+    ("exp(z)", 4 * math.pi + 0.06, CHART, 1000,
+     ("-0x1.a36e2eb1c4400p-14", "0x1.25460aa64c2f8p-4", "0x1.26836a205e951p-4")),
+    ("exp(z)", 4 * math.pi + 0.06, CHART, 137,
+     ("0x0.0p+0", "0x1.2afa64e7b5417p-4", "0x1.26836a205e951p-4")),
+    ("exp(z)", 4 * math.pi + 0.06, MOEBIUS_CHART, 1000,
+     ("-0x1.9ad42c3c9eeccp-5", "0x1.3a92a30553262p-5", "0x1.3acd46cd6c56cp-5")),
+    ("exp(z)", 4 * math.pi + 0.06, MOEBIUS_CHART, 137,
+     ("-0x1.9999999999998p-5", "0x1.1f04dbbfb83edp-5", "0x1.3acd46cd6c56cp-5")),
+    ("exp(z)", 6.0, CHART, 1000,
+     ("-0x1.a36e2eb1c4400p-14", "0x0.0p+0", "0x0.0p+0")),
+    ("exp(z)", 6.0, CHART, 137,
+     ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0")),
+    ("exp(z)", 6.0, MOEBIUS_CHART, 1000,
+     ("-0x1.9ad42c3c9eeccp-5", "0x1.d7dbf487fcb94p-9", "0x1.ba40738729300p-9")),
+    ("exp(z)", 6.0, MOEBIUS_CHART, 137,
+     ("-0x1.9999999999998p-5", "0x1.1f04dbbfb83edp-8", "0x1.ba40738729300p-9")),
+    ("z^5", 1.02, CHART, 1000,
+     ("-0x1.3a92a30553300p-12", "0x1.0000000000000p+0", "0x1.0000000000001p+0")),
+    ("z^5", 1.02, CHART, 137,
+     ("-0x1.7eb124ffa0540p-10", "0x1.005fac493fe82p+0", "0x1.0000000000001p+0")),
+    ("z^5", 1.02, MOEBIUS_CHART, 1000,
+     ("-0x1.9ad42c3c9eeccp-5", "0x1.8000000000001p+0", "0x1.7fffffffffffdp+0")),
+    ("z^5", 1.02, MOEBIUS_CHART, 137,
+     ("-0x1.87a94bdd9e15cp-5", "0x1.8000000000001p+0", "0x1.7fffffffffffdp+0")),
+    ("z^5", 1.0, CHART, 1000,
+     ("-0x1.3a92a30553300p-12", "0x1.0000000000000p+0", "0x1.fffffffffffffp-1")),
+    ("z^5", 1.0, CHART, 137,
+     ("-0x1.1f04dbbfb83e0p-8", "0x1.005fac493fe82p+0", "0x1.fffffffffffffp-1")),
+    ("z^5", 1.0, MOEBIUS_CHART, 1000,
+     ("-0x1.95e9e1b089a00p-5", "0x1.8000000000001p+1", "0x1.5999999999a24p+1")),
+    ("z^5", 1.0, MOEBIUS_CHART, 137,
+     ("-0x1.75b8fe21a291cp-5", "0x1.8000000000001p+1", "0x1.5999999999a24p+1")),
+    ("z", 1.0, CHART, 1000,
+     ("-0x1.3a92a30553300p-12", "0x1.999999999999ap-3", "0x1.999999999999cp-3")),
+    ("z", 1.0, CHART, 137,
+     ("-0x1.1f04dbbfb83e0p-8", "0x1.9c96fbe398da5p-3", "0x1.999999999999cp-3")),
+    ("z", 1.0, MOEBIUS_CHART, 1000,
+     ("-0x1.95e9e1b089a00p-5", "0x1.3333333333334p-1", "0x1.3333333333335p-2")),
+    ("z", 1.0, MOEBIUS_CHART, 137,
+     ("-0x1.75b8fe21a291cp-5", "0x1.3333333333334p-1", "0x1.3333333333335p-2")),
+    ("z^20", 1.0, CHART, 1000,
+     ("-0x1.3a92a30553300p-12", "0x1.0000000000000p+2", "0x1.0000000000001p+2")),
+    ("z^20", 1.0, CHART, 137,
+     ("-0x1.1f04dbbfb83e0p-8", "0x1.0017eb124ffa0p+2", "0x1.0000000000001p+2")),
+    ("z^20", 1.0, MOEBIUS_CHART, 1000,
+     ("-0x1.9ad42c3c9eeccp-5", "0x1.7666666666667p+3", "0x1.7666666666694p+3")),
+    ("z^20", 1.0, MOEBIUS_CHART, 137,
+     ("-0x1.9999999999998p-5", "0x1.7666666666667p+3", "0x1.7666666666694p+3")),
+    ("z^64", 1.0, CHART, 1000,
+     ("-0x1.3a92a30553300p-12", "0x1.999999999999ap+3", "0x1.9999999999992p+3")),
+    ("z^64", 1.0, CHART, 137,
+     ("-0x1.7eb124ffa0540p-10", "0x1.99bd7a351190ap+3", "0x1.9999999999992p+3")),
+    ("z^64", 1.0, MOEBIUS_CHART, 1000,
+     ("-0x1.9ad42c3c9eeccp-5", "0x1.3800000000001p+4", "0x1.37f63f63f63fep+4")),
+    ("z^64", 1.0, MOEBIUS_CHART, 137,
+     ("-0x1.9999999999998p-5", "0x1.3800000000001p+4", "0x1.37f63f63f63fep+4")),
+]
+
+
+@pytest.mark.parametrize(
+    ("source", "r", "chart", "n_samples", "expected"),
+    PINNED_SELECTIONS,
+    ids=[f"{s}-r{r:.4f}-{'moebius' if c is MOEBIUS_CHART else 'default'}-{n}"
+         for s, r, c, n, _ in PINNED_SELECTIONS],
+)
+def test_select_perturbation_is_pinned_bit_for_bit(source, r, chart, n_samples, expected):
+    got = select_perturbation(parse_map(source), r, chart, n_samples)
+    assert tuple(float(v).hex() for v in got) == expected
+
+
+def test_select_perturbation_memory():
+    # z^64 at r = 1 runs 64 times through the chart: about 2000 segments,
+    # each spanning some 30 of the 1000 candidate lines, where a matrix of
+    # every segment and candidate would take 73 MB
+    m = parse_map("z^64")
+    tracemalloc.start()
+    try:
+        select_perturbation(m, 1.0, CHART, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6
+
+
+def _select_by_loops(zeta, chart, n_samples):
+    """select_perturbation on a given boundary image, written as loops over
+    its segments and candidate lines: the reference that its array passes
+    must equal bit for bit."""
+    x0, x1 = chart.x_range
+    t0, t1 = chart.t_range
+    span = t1 - t0
+    a, b = zeta, np.roll(zeta, -1)
+    sel = (np.minimum(a.real, b.real) <= x1) & (np.maximum(a.real, b.real) >= x0)
+    sel &= (np.minimum(a.imag, b.imag) <= t1) & (np.maximum(a.imag, b.imag) >= t0)
+    a, b = a[sel], b[sel]
+    t_grid = t0 + (np.arange(n_samples) + 0.5) * span / n_samples
+    counts = np.zeros(n_samples, dtype=int)
+    rhs = 0.0
+    for p, q in zip(a, b):
+        lo, hi = sorted((p.imag, q.imag))
+        if (min(hi, t1) > max(lo, t0) or lo == hi) and p.imag != q.imag:
+            d = q - p
+            taus = [0.0, 1.0]
+            for num, den in ((x0 - p.real, d.real), (x1 - p.real, d.real),
+                             (t0 - p.imag, d.imag), (t1 - p.imag, d.imag)):
+                if den != 0 and 0 < num / den < 1:
+                    taus.append(num / den)
+            taus.sort()
+            total = 0.0
+            for u0, u1 in zip(taus, taus[1:]):
+                mid = p + 0.5 * (u0 + u1) * d
+                if x0 <= mid.real <= x1 and t0 <= mid.imag <= t1:
+                    total += abs((u1 - u0) * d.imag)
+            rhs += total
+        if hi <= lo:
+            continue
+        j0 = int(np.ceil((lo - t0) / span * n_samples - 0.5))
+        j1 = int(np.floor((hi - t0) / span * n_samples - 0.5))
+        if j1 < 0 or j0 > n_samples - 1:
+            continue
+        j0, j1 = max(j0, 0), min(j1, n_samples - 1)
+        xs = p.real + (q.real - p.real) * (t_grid[j0 : j1 + 1] - p.imag) / (q.imag - p.imag)
+        counts[j0 : j1 + 1] += (xs >= x0) & (xs <= x1)
+    lhs = float(counts.mean() * span)
+    margin = 1e-3 * span
+    verts = np.concatenate([a, b])
+    for j in np.lexsort((np.abs(t_grid - 0.5 * (t0 + t1)), counts)):
+        t = float(t_grid[j])
+        if (np.abs(verts.imag - t) < margin).any():
+            continue
+        if not any(
+            min(p.imag, q.imag) < t < max(p.imag, q.imag)
+            and math.atan2(abs(q.imag - p.imag), abs(q.real - p.real)) < math.radians(5.0)
+            for p, q in zip(a, b)
+        ):
+            return t, lhs, rhs
+    raise TransversalityError("every candidate line fails the transversality margin")
+
+
+def _edge_polyline(rng, chart, n_samples, n_points):
+    """A closed polyline whose heights sit on the values where the scans'
+    comparisons flip: the rectangle's sides, the candidate lines, those
+    lines +- the vertex margin, and one ulp either side of each."""
+    x0, x1 = chart.x_range
+    t0, t1 = chart.t_range
+    span = t1 - t0
+    t_grid = t0 + (np.arange(n_samples) + 0.5) * span / n_samples
+    k = rng.integers(0, n_samples, n_points)
+    margin = 1e-3 * span
+    heights = np.r_[t0, t1, t_grid[k], t_grid[k] + margin, t_grid[k] - margin]
+    heights = rng.choice(heights, n_points)
+    heights = np.nextafter(heights, heights + rng.choice([-1.0, 0.0, 1.0], n_points))
+    anywhere = rng.uniform(t0 - span, t1 + span, n_points)
+    heights = np.where(rng.random(n_points) < 0.3, anywhere, heights)
+    xs = rng.choice(np.array([x0, x1, 0.5 * (x0 + x1)]), n_points)
+    xs = np.where(rng.random(n_points) < 0.5, rng.uniform(x0 - 0.1, x1 + 0.1, n_points), xs)
+    # some segments climb less than 5 degrees
+    slope = rng.uniform(-0.1, 0.1, n_points) * (rng.random(n_points) < 0.3)
+    flat = np.nonzero(slope)[0][1:]
+    heights[flat] = heights[flat - 1] + slope[flat] * (xs[flat] - xs[flat - 1])
+    return xs + 1j * heights
+
+
+def _outcome(select, *args):
+    try:
+        return [float(v).hex() for v in select(*args)]
+    except TransversalityError:
+        return "TransversalityError"
+
+
+# A segment that leaves the rectangle's bottom side at its top vertex, one
+# ulp left of the right side: its first piece's midpoint rounds onto the
+# bottom side, yet the segment meets the height range in a point only and
+# adds nothing to the coarea length.
+TOUCHING_POLYLINE = np.array([np.nextafter(1.3, 0) - 0.1j, 2.3 - 0.11j, 5 + 5j])
+
+
+def test_select_perturbation_matches_the_loops(monkeypatch):
+    m = parse_map("z")
+    cases = [(TOUCHING_POLYLINE, 1000)]
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        n_samples = int(rng.choice([100, 137, 1000, 4000]))
+        zeta = _edge_polyline(rng, CHART, n_samples, int(rng.integers(3, 60)))
+        cases.append((zeta, n_samples))
+    for i, (zeta, n_samples) in enumerate(cases):
+        monkeypatch.setattr(trace, "_boundary_image_polyline", lambda m, r, chart: zeta)
+        got = _outcome(select_perturbation, m, 1.0, CHART, n_samples)
+        assert got == _outcome(_select_by_loops, zeta, CHART, n_samples), i
+
+
 def test_select_perturbation_validates_samples():
     with pytest.raises(ValueError):
         select_perturbation(parse_map("z"), 1.0, CHART, 50)
@@ -227,6 +449,13 @@ def test_transversality_error_flat_crossings():
     thin = RectangleChart(1, 0, 0, 1, x_range=(-0.05, 0.05), t_range=(0.999, 0.9999))
     with pytest.raises(TransversalityError):
         select_perturbation(parse_map("z"), 1.0, thin, 100)
+
+
+def test_transversality_error_vertices_on_every_line():
+    # thirty strands of the unit circle cross the rectangle: their polyline
+    # vertices come within the margin of all 1000 candidate lines
+    with pytest.raises(TransversalityError):
+        select_perturbation(parse_map("z^30"), 1.0, CHART, 1000)
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +470,37 @@ def test_arc_integral_triple():
 def test_arc_integral_identity():
     val = arc_test_integral(parse_map("z"), CHART, 0.0, 5.0)
     assert abs(val - 1.0) < 1e-6
+
+
+@pytest.mark.parametrize(
+    ("source", "r"),
+    [
+        # the boundary image crosses the rectangle
+        ("exp(z)", 2 * math.pi),
+        ("exp(z)", 2 * math.pi + 0.05),
+        ("exp(z)", 4 * math.pi + 0.02),
+        ("exp(z)", 4 * math.pi + 0.06),
+        ("z^5", 1.02),
+        ("z^5", 1.0),
+        # it misses the rectangle
+        ("exp(z)", 8.0),
+        ("exp(z)", 20.0),
+        ("z^5", 2.0),
+        ("z^3 - z", 1.2),
+        ("z^3 - z", 1.5),
+    ],
+)
+def test_lifts_at_t_star_bound_the_arc_integral(source, r):
+    # the beta-weighted mean preimage count along the line t* lies between
+    # its good lifts and all its lifts: the lifts and the winding counts
+    # behind the integral are two independent computations
+    m = parse_map(source)
+    t_star, _, _ = select_perturbation(m, r, CHART, 1000)
+    seg = ImplicitCurve.segment(CHART, t_star)
+    good, bad, suspect = classify_arcs(trace_preimage(m, seg, r, 512), m, seg, r)
+    integral = arc_test_integral(m, CHART, t_star, r)
+    assert suspect == 0
+    assert good - 1e-9 <= integral <= good + bad + 1e-9
 
 
 def test_arc_integral_unit_weight_precondition():
