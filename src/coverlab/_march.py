@@ -24,14 +24,13 @@ closed one from a dropped entry around to it again; every cut of a traced
 curve (disk, node ball) and the angular scans of the quadrature go
 through it.
 
-The pixel-mask helpers of complement topology live here too, in plain
-numpy.  `components` labels a mask by its row runs, joined across rows by
-a union-find over the touching pairs of runs, and gives each component
-with its bounding box, its mask inside that box and its deepest pixel,
-read off one chessboard depth grid of the whole mask (`_depth`, two
-raster passes).  Per-component work then costs the box, not the grid;
-`mask_euler_characteristic` takes a component's box and gives what the
-full grid would.
+The pixel-set helpers of complement topology live here too, in plain
+numpy, on a set given by its row runs, with no grid of the whole set.
+`label_runs` joins the runs across rows by a union-find over their
+touching pairs.  `mask_euler_characteristic` takes each component's
+number of runs less its 8-touching pairs of runs.  `deepest` reads a
+component's deepest pixel off a chessboard depth grid (`_depth`, two
+raster passes) of its own bounding box grown by one pixel.
 """
 
 from __future__ import annotations
@@ -297,33 +296,29 @@ def runs(keep, closed):
     return order, list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
-def components(mask):
-    """Connected components of a boolean pixel mask (4-connectivity).
-
-    Returns the label grid, numbered 1, 2, ... in the raster order of each
-    component's first pixel (the grid ``ndimage.label`` gives), and one
-    entry ``(label, box, local, deepest)`` per component in label order:
-    ``box`` is the pair of slices of its bounding box, ``local`` is
-    ``labels[box] == label``, the component's mask inside that box, and
-    ``deepest`` is the (row, col) of its first pixel, in row-major order,
-    at the largest chessboard distance from the pixels off the mask.
-
-    The mask is labelled by runs: the runs of one row that 4-touch a run
-    of the row above are joined by a union-find that keeps the smallest
-    run index, so the Python loop runs once per touching pair of runs.
-    """
-    mask = np.asarray(mask, dtype=bool)
-    n_cols = mask.shape[1]
-    row, edge = np.nonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
-    row, lo, hi = row[::2], edge[::2], edge[1::2]  # run k covers [lo, hi) of its row
-    # runs a of row i - 1 that touch run b of row i: lo_a < hi_b and lo_b < hi_a
-    above = (row - 1) * (n_cols + 1)
-    first = np.searchsorted(row * (n_cols + 1) + hi, above + lo, side="right")
-    stop = np.searchsorted(row * (n_cols + 1) + lo, above + hi, side="left")
+def _touching(row, lo, hi, reach):
+    """Pairs (a, b) of runs, a in the row above b's, that 4-touch (reach 0)
+    or 8-touch (reach 1); run k covers columns lo[k] .. hi[k] - 1 of row
+    row[k], in raster order."""
+    stride = int(hi.max(initial=0)) + 2
+    above = (row - 1) * stride
+    # runs a of row i - 1 that touch run b of row i: lo_a < hi_b + reach and lo_b - reach < hi_a
+    first = np.searchsorted(row * stride + hi, above + lo - reach, side="right")
+    stop = np.searchsorted(row * stride + lo, above + hi + reach, side="left")
     touching = np.maximum(stop - first, 0)
     # one (a, b) per touching pair: a = first[b], ..., stop[b] - 1
     b = np.repeat(np.arange(len(lo)), touching)
     a = np.arange(len(b)) - np.repeat(np.cumsum(touching) - touching - first, touching)
+    return a, b
+
+
+def label_runs(row, lo, hi):
+    """Component label 0, 1, ... of every run of a pixel set (4-connectivity),
+    numbered in the raster order of each component's first run, the order
+    ``ndimage.label`` gives.  The 4-touching runs of adjacent rows are
+    joined by a union-find that keeps the smallest run index, so the Python
+    loop runs once per touching pair (He, Chao & Suzuki, IEEE TIP 2008).
+    """
     root = list(range(len(lo)))
 
     def find(k):
@@ -332,29 +327,28 @@ def components(mask):
             k = root[k]
         return k
 
-    for ka, kb in zip(a.tolist(), b.tolist()):
+    for ka, kb in zip(*(side.tolist() for side in _touching(row, lo, hi, 0))):
         ra, rb = find(ka), find(kb)
         root[max(ra, rb)] = min(ra, rb)
     # a root is its component's first run in raster order
     run_root = np.array([find(k) for k in range(len(lo))], dtype=int)
-    roots, run_label = np.unique(run_root, return_inverse=True)
-    labels = np.zeros(mask.shape, dtype=np.int32)
-    labels[mask] = np.repeat(run_label + 1, hi - lo)
+    return np.unique(run_root, return_inverse=True)[1]
 
-    top, bottom = row[roots], np.zeros(len(roots), dtype=int)
-    left, right = np.full(len(roots), n_cols), np.zeros(len(roots), dtype=int)
-    np.maximum.at(bottom, run_label, row + 1)
-    np.minimum.at(left, run_label, lo)
-    np.maximum.at(right, run_label, hi)
-    depth = _depth(mask)
-    entries = []
-    bounds = zip(top.tolist(), bottom.tolist(), left.tolist(), right.tolist())
-    for label, (r0, r1, c0, c1) in enumerate(bounds, start=1):
-        box = (slice(r0, r1), slice(c0, c1))
-        local = labels[box] == label
-        j, i = np.unravel_index(int(np.argmax(np.where(local, depth[box], -1))), local.shape)
-        entries.append((label, box, local, (r0 + int(j), c0 + int(i))))
-    return labels, entries
+
+def deepest(row, lo, hi, shape):
+    """(row, col) of the first pixel, in row-major order, at the largest
+    chessboard distance (`_depth`) from the pixels off one component, given
+    by its runs, on its bounding box grown by one pixel within ``shape``.
+    Two components touch only at corners, across two pixels off both, so
+    this is its depth in the whole pixel set.
+    """
+    r0, c0 = max(int(row[0]) - 1, 0), max(int(lo.min()) - 1, 0)
+    r1, c1 = min(int(row[-1]) + 2, shape[0]), min(int(hi.max()) + 1, shape[1])
+    box = np.zeros((r1 - r0, c1 - c0), dtype=bool)
+    for j, a, b in zip((row - r0).tolist(), (lo - c0).tolist(), (hi - c0).tolist()):
+        box[j, a:b] = True
+    j, i = np.unravel_index(int(np.argmax(_depth(box))), box.shape)
+    return r0 + int(j), c0 + int(i)
 
 
 def _depth(mask):
@@ -363,9 +357,7 @@ def _depth(mask):
 
     Two raster passes of the unit 3 x 3 chamfer (Rosenfeld & Pfaltz 1966):
     each row takes the least of its three neighbours in the row before it,
-    plus one, then runs along itself with a cumulative minimum.  Two
-    components touch only at corners, across two pixels off the mask, so
-    on each component this is its own distance transform.
+    plus one, then runs along itself with a cumulative minimum.
     """
     n_rows, n_cols = mask.shape
     col = np.arange(n_cols, dtype=np.int32)
@@ -394,17 +386,16 @@ def _depth(mask):
     return np.minimum(depth, far, out=depth)  # a mask with no pixel off it: far everywhere
 
 
-def mask_euler_characteristic(mask):
-    """Euler characteristic V - E + F of a pixel set's closed cell complex."""
-    mask = np.asarray(mask, dtype=bool)
-    padded = np.zeros((mask.shape[0] + 2, mask.shape[1] + 2), dtype=bool)
-    padded[1:-1, 1:-1] = mask
-    faces = int(mask.sum())
-    # vertical edges between column neighbors exist where either side pixel is set
-    e_v = int((padded[:, :-1] | padded[:, 1:]).sum())
-    e_h = int((padded[:-1, :] | padded[1:, :]).sum())
-    corners = (
-        padded[:-1, :-1] | padded[:-1, 1:] | padded[1:, :-1] | padded[1:, 1:]
-    )
-    vertices = int(corners.sum())
-    return vertices - (e_v + e_h) + faces
+def mask_euler_characteristic(row, lo, hi, label):
+    """Euler characteristic V - E + F of the closed cell complex of each
+    component of a pixel set, given by its runs and their labels.
+
+    A run's closed pixels form a contractible strip.  Two runs of one row
+    are apart, two of adjacent rows that 8-touch meet in a segment or a
+    corner, and no three meet, so a component's chi is its number of runs
+    less its number of 8-touching pairs of runs.
+    """
+    a, b = _touching(row, lo, hi, 1)
+    size = int(label.max(initial=-1)) + 1
+    joined = label[a][label[a] == label[b]]
+    return np.bincount(label, minlength=size) - np.bincount(joined, minlength=size)

@@ -5,7 +5,7 @@ through zeta o f from the preimages of its end points (count._lift), so
 each lift is one good or bad arc of the arcs statement.  The figure-eight
 is the level set {level = 0} of one function on the target (a lemniscate),
 and its preimage is marched (_march.extract) on an adaptive grid sampled
-in bands of rows, like the complement's disk masks, not as one grid.  A
+in bands of rows, like the complement's disk runs, not as one grid.  A
 marched chain is cut where it leaves the disk |z| < r or enters the
 figure-eight's node ball, both by one run rule (_march.runs): a closed
 chain is walked from a dropped sample around to it again, so no kept run
@@ -545,17 +545,20 @@ class ComplementComponent:
 @dataclass
 class ComplementAnalysis:
     components: list
-    label_grid: np.ndarray
+    # one (start, stop, label) row per labelled run, in raster order: the
+    # row-major pixel indices start .. stop - 1 of the n x n grid
+    runs: np.ndarray
     extent: float  # grid covers [-extent, extent]^2
     resolution: int
 
     def label_of_point(self, z):
         n = self.resolution
-        i = int((z.real + self.extent) / (2 * self.extent) * n)
-        j = int((z.imag + self.extent) / (2 * self.extent) * n)
+        i = math.floor((z.real + self.extent) / (2 * self.extent) * n)
+        j = math.floor((z.imag + self.extent) / (2 * self.extent) * n)
         if not (0 <= i < n and 0 <= j < n):
             return 0
-        return int(self.label_grid[j, i])
+        k = int(np.searchsorted(self.runs[:, 0], j * n + i, side="right")) - 1
+        return int(self.runs[k, 2]) if k >= 0 and j * n + i < self.runs[k, 1] else 0
 
 
 def _pixel_blocks(zs, r, n):
@@ -573,34 +576,13 @@ def _pixel_blocks(zs, r, n):
     return (jj * n + ii)[inside], np.nonzero(inside)[0] // 9
 
 
-def complement_components(g, r, resolution=512):
-    """Flood fill of the disk minus the retained arcs of a preimage graph.
-
-    Per component: chi from the pixel complex (2 - #boundary curves for a
-    planar piece), a boundary-touching flag, and the target face its map
-    image covers.  Raises ResolutionError when two distinct arcs share a
-    pixel corridor (the rasterization would merge their sides).
-    """
-    from coverlab.expr import parse_map
-
-    m = parse_map(g.map_source)
-    n = resolution
+def _blocked_pixels(g, r, n, xs):
+    """Sorted flat indices of the pixels that the vertices and the retained
+    arcs of g block on the n x n grid on [-r, r]^2 (pixel centres xs)."""
     h = 2.0 * r / n
-    xs = -r + (np.arange(n) + 0.5) * h
-    # the disk and its boundary ring as pixel masks, one band of rows at a time
-    inside, ring = np.empty((n, n), dtype=bool), np.empty((n, n), dtype=bool)
-    ring_r = ring_radius(r, n)
-    for j in range(0, n, _march.BAND_ROWS):
-        band = slice(j, j + _march.BAND_ROWS)
-        dist = np.abs(xs[None, :] + 1j * xs[band, None])
-        np.less_equal(dist, r, out=inside[band])
-        np.greater(dist, ring_r, out=ring[band])
-    ring &= inside
-
     # vertices are part of the retained graph even when all their incident
     # arcs were deleted as bad; block them so isolated ones puncture C_0
-    blocked = np.zeros((n, n), dtype=bool)
-    blocked.flat[_pixel_blocks(np.asarray(g.vertices, dtype=complex), r, n)[0]] = True
+    vertex_pixels = _pixel_blocks(np.asarray(g.vertices, dtype=complex), r, n)[0]
 
     # supercover: resample each segment of each retained arc at sub-pixel
     # steps, p + (q - p) * s / steps for s = 0..steps, in paint order
@@ -612,7 +594,6 @@ def complement_components(g, r, resolution=512):
     seg = np.repeat(np.arange(len(p)), steps + 1)
     s = np.arange(len(seg)) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
     pixels, from_sample = _pixel_blocks(p[seg] + (q - p)[seg] * s / steps[seg], r, n)
-    blocked.flat[pixels] = True
 
     # a pixel painted by one arc right after another puts the two arcs in
     # one corridor, unless it lies within 4h of a vertex both arcs end on;
@@ -634,29 +615,71 @@ def complement_components(g, r, resolution=512):
             f"arcs share a pixel corridor at {list(shared.values())[:3]!r}; "
             f"retry with a finer resolution"
         )
+    return np.unique(np.concatenate((vertex_pixels, pixels)))
 
-    labels, comps = _march.components(inside & ~blocked)
+
+def _free_runs(blocked, r, n, xs):
+    """Row runs of the pixels of the n x n grid (pixel centres xs) in
+    |z| <= r less the blocked ones, in raster order: row, first column, end
+    column (one past the last) and whether it has a pixel past ring_radius."""
+    ring_r = ring_radius(r, n)
+    bands = []
+    for j in range(0, n, _march.BAND_ROWS):
+        dist = np.abs(xs[None, :] + 1j * xs[j : j + _march.BAND_ROWS, None])
+        free = dist <= r
+        ring = np.flatnonzero(free & (dist > ring_r))
+        cut = np.searchsorted(blocked, [j * n, j * n + free.size])
+        free.flat[blocked[cut[0] : cut[1]] - j * n] = False
+        row, edge = np.nonzero(np.diff(np.pad(free, ((0, 0), (1, 1))), axis=1))
+        row, lo, hi = row[::2], edge[::2], edge[1::2]
+        on_ring = np.searchsorted(ring, row * n + hi) > np.searchsorted(ring, row * n + lo)
+        bands.append((row + j, lo, hi, on_ring))
+    return tuple(np.concatenate(part) for part in zip(*bands))
+
+
+def complement_components(g, r, resolution=512):
+    """Components of the disk minus the retained arcs of a preimage graph,
+    labelled on the row runs of its unblocked pixels (no grid of the disk).
+
+    Per component: chi from the pixel complex (2 - #boundary curves for a
+    planar piece), a boundary-touching flag, and the target face its map
+    image covers.  Raises ResolutionError when two distinct arcs share a
+    pixel corridor (the rasterization would merge their sides).
+    """
+    from coverlab.expr import parse_map
+
+    m = parse_map(g.map_source)
+    n = resolution
+    xs = -r + (np.arange(n) + 0.5) * (2.0 * r / n)
+    row, lo, hi, on_ring = _free_runs(_blocked_pixels(g, r, n, xs), r, n, xs)
+    label = _march.label_runs(row, lo, hi)
+    chi = _march.mask_euler_characteristic(row, lo, hi, label).tolist()
+    size = len(chi)
+    n_pixels = np.bincount(label, hi - lo, minlength=size).astype(int).tolist()
+    touches = np.bincount(label[on_ring], minlength=size) > 0
+    by_label = np.argsort(label, kind="stable")
+    first = np.searchsorted(label[by_label], np.arange(size + 1))
     components = []
-    for label, box, local, deepest in comps:
+    for k in range(size):
+        own = by_label[first[k] : first[k + 1]]
         # the face probe samples the pixel deepest inside the component,
         # far from the blocked set
-        sample = complex(xs[deepest[1]], xs[deepest[0]])
+        y, x = _march.deepest(row[own], lo[own], hi[own], (n, n))
         try:
-            face = g.graph.face_of(evaluate(m, sample))
+            face = g.graph.face_of(evaluate(m, complex(xs[x], xs[y])))
         except IndeterminateError:
             face = "outer"
         components.append(
             ComplementComponent(
-                chi=_march.mask_euler_characteristic(local),
-                touches_boundary=bool((local & ring[box]).any()),
+                chi=chi[k],
+                touches_boundary=bool(touches[k]),
                 face=face,
-                n_pixels=int(local.sum()),
-                label=label,
+                n_pixels=n_pixels[k],
+                label=k + 1,
             )
         )
-    return ComplementAnalysis(
-        components=components, label_grid=labels, extent=r, resolution=n
-    )
+    runs = np.column_stack((row * n + lo, row * n + hi, label + 1))
+    return ComplementAnalysis(components=components, runs=runs, extent=r, resolution=n)
 
 
 # ---------------------------------------------------------------------------

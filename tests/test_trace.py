@@ -11,7 +11,7 @@ from scipy import ndimage
 from coverlab import _march, trace
 from coverlab.expr import INF, evaluate, evaluate_array, parse_map
 from coverlab.metric import SpherePoint, SphericalDisk
-from coverlab.count import find_islands, find_roots
+from coverlab.count import find_islands, find_roots, ring_radius
 from coverlab.trace import (
     Arc,
     GraphPlacementError,
@@ -603,6 +603,15 @@ def test_euler_identity_exp():
     assert chi_c0 + pg.euler + sum_chi_c == 1
 
 
+def _label_grid(analysis):
+    """The n x n label grid of a complement, painted from its runs."""
+    n = analysis.resolution
+    grid = np.zeros(n * n, dtype=int)
+    for start, stop, label in analysis.runs.tolist():
+        grid[start:stop] = label
+    return grid.reshape(n, n)
+
+
 def _complement_reference(pg, comps, r):
     """The full-grid walk: one `labels == k` mask per component, its chi,
     ring test and pixel count, and the face at the argmax of its distance
@@ -613,15 +622,15 @@ def _complement_reference(pg, comps, r):
     xs = -r + (np.arange(n) + 0.5) * h
     zz = xs[None, :] + 1j * xs[:, None]
     ring = (np.abs(zz) <= r) & (np.abs(zz) > r - 2.5 * h)
-    labels, count = ndimage.label(comps.label_grid > 0)
-    assert np.array_equal(labels, comps.label_grid)
+    labels, count = ndimage.label(_label_grid(comps) > 0)
+    assert np.array_equal(labels, _label_grid(comps))
     rows = []
     for k in range(1, count + 1):
         comp = labels == k
         dist = ndimage.distance_transform_cdt(comp)
         w = evaluate(m, complex(zz[np.unravel_index(int(np.argmax(dist)), comp.shape)]))
         face = pg.graph.face_of(w)
-        chi = _march.mask_euler_characteristic(comp)
+        chi = _mask_chi(comp)
         rows.append((chi, bool((comp & ring).any()), face, int(comp.sum()), k))
     return rows
 
@@ -848,7 +857,7 @@ def test_complement_blocks_what_the_sample_loop_paints(source, node, scale, r, r
     xs = -r + (np.arange(resolution) + 0.5) * h
     outside = np.abs(xs[None, :] + 1j * xs[:, None]) > r
     expected = outside | _painted_by_sample_loop(g, r, resolution)
-    assert np.array_equal(analysis.label_grid == 0, expected)
+    assert np.array_equal(_label_grid(analysis) == 0, expected)
 
 
 def test_complement_does_not_depend_on_the_band_height(monkeypatch):
@@ -860,7 +869,7 @@ def test_complement_does_not_depend_on_the_band_height(monkeypatch):
     for band in (1, 2, 7, 64):
         monkeypatch.setattr(_march, "BAND_ROWS", band)
         banded = complement_components(g, 20, 300)
-        assert np.array_equal(banded.label_grid, whole.label_grid)
+        assert np.array_equal(_label_grid(banded), _label_grid(whole))
         assert banded.components == whole.components
 
 
@@ -878,30 +887,59 @@ def test_graph_and_complement_memory():
     finally:
         tracemalloc.stop()
     assert graph_peak <= 16e6
-    assert complement_peak <= 100e6
+    assert complement_peak <= 24e6
+
+
+def _mask_chi(mask):
+    """Euler characteristic V - E + F of a pixel set's closed cell complex,
+    counted on its mask."""
+    padded = np.pad(mask, 1)
+    faces = int(mask.sum())
+    # an edge or a corner of the complex exists where a pixel beside it is set
+    e_v = int((padded[:, :-1] | padded[:, 1:]).sum())
+    e_h = int((padded[:-1, :] | padded[1:, :]).sum())
+    corners = padded[:-1, :-1] | padded[:-1, 1:] | padded[1:, :-1] | padded[1:, 1:]
+    return int(corners.sum()) - (e_v + e_h) + faces
+
+
+def _mask_runs(mask):
+    """Rows, first columns and end columns of the runs of a mask, in raster order."""
+    row, edge = np.nonzero(np.diff(np.pad(mask, ((0, 0), (1, 1))), axis=1))
+    return row[::2], edge[::2], edge[1::2]
 
 
 def _assert_components_match_ndimage(mask):
-    """`components` gives ndimage's label grid, its find_objects boxes and
-    the first distance_transform_cdt argmax of every component on its box
-    grown by one pixel; `_depth` is that transform on every component."""
-    labels, entries = _march.components(mask)
+    """The runs of a mask, labelled by `label_runs`, paint ndimage's label
+    grid; `mask_euler_characteristic` gives the V - E + F of every
+    component's mask, and `deepest` the first distance_transform_cdt argmax
+    of every component on its bounding box grown by one pixel, where
+    `_depth` is that transform.  Returns the runs, labels and per-component
+    (chi, deepest)."""
+    row, lo, hi = _mask_runs(mask)
+    label = _march.label_runs(row, lo, hi)
+    grid = np.zeros(mask.shape, dtype=int)
+    for j, a, b, k in zip(row, lo, hi, label):
+        grid[j, a:b] = k + 1
     ref_labels, count = ndimage.label(mask)
-    assert np.array_equal(labels, ref_labels)
-    assert [entry[0] for entry in entries] == list(range(1, count + 1))
-    depth = _march._depth(mask)
-    for (label, box, local, deepest), ref_box in zip(entries, ndimage.find_objects(ref_labels)):
-        assert box == ref_box
-        assert np.array_equal(local, ref_labels[box] == label)
+    assert np.array_equal(grid, ref_labels)
+    chis = _march.mask_euler_characteristic(row, lo, hi, label)
+    assert len(chis) == count
+    entries = []
+    for k, box in enumerate(ndimage.find_objects(ref_labels)):
+        assert chis[k] == _mask_chi(ref_labels == k + 1)
+        own = label == k
+        deepest = _march.deepest(row[own], lo[own], hi[own], mask.shape)
         grown = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
-        comp = ref_labels[grown] == label
+        comp = ref_labels[grown] == k + 1
         dist = ndimage.distance_transform_cdt(comp)
         j, i = np.unravel_index(int(np.argmax(dist)), dist.shape)
         assert deepest == (grown[0].start + j, grown[1].start + i)
+        depth = _march._depth(comp)
         if comp.all():  # no pixel off the mask: cdt gives -1, _depth its "far"
-            assert (depth == sum(mask.shape)).all()
+            assert (depth == sum(comp.shape)).all()
         else:
-            assert np.array_equal(depth[grown][comp], dist[comp])
+            assert np.array_equal(depth, dist)
+        entries.append((int(chis[k]), deepest))
     return entries
 
 
@@ -915,31 +953,58 @@ def test_components_match_full_grid_reference():
     mask[30:40, 47:50] = True  # touches the grid corner
     entries = _assert_components_match_ndimage(mask)
     ref_labels, _ = ndimage.label(mask)
-    for label, box, local, deepest in entries:
+    for label, (chi, deepest) in enumerate(entries, start=1):
         comp = ref_labels == label
-        assert local.sum() == comp.sum()
-        chi = _march.mask_euler_characteristic(comp)
-        assert _march.mask_euler_characteristic(local) == chi
         dist = ndimage.distance_transform_cdt(comp)
         assert deepest == np.unravel_index(int(np.argmax(dist)), comp.shape)
-    chis = sorted(_march.mask_euler_characteristic(local) for _, _, local, _ in entries)
-    assert chis == [0, 1, 1, 1, 1, 1]
+    assert sorted(chi for chi, _ in entries) == [0, 1, 1, 1, 1, 1]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(
     st.integers(1, 40),
     st.integers(1, 50),
-    st.floats(0.2, 0.8),
+    st.floats(0.0, 1.0),
+    st.floats(0.05, 0.8),
     st.integers(0, 2**32 - 1),
 )
-def test_components_match_ndimage_on_random_masks(n_rows, n_cols, density, seed):
-    # dense random masks put components on the grid edges, holes in them and
-    # diagonal-only contacts between them
-    mask = np.random.default_rng(seed).random((n_rows, n_cols)) < density
-    _assert_components_match_ndimage(mask)
+def test_components_match_ndimage_on_random_masks(n_rows, n_cols, radius, density, seed):
+    # random blocked sets in a disk, like the complement's pixels: components
+    # on the grid edges, holes in them and diagonal-only contacts between them
+    xs, ys = np.arange(n_cols) + 0.5 - n_cols / 2, np.arange(n_rows) + 0.5 - n_rows / 2
+    disk = np.hypot(xs[None, :], ys[:, None]) <= radius * math.hypot(n_rows, n_cols) / 2
+    blocked = np.random.default_rng(seed).random((n_rows, n_cols)) < density
+    _assert_components_match_ndimage(disk & ~blocked)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 80), st.floats(0.05, 0.6), st.integers(0, 2**32 - 1))
+def test_free_runs_match_the_disk_masks(n, density, seed):
+    # the runs of the disk less random blocked pixels and their ring flags,
+    # against full-grid masks; n > BAND_ROWS puts runs in a second band
+    r = 3.0
+    xs = -r + (np.arange(n) + 0.5) * (2 * r / n)
+    dist = np.abs(xs[None, :] + 1j * xs[:, None])
+    blocked = np.flatnonzero(np.random.default_rng(seed).random(n * n) < density)
+    free = dist <= r
+    free.flat[blocked] = False
+    ring = (dist <= r) & (dist > ring_radius(r, n))
+    expected = [(j, a, b, bool(ring[j, a:b].any())) for j, a, b in zip(*_mask_runs(free))]
+    row, lo, hi, on_ring = trace._free_runs(blocked, r, n, xs)
+    assert list(zip(row.tolist(), lo.tolist(), hi.tolist(), on_ring.tolist())) == expected
 
 
 @pytest.mark.parametrize("fill", [False, True])
 def test_components_of_a_uniform_mask(fill):
     _assert_components_match_ndimage(np.full((3, 4), fill))
+
+
+def test_label_of_point_is_zero_off_each_grid_edge():
+    # a point less than one pixel outside the grid reads no edge pixel's label
+    r, n = 2.0, 64
+    h = 2 * r / n
+    g = build_preimage_graph(parse_map("z"), GraphSpec(node=0.5j, scale=0.5), r, n)
+    analysis = complement_components(g, r, n)
+    for edge in (-1, 1, -1j, 1j):
+        assert analysis.label_of_point(edge * (r - h / 2)) > 0
+        assert analysis.label_of_point(edge * (r + h / 2)) == 0
