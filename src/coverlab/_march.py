@@ -28,9 +28,11 @@ The pixel-set helpers of complement topology live here too, in plain
 numpy, on a set given by its row runs, with no grid of the whole set.
 `label_runs` joins the runs across rows by a union-find over their
 touching pairs.  `mask_euler_characteristic` takes each component's
-number of runs less its 8-touching pairs of runs.  `deepest` reads a
-component's deepest pixel off a chessboard depth grid (`_depth`, two
-raster passes) of its own bounding box grown by one pixel.
+number of runs less its 8-touching pairs of runs.  `deepest` finds every
+component's deepest pixel in one lockstep binary search over erosions of
+the runs by squares: across, each run shrinks at both ends; down, the runs
+of 2k + 1 rows meet by doubling, each meeting a `_touching` pairing of
+runs some rows apart.
 """
 
 from __future__ import annotations
@@ -296,13 +298,13 @@ def runs(keep, closed):
     return order, list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
-def _touching(row, lo, hi, reach):
-    """Pairs (a, b) of runs, a in the row above b's, that 4-touch (reach 0)
-    or 8-touch (reach 1); run k covers columns lo[k] .. hi[k] - 1 of row
-    row[k], in raster order."""
+def _touching(row, lo, hi, reach, gap=1):
+    """Pairs (a, b) of runs, a in the row ``gap`` rows above b's (a scalar
+    or one per run), that 4-touch (reach 0) or 8-touch (reach 1); run k
+    covers columns lo[k] .. hi[k] - 1 of row row[k], in raster order."""
     stride = int(hi.max(initial=0)) + 2
-    above = (row - 1) * stride
-    # runs a of row i - 1 that touch run b of row i: lo_a < hi_b + reach and lo_b - reach < hi_a
+    above = (row - gap) * stride
+    # runs a of row i - gap that touch run b of row i: lo_a < hi_b + reach and lo_b - reach < hi_a
     first = np.searchsorted(row * stride + hi, above + lo - reach, side="right")
     stop = np.searchsorted(row * stride + lo, above + hi + reach, side="left")
     touching = np.maximum(stop - first, 0)
@@ -335,55 +337,67 @@ def label_runs(row, lo, hi):
     return np.unique(run_root, return_inverse=True)[1]
 
 
-def deepest(row, lo, hi, shape):
-    """(row, col) of the first pixel, in row-major order, at the largest
-    chessboard distance (`_depth`) from the pixels off one component, given
-    by its runs, on its bounding box grown by one pixel within ``shape``.
-    Two components touch only at corners, across two pixels off both, so
-    this is its depth in the whole pixel set.
+def deepest(row, lo, hi, label, shape):
+    """(row, col) of every component's deepest pixel, one row per label: the
+    first pixel, in row-major order, at the largest chessboard distance from
+    the pixels off the component, where pixels beyond ``shape`` count as on
+    it.  Two components touch only at corners, across two pixels off both,
+    so this is its depth in the whole pixel set.
+
+    A pixel is deeper than k exactly when it lies in E_k, the component
+    eroded by the (2k + 1)-square within the grid.  Every component
+    binary-searches its largest k with E_k nonempty, all in lockstep; the
+    first pixel of that E_k is its deepest.  A grid-filling component's E_k
+    is never empty, and no other depth reaches n_rows + n_cols.
     """
-    r0, c0 = max(int(row[0]) - 1, 0), max(int(lo.min()) - 1, 0)
-    r1, c1 = min(int(row[-1]) + 2, shape[0]), min(int(hi.max()) + 1, shape[1])
-    box = np.zeros((r1 - r0, c1 - c0), dtype=bool)
-    for j, a, b in zip((row - r0).tolist(), (lo - c0).tolist(), (hi - c0).tolist()):
-        box[j, a:b] = True
-    j, i = np.unravel_index(int(np.argmax(_depth(box))), box.shape)
-    return r0 + int(j), c0 + int(i)
+    size = int(label.max(initial=-1)) + 1
+    _, first = np.unique(label, return_index=True)
+    probe = np.column_stack((row[first], lo[first]))  # the first pixel of E_0
+    low, high = np.zeros(size, dtype=int), np.full(size, sum(shape))
+    while (high - low > 1).any():
+        # a finished component tests its own low again, which changes nothing
+        k = (low + high) // 2
+        e_row, e_lo, e_label = _eroded(row, lo, hi, label, k, shape)
+        hit = np.bincount(e_label, minlength=size) > 0
+        low, high = np.where(hit, k, low), np.where(hit, high, k)
+        _, first = np.unique(e_label, return_index=True)
+        probe[hit] = np.column_stack((e_row[first], e_lo[first]))
+    return probe
 
 
-def _depth(mask):
-    """Chessboard distance of every mask pixel to the nearest pixel off the
-    mask (0 off it); pixels beyond the grid count as on the mask.
-
-    Two raster passes of the unit 3 x 3 chamfer (Rosenfeld & Pfaltz 1966):
-    each row takes the least of its three neighbours in the row before it,
-    plus one, then runs along itself with a cumulative minimum.
-    """
-    n_rows, n_cols = mask.shape
-    col = np.arange(n_cols, dtype=np.int32)
-    far = n_rows + n_cols  # more than any distance to a pixel off the mask
-    depth = np.empty((n_rows, n_cols), dtype=np.int32)
-    # the row swept last, between two columns beyond the grid; m - col and
-    # m + col turn each row's run into a cumulative minimum
-    before = np.full(n_cols + 2, far, dtype=np.int32)
-    left, last, right = before[:-2], before[1:-1], before[2:]
-    m = np.empty(n_cols, dtype=np.int32)
-    for row_mask, row_depth in zip(mask, depth):
-        np.minimum(np.minimum(left, right, out=m), last, out=m)
-        m += 1
-        m *= row_mask
-        m -= col
-        np.minimum.accumulate(m, out=m)
-        row_depth[:] = np.add(m, col, out=last)
-    before[:] = far
-    for row_depth in depth[::-1]:
-        np.minimum(np.minimum(left, right, out=m), last, out=m)
-        m += 1
-        np.minimum(m, row_depth, out=m)
-        m += col
-        np.minimum.accumulate(m[::-1], out=m[::-1])
-        row_depth[:] = np.subtract(m, col, out=last)
-    return np.minimum(depth, far, out=depth)  # a mask with no pixel off it: far everywhere
+def _eroded(row, lo, hi, label, k, shape):
+    """Runs (row, lo, label) of every component c of the runs (row, lo, hi,
+    label), given in raster order, eroded by the (2k[c] + 1)-square within
+    the grid; they come in label order, then raster order."""
+    n_rows, n_cols = shape
+    # across: a run loses k columns at each end off the grid edges
+    lo = np.where(lo == 0, 0, lo + k[label])
+    hi = np.where(hi == n_cols, n_cols, hi - k[label])
+    kept = lo < hi
+    # down: k whole rows beyond the first or last grid row, if the component is on it
+    top, bottom = np.unique(label[row == 0]), np.unique(label[row == n_rows - 1])
+    pad = np.r_[top, bottom]
+    count = k[pad]
+    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+    pad_row = np.repeat(np.r_[-k[top], np.full(len(bottom), n_rows)], count) + step
+    # each component's rows as one key, far enough from the next component's
+    # that no gap below spans the distance; a row's runs keep column order
+    span = n_rows + 4 * (n_rows + n_cols)
+    label = np.r_[label[kept], np.repeat(pad, count)]
+    key = label * span + np.r_[row[kept], pad_row]
+    lo = np.r_[lo[kept], np.zeros_like(pad_row)]
+    hi = np.r_[hi[kept], np.full_like(pad_row, n_cols)]
+    order = np.argsort(key, kind="stable")
+    key, lo, hi, label = key[order], lo[order], hi[order], label[order]
+    # the runs of rows j .. j + length - 1 all hold, as runs of row j; double
+    # the length (sparse-table style) until the last step meets 2k + 1 rows
+    width = 2 * k + 1
+    length = np.ones_like(k)
+    while (gap := np.minimum(length, width - length)).any():
+        a, b = _touching(key, lo, hi, 0, gap[label])
+        key, lo, hi, label = key[a], np.maximum(lo[a], lo[b]), np.minimum(hi[a], hi[b]), label[a]
+        length += gap
+    return key - label * span + k[label], lo, label
 
 
 def mask_euler_characteristic(row, lo, hi, label):

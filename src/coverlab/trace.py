@@ -657,14 +657,12 @@ def complement_components(g, r, resolution=512):
     size = len(chi)
     n_pixels = np.bincount(label, hi - lo, minlength=size).astype(int).tolist()
     touches = np.bincount(label[on_ring], minlength=size) > 0
-    by_label = np.argsort(label, kind="stable")
-    first = np.searchsorted(label[by_label], np.arange(size + 1))
+    # each face probe samples its component's deepest pixel, the one
+    # farthest from the blocked set, all components found in one pass
+    probe = _march.deepest(row, lo, hi, label, (n, n)).tolist()
     components = []
     for k in range(size):
-        own = by_label[first[k] : first[k + 1]]
-        # the face probe samples the pixel deepest inside the component,
-        # far from the blocked set
-        y, x = _march.deepest(row[own], lo[own], hi[own], (n, n))
+        y, x = probe[k]
         try:
             face = g.graph.face_of(evaluate(m, complex(xs[x], xs[y])))
         except IndeterminateError:

@@ -887,7 +887,7 @@ def test_graph_and_complement_memory():
     finally:
         tracemalloc.stop()
     assert graph_peak <= 16e6
-    assert complement_peak <= 24e6
+    assert complement_peak <= 10e6
 
 
 def _mask_chi(mask):
@@ -912,9 +912,8 @@ def _assert_components_match_ndimage(mask):
     """The runs of a mask, labelled by `label_runs`, paint ndimage's label
     grid; `mask_euler_characteristic` gives the V - E + F of every
     component's mask, and `deepest` the first distance_transform_cdt argmax
-    of every component on its bounding box grown by one pixel, where
-    `_depth` is that transform.  Returns the runs, labels and per-component
-    (chi, deepest)."""
+    of every component on its bounding box grown by one pixel.  Returns
+    every component's (chi, deepest)."""
     row, lo, hi = _mask_runs(mask)
     label = _march.label_runs(row, lo, hi)
     grid = np.zeros(mask.shape, dtype=int)
@@ -924,21 +923,16 @@ def _assert_components_match_ndimage(mask):
     assert np.array_equal(grid, ref_labels)
     chis = _march.mask_euler_characteristic(row, lo, hi, label)
     assert len(chis) == count
+    probes = _march.deepest(row, lo, hi, label, mask.shape)
+    assert probes.shape == (count, 2)
     entries = []
     for k, box in enumerate(ndimage.find_objects(ref_labels)):
         assert chis[k] == _mask_chi(ref_labels == k + 1)
-        own = label == k
-        deepest = _march.deepest(row[own], lo[own], hi[own], mask.shape)
+        deepest = tuple(probes[k].tolist())
         grown = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
-        comp = ref_labels[grown] == k + 1
-        dist = ndimage.distance_transform_cdt(comp)
+        dist = ndimage.distance_transform_cdt(ref_labels[grown] == k + 1)
         j, i = np.unravel_index(int(np.argmax(dist)), dist.shape)
         assert deepest == (grown[0].start + j, grown[1].start + i)
-        depth = _march._depth(comp)
-        if comp.all():  # no pixel off the mask: cdt gives -1, _depth its "far"
-            assert (depth == sum(comp.shape)).all()
-        else:
-            assert np.array_equal(depth, dist)
         entries.append((int(chis[k]), deepest))
     return entries
 
@@ -997,6 +991,38 @@ def test_free_runs_match_the_disk_masks(n, density, seed):
 @pytest.mark.parametrize("fill", [False, True])
 def test_components_of_a_uniform_mask(fill):
     _assert_components_match_ndimage(np.full((3, 4), fill))
+
+
+def _deep_in_a_short_grid():
+    # spans all 3 rows and is 6 deep: a depth search bounded by the row
+    # count stops short of it
+    mask = np.ones((3, 19), dtype=bool)
+    mask[1, 0] = mask[1, 12] = False
+    return mask
+
+
+def _one_pixel_islands_in_a_grid_sized_component():
+    # one call searches the whole grid's depth beside components of depth 1,
+    # and the grid-sized component's search takes one step more than theirs
+    mask = np.ones((20, 30), dtype=bool)
+    for j, i in [(3, 3), (10, 25), (16, 28)]:
+        mask[j - 1 : j + 2, i - 1 : i + 2] = False
+        mask[j, i] = True
+    return mask
+
+
+@pytest.mark.parametrize(
+    ("make", "expected"),
+    [
+        (_deep_in_a_short_grid, [(0, (0, 6))]),
+        (
+            _one_pixel_islands_in_a_grid_sized_component,
+            [(-1, (19, 0)), (1, (3, 3)), (1, (10, 25)), (1, (16, 28))],
+        ),
+    ],
+)
+def test_deepest_of_grid_edge_components(make, expected):
+    assert _assert_components_match_ndimage(make()) == expected
 
 
 def test_label_of_point_is_zero_off_each_grid_edge():
