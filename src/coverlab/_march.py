@@ -11,7 +11,12 @@ each unambiguous case to its edge pair, and one vectorized interpolation
 5 and 10) as well.  The top grid goes through it one band of BAND_ROWS
 cell rows at a time, each band sampled anew from the last node row of the
 one before; the plain segments of all bands, then all their saddle cells,
-come in row-major order, as from one pass.  The 3 x 3 sub-grid of every
+come in row-major order, as from one pass.  Given a certificate
+`positive` (a bound of the field > 0 on discs), a quadtree of blocks per
+band (_uncertified) skips the blocks it certifies: the field is sampled
+only at the nodes of the other cells, and each band is marched over the
+column span of those cells.  A certified cell has code 15 and yields
+nothing, so the chains are bit-identical.  The 3 x 3 sub-grid of every
 saddle cell goes through it too; a saddle still ambiguous after
 _MAX_DEPTH levels is split by the sign at its centre, through the same
 interpolation.
@@ -51,6 +56,8 @@ class Chain:
 
 _MAX_DEPTH = 6  # saddle subdivision levels before the centre-sign fallback
 BAND_ROWS = 64  # grid rows sampled at once by extract and by trace.complement_components
+_BLOCK = 64  # cells a side of the largest block extract's certificate may skip
+_LEAF = 4  # cells a side of a block that is not split further
 
 # corners as (row, col) offsets: 0 = (x0,y0), 1 = (x1,y0), 2 = (x1,y1), 3 = (x0,y1)
 _CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
@@ -120,28 +127,52 @@ def _march_grid(zz, vals, size):
     return rows, list(zip(cz[saddle], cv[saddle], code[saddle]))
 
 
-def extract(field, rect, nx, ny):
+def extract(field, rect, nx, ny, positive=None):
     """Trace {field = 0} on `rect` = (x0, x1, y0, y1).
 
     Returns a list of :class:`Chain`.  Ambiguous cells are subdivided up to
     _MAX_DEPTH times; a still-ambiguous cell is split by the sign of the
     field at its centre.
+
+    `positive(centres, radii)`, if given, certifies discs: it may be True
+    only where the field is > 0 at every point of |z - centre| <= radius,
+    as the field computes it there.  Then the field is sampled only at the
+    nodes of the cells that _uncertified returns; a certified cell would
+    have code 15, with no segment and no saddle, so the chains are the
+    same as without `positive`, bit for bit.
     """
     x0, x1, y0, y1 = rect
     xs = np.linspace(x0, x1, nx + 1)
     ys = np.linspace(y0, y1, ny + 1)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
-    segments, saddles = [], []
+    segments, saddles = [np.empty((0, 3), dtype=complex)], []
     for j in range(0, ny, BAND_ROWS):
-        # node rows j .. j + BAND_ROWS; the first is the last of the band before
-        zz = xs[None, :] + 1j * ys[j : j + BAND_ROWS + 1, None]
-        vals = np.asarray(field(zz), dtype=float)
-        bad = ~np.isfinite(vals)
+        # node rows j .. j + len(band_ys) - 1; the first is the last of the band before
+        band_ys = ys[j : j + BAND_ROWS + 1]
+        if positive is None:
+            sampled = np.ones((len(band_ys) - 1, nx), dtype=bool)
+        else:
+            sampled = _uncertified(positive, xs, band_ys)
+        cols = np.flatnonzero(sampled.any(axis=0))
+        if not len(cols):
+            continue
+        # march node columns lo .. hi - 1, the span of the sampled cells
+        lo, hi = cols[0], cols[-1] + 2
+        cells = sampled[:, lo : hi - 1]
+        need = np.zeros((len(band_ys), hi - lo), dtype=bool)
+        for dj, di in _CORNERS:
+            need[dj : dj + len(cells), di : di + cells.shape[1]] |= cells
+        zz = xs[None, lo:hi] + 1j * band_ys[:, None]
+        vals = np.ones(zz.shape)  # any positive value at certified nodes
+        z = zz[need]
+        v = np.asarray(field(z), dtype=float)
+        bad = ~np.isfinite(v)
         if bad.any():
             # pointwise rescue: nudge bad nodes slightly off the grid
-            vals = vals.copy()
-            vals[bad] = np.asarray(field(zz[bad] + hx * 1e-4 * (1 + 1j)), dtype=float)
-            vals[~np.isfinite(vals)] = 1e300
+            v = v.copy()
+            v[bad] = np.asarray(field(z[bad] + hx * 1e-4 * (1 + 1j)), dtype=float)
+            v[~np.isfinite(v)] = 1e300
+        vals[need] = v
         rows, band_saddles = _march_grid(zz, vals, max(hx, hy))
         segments.append(rows)
         saddles.extend(band_saddles)
@@ -166,6 +197,46 @@ def extract(field, rect, nx, ny):
         queue.extend((sz, sv, scode, depth + 1) for sz, sv, scode in saddles)
 
     return _chain(np.concatenate(segments), quantum=0.25 * min(hx, hy) * 0.5**_MAX_DEPTH)
+
+
+def _uncertified(positive, xs, ys):
+    """Mask of the cells of the grid of nodes xs x ys that `positive` does
+    not certify.
+
+    A quadtree starts from blocks of _BLOCK cells a side, the columns
+    (r0, r1, c0, c1) of `blocks` for the cells [r0, r1) x [c0, c1).  Each
+    block is tested on the disc about its centre through all its nodes; a
+    block that fails is halved along each side longer than one cell, down
+    to blocks of at most _LEAF cells a side, whose cells are not certified.
+    """
+    shape = (len(ys) - 1, len(xs) - 1)
+    r0, c0 = (np.arange(0, n, _BLOCK) for n in shape)
+    r1, c1 = np.minimum(r0 + _BLOCK, shape[0]), np.minimum(c0 + _BLOCK, shape[1])
+    blocks = np.stack(np.broadcast_arrays(r0[:, None], r1[:, None], c0, c1)).reshape(4, -1)
+    leaves = []
+    while blocks.shape[1]:
+        r0, r1, c0, c1 = blocks
+        x_lo, x_hi, y_lo, y_hi = xs[c0], xs[c1], ys[r0], ys[r1]
+        centres = 0.5 * (x_lo + x_hi) + 0.5j * (y_lo + y_hi)
+        # half the diagonal, widened past the rounding of the centre
+        radii = np.hypot(x_hi - x_lo, y_hi - y_lo) * (0.5 + 1e-12) + 1e-15 * np.abs(centres)
+        blocks = blocks[:, ~np.asarray(positive(centres, radii), dtype=bool)]
+        r0, r1, c0, c1 = blocks
+        leaf = np.maximum(r1 - r0, c1 - c0) <= _LEAF
+        leaves.append(blocks[:, leaf])
+        r0, r1, c0, c1 = blocks[:, ~leaf]
+        rm, cm = (r0 + r1 + 1) // 2, (c0 + c1 + 1) // 2
+        blocks = np.concatenate(
+            ([r0, rm, c0, cm], [r0, rm, cm, c1], [rm, r1, c0, cm], [rm, r1, cm, c1]), axis=1
+        )
+        blocks = blocks[:, (blocks[0] < blocks[1]) & (blocks[2] < blocks[3])]
+    r0, r1, c0, c1 = np.concatenate(leaves, axis=1)[:, :, None]
+    cell = np.arange(_LEAF * _LEAF)
+    rr, cc = r0 + cell // _LEAF, c0 + cell % _LEAF
+    inside = (rr < r1) & (cc < c1)
+    sampled = np.zeros(shape, dtype=bool)
+    sampled[rr[inside], cc[inside]] = True
+    return sampled
 
 
 def _chain(segments, quantum):

@@ -436,7 +436,10 @@ def _ev_array(node, zs):
     if isinstance(node, Sub):
         return _ev_array(node.left, zs) - _ev_array(node.right, zs)
     if isinstance(node, Mul):
-        return _ev_array(node.left, zs) * _ev_array(node.right, zs)
+        # not `*`: on a large temporary right operand numpy reuses it in
+        # place as right * left, and its complex product is not bitwise
+        # commutative, so a value would depend on the size of the array
+        return np.multiply(_ev_array(node.left, zs), _ev_array(node.right, zs))
     if isinstance(node, Div):
         return _ev_array(node.left, zs) / _ev_array(node.right, zs)
     if isinstance(node, Pow):
@@ -444,6 +447,79 @@ def _ev_array(node, zs):
         return base ** node.exponent
     if isinstance(node, Call):
         return getattr(np, node.func)(_ev_array(node.arg, zs))
+    raise TypeError(f"unknown node {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# Ball arithmetic (vectorized midpoint-radius enclosures)
+
+_SLACK = 2.0**-48  # relative rounding allowance per operation (32 units in the last place)
+_TINY = 1e-300  # absolute allowance for underflow
+
+
+def evaluate_ball(m, centres, radii):
+    """Enclosure (c, rho) of the map over the discs |z - centres| <= radii.
+
+    Midpoint-radius arithmetic (Rump, Acta Numerica 2010) over the tree:
+    |f(z) - c| <= rho for every z of the disc, and so is the value that
+    :func:`evaluate_array` computes at such a z.  Each operation widens its
+    radius by _SLACK times |c| and rho, which covers the rounding of the
+    centre, of the radius and of a point evaluation.  rho is inf where the
+    disc may hold a pole, and wherever a centre, a radius or a bound is not
+    finite, so a finite rho is always a true bound.
+    """
+    root = m.root if isinstance(m, MapExpr) else m
+    c = np.asarray(centres, dtype=np.complex128)
+    rho = np.broadcast_to(np.asarray(radii, dtype=float), c.shape)
+    with np.errstate(all="ignore"):
+        return _ball(root, *_widened(c, rho))
+
+
+def _widened(c, rho):
+    """The ball (c, rho) widened for rounding; rho = inf unless |c| + 2 rho
+    is finite."""
+    size = np.abs(c)
+    rho = (rho + _SLACK * size + _TINY) * (1 + _SLACK)
+    return c, np.where(np.isfinite(size + 2 * rho), rho, np.inf)
+
+
+def _quotient(a, ra, b, rb):
+    """Ball of x / y over x in (a, ra), y in (b, rb): |x/y - a/b| <=
+    (ra + |a/b| rb) / (|b| - rb), inf where the disc of y may hold 0."""
+    c = a / b
+    gap = np.abs(b) * (1 - _SLACK) - rb
+    return _widened(c, np.where(gap > 0, (ra + np.abs(c) * rb) / gap, np.inf))
+
+
+def _ball(node, zc, zr):
+    if isinstance(node, Var):
+        return zc, zr
+    if isinstance(node, Const):
+        return _widened(np.full(zc.shape, node.value, dtype=np.complex128), np.zeros(zr.shape))
+    if isinstance(node, Pow):
+        a, ra = _ball(node.base, zc, zr)
+        n = abs(node.exponent)
+        # |x^n - a^n| <= (|a| + ra)^n - |a|^n, plus the rounding of n products
+        top = (np.abs(a) + ra) ** n
+        c, rho = _widened(a**n, top - np.abs(a) ** n + 2 * n * _SLACK * top)
+        return _quotient(1, 0, c, rho) if node.exponent < 0 else (c, rho)
+    if isinstance(node, Call):
+        a, ra = _ball(node.arg, zc, zr)
+        c = getattr(np, node.func)(a)
+        # |e^x - e^a| <= |e^a| (e^ra - 1); |sin x - sin a|, |cos x - cos a|
+        # <= cosh(Im a) (e^ra - 1)
+        scale = np.abs(c) if node.func == "exp" else np.cosh(a.imag)
+        return _widened(c, scale * (np.expm1(ra) + _SLACK))
+    a, ra = _ball(node.left, zc, zr)
+    b, rb = _ball(node.right, zc, zr)
+    if isinstance(node, Add):
+        return _widened(a + b, ra + rb)
+    if isinstance(node, Sub):
+        return _widened(a - b, ra + rb)
+    if isinstance(node, Mul):
+        return _widened(np.multiply(a, b), np.abs(a) * rb + np.abs(b) * ra + ra * rb)
+    if isinstance(node, Div):
+        return _quotient(a, ra, b, rb)
     raise TypeError(f"unknown node {node!r}")
 
 

@@ -5,13 +5,15 @@ through zeta o f from the preimages of its end points (count._lift), so
 each lift is one good or bad arc of the arcs statement.  The figure-eight
 is the level set {level = 0} of one function on the target (a lemniscate),
 and its preimage is marched (_march.extract) on an adaptive grid sampled
-in bands of rows, like the complement's disk runs, not as one grid.  A
-marched chain is cut where it leaves the disk |z| < r or enters the
-figure-eight's node ball, both by one run rule (_march.runs): a closed
-chain is walked from a dropped sample around to it again, so no kept run
-wraps its seam.  The figure-eight preimage is split at the preimages of
-its node, bad arcs (those meeting the boundary circle) are deleted, and
-the Euler characteristic of what remains is V - E.
+in bands of rows, like the complement's disk runs, not as one grid.  The
+march samples f only where ball arithmetic (expr.evaluate_ball,
+GraphSpec.certainly_outside) cannot rule the curve out.  A marched chain
+is cut where it leaves the disk |z| < r or enters the figure-eight's
+node ball, both by one run rule (_march.runs): a closed chain is walked
+from a dropped sample around to it again, so no kept run wraps its seam.
+The figure-eight preimage is split at the preimages of its node, bad arcs
+(those meeting the boundary circle) are deleted, and the Euler
+characteristic of what remains is V - E.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from coverlab.expr import (
     differentiate,
     evaluate,
     evaluate_array,
+    evaluate_ball,
 )
 from coverlab.metric import SpherePoint, chordal_distance
 from coverlab.count import (
@@ -151,6 +154,19 @@ class GraphSpec:
         with np.errstate(all="ignore"):
             g = np.abs((np.asarray(ws, dtype=np.complex128) - self.node) ** 2 - s2) - s2
         return np.where(np.isfinite(g), g, 1e300)
+
+    def certainly_outside(self, c, rho):
+        """True where the level is above a small margin at every w of the
+        ball |w - c| <= rho.  The level is |w - f1| |w - f2| - scale^2 for
+        the foci f1, f2, and on the ball |w - f| >= |c - f| - rho.  False
+        wherever c or rho is not finite."""
+        c = np.asarray(c, dtype=np.complex128)
+        s2 = self.scale**2
+        with np.errstate(all="ignore"):
+            d1, d2 = (np.abs(c - f) - rho for f in self.foci)
+            # the margin outweighs the rounding of the level, ~ |w - node|^2 + scale^2
+            reach = 0.5 * (d1 + d2) + 2 * rho
+            return (d1 > 0) & (d2 > 0) & (d1 * d2 - s2 > 1e-9 * (reach * reach + s2))
 
     def face_of(self, w):
         """'lobe-', 'lobe+' or 'outer' for a target point; infinity is outer."""
@@ -431,6 +447,11 @@ def build_preimage_graph(m, graph, r, resolution=512):
     The preimage {graph.level(f(z)) = 0} is marched (_march.extract) on a
     resolution x resolution grid over the disk's bounding square, one band
     of _march.BAND_ROWS rows at a time; the chains are clipped at |z| = r.
+    A block of cells whose disc f maps, by expr.evaluate_ball, into a ball
+    that GraphSpec.certainly_outside keeps off the figure-eight and its
+    lobes is not sampled; the chains are the same, bit for bit, as from
+    sampling every node.  Critical points that find_roots cannot resolve
+    raise ResolutionError, since the vertex placement is then unchecked.
     Vertex preimages are located by the argument-principle root finder and
     polished by Newton; polylines are cut where the target value enters a
     small ball around the node and the loose ends snap to vertices.  Bad
@@ -443,8 +464,11 @@ def build_preimage_graph(m, graph, r, resolution=512):
     dm = differentiate(m)
     try:
         crit_points = find_roots(dm, 0, r)
-    except (WindingError, ContourPassesThroughRoot):
-        crit_points = []
+    except (WindingError, ContourPassesThroughRoot) as exc:
+        raise ResolutionError(
+            f"critical points of {m.source_text} in |z| < {r} not resolved, so the "
+            f"graph vertex cannot be checked against the critical values: {exc}"
+        ) from exc
     for cp in crit_points:
         try:
             cv = evaluate(m, cp.location)
@@ -463,7 +487,11 @@ def build_preimage_graph(m, graph, r, resolution=512):
     ]
     R = r * (1.0 + 2.0 / resolution)
     chains = _march.extract(
-        lambda zs: graph.level(evaluate_array(m, zs)), (-R, R, -R, R), resolution, resolution
+        lambda zs: graph.level(evaluate_array(m, zs)),
+        (-R, R, -R, R),
+        resolution,
+        resolution,
+        positive=lambda zs, radii: graph.certainly_outside(*evaluate_ball(m, zs, radii)),
     )
     polylines = [
         Polyline(pts, closed, touched, resolution)

@@ -2,7 +2,10 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coverlab.expr import (
     INF,
@@ -20,6 +23,7 @@ from coverlab.expr import (
     differentiate,
     evaluate,
     evaluate_array,
+    evaluate_ball,
     parse_map,
 )
 
@@ -193,10 +197,79 @@ def test_evaluate_is_pure():
 
 
 def test_evaluate_array_matches_scalar():
-    import numpy as np
-
     m = parse_map("(z^2-1)/(z^2+1)")
     zs = np.array([0.3 + 0.4j, 2 - 1j, -0.7j])
     vals = evaluate_array(m, zs)
     for z, v in zip(zs, vals):
         assert abs(v - evaluate(m, complex(z))) < 1e-13
+
+
+def test_evaluate_array_does_not_depend_on_the_array_size():
+    # numpy reuses a large temporary right factor in place, as right * left,
+    # and its complex product is not bitwise commutative
+    m = parse_map("z*exp(z)")
+    zs = np.exp(1j * np.arange(40_000)) * np.linspace(0.1, 3, 40_000)
+    whole = evaluate_array(m, zs)
+    parts = [evaluate_array(m, part) for part in np.split(zs, 400)]
+    assert np.array_equal(np.concatenate(parts), whole)
+
+
+# ---------------------------------------------------------------------------
+# Ball enclosures (evaluate_ball)
+
+_CONSTANTS = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False)
+_TREES = st.recursive(
+    st.one_of(st.just(Var()), st.builds(Const, _CONSTANTS)),
+    lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        # large exponents and nested exp overflow
+        st.builds(Pow, children, st.integers(-8, 8) | st.sampled_from([-64, 64])),
+        st.builds(Call, st.sampled_from(["exp", "sin", "cos"]), children),
+    ),
+    max_leaves=6,
+)
+_RADII = st.just(0.0) | st.floats(1e-12, 5)
+
+
+def _constants(node):
+    if isinstance(node, Const):
+        return [node.value]
+    return [c for child in vars(node).values() if not isinstance(child, (int, str))
+            for c in _constants(child)]
+
+
+@settings(derandomize=True, deadline=None)
+@given(_TREES, _CONSTANTS, _RADII)
+# second-order terms: ra rb of a product, and sin about its zero
+@example(Mul(Var(), Var()), 1 + 0j, 2.0)
+@example(Call("sin", Var()), 0j, 1.0)
+def test_ball_encloses_every_sample(tree, centre, radius):
+    c, rho = evaluate_ball(tree, [centre], [radius])
+    # a polar grid over the disc, and the constants in it: the poles of 1 / (z - p)
+    t, theta = np.meshgrid(np.linspace(0, 1, 7), np.linspace(0, 2 * np.pi, 12, endpoint=False))
+    zs = np.r_[centre + radius * t.ravel() * np.exp(1j * theta.ravel()), _constants(tree)]
+    zs = zs[np.abs(zs - centre) <= radius]
+    with np.errstate(all="ignore"):
+        fz = evaluate_array(tree, zs)
+        inside = np.isfinite(fz) & (np.abs(fz - c[0]) <= rho[0])
+    assert rho[0] == np.inf or inside.all(), (tree, fz[~inside], c, rho)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_TREES, _CONSTANTS, _RADII, st.floats(0, 0.99), st.floats(0, 2 * math.pi), st.integers(1, 3))
+def test_ball_is_unbounded_over_a_pole(tree, centre, radius, s, phi, k):
+    pole = Pow(Sub(Var(), Const(centre + radius * s * cmath.exp(1j * phi))), k)
+    for f in (Add(tree, Div(Const(1 + 0j), pole)), Div(tree, pole), Pow(pole, -1)):
+        assert evaluate_ball(f, [centre], [radius])[1][0] == np.inf
+
+
+def test_ball_is_unbounded_where_not_finite():
+    m = parse_map("exp(z)")
+    c, rho = evaluate_ball(m, [np.nan, 1e300, 1j, 1j, 800], [0.1, 0.1, np.inf, np.nan, 0.1])
+    assert (rho == np.inf).all()
+    # and finite, and tight to first order, on a small disc
+    c, rho = evaluate_ball(m, [0.5], [1e-3])
+    assert c[0] == np.exp(0.5) and rho[0] == pytest.approx(np.exp(0.5) * 1e-3, rel=1e-3)

@@ -9,9 +9,15 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from coverlab import _march, trace
-from coverlab.expr import INF, evaluate, evaluate_array, parse_map
+from coverlab.expr import INF, evaluate, evaluate_array, evaluate_ball, parse_map
 from coverlab.metric import SpherePoint, SphericalDisk
-from coverlab.count import find_islands, find_roots, ring_radius
+from coverlab.count import (
+    ContourPassesThroughRoot,
+    WindingError,
+    find_islands,
+    find_roots,
+    ring_radius,
+)
 from coverlab.trace import (
     Arc,
     GraphPlacementError,
@@ -552,6 +558,32 @@ def test_graph_placement_guard():
         build_preimage_graph(parse_map("z^2"), g8, 2.0, 256)
 
 
+@pytest.mark.parametrize("error", [WindingError, ContourPassesThroughRoot])
+def test_unresolved_critical_points_raise(monkeypatch, error):
+    # the critical-value guard cannot run without the critical points
+    def unresolved(*args, **kwargs):
+        raise error("refinement budget exceeded")
+
+    monkeypatch.setattr(trace, "find_roots", unresolved)
+    with pytest.raises(ResolutionError, match="critical points"):
+        build_preimage_graph(parse_map("z^3"), GraphSpec(node=0.5j, scale=0.5), 2.0, 128)
+
+
+def test_certainly_outside_bounds_the_level():
+    g8 = GraphSpec(node=0.25j, scale=1)
+    rng = np.random.default_rng(3)
+    c = rng.uniform(-3, 3, 4000) + 1j * rng.uniform(-3, 3, 4000)
+    rho = rng.uniform(0, 1, 4000) ** 2
+    certified = g8.certainly_outside(c, rho)
+    assert 0.2 < certified.mean() < 0.9
+    angle = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    for t in (0.0, 0.5, 1.0):
+        ws = c[certified, None] + t * rho[certified, None] * np.exp(1j * angle)
+        assert (g8.level(ws) > 0).all()
+    c, rho = np.array([np.nan, np.inf, 5, 5]), np.array([0, 0, np.inf, np.nan])
+    assert not g8.certainly_outside(c, rho).any()
+
+
 # ---------------------------------------------------------------------------
 # complement components
 
@@ -807,6 +839,66 @@ def test_extract_does_not_depend_on_the_band_height(monkeypatch, field, rect, n,
     assert chains and _chain_rows(chains) == expected
 
 
+def _certified_march(source, node, scale, r, resolution, positive="ball"):
+    """Chains of build_preimage_graph's march and the number of nodes the
+    field is asked for; `positive` is the ball certificate, None (the full
+    march) or a given certificate."""
+    m, g8 = parse_map(source), GraphSpec(node=node, scale=scale)
+    sampled = []
+
+    def field(zs):
+        sampled.append(zs.size)
+        return g8.level(evaluate_array(m, zs))
+
+    if positive == "ball":
+        def positive(c, rho):
+            return g8.certainly_outside(*evaluate_ball(m, c, rho))
+
+    R = r * (1.0 + 2.0 / resolution)
+    chains = _march.extract(field, (-R, R, -R, R), resolution, resolution, positive=positive)
+    return _chain_rows(chains), sum(sampled)
+
+
+_MARCHES = [
+    ("z^5", 0.5j, 0.5, 2),
+    ("z^5", 0.5j, 0.5, 7),
+    ("z^5", 0.5j, 0.5, 10),
+    ("exp(z)", 0.25j, 1, 47.41),
+    ("exp(z)", 0.25j, 1, 80),
+    ("z^8", 0.5j, 0.5, 3),
+    ("sin(z)", 0.5j, 0.5, 10),
+    ("z + 0.001/(z - 1.01)", 0.5j, 0.5, 3),
+    ("z*exp(z)", 0.25j, 1, 20),
+]
+
+
+@pytest.mark.parametrize(("source", "node", "scale", "r"), _MARCHES)
+def test_certified_march_equals_the_full_march(source, node, scale, r):
+    full, full_nodes = _certified_march(source, node, scale, r, 512, None)
+    certified, nodes = _certified_march(source, node, scale, r, 512)
+    assert full and certified == full
+    assert nodes < full_nodes
+
+
+@pytest.mark.parametrize("band", [1, 2, 5])
+def test_certified_march_does_not_depend_on_the_band_height(monkeypatch, band):
+    expected, _ = _certified_march("z^5", 0.5j, 0.5, 7, 128)
+    monkeypatch.setattr(_march, "BAND_ROWS", band)
+    assert _certified_march("z^5", 0.5j, 0.5, 7, 128)[0] == expected
+
+
+def test_false_certificate_changes_the_chains():
+    # a certificate that skips every block hides the whole curve
+    full, _ = _certified_march("z^5", 0.5j, 0.5, 7, 512)
+    assert _certified_march("z^5", 0.5j, 0.5, 7, 512, lambda c, rho: c == c)[0] != full
+
+
+def test_certified_march_samples_few_nodes():
+    # exp-topology's largest radius: the curve lies in -3 < Re z < 0.6
+    _, nodes = _certified_march("exp(z)", 0.25j, 1, 80, 2048)
+    assert nodes < 0.05 * 2049**2
+
+
 @pytest.mark.parametrize(
     ("source", "node", "scale", "r", "resolution", "raises"),
     [
@@ -886,7 +978,7 @@ def test_graph_and_complement_memory():
         complement_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert graph_peak <= 16e6
+    assert graph_peak <= 6e6
     assert complement_peak <= 10e6
 
 
