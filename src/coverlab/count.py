@@ -52,6 +52,7 @@ from coverlab.expr import (
     differentiate,
     evaluate,
     evaluate_array,
+    evaluate_arrays,
 )
 from coverlab.metric import (
     SpherePoint,
@@ -178,8 +179,8 @@ def _rects(boxes):
 def _sample(m, dm, path, t):
     """f and |f'| at the path points of parameters t."""
     zs = path.point(t)
-    w = evaluate_array(m, zs)
-    dabs = np.abs(evaluate_array(dm, zs))
+    w, dw = evaluate_arrays([m, dm], zs)
+    dabs = np.abs(dw)
     if not (np.isfinite(w).all() and np.isfinite(dabs).all()):
         raise ContourPassesThroughRoot("pole of f on or next to the contour")
     return w, dabs
@@ -481,7 +482,7 @@ def _panel_moments(f, df, a, b, centre, half):
     x = (z - centre[:, None]) / half[:, None]
     s = np.empty((len(a), _MOMENT_MAX + 1), dtype=np.complex128)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        q = evaluate_array(df, z) / evaluate_array(f, z)
+        q = np.divide(*evaluate_arrays([df, f], z))
         q = q * (b - a)[:, None] * (_QUAD_WEIGHTS / (4j * math.pi))
         for k in range(_MOMENT_MAX + 1):
             s[:, k] = q.sum(axis=1)
@@ -828,8 +829,8 @@ def find_islands(m, disk, r, resolution=512):
         start = moved = z0 + s0 * direction
         with np.errstate(all="ignore"):
             for _ in range(3):
-                step = (evaluate_array(g, moved) - segment(s0)[0]) / evaluate_array(dg, moved)
-                moved = moved - step
+                gz, dgz = evaluate_arrays([g, dg], moved)
+                moved = moved - (gz - segment(s0)[0]) / dgz
         if np.all(np.abs(moved - start) < np.abs(start - z0) / 4):
             break
 
@@ -919,9 +920,9 @@ def _lift(g, dg, z, path, t0, t1, stop):
         w = np.broadcast_to(path(t_next)[0], z.shape)[live]
         moved = z[live] + dz
         for _ in range(3):
-            new_slope = evaluate_array(dg, moved)
+            gz, new_slope = evaluate_arrays([g, dg], moved)
             with np.errstate(all="ignore"):
-                err = (evaluate_array(g, moved) - w) / new_slope
+                err = (gz - w) / new_slope
             moved = moved - err
         ok = (np.abs(moved - z[live] - dz) < np.abs(dz) / 4) & (np.abs(err) <= 1e-6 * np.abs(dz))
         if not ok.all():

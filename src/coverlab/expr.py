@@ -330,7 +330,8 @@ def _print(node, parent_prec=0, right_side=False):
 
 
 # ---------------------------------------------------------------------------
-# Evaluation (scalar with the INF convention, vectorized without)
+# Evaluation: a tree walk at one point with the INF convention (`evaluate`);
+# on arrays, one compiled program of numpy calls for several maps
 
 
 def evaluate(m, z):
@@ -350,20 +351,13 @@ def _ev(node, z):
         return z
     if isinstance(node, Const):
         return node.value
-    if isinstance(node, Add):
+    if isinstance(node, (Add, Sub)):
         a, b = _ev(node.left, z), _ev(node.right, z)
         if a is INF and b is INF:
-            raise IndeterminateError("inf + inf")
+            raise IndeterminateError(f"inf {'+' if isinstance(node, Add) else '-'} inf")
         if a is INF or b is INF:
             return INF
-        return _finite_or_inf(a + b)
-    if isinstance(node, Sub):
-        a, b = _ev(node.left, z), _ev(node.right, z)
-        if a is INF and b is INF:
-            raise IndeterminateError("inf - inf")
-        if a is INF or b is INF:
-            return INF
-        return _finite_or_inf(a - b)
+        return _finite_or_inf(a + b if isinstance(node, Add) else a - b)
     if isinstance(node, Mul):
         a, b = _ev(node.left, z), _ev(node.right, z)
         if a is INF or b is INF:
@@ -400,7 +394,7 @@ def _ev(node, z):
             return 1 + 0j
         try:
             return _finite_or_inf(base**n)
-        except OverflowError:
+        except (OverflowError, ZeroDivisionError):  # base^|n| underflowed to 0 for n < 0
             return INF
     if isinstance(node, Call):
         arg = _ev(node.arg, z)
@@ -414,40 +408,72 @@ def _ev(node, z):
 
 
 def evaluate_array(m, zs):
-    """Vectorized evaluation on a numpy complex array.
+    """Vectorized evaluation on a numpy complex array: ``evaluate_arrays([m], zs)[0]``."""
+    return evaluate_arrays([m], zs)[0]
 
-    Plain IEEE semantics: poles come out as inf/nan entries, which callers
-    mask and, where a value is actually needed, re-evaluate pointwise via
-    :func:`evaluate`.
-    """
-    root = m.root if isinstance(m, MapExpr) else m
-    zs = np.asarray(zs, dtype=np.complex128)
+
+def evaluate_arrays(ms, zs):
+    """The maps `ms` on a numpy complex array, one array each (one object for
+    equal maps), by one program (_program) that computes a subtree they
+    share, as exp(z) in f = f' = exp(z), once.  Plain IEEE semantics: poles
+    give inf/nan entries, which callers mask and redo by :func:`evaluate`."""
+    ops, outs = _program(tuple(ms))
+    vals = [np.asarray(zs, dtype=np.complex128)]
     with np.errstate(all="ignore"):
-        return _ev_array(root, zs)
+        for op, args, done in ops:
+            vals.append(op(*[vals[a] for a in args]))
+            for a in done:
+                vals[a] = None
+    return [vals[o] for o in outs]
 
 
-def _ev_array(node, zs):
-    if isinstance(node, Var):
-        return zs
-    if isinstance(node, Const):
-        return np.full(zs.shape, node.value, dtype=np.complex128)
-    if isinstance(node, Add):
-        return _ev_array(node.left, zs) + _ev_array(node.right, zs)
-    if isinstance(node, Sub):
-        return _ev_array(node.left, zs) - _ev_array(node.right, zs)
-    if isinstance(node, Mul):
-        # not `*`: on a large temporary right operand numpy reuses it in
-        # place as right * left, and its complex product is not bitwise
-        # commutative, so a value would depend on the size of the array
-        return np.multiply(_ev_array(node.left, zs), _ev_array(node.right, zs))
-    if isinstance(node, Div):
-        return _ev_array(node.left, zs) / _ev_array(node.right, zs)
-    if isinstance(node, Pow):
-        base = _ev_array(node.base, zs)
-        return base ** node.exponent
-    if isinstance(node, Call):
-        return getattr(np, node.func)(_ev_array(node.arg, zs))
-    raise TypeError(f"unknown node {node!r}")
+_PROGRAMS = {}  # map ids -> (maps, ops, outs), the 16 last used; holding the maps keeps ids unique
+_BINARY = {Add: np.add, Sub: np.subtract, Mul: np.multiply, Div: np.true_divide}
+
+
+def _program(ms):
+    """(ops, outs): the maps' trees as one straight-line program, compiled
+    once.  Slot 0 holds z, op k writes slot k, `outs` are the maps' slots.
+    An op is [numpy call, argument slots, slots it reads last]; the call is
+    the one a walk of the tree makes: np.multiply(left, right) in that order
+    (numpy's `*` may run a temporary right factor as right * left, and a
+    complex product is not bitwise commutative), np.full for a constant.
+    Subtrees equal to the bits of their constants (0j is not -0j) share a slot."""
+    hit = _PROGRAMS.pop(ids := tuple(map(id, ms)), None)
+    if hit is not None:
+        _PROGRAMS[ids] = hit  # the dict runs from least to most recently used
+        return hit[1:]
+    if len(_PROGRAMS) >= 16:
+        del _PROGRAMS[next(iter(_PROGRAMS))]
+    ops, slots = [], {}
+
+    def emit(key, op, *args):
+        if key not in slots:
+            ops.append([op, args, []])
+            slots[key] = len(ops)
+        return slots[key]
+
+    def visit(node):
+        if isinstance(node, Var):
+            return 0
+        if isinstance(node, Const):
+            v = node.value
+            return emit((Const, np.complex128(v).tobytes()),
+                        lambda z: np.full(z.shape, v, dtype=np.complex128), 0)
+        if isinstance(node, Pow):
+            n = node.exponent
+            return emit((Pow, n, base := visit(node.base)), lambda a: a**n, base)
+        if isinstance(node, Call):
+            return emit((node.func, arg := visit(node.arg)), getattr(np, node.func), arg)
+        args = visit(node.left), visit(node.right)
+        return emit((type(node), *args), _BINARY[type(node)], *args)
+
+    outs = [visit(getattr(m, "root", m)) for m in ms]
+    for a, k in {a: k for k, (_, args, _) in enumerate(ops) for a in args}.items():
+        if a not in outs:
+            ops[k][2].append(a)
+    _PROGRAMS[ids] = ms, ops, outs
+    return ops, outs
 
 
 # ---------------------------------------------------------------------------
@@ -627,22 +653,15 @@ _ONE = Const(1 + 0j)
 def _fraction(node):
     if isinstance(node, (Var, Const)):
         return node, _ONE
-    if isinstance(node, Add):
+    if isinstance(node, (Add, Sub, Mul, Div)):
         na, da = _fraction(node.left)
         nb, db = _fraction(node.right)
-        return _fadd(_fmul(na, db), _fmul(nb, da)), _fmul(da, db)
-    if isinstance(node, Sub):
-        na, da = _fraction(node.left)
-        nb, db = _fraction(node.right)
-        return _fsub(_fmul(na, db), _fmul(nb, da)), _fmul(da, db)
-    if isinstance(node, Mul):
-        na, da = _fraction(node.left)
-        nb, db = _fraction(node.right)
-        return _fmul(na, nb), _fmul(da, db)
-    if isinstance(node, Div):
-        na, da = _fraction(node.left)
-        nb, db = _fraction(node.right)
-        return _fmul(na, db), _fmul(da, nb)
+        if isinstance(node, Mul):
+            return _fmul(na, nb), _fmul(da, db)
+        if isinstance(node, Div):
+            return _fmul(na, db), _fmul(da, nb)
+        combine = _fadd if isinstance(node, Add) else _fsub
+        return combine(_fmul(na, db), _fmul(nb, da)), _fmul(da, db)
     if isinstance(node, Pow):
         nb, db = _fraction(node.base)
         n = node.exponent
@@ -662,21 +681,13 @@ def _diff(node):
         return Const(1 + 0j)
     if isinstance(node, Const):
         return Const(0j)
-    if isinstance(node, Add):
-        return _fadd(_diff(node.left), _diff(node.right))
-    if isinstance(node, Sub):
-        return _fsub(_diff(node.left), _diff(node.right))
-    if isinstance(node, Mul):
-        return _fadd(
-            _fmul(_diff(node.left), node.right),
-            _fmul(node.left, _diff(node.right)),
-        )
-    if isinstance(node, Div):
-        num = _fsub(
-            _fmul(_diff(node.left), node.right),
-            _fmul(node.left, _diff(node.right)),
-        )
-        return _fdiv(num, _fpow(node.right, 2))
+    if isinstance(node, (Add, Sub)):
+        return (_fadd if isinstance(node, Add) else _fsub)(_diff(node.left), _diff(node.right))
+    if isinstance(node, (Mul, Div)):
+        terms = _fmul(_diff(node.left), node.right), _fmul(node.left, _diff(node.right))
+        if isinstance(node, Mul):
+            return _fadd(*terms)
+        return _fdiv(_fsub(*terms), _fpow(node.right, 2))
     if isinstance(node, Pow):
         n = node.exponent
         if n == 0:

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import heapq
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -39,6 +40,7 @@ from coverlab.expr import (
     differentiate,
     evaluate,
     evaluate_array,
+    evaluate_arrays,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -47,6 +49,7 @@ MAX_DISK_RADIUS = 0.5 / SQRT_PI  # topological-disk bound for SphericalDisk
 _BIG = 1e80  # |f| beyond this: switch to the reciprocal form of h
 _MAX_AREA_CELLS = 200_000
 _MAX_CIRCLE_SEGMENTS = 4000
+_SPECULATE = 63  # heap segments whose halves are estimated with a popped segment's
 
 
 class QuadratureError(ArithmeticError):
@@ -186,8 +189,7 @@ def spherical_density(m, dm, z):
 def density_array(m, dm, zs):
     """Vectorized density with pointwise rescue of pole/indeterminate entries."""
     zs = np.asarray(zs, dtype=np.complex128)
-    w = evaluate_array(m, zs)
-    dw = evaluate_array(dm, zs)
+    w, dw = evaluate_arrays([m, dm], zs)
     with np.errstate(all="ignore"):
         u = np.abs(w)
         v = np.abs(dw)
@@ -209,14 +211,12 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
 _GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
 
 
-def _quarter_bounds(s0, s1, t0, t1):
+def _quarter_bounds(bounds):
+    """(4 nb, 4): the quarters of each polar cell (s0, s1, t0, t1), cell by cell."""
+    s0, s1, t0, t1 = np.asarray(bounds).T
     sm, tm = 0.5 * (s0 + s1), 0.5 * (t0 + t1)
-    return [
-        (s0, sm, t0, tm),
-        (sm, s1, t0, tm),
-        (s0, sm, tm, t1),
-        (sm, s1, tm, t1),
-    ]
+    quarters = [(s0, sm, t0, tm), (sm, s1, t0, tm), (s0, sm, tm, t1), (sm, s1, tm, t1)]
+    return np.stack([np.stack(q, axis=1) for q in quarters], axis=1).reshape(-1, 4)
 
 
 def _coarse_batch(m, dm, bounds):
@@ -230,8 +230,7 @@ def _coarse_batch(m, dm, bounds):
     s = s_mid[:, None, None] + s_half[:, None, None] * _GL_NODES[None, :, None]
     t = t_mid[:, None, None] + t_half[:, None, None] * _GL_NODES[None, None, :]
     ss = np.broadcast_to(s, (nb, 4, 4))
-    tt = np.broadcast_to(t, (nb, 4, 4))
-    zs = ss * np.exp(1j * tt)
+    zs = ss * np.exp(1j * t)  # e^{it} on the 4 angular nodes of each cell, broadcast
     h = density_array(m, dm, zs)
     vals = h * h * ss
     ww = np.outer(_GL_WEIGHTS, _GL_WEIGHTS)[None, :, :]
@@ -303,54 +302,39 @@ def area(m, r, tol=1e-7):
     dm = differentiate(m)
     n_s, n_t = _probe_seed_counts(m, dm, r)
 
-    def make_cells(bounds):
-        """(bounds, value, error) for each cell, batching all evaluations."""
-        coarse = _coarse_batch(m, dm, bounds)
-        quarters = []
-        for b in bounds:
-            quarters.extend(_quarter_bounds(*b))
-        fine = _coarse_batch(m, dm, quarters).reshape(len(bounds), 4).sum(axis=1)
-        return [(b, float(f), abs(float(f) - float(c)))
-                for b, c, f in zip(bounds, coarse, fine)]
+    heap, tick = [], itertools.count()  # tick: the heap's tie-breaker
+    total = errsum = 0.0
 
-    seeds = []
-    for i in range(n_s):
-        for j in range(n_t):
-            seeds.append(
-                (r * i / n_s, r * (i + 1) / n_s,
-                 2 * math.pi * j / n_t, 2 * math.pi * (j + 1) / n_t)
-            )
-    heap = []
-    counter = 0
-    total = 0.0
-    errsum = 0.0
+    def add_cells(bounds):
+        """Estimate the cells `bounds`, batching all evaluations, and push them."""
+        nonlocal total, errsum
+        coarse = _coarse_batch(m, dm, bounds)
+        fine = _coarse_batch(m, dm, _quarter_bounds(bounds))
+        for b, c, f in zip(bounds, coarse, fine.reshape(len(bounds), 4).sum(axis=1)):
+            val, err = float(f), abs(float(f) - float(c))
+            total += val
+            errsum += err
+            heapq.heappush(heap, (-err, next(tick), b, val))
+
+    seeds = [(r * i / n_s, r * (i + 1) / n_s, 2 * math.pi * j / n_t, 2 * math.pi * (j + 1) / n_t)
+             for i in range(n_s) for j in range(n_t)]
+    add_cells(seeds)
     ncells = len(seeds) * 5
-    for b, val, err in make_cells(seeds):
-        total += val
-        errsum += err
-        heapq.heappush(heap, (-err, counter, b, val))
-        counter += 1
     while errsum > tol * (1.0 + abs(total)) and heap:
-        if ncells > _MAX_AREA_CELLS:
-            worst = heap[0][2]
-            raise QuadratureError("area quadrature budget exceeded", total, worst)
+        if ncells > _MAX_AREA_CELLS:  # heap[0] is the worst cell
+            raise QuadratureError("area quadrature budget exceeded", total, heap[0][2])
         batch = []
         for _ in range(min(32, len(heap))):
             neg_err, _, b, val = heapq.heappop(heap)
             if -neg_err <= 0:
-                heapq.heappush(heap, (neg_err, counter, b, val))
-                counter += 1
+                heapq.heappush(heap, (neg_err, next(tick), b, val))
                 break
             errsum -= -neg_err
             total -= val
             batch.extend(_halves(*b))
         if not batch:
             break
-        for b, val, err in make_cells(batch):
-            total += val
-            errsum += err
-            heapq.heappush(heap, (-err, counter, b, val))
-            counter += 1
+        add_cells(batch)
         ncells += len(batch) * 5
     return total
 
@@ -358,9 +342,17 @@ def area(m, r, tol=1e-7):
 def _adaptive_circle_integral(fvals, tol, pole_check):
     """Adaptive integral of f(theta) d(theta) over [0, 2pi).
 
-    `fvals(thetas)` must be vectorized.  `pole_check(thetas)` may raise.
-    The seed segment count comes from a scan so that narrow angular features
-    (integrands concentrated near a strip) are not stepped over.
+    `fvals(thetas)` must be vectorized and elementwise.  `pole_check(thetas)`
+    may raise.  The seed segment count comes from a scan so that narrow
+    angular features (integrands concentrated near a strip) are not stepped
+    over.  A segment's estimate is the sum of the 8-node Gauss values of its
+    halves, its error the distance from the value of the whole.  A serial
+    heap loop, the only maker of refinement decisions, bisects the segment
+    of largest error until the errors sum to at most tol * (1 + |total|).
+    Only the evaluations are batched, each value as from one call per Gauss
+    rule: the seeds in one `fvals` call and, when the loop needs the halves
+    of a segment, those halves and the halves of the _SPECULATE largest-
+    error segments in the heap in one more, kept by (a, b) until popped.
     """
     pole_check(np.linspace(0.0, 2 * math.pi, 256, endpoint=False))
     scan = fvals((np.arange(1024) + 0.5) * 2 * math.pi / 1024)
@@ -369,59 +361,58 @@ def _adaptive_circle_integral(fvals, tol, pole_check):
         nseg = 8
     else:
         nseg = int(min(256, max(8, math.ceil(2 * math.pi / (0.5 * w_min)))))
+    known = {}  # (a, b) -> (error, estimate) of segments not yet in the heap
 
-    def gauss(a, b):
-        t = 0.5 * (a + b) + 0.5 * (b - a) * _GL8_NODES
-        return float(np.sum(fvals(t) * _GL8_WEIGHTS) * 0.5 * (b - a))
+    def estimate(segments):
+        a, b = np.array(segments).T
+        lo, hi = np.stack([a, a, 0.5 * (a + b)], axis=1), np.stack([b, 0.5 * (a + b), b], axis=1)
+        t = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _GL8_NODES
+        # the Gauss values of [a, b] and its halves, as np.sum(...) * 0.5 * (hi - lo)
+        g = np.sum(fvals(t.ravel()).reshape(t.shape) * _GL8_WEIGHTS, axis=-1) * 0.5 * (hi - lo)
+        for ab, (whole, left, right) in zip(segments, g.tolist()):
+            known[ab] = (abs(left + right - whole), left + right)
 
-    def seed(a, b):
-        i1 = gauss(a, b)
-        mseg = 0.5 * (a + b)
-        i2 = gauss(a, mseg) + gauss(mseg, b)
-        return (abs(i2 - i1), a, b, i2)
+    heap, total, errsum, count = [], 0.0, 0.0, 0  # count: pushes, the heap's tie-breaker
 
-    heap = []
-    counter = 0
-    total = 0.0
-    errsum = 0.0
-    for k in range(nseg):
-        e, a, b, i2 = seed(2 * math.pi * k / nseg, 2 * math.pi * (k + 1) / nseg)
+    def push(a, b):
+        nonlocal total, errsum, count
+        e, i2 = known.pop((a, b))
         total += i2
         errsum += e
-        heapq.heappush(heap, (-e, counter, a, b, i2))
-        counter += 1
-    count = nseg
+        heapq.heappush(heap, (-e, count, a, b, i2))
+        count += 1
+
+    seeds = [(2 * math.pi * k / nseg, 2 * math.pi * (k + 1) / nseg) for k in range(nseg)]
+    estimate(seeds)
+    for a, b in seeds:
+        push(a, b)
     while errsum > tol * (1.0 + abs(total)) and heap:
         neg_e, _, a, b, i2 = heapq.heappop(heap)
         if count > _MAX_CIRCLE_SEGMENTS:
-            raise QuadratureError(
-                "circle quadrature budget exceeded", total, (a, b)
-            )
+            raise QuadratureError("circle quadrature budget exceeded", total, (a, b))
         errsum -= -neg_e
         total -= i2
         mseg = 0.5 * (a + b)
-        for lo, hi in ((a, mseg), (mseg, b)):
-            e, _, _, v = seed(lo, hi)
-            total += v
-            errsum += e
-            heapq.heappush(heap, (-e, counter, lo, hi, v))
-            counter += 1
-            count += 1
+        if (a, mseg) not in known:
+            ahead = [(a, b)] + [entry[2:4] for entry in heapq.nsmallest(_SPECULATE, heap)]
+            estimate([half for lo, hi in ahead
+                      for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))
+                      if half not in known])
+        push(a, mseg)
+        push(mseg, b)
     return total
 
 
 def _make_pole_check(m, r):
     def check(thetas):
         zs = r * np.exp(1j * thetas)
-        w = evaluate_array(m, zs)
-        bad = ~np.isfinite(w)
-        if np.any(bad):
-            i = int(np.nonzero(bad.reshape(-1))[0][0])
-            z = complex(zs.reshape(-1)[i])
+        bad = np.flatnonzero(~np.isfinite(evaluate_array(m, zs)))
+        if len(bad):
+            z = complex(zs.reshape(-1)[bad[0]])
             try:
                 v = evaluate(m, z)
             except IndeterminateError:
-                raise PoleOnCircleError(r, z)
+                v = INF
             if v is INF:
                 raise PoleOnCircleError(r, z)
 
@@ -430,27 +421,22 @@ def _make_pole_check(m, r):
 
 def boundary_length(m, r, tol=1e-8):
     """Pullback length l(r) of |z| = r by adaptive quadrature."""
-    if r <= 0:
-        raise ValueError("r must be positive")
-    dm = differentiate(m)
-
-    def fvals(thetas):
-        zs = r * np.exp(1j * thetas)
-        return density_array(m, dm, zs) * r
-
-    return _adaptive_circle_integral(fvals, tol, _make_pole_check(m, r))
+    return _circle_integral_of_density(m, r, tol, lambda h: h * r)
 
 
 def area_derivative(m, r, tol=1e-8):
     """a'(r) computed directly as the polar integral of h^2 r d(theta)."""
+    return _circle_integral_of_density(m, r, tol, lambda h: h * h * r)
+
+
+def _circle_integral_of_density(m, r, tol, integrand):
+    """Integral of integrand(h(z)) d(theta) over z = r e^{i theta}."""
     if r <= 0:
         raise ValueError("r must be positive")
     dm = differentiate(m)
 
     def fvals(thetas):
-        zs = r * np.exp(1j * thetas)
-        h = density_array(m, dm, zs)
-        return h * h * r
+        return integrand(density_array(m, dm, r * np.exp(1j * thetas)))
 
     return _adaptive_circle_integral(fvals, tol, _make_pole_check(m, r))
 
@@ -482,8 +468,8 @@ def boundary_areas(m, radii, tol=1e-9):
     for r in radii:
         def fvals(thetas):
             zs = r * np.exp(1j * thetas)
-            w, zdw = evaluate_array(m, zs), zs * evaluate_array(dm, zs)
-            u = np.abs(w)
+            w, dw = evaluate_arrays([m, dm], zs)
+            zdw, u = zs * dw, np.abs(w)
             with np.errstate(all="ignore"):
                 first = np.where(u <= 1, (zdw * w.conj()).real / (1 + u * u),
                                  (zdw / w).real / (1 + (1 / u) ** 2))

@@ -1,6 +1,6 @@
 """Hypothesis profiles: ``ci`` runs derandomized with a large example budget.
 
-    HYPOTHESIS_PROFILE=ci python -m pytest -q tests/test_expr.py -k ball
+    HYPOTHESIS_PROFILE=ci python -m pytest -q tests/test_expr.py -k "ball or shared"
 
 Without ``HYPOTHESIS_PROFILE`` the default profile and budget apply.
 """

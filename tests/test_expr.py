@@ -23,6 +23,7 @@ from coverlab.expr import (
     differentiate,
     evaluate,
     evaluate_array,
+    evaluate_arrays,
     evaluate_ball,
     parse_map,
 )
@@ -87,6 +88,11 @@ def test_evaluate_moebius():
 
 def test_evaluate_pole_is_infinity():
     assert evaluate(parse_map("1/z"), 0) is INF
+
+
+def test_evaluate_underflowing_negative_power_is_infinity():
+    assert evaluate(parse_map("z^-2"), 1e-200) is INF
+    assert evaluate(Pow(Const(5e-182 + 0j), -2), 0) is INF
 
 
 def test_evaluate_indeterminate():
@@ -273,3 +279,77 @@ def test_ball_is_unbounded_where_not_finite():
     # and finite, and tight to first order, on a small disc
     c, rho = evaluate_ball(m, [0.5], [1e-3])
     assert c[0] == np.exp(0.5) and rho[0] == pytest.approx(np.exp(0.5) * 1e-3, rel=1e-3)
+
+
+# ---------------------------------------------------------------------------
+# Shared evaluation (evaluate_arrays) against a recursive walk of each tree
+
+
+def _walk(node, zs):
+    """The oracle: one numpy call per node, operands computed first."""
+    if isinstance(node, Var):
+        return zs
+    if isinstance(node, Const):
+        return np.full(zs.shape, node.value, dtype=np.complex128)
+    if isinstance(node, Add):
+        return _walk(node.left, zs) + _walk(node.right, zs)
+    if isinstance(node, Sub):
+        return _walk(node.left, zs) - _walk(node.right, zs)
+    if isinstance(node, Mul):
+        return np.multiply(_walk(node.left, zs), _walk(node.right, zs))
+    if isinstance(node, Div):
+        return _walk(node.left, zs) / _walk(node.right, zs)
+    if isinstance(node, Pow):
+        return _walk(node.base, zs) ** node.exponent
+    if isinstance(node, Call):
+        return getattr(np, node.func)(_walk(node.arg, zs))
+    raise TypeError(f"unknown node {node!r}")
+
+
+_ZEROS = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0)])
+_ZERO_TREES = st.recursive(
+    st.one_of(st.just(Var()), st.builds(Const, _CONSTANTS | _ZEROS)),
+    lambda children: st.one_of(
+        st.builds(Add, children, children),
+        st.builds(Sub, children, children),
+        st.builds(Mul, children, children),
+        st.builds(Div, children, children),
+        st.builds(Pow, children, st.integers(-8, 8) | st.sampled_from([-64, 64])),
+        st.builds(Call, st.sampled_from(["exp", "sin", "cos"]), children),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _shared_maps(draw):
+    """Trees, their derivatives and products: maps that share subtrees."""
+    trees = draw(st.lists(_ZERO_TREES, min_size=1, max_size=3))
+    maps = trees + [differentiate(t).root for t in trees]
+    maps += [Mul(a, b) for a, b in zip(trees, trees[1:])]
+    return draw(st.permutations(maps))
+
+
+_POINTS = st.complex_numbers(max_magnitude=4, allow_nan=False, allow_infinity=False) | _ZEROS
+
+
+def _bits(values):
+    return np.ascontiguousarray(values, dtype=np.complex128).view(np.uint64)
+
+
+@settings(derandomize=True, deadline=None)
+@given(_shared_maps(), st.lists(_POINTS, max_size=40), st.booleans())
+# an all-constant root, and 0j against -0j, which compare equal
+@example([Div(Const(1 + 0j), Const(0j)), Div(Const(1 + 0j), Const(-0j))], [1j], False)
+@example([Const(-0j), Add(Var(), Const(0j)), Add(Var(), Const(-0j))], [-0j, 0j], False)
+@example([Pow(Var(), -3), Mul(Pow(Var(), -3), Var())], [0j, 1, 2j, 3], True)
+def test_shared_evaluation_matches_the_tree_walk(maps, points, square):
+    zs = np.array(points, dtype=np.complex128)
+    if square and len(zs) % 2 == 0:
+        zs = zs.reshape(2, -1)
+    got = evaluate_arrays(maps, zs)
+    with np.errstate(all="ignore"):
+        want = [_walk(m, zs) for m in maps]
+    assert len(got) == len(maps)
+    for m, g, w in zip(maps, got, want):
+        assert g.shape == w.shape and np.array_equal(_bits(g), _bits(w)), m

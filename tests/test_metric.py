@@ -312,6 +312,65 @@ def test_pole_on_circle_error():
         boundary_area(m, 1.0)
 
 
+# Bits of l(r), a'(r), the boundary-integral a(r) and the polar a(r), as
+# float.hex.  How the evaluations are batched must not move them, even at
+# rounding level: the benchmark's reference checks |integer - a(r)|.
+# exp(z^2) at r = 6 (like exp(z) at 47.41 and 80) scans to more than 8 seed
+# segments: 31 for l and 61 for a'.
+BIT_PINS = [
+    ("z^5", 2.0, "0x1.1b50e178b32d7p-1", "0x1.8f384ae707cdbp-6",
+     "0x1.3fb013fb013fcp+2", "0x1.3fb013fb013fdp+2"),
+    ("z^5", 7.0, "0x1.1474838acfef0p-10", "0x1.b26bee2aa3b8ep-26",
+     "0x1.3fffffecfe7a8p+2", "0x1.3fffffede16cfp+2"),
+    ("z^5", 10.0, "0x1.73b5e43b6e3f8p-13", "0x1.12e0be81814b0p-31",
+     "0x1.3fffffff768fbp+2", "0x1.3ffffffd22402p+2"),
+    ("exp(z)", 8.0, "0x1.d060dd4e999d2p+0", "0x1.4823c86b2a713p-2",
+     "0x1.43d31937ec247p+1", "0x1.43d31938d2957p+1"),
+    ("exp(z)", 47.4140073963, "0x1.c5ff8bf4149e3p+0", "0x1.46024eef137bfp-2",
+     "0x1.e2dde25092bffp+3", "0x1.e2dde250ac649p+3"),
+    ("exp(z)", 80.0, "0x1.c5d5f5ab8ab20p+0", "0x1.45f864002fac3p-2",
+     "0x1.9769149df8c5ap+4", "0x1.9769149d12cbbp+4"),
+    ("z + 0.001/(z - 1.01)", 1.0, "0x1.d9fd308677985p+0", "0x1.48a16fc706453p-1",
+     "0x1.0017b79674cc4p-1", "0x1.00179a821aa27p-1"),
+    ("(z^2 - 1)/(z^2 + 4)", 1.5, "0x1.b1f15ab5e1738p+1", "0x1.67ee35ad21799p+0",
+     "0x1.6a625504a267ap-1", "0x1.6a625504a267ap-1"),
+    ("exp(z^2)", 6.0, "0x1.c62eeaa66c2b8p+1", "0x1.e914560040617p+2",
+     "0x1.6e939929b9b58p+4", "0x1.6e939928f076bp+4"),
+]
+
+
+@pytest.mark.parametrize(("source", "r", "length", "derivative", "boundary", "polar"), BIT_PINS)
+def test_quadratures_are_bit_identical_to_the_pins(source, r, length, derivative, boundary, polar):
+    m = parse_map(source)
+    assert boundary_length(m, r).hex() == length
+    assert area_derivative(m, r).hex() == derivative
+    assert boundary_area(m, r).hex() == boundary
+    assert area(m, r).hex() == polar
+
+
+@pytest.mark.parametrize(
+    ("source", "r", "quadrature", "tol", "budget", "partial", "worst"),
+    [
+        ("z + 0.000001/(z - 1.0001)", 1.0, boundary_length, 1e-8, 50,
+         "0x1.c7fca64277c18p+0", ("0x1.92196cc56dc07p+2", "0x1.921fb54442d18p+2")),
+        ("exp(z)", 80.0, boundary_length, 1e-17, 300,
+         "0x1.c5d5f5ab8a168p+0", ("0x1.8a958377c7f72p+0", "0x1.8af16d7553e93p+0")),
+        ("exp(z)", 80.0, area_derivative, 1e-17, 300,
+         "0x1.45f86400303cfp-2", ("0x1.2e9facc226e90p+2", "0x1.2eac3dbfd10b1p+2")),
+        ("exp(z)", 8.0, boundary_length, 1e-9, 8,
+         "0x1.d060dc568803bp+0", ("0x1.921fb54442d18p+0", "0x1.2d97c7f3321d2p+1")),
+    ],
+)
+def test_circle_budget_error_is_pinned(monkeypatch, source, r, quadrature, tol, budget, partial, worst):
+    # the segment that trips the budget, and the partial sum, as popped one
+    # segment at a time; evaluating ahead of the heap must not move them
+    monkeypatch.setattr(metric, "_MAX_CIRCLE_SEGMENTS", budget)
+    with pytest.raises(metric.QuadratureError) as exc:
+        quadrature(parse_map(source), r, tol=tol)
+    assert exc.value.partial.hex() == partial
+    assert tuple(x.hex() for x in exc.value.worst_cell) == worst
+
+
 # ---------------------------------------------------------------------------
 # Cauchy-Schwarz (length-area) relations
 
