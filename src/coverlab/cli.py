@@ -1,7 +1,8 @@
 """Experiment configuration and orchestration.
 
 Config files are flat ``key = value`` pairs with dotted sections, UTF-8,
-``#`` comments.  Example::
+``#`` comments.  Each key is given once, with a value; a disk number has
+no leading zero.  Example::
 
     map = z^5
     radii.mode = explicit-list
@@ -60,7 +61,6 @@ from coverlab.metric import (
 )
 from coverlab.trace import (
     GraphSpec,
-    ImplicitCurve,
     RectangleChart,
     arc_test_integral,
     classify_arcs,
@@ -189,33 +189,20 @@ class ExperimentConfig:
 
     def resolved(self):
         """Plain-dict view for summary.json (fully self-describing)."""
-        doc = {
-            "map": self.map_source,
-            "radii": {
-                "mode": self.radii_mode,
-                "list": self.radii_list,
-                "min": self.radii_min,
-                "max": self.radii_max,
-                "count": self.radii_count,
-            },
-            "disks": [
-                {
-                    "center": "inf" if d.center.is_infinity else [d.center.value.real, d.center.value.imag],
-                    "radius": d.radius,
-                }
-                for d in self.disks
-            ],
-            "resolution": self.resolution,
-            "tolerance": self.tolerance,
-            "seed": self.seed,
-            "samples": self.samples,
-            "outputs": self.outputs,
-            "verifiers": list(self.verifiers),
-            "slack": {"c1": self.c1, "c2": self.c2},
-        }
+        doc = {}
+        for key, (attr, _) in _KEYS.items():
+            section, _, name = key.rpartition(".")
+            (doc.setdefault(section, {}) if section else doc)[name] = getattr(self, attr)
+        doc["disks"] = [
+            {
+                "center": "inf" if d.center.is_infinity else [d.center.value.real, d.center.value.imag],
+                "radius": d.radius,
+            }
+            for d in self.disks
+        ]
         if self.graph is not None:
             doc["graph"] = {
-                "kind": self.graph.kind,
+                "kind": "figure8",
                 "node": [self.graph.node.real, self.graph.node.imag],
                 "scale": self.graph.scale,
             }
@@ -231,15 +218,42 @@ class ExperimentConfig:
         return doc
 
 
-_KNOWN_KEYS = re.compile(
-    r"^(map|radii\.(mode|list|min|max|count)|disk\.\d+\.(center|radius)|"
-    r"graph\.(kind|node|scale)|chart\.(moebius|x_range|t_range)|"
-    r"resolution|tolerance|seed|samples|outputs|verifiers|slack\.(c1|c2))$"
+def _floats(text):
+    return [float(v) for v in text.split(",") if v.strip()]
+
+
+def _names(text):
+    return tuple(v.strip() for v in text.split(",") if v.strip())
+
+
+# Each key of a config that sets one ExperimentConfig attribute: that
+# attribute and the parser of its value.  The known-key check, build_config
+# and the config section of summary.json (resolved) all read this table.
+_KEYS = {
+    "map": ("map_source", str),
+    "radii.mode": ("radii_mode", str),
+    "radii.list": ("radii_list", _floats),
+    "radii.min": ("radii_min", float),
+    "radii.max": ("radii_max", float),
+    "radii.count": ("radii_count", int),
+    "resolution": ("resolution", int),
+    "tolerance": ("tolerance", float),
+    "seed": ("seed", int),
+    "samples": ("samples", int),
+    "outputs": ("outputs", str),
+    "verifiers": ("verifiers", _names),
+    "slack.c1": ("c1", float),
+    "slack.c2": ("c2", float),
+}
+# the keys of the disk, graph and chart sections; a disk number has no
+# leading zero, so that no two keys name the same disk
+_SECTION_KEYS = re.compile(
+    r"disk\.(0|[1-9]\d*)\.(center|radius)|graph\.(node|scale)|chart\.(moebius|x_range|t_range)"
 )
 
 
 def parse_config_text(text):
-    pairs = {}
+    pairs, lines = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -247,9 +261,13 @@ def parse_config_text(text):
         if "=" not in line:
             raise ConfigError(f"line {lineno}", f"expected key = value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if not _KNOWN_KEYS.match(key):
+        if key not in _KEYS and not _SECTION_KEYS.fullmatch(key):
             raise ConfigError(key, "unknown configuration key")
-        pairs[key] = value
+        if key in pairs:
+            raise ConfigError(key, f"given twice, on lines {lines[key]} and {lineno}")
+        if not value:
+            raise ConfigError(key, "empty value")
+        pairs[key], lines[key] = value, lineno
     return build_config(pairs)
 
 
@@ -257,32 +275,10 @@ def build_config(pairs):
     if "map" not in pairs:
         raise ConfigError("map", "missing map definition")
     cfg = ExperimentConfig(map_source=pairs["map"])
-
-    def floats(key):
-        return [float(v) for v in pairs[key].split(",") if v.strip()]
-
-    if "radii.mode" in pairs:
-        cfg.radii_mode = pairs["radii.mode"].strip()
-    if "radii.list" in pairs:
-        try:
-            cfg.radii_list = floats("radii.list")
-        except ValueError as exc:
-            raise ConfigError("radii.list", str(exc))
-    for key, attr, conv in (
-        ("radii.min", "radii_min", float),
-        ("radii.max", "radii_max", float),
-        ("radii.count", "radii_count", int),
-        ("resolution", "resolution", int),
-        ("tolerance", "tolerance", float),
-        ("seed", "seed", int),
-        ("samples", "samples", int),
-        ("outputs", "outputs", str),
-        ("slack.c1", "c1", float),
-        ("slack.c2", "c2", float),
-    ):
+    for key, (attr, parse) in _KEYS.items():
         if key in pairs:
             try:
-                setattr(cfg, attr, conv(pairs[key]))
+                setattr(cfg, attr, parse(pairs[key]))
             except ValueError as exc:
                 raise ConfigError(key, str(exc))
 
@@ -304,7 +300,6 @@ def build_config(pairs):
     if any(k.startswith("graph.") for k in pairs):
         try:
             cfg.graph = GraphSpec(
-                kind=pairs.get("graph.kind", "figure8").strip(),
                 node=complex(parse_complex(pairs.get("graph.node", "0.5i"))),
                 scale=float(pairs.get("graph.scale", "0.5")),
             )
@@ -325,11 +320,7 @@ def build_config(pairs):
         except ValueError as exc:
             raise ConfigError("chart", str(exc))
 
-    if "verifiers" in pairs:
-        cfg.verifiers = tuple(
-            v.strip() for v in pairs["verifiers"].split(",") if v.strip()
-        )
-    else:
+    if "verifiers" not in pairs:
         cfg.verifiers = tuple(
             name for name, v in VERIFIERS.items() if all(_meets(cfg, s) for s in v.needs)
         )
@@ -569,9 +560,8 @@ def main(argv=None):
             m = parse_map(cfg.map_source)
             for r in _radii(m, cfg):
                 t_star, lhs, rhs = select_perturbation(m, r, cfg.chart, 1000)
-                seg = ImplicitCurve.segment(cfg.chart, t_star)
-                pls = trace_preimage(m, seg, r, cfg.resolution)
-                good, bad, suspect = classify_arcs(pls, m, seg, r)
+                pls = trace_preimage(m, cfg.chart, t_star, r, cfg.resolution)
+                good, bad, suspect = classify_arcs(pls, m, r)
                 integral = arc_test_integral(m, cfg.chart, t_star, r)
                 print(
                     f"r={_fmt12(r)} t_star={_fmt12(t_star)} good={good} bad={bad} "

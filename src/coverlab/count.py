@@ -335,11 +335,11 @@ def _windings(m, dm, path, targets):
 # Root finding
 
 
-def _newton_polish(m, dm, z0, cell_size, max_iter=40):
+def _newton_polish(m, dm, z0, cell_size):
     """Newton's iteration for a simple zero of m from z0; None unless it
-    converges without leaving the disk of 3 cell sizes about z0."""
+    converges in 40 steps without leaving the disk of 3 cell sizes about z0."""
     z = complex(z0)
-    for _ in range(max_iter):
+    for _ in range(40):
         try:
             fz = evaluate(m, z)
             dz = evaluate(dm, z)

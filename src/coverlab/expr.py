@@ -31,11 +31,7 @@ MAX_EXPONENT = 64
 _FUNCS = ("exp", "sin", "cos")
 
 
-class ExprError(ValueError):
-    """Base class for expression-language failures."""
-
-
-class ParseError(ExprError):
+class ParseError(ValueError):
     """Syntax error; `offset` is the 1-based byte offset into the source."""
 
     def __init__(self, message, position):
@@ -116,19 +112,10 @@ class Call:
 
 @dataclass(frozen=True)
 class MapExpr:
-    """A parsed holomorphic map, usable as ``m(z)``."""
+    """A parsed holomorphic map."""
 
     root: object
     source_text: str
-
-    def __call__(self, z):
-        return evaluate(self, z)
-
-    def to_source(self):
-        return _print(self.root)
-
-    def __str__(self):
-        return self.source_text
 
 
 # ---------------------------------------------------------------------------

@@ -132,11 +132,6 @@ def chordal_distance_array(ws, center):
         return np.where(np.isfinite(scale), d, at_inf) / SQRT_PI
 
 
-def disk_area(chordal_radius):
-    """Normalized area of a chordal disk: exactly pi * rho^2."""
-    return math.pi * chordal_radius**2
-
-
 @dataclass(frozen=True)
 class SphericalDisk:
     center: SpherePoint
@@ -237,12 +232,13 @@ def _coarse_batch(m, dm, bounds):
     return np.sum(vals * ww, axis=(1, 2)) * s_half * t_half
 
 
-def _angular_feature_runs(row, threshold_ratio=1e-6):
-    """Width (radians) of the narrowest above-threshold run in a theta scan."""
+def _angular_feature_runs(row):
+    """Width (radians) of the narrowest run above 1e-6 of the maximum in a
+    theta scan."""
     mx = row.max()
     if mx <= 0:
         return None
-    _, spans = _march.runs(row > threshold_ratio * mx, closed=True)
+    _, spans = _march.runs(row > 1e-6 * mx, closed=True)
     if not spans:
         return None
     return 2 * math.pi * (min(hi - lo for lo, hi in spans) / len(row))
@@ -517,27 +513,6 @@ class MetricProfile:
             fh.write(text)
         return text
 
-    def check(self, fd_tol=1e-1):
-        """Internal sanity: a nondecreasing, l^2 <= 2 pi r a'_FD (1 + tol).
-
-        a' is the three-point (nonuniform-grid) finite difference; fd_tol
-        absorbs its truncation error on coarse grids.
-        """
-        for i in range(1, len(self.radii)):
-            if self.a[i] < self.a[i - 1] - 1e-9 * (1 + abs(self.a[i])):
-                return False
-        for i in range(1, len(self.radii) - 1):
-            h1 = self.radii[i] - self.radii[i - 1]
-            h2 = self.radii[i + 1] - self.radii[i]
-            da = (
-                -self.a[i - 1] * h2 / (h1 * (h1 + h2))
-                + self.a[i] * (h2 - h1) / (h1 * h2)
-                + self.a[i + 1] * h1 / (h2 * (h1 + h2))
-            )
-            if self.l[i] ** 2 > 2 * math.pi * self.radii[i] * da * (1 + fd_tol) + 1e-9:
-                return False
-        return True
-
 
 def _fmt12(x):
     return f"{x:.12g}"
@@ -547,7 +522,7 @@ def build_profile(m, radii, tol=1e-7):
     """Rows (r, a(r), l(r)) at each radius: a at `tol` by the polar `area`
     quadrature, l at max(tol / 10, 1e-10).
     """
-    prof = MetricProfile(map_source=m.source_text if hasattr(m, "source_text") else str(m))
+    prof = MetricProfile(map_source=m.source_text)
     for r in radii:
         rr, lv = _length_with_nudge(m, r, tol=max(tol * 1e-1, 1e-10))
         prof.radii.append(rr)

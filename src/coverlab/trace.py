@@ -106,20 +106,6 @@ class RectangleChart:
 
 
 @dataclass(frozen=True)
-class ImplicitCurve:
-    """The chart segment {zeta(w) = x + i t : x in chart.x_range} on the
-    target sphere: the horizontal chart line t, which the chart may send
-    through infinity."""
-
-    chart: RectangleChart
-    t: float = 0.0
-
-    @classmethod
-    def segment(cls, chart, t=0.0):
-        return cls(chart=chart, t=float(t))
-
-
-@dataclass(frozen=True)
 class GraphSpec:
     """A figure-eight graph on the sphere, realized as a lemniscate.
 
@@ -127,13 +113,10 @@ class GraphSpec:
     spherical complement has three faces: the two lobes and the outer face.
     """
 
-    kind: str = "figure8"
     node: complex = 0.5j
     scale: float = 0.5
 
     def __post_init__(self):
-        if self.kind != "figure8":
-            raise ValueError(f"unsupported graph kind {self.kind!r}")
         if not cmath.isfinite(self.node):
             raise ValueError("graph node must be finite")
         if not self.scale > 0:
@@ -188,8 +171,9 @@ class Polyline:
     resolution: int
 
 
-def trace_preimage(m, curve, r, resolution=512):
-    """Lifts of the chart segment `curve` that start in the disk |z| < r.
+def trace_preimage(m, chart, t, r, resolution=512):
+    """Lifts of the chart segment {zeta(w) = x + i t : x in chart.x_range},
+    which the chart may send through infinity, that start in |z| < r.
 
     The chart segment x -> x + i t is lifted through g = zeta o f
     (count._lift), a straight path even where the chart sends it through
@@ -205,7 +189,6 @@ def trace_preimage(m, curve, r, resolution=512):
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    chart, t = curve.chart, curve.t
     a, b, c, d = (Const(complex(k)) for k in (chart.a, chart.b, chart.c, chart.d))
     g = MapExpr(Div(Add(Mul(a, m.root), b), Add(Mul(c, m.root), d)), f"zeta({m.source_text})")
     dg = differentiate(g)
@@ -271,9 +254,9 @@ def _circle_cut(z_in, z_out, r):
 # Arc classification
 
 
-def classify_arcs(polylines, m, curve, r):
-    """(good, bad, suspect) counts of the lifts of the chart segment `curve`
-    from trace_preimage, by the tags of _arc_tag.
+def classify_arcs(polylines, m, r):
+    """(good, bad, suspect) counts of the lifts of a chart segment from
+    trace_preimage, by the tags of _arc_tag.
 
     A lift covers the segment once and monotonically by construction.  A
     preimage component with no end point in the disk is no lift from
@@ -712,24 +695,10 @@ def complement_components(g, r, resolution=512):
 # Test 1-form integral along a perturbed arc
 
 
-def make_unit_bump(x_range):
-    """Smooth weight on x_range with unit integral (cos^2 window)."""
-    x0, x1 = x_range
-    width = x1 - x0
-
-    def beta(x):
-        x = np.asarray(x, dtype=float)
-        u = (x - x0) / width
-        inside = (u >= 0) & (u <= 1)
-        return np.where(inside, (2.0 / width) * np.sin(math.pi * u) ** 2, 0.0)
-
-    return beta
-
-
-def arc_test_integral(m, chart, t, r, beta_profile=None):
+def arc_test_integral(m, chart, t, r):
     """Integral of d_n(gamma_t(x)) beta(x) dx along the chart line t.
 
-    beta_profile must integrate to 1 over x_range (checked); the result
+    beta is the cos^2 window of unit integral over x_range; the result
     approximates the covering area a(r) when the arc has only good lifts.
     The preimage counts d_n at the Gauss nodes come from one winding pass
     over the boundary image f(|z| = r) (count_preimages_many); a node
@@ -738,24 +707,17 @@ def arc_test_integral(m, chart, t, r, beta_profile=None):
     distinct roots, which equal the winding count except at critical values.
     """
     x0, x1 = chart.x_range
-    if beta_profile is None:
-        beta_profile = make_unit_bump(chart.x_range)
-    nodes, weights = np.polynomial.legendre.leggauss(64)
-    xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * nodes
-    total_mass = float(np.sum(beta_profile(xs) * weights) * 0.5 * (x1 - x0))
-    if abs(total_mass - 1.0) > 1e-6:
-        raise ValueError(
-            f"beta_profile integrates to {total_mass!r} over x_range, not 1"
-        )
+    width = x1 - x0
     nodes, weights = np.polynomial.legendre.leggauss(_ARC_NODES)
-    xs = 0.5 * (x0 + x1) + 0.5 * (x1 - x0) * nodes
+    xs = 0.5 * (x0 + x1) + 0.5 * width * nodes
+    beta = (2.0 / width) * np.sin(math.pi * ((xs - x0) / width)) ** 2
     targets = [complex(chart.inverse(complex(x, t))) for x in xs]
     total = 0.0
-    for x, w, target, d in zip(xs, weights, targets, count_preimages_many(m, targets, r)):
+    for w, b, target, d in zip(weights, beta, targets, count_preimages_many(m, targets, r)):
         if d is None:
             d = count_preimages(m, target, r)
-        total += w * float(beta_profile(np.array([x]))[0]) * d
-    return total * 0.5 * (x1 - x0)
+        total += w * b * d
+    return total * 0.5 * width
 
 
 # ---------------------------------------------------------------------------

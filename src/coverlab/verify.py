@@ -195,10 +195,10 @@ def _trend_nonincreasing(needed, grace=1e-9):
     return all(b <= a + grace for a, b in zip(needed, needed[1:]))
 
 
-def _trend_improving(deviation, grace=1e-9):
+def _trend_improving(deviation):
     if len(deviation) < 2:
         return True
-    return deviation[-1] <= deviation[0] + grace
+    return deviation[-1] <= deviation[0] + 1e-9
 
 
 def _island_trend_ok(rows):

@@ -24,7 +24,6 @@ from coverlab.metric import (
 from coverlab.count import find_islands, mean_degree, total_ramification
 from coverlab.trace import (
     GraphSpec,
-    ImplicitCurve,
     RectangleChart,
     arc_test_integral,
     build_preimage_graph,
@@ -180,9 +179,8 @@ def test_criterion_06_asymptotic_euler_equality(exp_graph_schedule):
 def test_criterion_07_good_and_bad_arcs():
     m3 = parse_map("z^3")
     t_star, lhs, rhs = select_perturbation(m3, 2.0, CHART, 1000)
-    seg = ImplicitCurve.segment(CHART, t_star)
-    pls = trace_preimage(m3, seg, 2.0, 512)
-    ok = classify_arcs(pls, m3, seg, 2.0) == (3, 0, 0)
+    pls = trace_preimage(m3, CHART, t_star, 2.0, 512)
+    ok = classify_arcs(pls, m3, 2.0) == (3, 0, 0)
     ok &= abs(lhs - rhs) <= 0.02 * max(rhs, 1.0)
     # coarea on runs where the boundary image does cross the chart
     for src, r in (("z", 1.0), ("exp(z)", 6.0), ("exp(z)", 20.0)):

@@ -4,11 +4,12 @@ import math
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from coverlab import _march, metric
+from coverlab import _march, cli, metric
 from coverlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -20,7 +21,7 @@ from coverlab.cli import (
     run,
 )
 from coverlab.expr import parse_map
-from coverlab.verify import ExperimentReport, verdicts_from_report
+from coverlab.verify import VERIFIERS, ExperimentReport, verdicts_from_report
 
 GOOD_CONFIG = """\
 # identity-map experiment with the figure-eight and its focus disks
@@ -430,3 +431,117 @@ def test_subcommands_take_the_radii_of_verify_all(tmp_path, capsys):
         assert main([command, "--config", str(config)]) == 0
         rows = capsys.readouterr().out.splitlines()
         assert [row.split()[0] for row in rows] == [f"r={metric._fmt12(r)}" for r in radii]
+
+
+EVERY_KEY_CONFIG = """\
+map = z^2 + 1
+radii.mode = length-area-selected
+radii.list = 1.5, 4
+radii.min = 2
+radii.max = 9
+radii.count = 4
+disk.1.center = 1+0.5i
+disk.1.radius = 0.05
+disk.2.center = -2
+disk.2.radius = 0.07
+disk.3.center = inf
+disk.3.radius = 0.1
+graph.node = 0.25-0.5i
+graph.scale = 0.75
+chart.moebius = 1, 0.5i, 0, 2
+chart.x_range = 0.6, 1.4
+chart.t_range = -0.2, 0.1
+resolution = 300
+tolerance = 2e-7
+seed = 11
+samples = 250
+outputs = results/run1
+verifiers = islands, arcs, mean_degree
+slack.c1 = 3.5
+slack.c2 = 0.25
+"""
+
+
+def test_resolved_config_of_every_key():
+    # summary.json's config section, recorded before the keys were declared once
+    expected = {
+        "map": "z^2 + 1",
+        "radii": {"mode": "length-area-selected", "list": [1.5, 4.0], "min": 2.0,
+                  "max": 9.0, "count": 4},
+        "disks": [
+            {"center": [1.0, 0.5], "radius": 0.05},
+            {"center": [-2.0, 0.0], "radius": 0.07},
+            {"center": "inf", "radius": 0.1},
+        ],
+        "resolution": 300,
+        "tolerance": 2e-07,
+        "seed": 11,
+        "samples": 250,
+        "outputs": "results/run1",
+        "verifiers": ["islands", "arcs", "mean_degree"],
+        "slack": {"c1": 3.5, "c2": 0.25},
+        "graph": {"kind": "figure8", "node": [0.25, -0.5], "scale": 0.75},
+        "chart": {
+            "moebius": [[1.0, 0.0], [0.0, 0.5], [0.0, 0.0], [2.0, 0.0]],
+            "x_range": [0.6, 1.4],
+            "t_range": [-0.2, 0.1],
+        },
+    }
+    resolved = parse_config_text(EVERY_KEY_CONFIG).resolved()
+    # the JSON text also tells 4 from 4.0
+    assert json.dumps(resolved, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+# one malformed value per declared key
+MALFORMED = {
+    "map": "exp(",
+    "radii.mode": "spiral",
+    "radii.list": "1, x",
+    "radii.min": "x",
+    "radii.max": "x",
+    "radii.count": "2.5",
+    "resolution": "5e2",
+    "tolerance": "tiny",
+    "seed": "x",
+    "samples": "many",
+    "outputs": "",
+    "verifiers": "mean_degree, bogus",
+    "slack.c1": "x",
+    "slack.c2": "x",
+}
+
+
+@pytest.mark.parametrize("key", list(cli._KEYS))
+def test_malformed_value_of_every_declared_key_names_that_key(key):
+    lines = {"map": "z", "radii.list": "2", key: MALFORMED[key]}
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    assert exc.value.field_path == key
+
+
+@pytest.mark.parametrize(
+    ("text", "key"),
+    [
+        ("map = z\ngraph.kind = figure8\n", "graph.kind"),
+        ("map = z\ndisk.01.center = 0\ndisk.01.radius = 0.1\n", "disk.01.center"),
+        (GOOD_CONFIG + "disk.01.center = 2\ndisk.01.radius = 0.05\n", "disk.01.center"),
+    ],
+    ids=["graph-kind", "disk-number-with-leading-zero", "leading-zero-next-to-its-disk"],
+)
+def test_config_keys_that_name_nothing_are_rejected(text, key):
+    with pytest.raises(ConfigError, match="unknown configuration key") as exc:
+        parse_config_text(text)
+    assert exc.value.field_path == key
+
+
+def test_config_key_given_twice_names_both_lines():
+    with pytest.raises(ConfigError, match="lines 2 and 4") as exc:
+        parse_config_text("map = z\nseed = 1\n# a comment\nseed = 2\n")
+    assert exc.value.field_path == "seed"
+
+
+def test_module_docstring_example_config_parses():
+    example = cli.__doc__.split("Example::\n\n", 1)[1].split("\n\n", 1)[0]
+    cfg = parse_config_text(textwrap.dedent(example))
+    assert cfg.map_source == "z^5"
+    assert cfg.verifiers == tuple(VERIFIERS)

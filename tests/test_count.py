@@ -569,6 +569,28 @@ def test_mean_degree_exp_within_four_stderr_of_area():
     assert abs(md.mean - area(m, 8.0)) <= 4 * md.stderr
 
 
+def test_mean_degree_resamples_a_point_whose_root_is_on_the_circle(monkeypatch):
+    # every point is left undecided by the batched count; the third one
+    # raises in count_preimages, and the next sample takes its place
+    n = 100
+    pts = sample_sphere_uniform(5, n + 50)
+    index = {p: k for k, p in enumerate(pts)}
+    calls = []
+
+    def one(m, p, r):
+        calls.append(index[p])
+        if index[p] == 2:
+            raise RootOnCircleError("on the circle")
+        return index[p]
+
+    monkeypatch.setattr(count_module, "count_preimages_many", lambda m, ps, r: [None] * len(ps))
+    monkeypatch.setattr(count_module, "count_preimages", one)
+    md = mean_degree(parse_map("z"), 1.0, n, seed=5)
+    assert md.n_resampled == 1
+    assert calls == list(range(n + 1))
+    assert md.mean == np.mean([k for k in range(n + 1) if k != 2])
+
+
 def test_mean_degree_validates_samples():
     with pytest.raises(ValueError):
         mean_degree(parse_map("z"), 1.0, 50, seed=0)

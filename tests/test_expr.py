@@ -20,6 +20,7 @@ from coverlab.expr import (
     Pow,
     Sub,
     Var,
+    _print,
     differentiate,
     evaluate,
     evaluate_array,
@@ -152,10 +153,9 @@ def test_roundtrip_random_trees():
     rng = random.Random(20240817)
     for _ in range(200):
         tree = _random_tree(rng, rng.randint(1, 4))
-        m = MapExpr(root=tree, source_text="")
-        printed = m.to_source()
+        printed = _print(tree)
         reparsed = parse_map(printed)
-        assert parse_map(reparsed.to_source()).root == reparsed.root, printed
+        assert parse_map(_print(reparsed.root)).root == reparsed.root, printed
 
 
 def test_roundtrip_grammar_sources():
@@ -169,7 +169,7 @@ def test_roundtrip_grammar_sources():
     ]
     for s in sources:
         once = parse_map(s)
-        twice = parse_map(parse_map(once.to_source()).to_source())
+        twice = parse_map(_print(parse_map(_print(once.root)).root))
         assert once.root == twice.root
 
 

@@ -19,7 +19,7 @@ from coverlab.metric import (
     build_profile,
     chordal_distance,
     chordal_distance_array,
-    disk_area,
+    density_array,
     lengtharea_certificate,
     sample_sphere_uniform,
     select_radii,
@@ -167,6 +167,17 @@ def test_density_simple_pole_finite():
     dm = differentiate(m)
     # h for 1/z equals h for z by inversion invariance: 1/sqrt(pi) at 0
     assert abs(spherical_density(m, dm, 0) - 1 / SQRT_PI) < 1e-5
+
+
+def test_density_array_rescues_a_pole_on_a_sample_node():
+    # 1/z at 0 has no finite vectorized value; the entry is taken from
+    # spherical_density's limit, 1/sqrt(pi) as for z, and the others stay
+    m = parse_map("1/z")
+    h = density_array(m, differentiate(m), np.array([[0, 1], [1j, 2]]))
+    assert h.shape == (2, 2)
+    assert abs(h[0, 0] - 1 / SQRT_PI) < 1e-5
+    assert h[0, 1] == h[1, 0] == 1 / (2 * SQRT_PI)
+    assert abs(h[1, 1] - 0.25 / (1.25 * SQRT_PI)) < 1e-15
 
 
 def test_density_high_order_pole_zero():
@@ -478,7 +489,20 @@ def test_select_radii_degenerate_error():
 def test_profile_invariants_and_csv(tmp_path):
     m = parse_map("z^2")
     prof = build_profile(m, list(np.geomspace(0.5, 4.0, 9)))
-    assert prof.check()
+    radii, a, l = prof.radii, prof.a, prof.l
+    # a is nondecreasing, and l^2 <= 2 pi r a' (1 + 0.1) with a' the
+    # three-point finite difference on the nonuniform grid, whose
+    # truncation error the 0.1 absorbs
+    for i in range(1, len(radii)):
+        assert a[i] >= a[i - 1] - 1e-9 * (1 + abs(a[i]))
+    for i in range(1, len(radii) - 1):
+        h1, h2 = radii[i] - radii[i - 1], radii[i + 1] - radii[i]
+        da = (
+            -a[i - 1] * h2 / (h1 * (h1 + h2))
+            + a[i] * (h2 - h1) / (h1 * h2)
+            + a[i + 1] * h1 / (h2 * (h1 + h2))
+        )
+        assert l[i] ** 2 <= 2 * math.pi * radii[i] * da * 1.1 + 1e-9
     text = prof.to_csv(tmp_path / "prof.csv")
     lines = text.strip().splitlines()
     assert lines[0] == "r,a,l,ratio"
@@ -512,7 +536,6 @@ def test_sampler_disk_fraction():
     n = 10000
     pts = sample_sphere_uniform(99, n)
     rho = math.sqrt(0.1 / math.pi)  # normalized area 0.1
-    assert abs(disk_area(rho) - 0.1) < 1e-15
     frac = sum(1 for p in pts if chordal_distance(p, 0.4 - 0.1j) < rho) / n
     assert abs(frac - 0.1) <= 0.01
 

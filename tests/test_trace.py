@@ -22,7 +22,6 @@ from coverlab.trace import (
     Arc,
     GraphPlacementError,
     GraphSpec,
-    ImplicitCurve,
     PreimageGraph,
     RectangleChart,
     ResolutionError,
@@ -34,7 +33,6 @@ from coverlab.trace import (
     complement_components,
     export_json,
     export_svg,
-    make_unit_bump,
     select_perturbation,
     trace_preimage,
 )
@@ -83,7 +81,7 @@ def test_clip_cuts_every_piece_on_the_circle(points, closed):
 
 def test_trace_resolution_validation():
     with pytest.raises(ValueError):
-        trace_preimage(parse_map("z"), ImplicitCurve.segment(CHART), 1.0, 32)
+        trace_preimage(parse_map("z"), CHART, 0.0, 1.0, 32)
 
 
 # ---------------------------------------------------------------------------
@@ -92,9 +90,8 @@ def test_trace_resolution_validation():
 
 def test_classify_exp_segment():
     m = parse_map("exp(z)")
-    seg = ImplicitCurve.segment(CHART, 0.0)
-    pls = trace_preimage(m, seg, 20.0, 512)
-    good, bad, suspect = classify_arcs(pls, m, seg, 20.0)
+    pls = trace_preimage(m, CHART, 0.0, 20.0, 512)
+    good, bad, suspect = classify_arcs(pls, m, 20.0)
     assert good == 7
     assert bad <= 2
     assert suspect == 0
@@ -106,17 +103,15 @@ def test_segment_lift_next_to_a_pole_is_one_good_arc(t):
     # the x-range is the single lift
     m = parse_map("1/z")
     chart = RectangleChart(1, 0, 0, 1, x_range=(-0.3, 0.3), t_range=(-0.1, 0.1))
-    seg = ImplicitCurve.segment(chart, t)
-    pls = trace_preimage(m, seg, 25.0, 256)
-    assert classify_arcs(pls, m, seg, 25.0) == (1, 0, 0)
+    pls = trace_preimage(m, chart, t, 25.0, 256)
+    assert classify_arcs(pls, m, 25.0) == (1, 0, 0)
     assert len(pls) == 1
 
 
 def test_classify_conservation():
     m = parse_map("z^3")
-    seg = ImplicitCurve.segment(CHART, 0.0)
-    pls = trace_preimage(m, seg, 2.0, 256)
-    good, bad, suspect = classify_arcs(pls, m, seg, 2.0)
+    pls = trace_preimage(m, CHART, 0.0, 2.0, 256)
+    good, bad, suspect = classify_arcs(pls, m, 2.0)
     assert good + bad + suspect == len(pls)
 
 
@@ -125,7 +120,7 @@ def test_segment_lifts_of_a_power_run_between_its_roots(d):
     # z^d lifts the segment from a d-th root of its start to one of its
     # end, on the line Im zeta(f(z)) = t and with Re zeta(f(z)) increasing
     m = parse_map(f"z^{d}")
-    pls = trace_preimage(m, ImplicitCurve.segment(CHART, 0.03), 2.0, 512)
+    pls = trace_preimage(m, CHART, 0.03, 2.0, 512)
     assert len(pls) == d
 
     def roots(w):
@@ -142,7 +137,7 @@ def test_segment_lifts_of_a_power_run_between_its_roots(d):
 def test_segment_lifts_through_a_moebius_chart_end_on_preimages_of_its_end():
     m = parse_map("exp(z)")
     chart = RectangleChart(1, 0, 1, 2, x_range=(0.2, 0.6), t_range=(-0.1, 0.1))
-    pls = trace_preimage(m, ImplicitCurve.segment(chart, 0.02), 6.0, 512)
+    pls = trace_preimage(m, chart, 0.02, 6.0, 512)
     ends = [root.location for root in find_roots(m, complex(chart.inverse(0.6 + 0.02j)), 6.0)]
     good = [pl for pl in pls if not pl.touches_clip]
     assert good
@@ -168,7 +163,7 @@ def test_segment_lifts_from_both_ends_are_counted_once(source, chart, t, r):
     # every preimage of either end starts a lift; a complete lift joins one
     # preimage of the start to one of the end and is kept once
     m = parse_map(source)
-    pls = trace_preimage(m, ImplicitCurve.segment(chart, t), r, 512)
+    pls = trace_preimage(m, chart, t, r, 512)
     n0, n1 = (len(find_roots(m, complex(chart.inverse(x + 1j * t)), r)) for x in chart.x_range)
     assert len(pls) == n0 + n1 - sum(not pl.touches_clip for pl in pls)
 
@@ -186,18 +181,16 @@ def test_segment_lifts_from_both_ends_are_counted_once(source, chart, t, r):
 )
 def test_segment_arcs_are_classified_from_both_ends(source, r, counts):
     m = parse_map(source)
-    seg = ImplicitCurve.segment(CHART, 0.0)
-    assert classify_arcs(trace_preimage(m, seg, r, 512), m, seg, r) == counts
+    assert classify_arcs(trace_preimage(m, CHART, 0.0, r, 512), m, r) == counts
 
 
 def test_segment_component_with_no_end_in_the_disk_is_not_an_arc():
     # the preimage of the segment meets |z| < 1 in two arcs that enter and
     # leave through the circle; they are no lifts from inside
     m = parse_map("z^2")
-    seg = ImplicitCurve.segment(WIDE_CHART, 0.5)
-    pls = trace_preimage(m, seg, 1.0, 512)
+    pls = trace_preimage(m, WIDE_CHART, 0.5, 1.0, 512)
     assert pls == []
-    assert classify_arcs(pls, m, seg, 1.0) == (0, 0, 0)
+    assert classify_arcs(pls, m, 1.0) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -502,21 +495,10 @@ def test_lifts_at_t_star_bound_the_arc_integral(source, r):
     # behind the integral are two independent computations
     m = parse_map(source)
     t_star, _, _ = select_perturbation(m, r, CHART, 1000)
-    seg = ImplicitCurve.segment(CHART, t_star)
-    good, bad, suspect = classify_arcs(trace_preimage(m, seg, r, 512), m, seg, r)
+    good, bad, suspect = classify_arcs(trace_preimage(m, CHART, t_star, r, 512), m, r)
     integral = arc_test_integral(m, CHART, t_star, r)
     assert suspect == 0
     assert good - 1e-9 <= integral <= good + bad + 1e-9
-
-
-def test_arc_integral_unit_weight_precondition():
-    beta = make_unit_bump(CHART.x_range)
-
-    def double_beta(x):
-        return 2.0 * beta(x)
-
-    with pytest.raises(ValueError, match="not 1"):
-        arc_test_integral(parse_map("z"), CHART, 0.0, 5.0, beta_profile=double_beta)
 
 
 # ---------------------------------------------------------------------------
