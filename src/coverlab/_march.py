@@ -12,10 +12,11 @@ each unambiguous case to its edge pair, and one vectorized interpolation
 cell rows at a time, each band sampled anew from the last node row of the
 one before; the plain segments of all bands, then all their saddle cells,
 come in row-major order, as from one pass.  Given a certificate
-`positive` (a bound of the field > 0 on discs), a quadtree of blocks per
-band (_uncertified) skips the blocks it certifies: the field is sampled
-only at the nodes of the other cells, and each band is marched over the
-column span of those cells.  A certified cell has code 15 and yields
+`positive` (a bound of the field > 0 on discs), one quadtree of blocks
+over the whole grid (_uncertified) skips the blocks it certifies and
+returns the leaf blocks it cannot; each band paints the leaves that
+overlap it, samples the field only at their cells' nodes and is marched
+over their column span.  A certified cell has code 15 and yields
 nothing, so the chains are bit-identical.  The 3 x 3 sub-grid of every
 saddle cell goes through it too; a saddle still ambiguous after
 _MAX_DEPTH levels is split by the sign at its centre, through the same
@@ -55,9 +56,10 @@ class Chain:
 
 
 _MAX_DEPTH = 6  # saddle subdivision levels before the centre-sign fallback
-BAND_ROWS = 64  # grid rows sampled at once by extract and by trace.complement_components
+BAND_ROWS = 64  # grid rows that extract samples and marches at once
 _BLOCK = 64  # cells a side of the largest block extract's certificate may skip
 _LEAF = 4  # cells a side of a block that is not split further
+_SLICE = 8192  # blocks of one quadtree level certified at once
 
 # corners as (row, col) offsets: 0 = (x0,y0), 1 = (x1,y0), 2 = (x1,y1), 3 = (x0,y1)
 _CORNERS = ((0, 0), (0, 1), (1, 1), (1, 0))
@@ -146,19 +148,22 @@ def extract(field, rect, nx, ny, positive=None):
     ys = np.linspace(y0, y1, ny + 1)
     hx, hy = xs[1] - xs[0], ys[1] - ys[0]
     segments, saddles = [np.empty((0, 3), dtype=complex)], []
+    # without a certificate, every cell is in a leaf
+    leaves = _uncertified(positive or (lambda c, rho: np.zeros(len(c), dtype=bool)), xs, ys)
+    cell = np.arange(_LEAF * _LEAF)
     for j in range(0, ny, BAND_ROWS):
         # node rows j .. j + len(band_ys) - 1; the first is the last of the band before
         band_ys = ys[j : j + BAND_ROWS + 1]
-        if positive is None:
-            sampled = np.ones((len(band_ys) - 1, nx), dtype=bool)
-        else:
-            sampled = _uncertified(positive, xs, band_ys)
-        cols = np.flatnonzero(sampled.any(axis=0))
-        if not len(cols):
+        # the cells of the leaves (rectangles) that overlap the band
+        r0, r1, c0, c1 = leaves[:, (leaves[0] < j + BAND_ROWS) & (leaves[1] > j), None]
+        if not r0.size:
             continue
-        # march node columns lo .. hi - 1, the span of the sampled cells
-        lo, hi = cols[0], cols[-1] + 2
-        cells = sampled[:, lo : hi - 1]
+        rr, cc = r0 + cell // _LEAF, c0 + cell % _LEAF
+        inside = (rr < r1) & (cc < c1) & (j <= rr) & (rr < j + BAND_ROWS)
+        # march node columns lo .. hi - 1, the span of those cells
+        lo, hi = c0.min(), c1.max() + 1
+        cells = np.zeros((len(band_ys) - 1, hi - lo - 1), dtype=bool)
+        cells[rr[inside] - j, cc[inside] - lo] = True
         need = np.zeros((len(band_ys), hi - lo), dtype=bool)
         for dj, di in _CORNERS:
             need[dj : dj + len(cells), di : di + cells.shape[1]] |= cells
@@ -200,14 +205,14 @@ def extract(field, rect, nx, ny, positive=None):
 
 
 def _uncertified(positive, xs, ys):
-    """Mask of the cells of the grid of nodes xs x ys that `positive` does
-    not certify.
+    """The blocks (r0, r1, c0, c1), one a column, of the cells [r0, r1) x
+    [c0, c1) of the grid of nodes xs x ys that `positive` does not certify;
+    none has more than _LEAF cells a side.
 
-    A quadtree starts from blocks of _BLOCK cells a side, the columns
-    (r0, r1, c0, c1) of `blocks` for the cells [r0, r1) x [c0, c1).  Each
-    block is tested on the disc about its centre through all its nodes; a
-    block that fails is halved along each side longer than one cell, down
-    to blocks of at most _LEAF cells a side, whose cells are not certified.
+    A quadtree starts from blocks of _BLOCK cells a side.  Each block is
+    tested on the disc about its centre through all its nodes; a block that
+    fails is halved along each side longer than one cell, down to blocks of
+    at most _LEAF cells a side, which are not certified.
     """
     shape = (len(ys) - 1, len(xs) - 1)
     r0, c0 = (np.arange(0, n, _BLOCK) for n in shape)
@@ -220,7 +225,10 @@ def _uncertified(positive, xs, ys):
         centres = 0.5 * (x_lo + x_hi) + 0.5j * (y_lo + y_hi)
         # half the diagonal, widened past the rounding of the centre
         radii = np.hypot(x_hi - x_lo, y_hi - y_lo) * (0.5 + 1e-12) + 1e-15 * np.abs(centres)
-        blocks = blocks[:, ~np.asarray(positive(centres, radii), dtype=bool)]
+        # a large level is certified in slices, which bounds the certificate's temporaries
+        certified = [positive(centres[k : k + _SLICE], radii[k : k + _SLICE])
+                     for k in range(0, len(centres), _SLICE)]
+        blocks = blocks[:, ~np.asarray(np.concatenate(certified), dtype=bool)]
         r0, r1, c0, c1 = blocks
         leaf = np.maximum(r1 - r0, c1 - c0) <= _LEAF
         leaves.append(blocks[:, leaf])
@@ -230,13 +238,7 @@ def _uncertified(positive, xs, ys):
             ([r0, rm, c0, cm], [r0, rm, cm, c1], [rm, r1, c0, cm], [rm, r1, cm, c1]), axis=1
         )
         blocks = blocks[:, (blocks[0] < blocks[1]) & (blocks[2] < blocks[3])]
-    r0, r1, c0, c1 = np.concatenate(leaves, axis=1)[:, :, None]
-    cell = np.arange(_LEAF * _LEAF)
-    rr, cc = r0 + cell // _LEAF, c0 + cell % _LEAF
-    inside = (rr < r1) & (cc < c1)
-    sampled = np.zeros(shape, dtype=bool)
-    sampled[rr[inside], cc[inside]] = True
-    return sampled
+    return np.concatenate(leaves, axis=1)
 
 
 def _chain(segments, quantum):

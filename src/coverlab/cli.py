@@ -122,6 +122,7 @@ class ExperimentConfig:
     radii_max: float = 10.0
     radii_count: int = 3
     disks: list = field(default_factory=list)  # SphericalDisk
+    disk_numbers: list = field(default_factory=list)  # each disk's config number, else 1, 2, ...
     graph: GraphSpec | None = None
     chart: RectangleChart | None = None
     resolution: int = 512
@@ -172,7 +173,8 @@ class ExperimentConfig:
             if needing and not _meets(self, section):
                 what = "exactly 3 disks" if section == "disks" else f"{section} section"
                 raise ConfigError(section, f"{what} required for {needing}")
-        for k, disk in enumerate(self.disks, start=1):
+        number = self.disk_numbers or range(1, len(self.disks) + 1)
+        for k, disk in zip(number, self.disks):
             if not 0 < disk.radius < MAX_DISK_RADIUS:
                 raise ConfigError(
                     f"disk.{k}.radius",
@@ -183,7 +185,7 @@ class ExperimentConfig:
                 a, b = self.disks[i], self.disks[j]
                 if chordal_distance(a.center, b.center) <= a.radius + b.radius:
                     raise ConfigError(
-                        f"disk.{j + 1}", f"overlaps disk.{i + 1} (disks must be disjoint)"
+                        f"disk.{number[j]}", f"overlaps disk.{number[i]} (disks must be disjoint)"
                     )
         return self
 
@@ -295,7 +297,7 @@ def build_config(pairs):
             disks.append(SphericalDisk.of(center, float(pairs[rkey])))
         except ValueError as exc:
             raise ConfigError(f"disk.{n}", str(exc))
-    cfg.disks = disks
+    cfg.disks, cfg.disk_numbers = disks, disk_ids
 
     if any(k.startswith("graph.") for k in pairs):
         try:

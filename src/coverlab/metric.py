@@ -469,7 +469,8 @@ def boundary_areas(m, radii, tol=1e-9):
             with np.errstate(all="ignore"):
                 first = np.where(u <= 1, (zdw * w.conj()).real / (1 + u * u),
                                  (zdw / w).real / (1 + (1 / u) ** 2))
-                return first + (zs[:, None] / (zs[:, None] - at)).real @ order
+                # summed pole by pole, left to right, so each point's bits are its own
+                return first + sum((zs / (zs - p)).real * k for p, k in zip(at, order))
 
         flux = _adaptive_circle_integral(fvals, tol, _make_pole_check(m, r))
         out.append(flux / (2 * math.pi))

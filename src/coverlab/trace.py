@@ -5,9 +5,9 @@ through zeta o f from the preimages of its end points (count._lift), so
 each lift is one good or bad arc of the arcs statement.  The figure-eight
 is the level set {level = 0} of one function on the target (a lemniscate),
 and its preimage is marched (_march.extract) on an adaptive grid sampled
-in bands of rows, like the complement's disk runs, not as one grid.  The
-march samples f only where ball arithmetic (expr.evaluate_ball,
-GraphSpec.certainly_outside) cannot rule the curve out.  A marched chain
+in bands of rows, not as one grid.  The march samples f only where ball
+arithmetic (expr.evaluate_ball, GraphSpec.certainly_outside) cannot rule
+the curve out, one certification quadtree per grid.  A marched chain
 is cut where it leaves the disk |z| < r or enters the figure-eight's
 node ball, both by one run rule (_march.runs): a closed chain is walked
 from a dropped sample around to it again, so no kept run wraps its seam.
@@ -430,16 +430,17 @@ def build_preimage_graph(m, graph, r, resolution=512):
     The preimage {graph.level(f(z)) = 0} is marched (_march.extract) on a
     resolution x resolution grid over the disk's bounding square, one band
     of _march.BAND_ROWS rows at a time; the chains are clipped at |z| = r.
-    A block of cells whose disc f maps, by expr.evaluate_ball, into a ball
-    that GraphSpec.certainly_outside keeps off the figure-eight and its
-    lobes is not sampled; the chains are the same, bit for bit, as from
-    sampling every node.  Critical points that find_roots cannot resolve
-    raise ResolutionError, since the vertex placement is then unchecked.
-    Vertex preimages are located by the argument-principle root finder and
-    polished by Newton; polylines are cut where the target value enters a
-    small ball around the node and the loose ends snap to vertices.  Bad
-    arcs (meeting the boundary band) are deleted; euler = V - E counts the
-    retained graph (closed loops carry an implicit vertex each).
+    One quadtree over the grid skips each block of cells whose disc f maps,
+    by expr.evaluate_ball, into a ball that GraphSpec.certainly_outside
+    keeps off the figure-eight and its lobes; the chains are the same, bit
+    for bit, as from sampling every node.  Critical points that find_roots
+    cannot resolve raise ResolutionError, since the vertex placement is
+    then unchecked.  Vertex preimages are located by the argument-principle
+    root finder and polished by Newton; polylines are cut where the target
+    value enters a small ball around the node and the loose ends snap to
+    vertices.  Bad arcs (meeting the boundary band) are deleted; euler =
+    V - E counts the retained graph (closed loops carry an implicit vertex
+    each).
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
@@ -572,19 +573,23 @@ class ComplementAnalysis:
         return int(self.runs[k, 2]) if k >= 0 and j * n + i < self.runs[k, 1] else 0
 
 
-def _pixel_blocks(zs, r, n):
+def _pixel_blocks(zs, owner, r, n):
     """The 3x3 pixel blocks of the n x n grid on [-r, r]^2 around points zs.
 
     Returns the flat indices of the block pixels inside the grid, point by
-    point and in (row, column) order within a block, and the index of the
-    point each pixel belongs to.
+    point and in (row, column) order within a block, and the owner of the
+    point each pixel belongs to.  A point on the pixel and of the owner of
+    the point before it, which would repaint that block, is skipped.
     """
     i = ((zs.real + r) / (2 * r) * n).astype(int)
     j = ((zs.imag + r) / (2 * r) * n).astype(int)
+    new = np.ones(len(zs), dtype=bool)
+    new[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1]) | (owner[1:] != owner[:-1])
+    i, j, owner = i[new], j[new], owner[new]
     jj = (j[:, None] + np.array([-1, -1, -1, 0, 0, 0, 1, 1, 1])).ravel()
     ii = (i[:, None] + np.array([-1, 0, 1, -1, 0, 1, -1, 0, 1])).ravel()
     inside = (0 <= jj) & (jj < n) & (0 <= ii) & (ii < n)
-    return (jj * n + ii)[inside], np.nonzero(inside)[0] // 9
+    return (jj * n + ii)[inside], np.repeat(owner, 9)[inside]
 
 
 def _blocked_pixels(g, r, n, xs):
@@ -593,7 +598,8 @@ def _blocked_pixels(g, r, n, xs):
     h = 2.0 * r / n
     # vertices are part of the retained graph even when all their incident
     # arcs were deleted as bad; block them so isolated ones puncture C_0
-    vertex_pixels = _pixel_blocks(np.asarray(g.vertices, dtype=complex), r, n)[0]
+    vertices = np.asarray(g.vertices, dtype=complex)
+    vertex_pixels = _pixel_blocks(vertices, np.arange(len(vertices)), r, n)[0]
 
     # supercover: resample each segment of each retained arc at sub-pixel
     # steps, p + (q - p) * s / steps for s = 0..steps, in paint order
@@ -604,12 +610,12 @@ def _blocked_pixels(g, r, n, xs):
     steps = (np.abs(q - p) / (0.5 * h)).astype(int) + 1
     seg = np.repeat(np.arange(len(p)), steps + 1)
     s = np.arange(len(seg)) - np.repeat(np.cumsum(steps + 1) - (steps + 1), steps + 1)
-    pixels, from_sample = _pixel_blocks(p[seg] + (q - p)[seg] * s / steps[seg], r, n)
+    pixels, arc = _pixel_blocks(p[seg] + (q - p)[seg] * s / steps[seg], arc_of[seg], r, n)
 
     # a pixel painted by one arc right after another puts the two arcs in
     # one corridor, unless it lies within 4h of a vertex both arcs end on;
-    # the conflicts are taken in paint order
-    arc = arc_of[seg[from_sample]]
+    # the conflicts are taken in paint order; a skipped repaint by the same
+    # arc adds no conflict and moves none
     by_pixel = np.argsort(pixels, kind="stable")
     prev, cur = by_pixel[:-1], by_pixel[1:]
     clash = (pixels[prev] == pixels[cur]) & (arc[prev] != arc[cur])
@@ -632,25 +638,44 @@ def _blocked_pixels(g, r, n, xs):
 def _free_runs(blocked, r, n, xs):
     """Row runs of the pixels of the n x n grid (pixel centres xs) in
     |z| <= r less the blocked ones, in raster order: row, first column, end
-    column (one past the last) and whether it has a pixel past ring_radius."""
-    ring_r = ring_radius(r, n)
-    bands = []
-    for j in range(0, n, _march.BAND_ROWS):
-        dist = np.abs(xs[None, :] + 1j * xs[j : j + _march.BAND_ROWS, None])
-        free = dist <= r
-        ring = np.flatnonzero(free & (dist > ring_r))
-        cut = np.searchsorted(blocked, [j * n, j * n + free.size])
-        free.flat[blocked[cut[0] : cut[1]] - j * n] = False
-        row, edge = np.nonzero(np.diff(np.pad(free, ((0, 0), (1, 1))), axis=1))
-        row, lo, hi = row[::2], edge[::2], edge[1::2]
-        on_ring = np.searchsorted(ring, row * n + hi) > np.searchsorted(ring, row * n + lo)
-        bands.append((row + j, lo, hi, on_ring))
-    return tuple(np.concatenate(part) for part in zip(*bands))
+    column (one past the last) and whether it has a pixel past ring_radius.
+
+    In row j the pixels with |xs + i xs[j]| <= rad, for rad = r and the
+    ring radius, are a span whose ends, from sqrt(rad^2 - xs[j]^2), are
+    moved onto that exact test; the disk's spans are cut at blocked pixels.
+    """
+    rad = np.array([[r], [ring_radius(r, n)]])
+    half = np.sqrt(np.maximum(rad * rad - xs * xs, 0.0))
+    a, b = np.searchsorted(xs, -half), np.searchsorted(xs, half, side="right")
+
+    def inside(i):
+        k = np.clip(i, 0, n - 1)
+        return (i == k) & (np.abs(xs[k] + 1j * xs) <= rad)
+
+    while (step := inside(a - 1)).any():
+        a -= step
+    while (step := (a < b) & ~inside(a)).any():
+        a += step
+    while (step := inside(b)).any():
+        b += step
+    while (step := (a < b) & ~inside(b - 1)).any():
+        b -= step
+    (a, inner_a), (b, inner_b) = a, b
+    bj, bi = np.divmod(blocked, n)
+    cut = (a[bj] <= bi) & (bi < b[bj])
+    rows, stride = np.flatnonzero(a < b), n + 1
+    # runs start at a span's start or past a blocked pixel, end at one or at the span's end
+    start = np.sort(np.r_[rows * stride + a[rows], (bj * stride + bi + 1)[cut]], kind="stable")
+    stop = np.sort(np.r_[(bj * stride + bi)[cut], rows * stride + b[rows]], kind="stable")
+    row, lo = np.divmod(start[start < stop], stride)
+    hi = stop[start < stop] - row * stride
+    # a run off the inner span (or in a row where it is empty) has a ring pixel
+    return row, lo, hi, (lo < inner_a[row]) | (hi > inner_b[row])
 
 
 def complement_components(g, r, resolution=512):
     """Components of the disk minus the retained arcs of a preimage graph,
-    labelled on the row runs of its unblocked pixels (no grid of the disk).
+    labelled on row runs: each row's disk span split at its blocked pixels.
 
     Per component: chi from the pixel complex (2 - #boundary curves for a
     planar piece), a boundary-touching flag, and the target face its map

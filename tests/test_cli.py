@@ -83,6 +83,22 @@ def test_config_overlapping_disks():
         parse_config_text(text)
 
 
+@pytest.mark.parametrize(
+    ("disks", "message"),
+    [
+        ({1: "0", 3: "inf", 5: "0.01"}, "disk.5: overlaps disk.1 "),
+        ({0: "0", 1: "0.01", 2: "inf"}, "disk.1: overlaps disk.0 "),
+    ],
+)
+def test_config_errors_name_disks_by_their_number(disks, message):
+    text = "map = z\n" + "".join(
+        f"disk.{k}.center = {c}\ndisk.{k}.radius = 0.1\n" for k, c in disks.items()
+    )
+    with pytest.raises(ConfigError) as info:
+        parse_config_text(text)
+    assert str(info.value).startswith(message)
+
+
 def test_config_bad_map():
     with pytest.raises(ConfigError, match="map"):
         parse_config_text("map = exp(2*z\nradii.list = 1\n")

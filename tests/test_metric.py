@@ -270,6 +270,26 @@ def test_boundary_area_and_length_of_moebius_maps(source, coefficients, r):
     test_area_and_length_of_moebius_maps(source, coefficients, r, boundary_area)
 
 
+@pytest.mark.parametrize("source", ["1/(z^5 - 2)", "z + 1/(z^9 - 3)"])
+def test_boundary_area_integrand_is_elementwise(monkeypatch, source):
+    # 5 and 9 poles, inside and outside the circles: each point's value has
+    # the same bits alone as inside a 32-point call, as the quadrature asks
+    integrands = []
+
+    def capture(fvals, tol, pole_check):
+        integrands.append(fvals)
+        return 0.0
+
+    monkeypatch.setattr(metric, "_adaptive_circle_integral", capture)
+    boundary_areas(parse_map(source), [1.0, 1.3])
+    thetas = np.random.default_rng(5).uniform(0.0, 2 * math.pi, 32)
+    assert len(integrands) == 2
+    for fvals in integrands:
+        whole = fvals(thetas)
+        for k in range(32):
+            assert fvals(thetas[k : k + 1]).tobytes() == whole[k : k + 1].tobytes()
+
+
 HIGH_PRECISION_CASES = [
     ("exp(z)", 8.0, 2.5298797152564093),
     ("exp(z)", 20.0, 6.3596384674780898),

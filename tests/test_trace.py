@@ -875,25 +875,60 @@ def test_false_certificate_changes_the_chains():
     assert _certified_march("z^5", 0.5j, 0.5, 7, 512, lambda c, rho: c == c)[0] != full
 
 
+def test_certified_march_certifies_each_grid_in_one_quadtree():
+    # one certificate call per quadtree level or slice of a level, however
+    # many bands the grid is marched in (32 here)
+    m, g8 = parse_map("exp(z)"), GraphSpec(node=0.25j, scale=1)
+    calls = []
+
+    def positive(c, rho):
+        calls.append(len(c))
+        return g8.certainly_outside(*evaluate_ball(m, c, rho))
+
+    def field(zs):
+        return g8.level(evaluate_array(m, zs))
+
+    R = 80 * (1.0 + 2.0 / 2048)
+    _march.extract(field, (-R, R, -R, R), 2048, 2048, positive=positive)
+    assert 0 < len(calls) <= 12
+    assert max(calls) <= _march._SLICE
+
+
 def test_certified_march_samples_few_nodes():
     # exp-topology's largest radius: the curve lies in -3 < Re z < 0.6
     _, nodes = _certified_march("exp(z)", 0.25j, 1, 80, 2048)
     assert nodes < 0.05 * 2049**2
 
 
+# the first three clashing pixels, in paint order, of each config that
+# raises, as found by painting every supercover sample
+_CORRIDOR_CLASHES = {
+    ("z^8", 3, 64): "[(-0.796875-0.140625j), (-0.140625+0.796875j), (0.234375-0.796875j)]",
+    ("z^8", 3, 96): "[(-0.71875+0.53125j), (-0.53125-0.71875j), (0.53125+0.84375j)]",
+    ("exp(z)", 80, 128): "[(-3.125-64.375j), (1.875+61.875j), (1.875+4.375j)]",
+    ("exp(z)", 47.4140073963, 256): "[(-1.6668986975261717+41.30204550537071j)]",
+}
+
+
 @pytest.mark.parametrize(
     ("source", "node", "scale", "r", "resolution", "raises"),
     [
         ("z^8", 0.5j, 0.5, 3, 64, True),
+        ("z^8", 0.5j, 0.5, 3, 96, True),
         ("exp(z)", 0.25j, 1, 80, 128, True),
+        ("exp(z)", 0.25j, 1, 47.4140073963, 256, True),
         ("z^5", 0.5j, 0.5, 10, 64, False),
     ],
 )
 def test_complement_corridor_conflict(source, node, scale, r, resolution, raises):
     g = build_preimage_graph(parse_map(source), GraphSpec(node=node, scale=scale), r, resolution)
     if raises:
-        with pytest.raises(ResolutionError, match="share a pixel corridor"):
+        with pytest.raises(ResolutionError) as info:
             complement_components(g, r, resolution)
+        clashes = _CORRIDOR_CLASHES[source, r, resolution]
+        assert str(info.value) == (
+            f"arcs share a pixel corridor at {clashes}; retry with a finer resolution"
+        )
     else:
         complement_components(g, r, resolution)
 
@@ -934,19 +969,6 @@ def test_complement_blocks_what_the_sample_loop_paints(source, node, scale, r, r
     assert np.array_equal(_label_grid(analysis) == 0, expected)
 
 
-def test_complement_does_not_depend_on_the_band_height(monkeypatch):
-    # 300 rows is no multiple of any band but 1 and 2
-    g = build_preimage_graph(parse_map("exp(z)"), GraphSpec(node=0.25j, scale=1), 20, 300)
-    monkeypatch.setattr(_march, "BAND_ROWS", 10_000)
-    whole = complement_components(g, 20, 300)
-    assert len(whole.components) > 1
-    for band in (1, 2, 7, 64):
-        monkeypatch.setattr(_march, "BAND_ROWS", band)
-        banded = complement_components(g, 20, 300)
-        assert np.array_equal(_label_grid(banded), _label_grid(whole))
-        assert banded.components == whole.components
-
-
 def test_graph_and_complement_memory():
     # exp-topology's figure-eight at its largest radius: a full 2048^2
     # complex grid of samples would be 64 MB
@@ -961,7 +983,7 @@ def test_graph_and_complement_memory():
     finally:
         tracemalloc.stop()
     assert graph_peak <= 6e6
-    assert complement_peak <= 10e6
+    assert complement_peak <= 4.1e6
 
 
 def _mask_chi(mask):
@@ -1049,7 +1071,7 @@ def test_components_match_ndimage_on_random_masks(n_rows, n_cols, radius, densit
 @given(st.integers(1, 80), st.floats(0.05, 0.6), st.integers(0, 2**32 - 1))
 def test_free_runs_match_the_disk_masks(n, density, seed):
     # the runs of the disk less random blocked pixels and their ring flags,
-    # against full-grid masks; n > BAND_ROWS puts runs in a second band
+    # against full-grid masks
     r = 3.0
     xs = -r + (np.arange(n) + 0.5) * (2 * r / n)
     dist = np.abs(xs[None, :] + 1j * xs[:, None])
@@ -1060,6 +1082,54 @@ def test_free_runs_match_the_disk_masks(n, density, seed):
     expected = [(j, a, b, bool(ring[j, a:b].any())) for j, a, b in zip(*_mask_runs(free))]
     row, lo, hi, on_ring = trace._free_runs(blocked, r, n, xs)
     assert list(zip(row.tolist(), lo.tolist(), hi.tolist(), on_ring.tolist())) == expected
+
+
+def _free_runs_by_bands(blocked, r, n, xs):
+    """trace._free_runs as one pass over the disk's pixels, 64 rows at a
+    time: the |xs + i y| <= r and ring masks of each band, less its blocked
+    pixels, cut into row runs."""
+    ring_r = ring_radius(r, n)
+    bands = []
+    for j in range(0, n, 64):
+        dist = np.abs(xs[None, :] + 1j * xs[j : j + 64, None])
+        free = dist <= r
+        ring = np.flatnonzero(free & (dist > ring_r))
+        cut = np.searchsorted(blocked, [j * n, j * n + free.size])
+        free.flat[blocked[cut[0] : cut[1]] - j * n] = False
+        row, edge = np.nonzero(np.diff(np.pad(free, ((0, 0), (1, 1))), axis=1))
+        row, lo, hi = row[::2], edge[::2], edge[1::2]
+        on_ring = np.searchsorted(ring, row * n + hi) > np.searchsorted(ring, row * n + lo)
+        bands.append((row + j, lo, hi, on_ring))
+    return tuple(np.concatenate(part) for part in zip(*bands))
+
+
+def _assert_free_runs_match_the_bands(blocked, r, n):
+    xs = -r + (np.arange(n) + 0.5) * (2.0 * r / n)
+    got, expected = trace._free_runs(blocked, r, n, xs), _free_runs_by_bands(blocked, r, n, xs)
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    ("source", "node", "scale", "r", "resolution"),
+    [("exp(z)", 0.25j, 1, r, 2048) for r in (47.4140073963, 80.0)]
+    + [("z^5", 0.5j, 0.5, r, 512) for r in (2.0, 3.0, 5.0, 7.0, 10.0)],
+)
+def test_free_runs_match_the_bands_on_the_workload_graphs(source, node, scale, r, resolution):
+    g = build_preimage_graph(parse_map(source), GraphSpec(node=node, scale=scale), r, resolution)
+    xs = -r + (np.arange(resolution) + 0.5) * (2.0 * r / resolution)
+    _assert_free_runs_match_the_bands(trace._blocked_pixels(g, r, resolution, xs), r, resolution)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 16, 65, 130])
+@pytest.mark.parametrize("r", [1.0, 3.0, 1e-3, 123.456])
+def test_free_runs_match_the_bands_on_small_grids(n, r):
+    # rows whose disk or inner span is empty or one pixel wide, a ring
+    # radius of 0 or below, and blocked pixels at both ends of a span
+    _assert_free_runs_match_the_bands(np.zeros(0, dtype=int), r, n)
+    rng = np.random.default_rng(n)
+    _assert_free_runs_match_the_bands(np.flatnonzero(rng.random(n * n) < 0.3), r, n)
+    _assert_free_runs_match_the_bands(np.arange(0, n * n, 2), r, n)
 
 
 @pytest.mark.parametrize("fill", [False, True])
