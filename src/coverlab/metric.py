@@ -510,7 +510,7 @@ class MetricProfile:
         for r, a_, l_, q in zip(self.radii, self.a, self.l, self.ratio):
             lines.append(f"{_fmt12(r)},{_fmt12(a_)},{_fmt12(l_)},{_fmt12(q)}")
         text = "\n".join(lines) + "\n"
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         return text
 

@@ -750,15 +750,22 @@ def arc_test_integral(m, chart, t, r):
 
 
 def export_svg(path, r, graph=None, islands=None):
-    """Static SVG render of the source disk: arcs, vertices, islands."""
+    """Static SVG render of the source disk: arcs, vertices, islands.
+
+    Each coordinate is written as f"{x:.2f}"; a polyline's coordinates are
+    computed as one array and formatted by one "%.2f,%.2f" template.
+    """
     size = 800
     scale = size / (2.2 * r)
 
-    def xy(z):
-        return (
-            (z.real + 1.1 * r) * scale,
-            (1.1 * r - z.imag) * scale,
-        )
+    def xy(zs):
+        zs = np.asarray(zs, dtype=complex)
+        x, y = (zs.real + 1.1 * r) * scale, (1.1 * r - zs.imag) * scale
+        return np.stack((x, y), 1).ravel().tolist()
+
+    def points(zs):
+        coords = xy(zs)
+        return " ".join(["%.2f,%.2f"] * (len(coords) // 2)) % tuple(coords)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
@@ -773,43 +780,51 @@ def export_svg(path, r, graph=None, islands=None):
     }
     if graph is not None:
         for arc in graph.arcs:
-            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (xy(z) for z in arc.points))
-            parts.append(f'<polyline points="{pts}" fill="none" {styles[arc.tag]}/>')
+            parts.append(f'<polyline points="{points(arc.points)}" fill="none" {styles[arc.tag]}/>')
         for v in graph.vertices:
-            x, y = xy(v)
+            x, y = xy([v])
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#000"/>')
     if islands:
         for rec in islands:
-            pts = " ".join(
-                f"{x:.2f},{y:.2f}" for x, y in (xy(z) for z in rec.boundary)
-            )
             parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
+                f'<polyline points="{points(rec.boundary)}" fill="none" '
+                'stroke="#2ca02c" stroke-width="1.5"/>'
             )
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)
     return text
 
 
 def export_json(path, graph=None, components=None, islands=None):
-    """JSON document with arcs, tags, euler and the component table."""
+    """JSON document with arcs, tags, euler and the component table.
+
+    The text is json.dumps(doc, sort_keys=True, indent=2) of the dict built
+    here, arc points rounded to 9 digits.  The encoder writes the document
+    with a marker for each arc's points; each points block is then laid out
+    as indent=2 lays it out at that depth, from the number tokens of one
+    flat json.dumps (so NaN and Infinity read as the encoder writes them).
+    """
     doc = {}
+    blocks, marker = [], "<points>"  # the marker stands in for each arc's points
     if graph is not None:
         doc["euler"] = graph.euler
         doc["vertices"] = [[v.real, v.imag] for v in graph.vertices]
-        doc["arcs"] = [
-            {
+        doc["arcs"] = []
+        # a point [x, y] at depth 4 of the document, and the text between two
+        point, sep = f"[\n{' ' * 10}%s,\n{' ' * 10}%s\n{' ' * 8}]", ",\n" + " " * 8
+        for arc in graph.arcs:
+            xy = np.round(np.stack((arc.points.real, arc.points.imag), 1), 9)
+            tokens = json.dumps(xy.ravel().tolist())[1:-1].split(", ")
+            block = f"[\n{' ' * 8}{sep.join([point] * len(xy))}\n{' ' * 6}]"
+            blocks.append(block % tuple(tokens) if len(xy) else "[]")
+            doc["arcs"].append({
                 "tag": arc.tag,
                 "closed": bool(arc.closed),
-                "endpoints": [
-                    None if e is None else int(e) for e in arc.endpoints
-                ],
-                "points": np.round(np.stack((arc.points.real, arc.points.imag), 1), 9).tolist(),
-            }
-            for arc in graph.arcs
-        ]
+                "endpoints": [None if e is None else int(e) for e in arc.endpoints],
+                "points": marker,
+            })
     if components is not None:
         doc["components"] = [
             {
@@ -831,7 +846,8 @@ def export_json(path, graph=None, components=None, islands=None):
             }
             for rec in islands
         ]
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    with open(path, "w", encoding="utf-8") as fh:
+    pieces = json.dumps(doc, sort_keys=True, indent=2).split(json.dumps(marker))
+    text = pieces[0] + "".join(b + p for b, p in zip(blocks, pieces[1:]))
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text + "\n")
     return text

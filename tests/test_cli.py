@@ -151,14 +151,40 @@ def test_run_identity_config_passes(tmp_path):
     assert summary["config"]["resolution"] == 256
 
 
+def _output_files(outdir):
+    """{relative path: bytes} of every file under `outdir`."""
+    return {str(p.relative_to(outdir)): p.read_bytes() for p in sorted(outdir.rglob("*")) if p.is_file()}
+
+
 def test_run_deterministic_outputs(tmp_path):
-    cfg1 = parse_config_text(GOOD_CONFIG + f"outputs = {tmp_path}/a\n")
-    cfg2 = parse_config_text(GOOD_CONFIG + f"outputs = {tmp_path}/b\n")
-    assert run(cfg1) == run(cfg2)
-    for name in ("report.csv", "profile.csv", "graph_2.json"):
-        a = (tmp_path / "a" / name).read_bytes()
-        b = (tmp_path / "b" / name).read_bytes()
-        assert a == b, name
+    # summary.json records the output directory, so both runs write to one
+    cfg = parse_config_text(GOOD_CONFIG + f"outputs = {tmp_path}/out\n")
+    code = run(cfg)
+    first = _output_files(tmp_path / "out")
+    assert run(cfg) == code
+    assert _output_files(tmp_path / "out") == first
+    assert sorted(first) == [
+        "graph_2.json", "graph_2.svg", "islands_2.svg", "profile.csv", "report.csv", "summary.json",
+    ]
+
+
+def test_every_output_file_has_lf_line_ends(tmp_path, monkeypatch):
+    # a text file opened without newline= ends its lines with os.linesep;
+    # open such files as Windows would, with CRLF, so a writer that leaves
+    # newline= out shows here
+    real_open = open
+
+    def crlf_open(file, mode="r", *args, newline=None, **kwargs):
+        if "w" in mode and "b" not in mode and newline is None:
+            newline = "\r\n"
+        return real_open(file, mode, *args, newline=newline, **kwargs)
+
+    monkeypatch.setattr("builtins.open", crlf_open)
+    run(parse_config_text(GOOD_CONFIG + f"outputs = {tmp_path}/out\n"))
+    files = _output_files(tmp_path / "out")
+    assert len(files) == 6
+    for name, data in files.items():
+        assert b"\r" not in data, name
 
 
 def test_run_length_area_selected_mode(tmp_path):

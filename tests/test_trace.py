@@ -13,6 +13,7 @@ from coverlab.expr import INF, evaluate, evaluate_array, evaluate_ball, parse_ma
 from coverlab.metric import SpherePoint, SphericalDisk
 from coverlab.count import (
     ContourPassesThroughRoot,
+    IslandRecord,
     WindingError,
     find_islands,
     find_roots,
@@ -702,6 +703,146 @@ def test_export_json_rounds_arc_points_to_nine_digits(tmp_path):
     text = export_json(tmp_path / "g.json", graph=g)
     assert text == json.dumps(doc, sort_keys=True, indent=2)
     assert (tmp_path / "g.json").read_text() == text + "\n"
+
+
+def _svg_per_point(r, graph=None, islands=None):
+    """export_svg's text as written one point at a time: the oracle of the
+    bulk writer."""
+    size = 800
+    scale = size / (2.2 * r)
+
+    def xy(z):
+        return (
+            (z.real + 1.1 * r) * scale,
+            (1.1 * r - z.imag) * scale,
+        )
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+        f'viewBox="0 0 {size} {size}">',
+        f'<circle cx="{size/2}" cy="{size/2}" r="{r*scale}" fill="none" '
+        f'stroke="#888" stroke-width="1"/>',
+    ]
+    styles = {
+        "good": 'stroke="#1f77b4" stroke-width="1.5"',
+        "bad": 'stroke="#d62728" stroke-width="1.2" stroke-dasharray="6 4"',
+        "ramified-suspect": 'stroke="#ff7f0e" stroke-width="1.5" stroke-dasharray="2 3"',
+    }
+    if graph is not None:
+        for arc in graph.arcs:
+            pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (xy(z) for z in arc.points))
+            parts.append(f'<polyline points="{pts}" fill="none" {styles[arc.tag]}/>')
+        for v in graph.vertices:
+            x, y = xy(v)
+            parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#000"/>')
+    if islands:
+        for rec in islands:
+            pts = " ".join(
+                f"{x:.2f},{y:.2f}" for x, y in (xy(z) for z in rec.boundary)
+            )
+            parts.append(
+                f'<polyline points="{pts}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+def _json_per_point(graph=None, components=None, islands=None):
+    """export_json's text as the indenting encoder writes the whole
+    document: the oracle of the bulk writer."""
+    doc = {}
+    if graph is not None:
+        doc["euler"] = graph.euler
+        doc["vertices"] = [[v.real, v.imag] for v in graph.vertices]
+        doc["arcs"] = [
+            {
+                "tag": arc.tag,
+                "closed": bool(arc.closed),
+                "endpoints": [
+                    None if e is None else int(e) for e in arc.endpoints
+                ],
+                "points": np.round(np.stack((arc.points.real, arc.points.imag), 1), 9).tolist(),
+            }
+            for arc in graph.arcs
+        ]
+    if components is not None:
+        doc["components"] = [
+            {
+                "chi": c.chi,
+                "touches_boundary": c.touches_boundary,
+                "face": c.face,
+                "n_pixels": c.n_pixels,
+            }
+            for c in components.components
+        ]
+    if islands is not None:
+        doc["islands"] = [
+            {
+                "disk_index": rec.disk_index,
+                "chi": rec.chi,
+                "degree": rec.degree,
+                "ramification": rec.ramification,
+                "centroid": [rec.centroid.real, rec.centroid.imag],
+            }
+            for rec in islands
+        ]
+    return json.dumps(doc, sort_keys=True, indent=2)
+
+
+def _assert_exports_match_the_oracles(path, r, graph=None, components=None, islands=None):
+    svg = export_svg(path / "g.svg", r, graph=graph, islands=islands)
+    assert svg == _svg_per_point(r, graph=graph, islands=islands)
+    assert (path / "g.svg").read_bytes() == svg.encode()
+    text = export_json(path / "g.json", graph=graph, components=components, islands=islands)
+    assert text == _json_per_point(graph=graph, components=components, islands=islands)
+    assert (path / "g.json").read_bytes() == (text + "\n").encode()
+
+
+_RHO = 0.2 / math.sqrt(math.pi)
+
+
+@pytest.mark.parametrize(
+    "source, node, scale, r, resolution, centers, radius",
+    [("exp(z)", 0.25j, 1.0, r, 2048, (1 + 0.25j, -1 + 0.25j), 0.05) for r in (47.4140073963, 80.0)]
+    + [("z^5", 0.5j, 0.5, r, 512, (0j, 1 + 0j), _RHO) for r in (2.0, 3.0, 5.0, 7.0, 10.0)],
+)
+def test_exports_match_the_per_point_writers(tmp_path, source, node, scale, r, resolution, centers, radius):
+    m = parse_map(source)
+    pg = build_preimage_graph(m, GraphSpec(node=node, scale=scale), r, resolution)
+    comps = complement_components(pg, r, resolution)
+    islands = []
+    for k, c in enumerate(centers):
+        found, _ = find_islands(m, SphericalDisk.of(c, radius), r, resolution)
+        for rec in found:
+            rec.disk_index = k
+        islands.extend(found)
+    assert islands and len(pg.arcs) > 1
+    _assert_exports_match_the_oracles(tmp_path, r, graph=pg, components=comps, islands=islands)
+    _assert_exports_match_the_oracles(tmp_path, r, islands=islands)
+
+
+def test_exports_match_the_per_point_writers_on_edge_values(tmp_path):
+    # values whose shortest round-trip text has 17 digits, before and after
+    # the 9-digit rounding of arc points
+    digits17 = [0.1 + 0.2, 1 + 2**-52, -123456789.123456789, 2 / 3 * 1e8]
+    assert all(float(f"{x:.16g}") != x for x in digits17)
+    assert all(float(f"{round(x, 9):.16g}") != round(x, 9) for x in digits17[2:])
+    odd = [math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e16, -1e16, 0.005, -0.005, 2.675]
+    points = [complex(x, y) for x, y in zip(odd + digits17, digits17 + odd[::-1])]
+    points += [complex(x, y) for x in odd for y in odd]
+    arcs = [
+        Arc(np.array(points), "good", (0, 1), False),
+        Arc(np.array([complex(-0.0, math.nan)]), "bad", (None, None), True),
+        Arc(np.array([1e16 - 2.5j]), "ramified-suspect", (1, None), False),
+        Arc(np.zeros(0, dtype=complex), "bad", (None, None), False),
+    ]
+    g = PreimageGraph(arcs, [complex(-0.0, 1e-300), complex(math.inf, 0.5)], -1, 2.0, 64, "z", GraphSpec())
+    isl = IslandRecord(0, np.array(points[::-1]), 1, 2, 1, centroid=complex(math.nan, -0.0))
+    empty = PreimageGraph([], [], 0, 2.0, 64, "z", GraphSpec())
+    for graph, islands in ((g, [isl]), (g, None), (g, []), (empty, []), (None, [isl]), (None, None), (None, [])):
+        _assert_exports_match_the_oracles(tmp_path, 2.0, graph=graph, islands=islands)
+    assert "NaN" in export_json(tmp_path / "g.json", graph=g) and "nan" in export_svg(tmp_path / "g.svg", 2.0, g)
+    assert export_json(tmp_path / "g.json", islands=[]) != export_json(tmp_path / "g.json")
 
 
 @pytest.mark.parametrize(
