@@ -1,7 +1,7 @@
 """Numerical laboratory for covering-surface experiments on the Riemann sphere.
 
-Subpackages:
-    expr    -- map expression language (parse, differentiate, evaluate)
+Modules:
+    expr    -- map expression trees (parse, differentiate, evaluate)
     metric  -- normalized spherical metric, pullback area/length, radius selection
     trace   -- lifts of chart segments, the figure-eight preimage graph
     count   -- preimage counting, islands, degrees, ramification
@@ -9,8 +9,8 @@ Subpackages:
     cli     -- configuration and experiment orchestration
 """
 
-from coverlab.expr import MapExpr, parse_map, differentiate, evaluate
+from coverlab.expr import parse_map, differentiate, evaluate
 
-__all__ = ["MapExpr", "parse_map", "differentiate", "evaluate"]
+__all__ = ["parse_map", "differentiate", "evaluate"]
 
 __version__ = "0.1.0"

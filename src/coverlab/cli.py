@@ -50,7 +50,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from coverlab.expr import ParseError, parse_map
+from coverlab.expr import INF, ParseError, parse_map
 from coverlab.metric import (
     MAX_DISK_RADIUS,
     SphericalDisk,
@@ -82,7 +82,7 @@ from coverlab.verify import (
 # subcommand run without --config gives them.
 _RHO = 0.2 / math.sqrt(math.pi)
 _DEFAULT_SECTIONS = {
-    "disks": tuple(SphericalDisk.of(c, _RHO) for c in (1, -1, "inf")),
+    "disks": tuple(SphericalDisk.of(c, _RHO) for c in (1, -1, INF)),
     "graph": GraphSpec(node=0.5j, scale=0.5),
     "chart": RectangleChart(1, 0, 0, 1, x_range=(0.7, 1.3), t_range=(-0.1, 0.1)),
 }
@@ -197,7 +197,7 @@ class ExperimentConfig:
             (doc.setdefault(section, {}) if section else doc)[name] = getattr(self, attr)
         doc["disks"] = [
             {
-                "center": "inf" if d.center.is_infinity else [d.center.value.real, d.center.value.imag],
+                "center": "inf" if d.center is INF else [d.center.real, d.center.imag],
                 "radius": d.radius,
             }
             for d in self.disks
@@ -330,10 +330,13 @@ def build_config(pairs):
 
 
 def load_config(path):
-    p = Path(path)
-    if not p.exists():
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
         raise ConfigError("config", f"config file not found: {path}")
-    return parse_config_text(p.read_text(encoding="utf-8"))
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError("config", f"cannot read {path} as UTF-8 text: {exc}")
+    return parse_config_text(text)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +358,15 @@ def run(cfg):
     A stage that raises records its error instead, and the next stage runs.
     Exit code: 3 if any stage raised, else 0 when every verdict passed,
     else 1.  The verdicts are the rules verify.verdicts_from_report applies
-    to report.csv.
+    to report.csv.  An output directory that cannot be made raises
+    ConfigError.
     """
     m = parse_map(cfg.map_source)
     outdir = Path(cfg.outputs)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("outputs", f"cannot make the output directory: {exc}")
     summary = {"config": cfg.resolved(), "verifiers": {}, "errors": []}
     stage = "radius-selection"
     try:

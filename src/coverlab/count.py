@@ -43,9 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from coverlab.expr import (
+    INF,
     Const,
     Div,
-    MapExpr,
     Mul,
     Sub,
     as_fraction,
@@ -55,9 +55,9 @@ from coverlab.expr import (
     evaluate_arrays,
 )
 from coverlab.metric import (
-    SpherePoint,
     SphericalDisk,
     sample_sphere_uniform,
+    sphere_point,
 )
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.4617)
@@ -369,17 +369,11 @@ def _root_target(m, p):
     always >= 0; the order of f - p at a zero of g is its order there less
     den's, which is positive except at a zero they share.
     """
-    p = SpherePoint.of(p)
+    p = sphere_point(p)
     n_f, d_f = as_fraction(m)
-    if p.is_infinity:
+    if p is INF:
         return d_f, n_f
-    if p.value == 0:
-        target = n_f.root
-    else:
-        target = Sub(n_f.root, Mul(Const(complex(p.value)), d_f.root))
-    from coverlab.expr import _print  # canonical text for error messages
-
-    return MapExpr(root=target, source_text=_print(target)), d_f
+    return (n_f if p == 0 else Sub(n_f, Mul(Const(p), d_f))), d_f
 
 
 def find_roots(m, p, r):
@@ -404,7 +398,7 @@ def find_roots(m, p, r):
     """
     g, den = _root_target(m, p)
     dg = differentiate(g)
-    den = None if isinstance(den.root, Const) else (den, differentiate(den))
+    den = None if isinstance(den, Const) else (den, differentiate(den))
     isolation = max(_ISOLATION_REL * r, 1e-12)
     found = []  # Root(location, order of f - p); the order is <= 0 at a shared zero
     # a split (cell, attempt) cuts the cell at _SPLIT_FRACTIONS[attempt]; the
@@ -692,14 +686,14 @@ def count_preimages_many(m, points, r):
     infinity, a target within the band around the image, a pole on the
     circle); callers pass those to count_preimages.
     """
-    points = [SpherePoint.of(p) for p in points]
+    points = [sphere_point(p) for p in points]
     result = [None] * len(points)
-    finite = [k for k, p in enumerate(points) if not p.is_infinity]
+    finite = [k for k, p in enumerate(points) if p is not INF]
     if not finite:
         return result
-    targets = np.array([points[k].value for k in finite], dtype=np.complex128)
+    targets = np.array([points[k] for k in finite], dtype=np.complex128)
     try:
-        poles = multiplicity_count(m, "inf", r)
+        poles = multiplicity_count(m, INF, r)
         windings, undecided = _windings(m, differentiate(m), _Circle(r), targets)
     except (WindingError, RootOnCircleError, ContourPassesThroughRoot):
         return result
@@ -875,11 +869,11 @@ def find_islands(m, disk, r, resolution=512):
 def _chart(m, disk):
     """(g, c, C, R): f, or D/N of f = N/D when |c| > 1, with the centre c and
     the disk |w - C| < R: |w - c|^2 < k (1 + |w|^2), k = pi rho^2 (1 + |c|^2)."""
-    g, c = m, disk.center.value
-    if c is None or abs(c) > 1:  # the chordal distance is invariant under w -> 1/w
+    g, c = m, disk.center
+    if c is INF or abs(c) > 1:  # the chordal distance is invariant under w -> 1/w
         n, d = as_fraction(m)
-        g = MapExpr(root=Div(d.root, n.root), source_text=f"({d.source_text})/({n.source_text})")
-        c = 0j if c is None else 1 / c
+        g = Div(d, n)
+        c = 0j if c is INF else 1 / c
     k = math.pi * disk.radius**2 * (1 + abs(c) ** 2)
     return g, c, c / (1 - k), math.sqrt(k * (1 + abs(c) ** 2 - k)) / (1 - k)
 

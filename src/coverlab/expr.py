@@ -13,6 +13,10 @@ pure imaginary value; general complex constants are written as sums, e.g.
 ``1+2i``.  Integer exponents are restricted to magnitude <= 64 so trees stay
 small and derivatives stay exact.
 
+A map is its expression tree (Var, Const, Add, ..., Call): `parse_map` is
+the only reader of map text, and `differentiate` and `as_fraction` return
+new trees.
+
 Evaluation is on the extended plane: division of a nonzero value by zero
 yields the point at infinity (`INF`), and a genuine 0/0 raises
 :class:`IndeterminateError` so the caller can perturb the sample point.
@@ -110,14 +114,6 @@ class Call:
     arg: object
 
 
-@dataclass(frozen=True)
-class MapExpr:
-    """A parsed holomorphic map."""
-
-    root: object
-    source_text: str
-
-
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 
@@ -167,7 +163,7 @@ class _Tokens:
 
 
 def parse_map(source):
-    """Parse a map definition into a :class:`MapExpr`.
+    """Parse a map definition into its expression tree.
 
     Raises :class:`ParseError` with a byte offset on bad syntax, exponent
     overflow, or an unknown function name.
@@ -179,7 +175,7 @@ def parse_map(source):
     kind, _, offset = toks.peek()
     if kind != "eof":
         raise ParseError("trailing input after expression", offset)
-    return MapExpr(root=root, source_text=source.strip())
+    return root
 
 
 def _parse_expr(toks):
@@ -266,65 +262,13 @@ def _parse_atom(toks):
 
 
 # ---------------------------------------------------------------------------
-# Printing (canonical form: explicit '*', parentheses by precedence)
-
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Var: 9, Const: 9, Call: 9}
-
-
-def _fmt_real(x):
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return repr(float(x))
-
-
-def _print_const(value):
-    re_, im = value.real, value.imag
-    if im == 0:
-        if re_ < 0:
-            return f"(0 - {_fmt_real(-re_)})"
-        return _fmt_real(re_)
-    if re_ == 0:
-        if im < 0:
-            return f"(0 - {_fmt_real(-im)}i)"
-        return f"{_fmt_real(im)}i"
-    if re_ < 0:
-        return f"(0 - {_print_const(-value)})"
-    sign = "+" if im > 0 else "-"
-    return f"({_fmt_real(re_)} {sign} {_fmt_real(abs(im))}i)"
-
-
-def _print(node, parent_prec=0, right_side=False):
-    if isinstance(node, Var):
-        return "z"
-    if isinstance(node, Const):
-        return _print_const(node.value)
-    if isinstance(node, Pow):
-        base = _print(node.base, parent_prec=4)
-        text = f"{base}^{node.exponent}"
-        prec = 3
-    elif isinstance(node, Call):
-        return f"{node.func}({_print(node.arg)})"
-    else:
-        ops = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
-        prec = _PREC[type(node)]
-        left = _print(node.left, parent_prec=prec)
-        right = _print(node.right, parent_prec=prec, right_side=True)
-        text = f"{left}{ops[type(node)]}{right}"
-    need = parent_prec > prec or (
-        right_side and parent_prec == prec and isinstance(node, (Add, Sub, Mul, Div))
-    )
-    return f"({text})" if need else text
-
-
-# ---------------------------------------------------------------------------
 # Evaluation: a tree walk at one point with the INF convention (`evaluate`);
 # on arrays, one compiled program of numpy calls for several maps
 
 
 def evaluate(m, z):
     """Value of the map at z; poles give `INF`, 0/0 raises IndeterminateError."""
-    root = m.root if isinstance(m, MapExpr) else m
-    return _ev(root, complex(z))
+    return _ev(m, complex(z))
 
 
 def _finite_or_inf(value):
@@ -455,7 +399,7 @@ def _program(ms):
         args = visit(node.left), visit(node.right)
         return emit((type(node), *args), _BINARY[type(node)], *args)
 
-    outs = [visit(getattr(m, "root", m)) for m in ms]
+    outs = [visit(m) for m in ms]
     for a, k in {a: k for k, (_, args, _) in enumerate(ops) for a in args}.items():
         if a not in outs:
             ops[k][2].append(a)
@@ -481,11 +425,10 @@ def evaluate_ball(m, centres, radii):
     disc may hold a pole, and wherever a centre, a radius or a bound is not
     finite, so a finite rho is always a true bound.
     """
-    root = m.root if isinstance(m, MapExpr) else m
     c = np.asarray(centres, dtype=np.complex128)
     rho = np.broadcast_to(np.asarray(radii, dtype=float), c.shape)
     with np.errstate(all="ignore"):
-        return _ball(root, *_widened(c, rho))
+        return _ball(m, *_widened(c, rho))
 
 
 def _widened(c, rho):
@@ -541,10 +484,8 @@ def _ball(node, zc, zr):
 
 
 def differentiate(m):
-    """Exact symbolic derivative as a new MapExpr."""
-    root = m.root if isinstance(m, MapExpr) else m
-    droot = _diff(root)
-    return MapExpr(root=droot, source_text=_print(droot))
+    """Exact symbolic derivative, as a new tree."""
+    return _diff(m)
 
 
 def _is_const(node, value=None):
@@ -626,12 +567,7 @@ def as_fraction(m):
     function of a genuine quotient (e.g. exp(1/z)) is kept opaque in the
     numerator; its essential singularity is outside the supported map class.
     """
-    root = m.root if isinstance(m, MapExpr) else m
-    n, d = _fraction(root)
-    return (
-        MapExpr(root=n, source_text=_print(n)),
-        MapExpr(root=d, source_text=_print(d)),
-    )
+    return _fraction(m)
 
 
 _ONE = Const(1 + 0j)

@@ -7,9 +7,8 @@ extended-complex points is
     dist(p, q) = |p - q| / (sqrt(pi) sqrt(1+|p|^2) sqrt(1+|q|^2))
 
 with the usual limits at infinity: dist(p, inf) = 1 / (sqrt(pi) sqrt(1+|p|^2)).
-The point at infinity is `INF`, `SpherePoint(None)` or the string "inf";
-a pole of f, and any non-finite complex value (inf or nan in either part),
-stands for it too.  `chordal_distance_array` is the one implementation of
+The point at infinity is `INF`; `sphere_point` reads any point into a
+finite complex or INF.  `chordal_distance_array` is the one implementation of
 this formula.  A holomorphic map f pulls the metric back to the density
 
     h(z) = |f'(z)| / (sqrt(pi) (1 + |f(z)|^2)).
@@ -81,52 +80,37 @@ class PoleOnCircleError(ArithmeticError):
 # Points, disks, chordal distance
 
 
-@dataclass(frozen=True)
-class SpherePoint:
-    """Extended-complex point: a finite value or the point at infinity."""
-
-    value: complex | None  # None encodes infinity
-
-    @classmethod
-    def of(cls, v):
-        if isinstance(v, SpherePoint):
-            return v
-        if v is INF or v is None:
-            return cls(None)
-        if isinstance(v, str):
-            if v.strip().lower() in ("inf", "infinity", "oo"):
-                return cls(None)
-            raise ValueError(f"not a sphere point: {v!r}")
-        v = complex(v)
-        return cls(v if cmath.isfinite(v) else None)
-
-    @property
-    def is_infinity(self):
-        return self.value is None
-
-    def __repr__(self):
-        return "SpherePoint(inf)" if self.is_infinity else f"SpherePoint({self.value!r})"
+def sphere_point(v):
+    """A point of the sphere as a finite complex, or `INF`: from INF, a
+    number (non-finite ones are INF) or the strings 'inf', 'infinity', 'oo'."""
+    if v is INF:
+        return INF
+    if isinstance(v, str):
+        if v.strip().lower() in ("inf", "infinity", "oo"):
+            return INF
+        raise ValueError(f"not a sphere point: {v!r}")
+    v = complex(v)
+    return v if cmath.isfinite(v) else INF
 
 
 def chordal_distance(p, q):
     """Chordal distance in the area-1 normalization (diameter 1/sqrt(pi))."""
-    p = SpherePoint.of(p)
-    w = complex(math.inf) if p.is_infinity else p.value
-    return float(chordal_distance_array(w, q))
+    p = sphere_point(p)
+    return float(chordal_distance_array(complex(math.inf) if p is INF else p, q))
 
 
 def chordal_distance_array(ws, center):
-    """Chordal distance from complex array `ws` to a SpherePoint, in closed form.
+    """Chordal distance from complex array `ws` to a sphere point, in closed form.
 
     Non-finite entries of `ws` (poles, inf, nan) are the point at infinity.
     """
-    c = SpherePoint.of(center).value
+    c = sphere_point(center)
     ws = np.asarray(ws, dtype=np.complex128)
     # at_inf is sqrt(pi) dist(inf, c); for c = inf the factor
     # |w - c| / sqrt(1+|c|^2) is 1
-    at_inf = 0.0 if c is None else 1.0 / math.hypot(1.0, abs(c))
+    at_inf = 0.0 if c is INF else 1.0 / math.hypot(1.0, abs(c))
     with np.errstate(all="ignore"):
-        d = 1.0 if c is None else np.abs(ws - c) * at_inf
+        d = 1.0 if c is INF else np.abs(ws - c) * at_inf
         scale = np.hypot(1.0, np.abs(ws))
         d /= scale
         return np.where(np.isfinite(scale), d, at_inf) / SQRT_PI
@@ -134,7 +118,7 @@ def chordal_distance_array(ws, center):
 
 @dataclass(frozen=True)
 class SphericalDisk:
-    center: SpherePoint
+    center: complex  # or INF
     radius: float
 
     def __post_init__(self):
@@ -146,7 +130,7 @@ class SphericalDisk:
 
     @classmethod
     def of(cls, center, radius):
-        return cls(SpherePoint.of(center), float(radius))
+        return cls(sphere_point(center), float(radius))
 
 
 # ---------------------------------------------------------------------------
@@ -455,9 +439,9 @@ def boundary_areas(m, radii, tol=1e-9):
 
     dm = differentiate(m)
     try:
-        poles = find_roots(m, "inf", max(radii) * math.e / 2)
+        poles = find_roots(m, INF, max(radii) * math.e / 2)
     except RootOnCircleError:
-        poles = find_roots(m, "inf", max(radii) * math.e / 2 * 1.01)
+        poles = find_roots(m, INF, max(radii) * math.e / 2 * 1.01)
     at = np.array([p.location for p in poles], dtype=np.complex128)
     order = np.array([p.multiplicity for p in poles], dtype=float)
     out = []
@@ -496,7 +480,6 @@ def _length_with_nudge(m, r, tol=1e-8):
 class MetricProfile:
     """Sampled (r, a, l) rows for one map; ratio = l/a."""
 
-    map_source: str
     radii: list = field(default_factory=list)
     a: list = field(default_factory=list)
     l: list = field(default_factory=list)
@@ -523,7 +506,7 @@ def build_profile(m, radii, tol=1e-7):
     """Rows (r, a(r), l(r)) at each radius: a at `tol` by the polar `area`
     quadrature, l at max(tol / 10, 1e-10).
     """
-    prof = MetricProfile(map_source=m.source_text)
+    prof = MetricProfile()
     for r in radii:
         rr, lv = _length_with_nudge(m, r, tol=max(tol * 1e-1, 1e-10))
         prof.radii.append(rr)
@@ -614,11 +597,5 @@ def sample_sphere_uniform(seed, n):
     s = np.sqrt(np.maximum(0.0, 1.0 - zcoord**2))
     x = s * np.cos(phi)
     y = s * np.sin(phi)
-    pts = []
-    for xi, yi, zi in zip(x, y, zcoord):
-        if zi >= 1.0:
-            pts.append(SpherePoint(None))
-        else:
-            pts.append(SpherePoint(complex(xi, yi) / (1.0 - zi)))
-    return pts
+    return [INF if zi >= 1.0 else complex(xi, yi) / (1.0 - zi) for xi, yi, zi in zip(x, y, zcoord)]
 

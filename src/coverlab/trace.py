@@ -30,15 +30,15 @@ from coverlab.expr import (
     Add,
     Const,
     Div,
+    INF,
     IndeterminateError,
-    MapExpr,
     Mul,
     differentiate,
     evaluate,
     evaluate_array,
     evaluate_ball,
 )
-from coverlab.metric import SpherePoint, chordal_distance
+from coverlab.metric import chordal_distance, sphere_point
 from coverlab.count import (
     ContourPassesThroughRoot,
     ResolutionError,
@@ -153,8 +153,8 @@ class GraphSpec:
 
     def face_of(self, w):
         """'lobe-', 'lobe+' or 'outer' for a target point; infinity is outer."""
-        w = SpherePoint.of(w).value
-        if w is None or self.level(w) >= 0:
+        w = sphere_point(w)
+        if w is INF or self.level(w) >= 0:
             return "outer"
         return "lobe+" if (w - self.node).real > 0 else "lobe-"
 
@@ -190,7 +190,7 @@ def trace_preimage(m, chart, t, r, resolution=512):
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
     a, b, c, d = (Const(complex(k)) for k in (chart.a, chart.b, chart.c, chart.d))
-    g = MapExpr(Div(Add(Mul(a, m.root), b), Add(Mul(c, m.root), d)), f"zeta({m.source_text})")
+    g = Div(Add(Mul(a, m), b), Add(Mul(c, m), d))
     dg = differentiate(g)
 
     def path(x):
@@ -414,9 +414,7 @@ class PreimageGraph:
     arcs: list
     vertices: list  # complex preimages of the graph node
     euler: int
-    r: float
-    resolution: int
-    map_source: str
+    m: object  # the map's expression tree
     graph: GraphSpec
 
     @property
@@ -450,7 +448,7 @@ def build_preimage_graph(m, graph, r, resolution=512):
         crit_points = find_roots(dm, 0, r)
     except (WindingError, ContourPassesThroughRoot) as exc:
         raise ResolutionError(
-            f"critical points of {m.source_text} in |z| < {r} not resolved, so the "
+            f"critical points of the map in |z| < {r} not resolved, so the "
             f"graph vertex cannot be checked against the critical values: {exc}"
         ) from exc
     for cp in crit_points:
@@ -502,9 +500,7 @@ def build_preimage_graph(m, graph, r, resolution=512):
         arcs=final_arcs,
         vertices=vertices,
         euler=euler,
-        r=r,
-        resolution=resolution,
-        map_source=m.source_text,
+        m=m,
         graph=graph,
     )
 
@@ -682,9 +678,6 @@ def complement_components(g, r, resolution=512):
     image covers.  Raises ResolutionError when two distinct arcs share a
     pixel corridor (the rasterization would merge their sides).
     """
-    from coverlab.expr import parse_map
-
-    m = parse_map(g.map_source)
     n = resolution
     xs = -r + (np.arange(n) + 0.5) * (2.0 * r / n)
     row, lo, hi, on_ring = _free_runs(_blocked_pixels(g, r, n, xs), r, n, xs)
@@ -700,7 +693,7 @@ def complement_components(g, r, resolution=512):
     for k in range(size):
         y, x = probe[k]
         try:
-            face = g.graph.face_of(evaluate(m, complex(xs[x], xs[y])))
+            face = g.graph.face_of(evaluate(g.m, complex(xs[x], xs[y])))
         except IndeterminateError:
             face = "outer"
         components.append(

@@ -30,7 +30,6 @@ from coverlab.count import (
     mean_degree,
     total_ramification,
 )
-from coverlab.expr import MapExpr
 from coverlab.metric import _fmt12
 from coverlab.trace import (
     GraphSpec,
@@ -63,7 +62,7 @@ class RadiusContext:
     nothing, so the next verifier that needs it recomputes it.
     """
 
-    m: MapExpr
+    m: object  # the map's expression tree
     r: float
     a: float
     l: float

@@ -294,6 +294,33 @@ def test_config_rejects_non_positive_radii(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def _directory_config(tmp_path):
+    return str(tmp_path)
+
+
+def _latin1_config(tmp_path):
+    config = tmp_path / "latin1.cfg"
+    config.write_bytes("map = z  # f(z) = z, für alle z\n".encode("latin-1"))
+    return str(config)
+
+
+def _outputs_is_a_file_config(tmp_path):
+    (tmp_path / "taken").write_text("")
+    config = tmp_path / "outputs.cfg"
+    config.write_text(
+        f"map = z\nradii.list = 2\nverifiers = mean_degree\noutputs = {tmp_path / 'taken'}\n"
+    )
+    return str(config)
+
+
+@pytest.mark.parametrize("make_config", [_directory_config, _latin1_config, _outputs_is_a_file_config],
+                         ids=["config-is-a-directory", "config-not-utf8", "outputs-is-a-file"])
+def test_file_errors_are_config_errors(make_config, tmp_path, capsys):
+    assert main(["verify-all", "--config", make_config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "Traceback" not in err
+
+
 # z^3 over disks at 0, 1 and inf: one island (over 0) at both radii, while
 # a(r) grows from 1.04 to 1.5, so the needed slack rises from 0.04 to 0.33.
 RISING_SLACK_CONFIG = """\

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coverlab import count as count_module
-from coverlab.expr import evaluate, evaluate_array, parse_map
+from coverlab.expr import INF, evaluate, evaluate_array, parse_map
 from coverlab.count import (
     IslandRecord,
     ResolutionError,
@@ -110,6 +110,13 @@ def test_count_preimages_many_target_on_boundary_image_is_undecided():
 
 def test_count_preimages_many_infinity_is_undecided():
     assert count_preimages_many(parse_map("1/(z-0.5)"), ["inf", 3], 1.0) == [None, 1]
+    # with no finite target there is nothing to wind around
+    assert count_preimages_many(parse_map("1/(z-0.5)"), ["inf", INF], 1.0) == [None, None]
+
+
+def test_count_preimages_many_with_a_pole_on_the_circle_is_undecided():
+    # the pole 1 of 1/(z - 1) on |z| = 1 stops the pole count and the winding
+    assert count_preimages_many(parse_map("1/(z-1)"), [0.5, 2j], 1.0) == [None, None]
 
 
 def test_multiplicity_at_infinity_is_pole_order():
@@ -744,6 +751,16 @@ def test_an_island_hole_smaller_than_a_pixel_is_found(resolution):
     isl, ambiguous = find_islands(parse_map("z+1e-4/z"), SphericalDisk.of(0, RHO), 2.0, resolution)
     assert ambiguous == 0
     assert [(rec.degree, rec.chi, len(rec.holes)) for rec in isl] == [(2, 0, 1)]
+
+
+@pytest.mark.parametrize(("center", "degrees", "ambiguous"), [(0.983, [], 1), (0.95, [1], 0)])
+def test_an_island_reaching_the_margin_is_ambiguous(center, degrees, ambiguous):
+    # f = z at r = 1, resolution 512: the island is the disk itself, about
+    # 4e-3 across in the plane.  About 0.983 it reaches past the margin test
+    # radius 1 - 10/512 - 2/512 = 0.9766 while its seed lies inside the ring
+    # 1 - 5/512; about 0.95 it stays inside
+    isl, n_ambiguous = find_islands(parse_map("z"), SphericalDisk.of(center, 0.00115), 1.0, 512)
+    assert ([rec.degree for rec in isl], n_ambiguous) == (degrees, ambiguous)
 
 
 def test_islands_start_below_a_critical_value_near_the_centre():

@@ -14,13 +14,11 @@ from coverlab.expr import (
     Const,
     Div,
     IndeterminateError,
-    MapExpr,
     Mul,
     ParseError,
     Pow,
     Sub,
     Var,
-    _print,
     differentiate,
     evaluate,
     evaluate_array,
@@ -31,13 +29,11 @@ from coverlab.expr import (
 
 
 def test_parse_power():
-    m = parse_map("z^3")
-    assert m.root == Pow(Var(), 3)
+    assert parse_map("z^3") == Pow(Var(), 3)
 
 
 def test_parse_rational():
-    m = parse_map("(z^2-1)/(z^2+1)")
-    assert m.root == Div(
+    assert parse_map("(z^2-1)/(z^2+1)") == Div(
         Sub(Pow(Var(), 2), Const(1 + 0j)),
         Add(Pow(Var(), 2), Const(1 + 0j)),
     )
@@ -121,6 +117,55 @@ def test_derivative_trig():
 # ---------------------------------------------------------------------------
 # Random-tree properties (fixed seed, per the module invariants)
 
+_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Pow: 3, Var: 9, Const: 9, Call: 9}
+
+
+def _fmt_real(x):
+    if x == int(x) and abs(x) < 1e15:
+        return str(int(x))
+    return repr(float(x))
+
+
+def _print_const(value):
+    re_, im = value.real, value.imag
+    if im == 0:
+        if re_ < 0:
+            return f"(0 - {_fmt_real(-re_)})"
+        return _fmt_real(re_)
+    if re_ == 0:
+        if im < 0:
+            return f"(0 - {_fmt_real(-im)}i)"
+        return f"{_fmt_real(im)}i"
+    if re_ < 0:
+        return f"(0 - {_print_const(-value)})"
+    sign = "+" if im > 0 else "-"
+    return f"({_fmt_real(re_)} {sign} {_fmt_real(abs(im))}i)"
+
+
+def _print(node, parent_prec=0, right_side=False):
+    """Source text of a tree, in the grammar parse_map reads: explicit '*',
+    parentheses by precedence."""
+    if isinstance(node, Var):
+        return "z"
+    if isinstance(node, Const):
+        return _print_const(node.value)
+    if isinstance(node, Pow):
+        base = _print(node.base, parent_prec=4)
+        text = f"{base}^{node.exponent}"
+        prec = 3
+    elif isinstance(node, Call):
+        return f"{node.func}({_print(node.arg)})"
+    else:
+        ops = {Add: " + ", Sub: " - ", Mul: "*", Div: "/"}
+        prec = _PREC[type(node)]
+        left = _print(node.left, parent_prec=prec)
+        right = _print(node.right, parent_prec=prec, right_side=True)
+        text = f"{left}{ops[type(node)]}{right}"
+    need = parent_prec > prec or (
+        right_side and parent_prec == prec and isinstance(node, (Add, Sub, Mul, Div))
+    )
+    return f"({text})" if need else text
+
 
 def _random_tree(rng, depth):
     if depth == 0:
@@ -155,7 +200,7 @@ def test_roundtrip_random_trees():
         tree = _random_tree(rng, rng.randint(1, 4))
         printed = _print(tree)
         reparsed = parse_map(printed)
-        assert parse_map(_print(reparsed.root)).root == reparsed.root, printed
+        assert parse_map(_print(reparsed)) == reparsed, printed
 
 
 def test_roundtrip_grammar_sources():
@@ -169,16 +214,15 @@ def test_roundtrip_grammar_sources():
     ]
     for s in sources:
         once = parse_map(s)
-        twice = parse_map(_print(parse_map(_print(once.root)).root))
-        assert once.root == twice.root
+        twice = parse_map(_print(parse_map(_print(once))))
+        assert once == twice
 
 
 def test_derivative_matches_finite_difference():
     rng = random.Random(7)
     checked = 0
     while checked < 100:
-        tree = _random_tree(rng, rng.randint(1, 3))
-        m = MapExpr(root=tree, source_text="")
+        m = _random_tree(rng, rng.randint(1, 3))
         dm = differentiate(m)
         z = complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
         h = 1e-5
@@ -325,7 +369,7 @@ _ZERO_TREES = st.recursive(
 def _shared_maps(draw):
     """Trees, their derivatives and products: maps that share subtrees."""
     trees = draw(st.lists(_ZERO_TREES, min_size=1, max_size=3))
-    maps = trees + [differentiate(t).root for t in trees]
+    maps = trees + [differentiate(t) for t in trees]
     maps += [Mul(a, b) for a, b in zip(trees, trees[1:])]
     return draw(st.permutations(maps))
 

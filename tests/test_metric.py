@@ -1,3 +1,4 @@
+import cmath
 import math
 from decimal import Decimal, localcontext
 
@@ -5,12 +6,11 @@ import numpy as np
 import pytest
 
 from coverlab import metric
-from coverlab.expr import parse_map, differentiate
+from coverlab.expr import INF, parse_map, differentiate
 from coverlab.metric import (
     MAX_DISK_RADIUS,
     MetricProfile,
     PoleOnCircleError,
-    SpherePoint,
     SphericalDisk,
     area,
     area_derivative,
@@ -23,6 +23,7 @@ from coverlab.metric import (
     lengtharea_certificate,
     sample_sphere_uniform,
     select_radii,
+    sphere_point,
     spherical_density,
 )
 
@@ -124,7 +125,7 @@ def test_non_finite_entries_are_the_point_at_infinity(center):
     expected = chordal_distance("inf", center)
     assert np.all(chordal_distance_array(far, center) == expected)
     assert chordal_distance(complex(math.inf, 1), center) == expected
-    assert SpherePoint.of(complex(math.nan, 0)).is_infinity
+    assert sphere_point(complex(math.nan, 0)) is INF
 
 
 def test_chordal_distance_scalar_and_array_agree():
@@ -539,10 +540,8 @@ def test_profile_invariants_and_csv(tmp_path):
 def test_sampler_deterministic():
     a = sample_sphere_uniform(123, 500)
     b = sample_sphere_uniform(123, 500)
-    for p, q in zip(a, b):
-        assert p.is_infinity == q.is_infinity
-        if not p.is_infinity:
-            assert p.value == q.value
+    assert a == b
+    assert all(p is INF or cmath.isfinite(p) for p in a)
 
 
 def test_sampler_hemisphere():
@@ -561,6 +560,8 @@ def test_sampler_disk_fraction():
 
 
 def test_sphere_point_of():
-    assert SpherePoint.of("inf").is_infinity
-    assert SpherePoint.of(2 + 1j).value == 2 + 1j
-    assert SpherePoint.of(SpherePoint(None)).is_infinity
+    assert sphere_point("inf") is sphere_point(" Infinity") is sphere_point(INF) is INF
+    assert sphere_point(2 + 1j) == 2 + 1j
+    assert sphere_point(3) == 3 + 0j and isinstance(sphere_point(3), complex)
+    with pytest.raises(ValueError):
+        sphere_point("1+2j")

@@ -10,7 +10,7 @@ from scipy import ndimage
 
 from coverlab import _march, trace
 from coverlab.expr import INF, evaluate, evaluate_array, evaluate_ball, parse_map
-from coverlab.metric import SpherePoint, SphericalDisk
+from coverlab.metric import SphericalDisk
 from coverlab.count import (
     ContourPassesThroughRoot,
     IslandRecord,
@@ -508,9 +508,9 @@ def test_lifts_at_t_star_bound_the_arc_integral(source, r):
 
 def test_face_of_infinity_is_outer():
     g8 = GraphSpec(node=0.5j, scale=0.5)
-    assert g8.face_of(INF) == g8.face_of(SpherePoint.of("inf")) == "outer"
+    assert g8.face_of(INF) == g8.face_of("inf") == g8.face_of(complex(math.inf, 0)) == "outer"
     assert g8.face_of(0.5j + 0.5) == "lobe+"
-    assert g8.face_of(SpherePoint.of(0.5j - 0.5)) == "lobe-"
+    assert g8.face_of(0.5j - 0.5) == "lobe-"
 
 
 def test_build_graph_z3():
@@ -631,7 +631,7 @@ def _complement_reference(pg, comps, r):
     """The full-grid walk: one `labels == k` mask per component, its chi,
     ring test and pixel count, and the face at the argmax of its distance
     transform."""
-    m = parse_map(pg.map_source)
+    m = pg.m
     n = comps.resolution
     h = 2.0 * r / n
     xs = -r + (np.arange(n) + 0.5) * h
@@ -689,7 +689,7 @@ def test_export_json_rounds_arc_points_to_nine_digits(tmp_path):
         complex(-4.9999999995, 2.5e-9), complex(-0.0, 123456.7890123455),
         complex(1e-300, -7.0000000005), complex(0.3, -0.1 - 0.2),
     ])
-    g = PreimageGraph([Arc(pts, "good", (None, 0), False)], [0.5j], 0, 1.0, 64, "z", GraphSpec())
+    g = PreimageGraph([Arc(pts, "good", (None, 0), False)], [0.5j], 0, parse_map("z"), GraphSpec())
     points = [
         [-1.234567892, 0.0], [0.12345679, -0.0], [-5.0, 2e-09],
         [-0.0, 123456.789012346], [0.0, -7.0], [0.3, -0.3],
@@ -836,9 +836,9 @@ def test_exports_match_the_per_point_writers_on_edge_values(tmp_path):
         Arc(np.array([1e16 - 2.5j]), "ramified-suspect", (1, None), False),
         Arc(np.zeros(0, dtype=complex), "bad", (None, None), False),
     ]
-    g = PreimageGraph(arcs, [complex(-0.0, 1e-300), complex(math.inf, 0.5)], -1, 2.0, 64, "z", GraphSpec())
+    g = PreimageGraph(arcs, [complex(-0.0, 1e-300), complex(math.inf, 0.5)], -1, parse_map("z"), GraphSpec())
     isl = IslandRecord(0, np.array(points[::-1]), 1, 2, 1, centroid=complex(math.nan, -0.0))
-    empty = PreimageGraph([], [], 0, 2.0, 64, "z", GraphSpec())
+    empty = PreimageGraph([], [], 0, parse_map("z"), GraphSpec())
     for graph, islands in ((g, [isl]), (g, None), (g, []), (empty, []), (None, [isl]), (None, None), (None, [])):
         _assert_exports_match_the_oracles(tmp_path, 2.0, graph=graph, islands=islands)
     assert "NaN" in export_json(tmp_path / "g.json", graph=g) and "nan" in export_svg(tmp_path / "g.svg", 2.0, g)
