@@ -5,6 +5,7 @@ Modules:
     metric  -- normalized spherical metric, pullback area/length, radius selection
     trace   -- lifts of chart segments, the figure-eight preimage graph
     count   -- preimage counting, islands, degrees, ramification
+    lifting -- path lifting through a map, many lifts in one array pass
     verify  -- per-radius reports and the asymptotic checks
     cli     -- configuration and experiment orchestration
 """

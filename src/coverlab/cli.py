@@ -43,6 +43,7 @@ during a stage.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import math
 import re
@@ -101,16 +102,28 @@ class ConfigError(ValueError):
 
 
 def parse_complex(text):
-    """Complex literal for config values: '1+2i', '-0.5i', 'inf', '3'."""
+    """Complex literal for config values: '1+2i', '-0.5i', '3', or INF for
+    'inf', 'infinity' and 'oo'.  Any other non-finite value, as 'nan' or
+    '1e999', raises ValueError."""
     s = text.strip().lower().replace(" ", "")
     if s in ("inf", "infinity", "oo"):
-        return "inf"
-    s = s.replace("i", "j")
+        return INF
     # allow bare 'j' suffixes like '2j' and combined 'a+bj'
     try:
-        return complex(s)
+        value = complex(s.replace("i", "j"))
     except ValueError as exc:
         raise ValueError(f"not a complex literal: {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ValueError(f"not finite: {text!r} (the point at infinity is inf, infinity or oo)")
+    return value
+
+
+def _point(key, text):
+    """parse_complex of a value of `key`; a malformed one names the key."""
+    try:
+        return parse_complex(text)
+    except ValueError as exc:
+        raise ConfigError(key, str(exc))
 
 
 @dataclass
@@ -292,31 +305,30 @@ def build_config(pairs):
         ckey, rkey = f"disk.{n}.center", f"disk.{n}.radius"
         if ckey not in pairs or rkey not in pairs:
             raise ConfigError(f"disk.{n}", "needs both center and radius")
+        center = _point(ckey, pairs[ckey])
         try:
-            center = parse_complex(pairs[ckey])
             disks.append(SphericalDisk.of(center, float(pairs[rkey])))
         except ValueError as exc:
             raise ConfigError(f"disk.{n}", str(exc))
     cfg.disks, cfg.disk_numbers = disks, disk_ids
 
     if any(k.startswith("graph.") for k in pairs):
+        node = _point("graph.node", pairs.get("graph.node", "0.5i"))
         try:
-            cfg.graph = GraphSpec(
-                node=complex(parse_complex(pairs.get("graph.node", "0.5i"))),
-                scale=float(pairs.get("graph.scale", "0.5")),
-            )
+            cfg.graph = GraphSpec(node=node, scale=float(pairs.get("graph.scale", "0.5")))
         except ValueError as exc:
             raise ConfigError("graph", str(exc))
 
     if any(k.startswith("chart.") for k in pairs):
         try:
-            moebius = [parse_complex(v) for v in pairs["chart.moebius"].split(",")]
-            if len(moebius) != 4 or "inf" in moebius:
+            moebius = [_point("chart.moebius", v) for v in pairs["chart.moebius"].split(",")]
+            if len(moebius) != 4 or INF in moebius:
                 raise ValueError("moebius needs 4 finite coefficients a, b, c, d")
             x_range = tuple(float(v) for v in pairs["chart.x_range"].split(","))
             t_range = tuple(float(v) for v in pairs["chart.t_range"].split(","))
-            cfg.chart = RectangleChart(*[complex(c) for c in moebius],
-                                       x_range=x_range, t_range=t_range)
+            cfg.chart = RectangleChart(*moebius, x_range=x_range, t_range=t_range)
+        except ConfigError:
+            raise
         except KeyError as exc:
             raise ConfigError("chart", f"missing {exc.args[0]}")
         except ValueError as exc:
@@ -485,7 +497,7 @@ def _effective_config(args):
         try:
             cfg.graph = replace(
                 cfg.graph,
-                node=cfg.graph.node if node is None else complex(parse_complex(node)),
+                node=cfg.graph.node if node is None else parse_complex(node),
                 scale=cfg.graph.scale if scale is None else scale,
             )
         except ValueError as exc:

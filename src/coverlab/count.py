@@ -31,7 +31,12 @@ root-on-path scale (radius about 3e-7 |z'(t)| |f'|) is undecided.
   order of f - p at a zero that D shares comes from D's moments on the
   same nodes.  A cell whose zeros fail is split, as is one of larger w.
 - find_islands: an island holds a preimage of its disk's centre and is
-  bounded by lifts (_lift) of the disk's boundary circle from there.
+  bounded by lifts of the disk's boundary circle from there
+  (lifting.lift_boundaries).  island_scans finds the islands of many
+  (disk, radius) pairs at once: the lifts of all pairs with one chart map
+  share array passes, each pair in its own lockstep, so each pair's
+  islands, or its error, are those of its own find_islands call bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -54,6 +59,7 @@ from coverlab.expr import (
     evaluate_array,
     evaluate_arrays,
 )
+from coverlab.lifting import ResolutionError, lift_boundaries
 from coverlab.metric import (
     SphericalDisk,
     sample_sphere_uniform,
@@ -82,11 +88,6 @@ class ContourPassesThroughRoot(ArithmeticError):
 
 class RootOnCircleError(ArithmeticError):
     """A preimage sits on |z| = r within tolerance; perturb the radius."""
-
-
-class ResolutionError(ArithmeticError):
-    """Grid too coarse to resolve the preimage of a graph (retry with a finer
-    resolution), or a path lift stalled, as at a critical point on the path."""
 
 
 @dataclass(frozen=True)
@@ -776,7 +777,29 @@ def ring_radius(r, resolution):
     return r - 2.5 * (2.0 * r / resolution)
 
 
-def find_islands(m, disk, r, resolution=512):
+def island_scans(m, disks, radii, resolution=512):
+    """find_islands for every disk at every radius: per radius, the islands
+    of all disks, each with its disk_index, and their ambiguous count, or
+    the error that the first failing disk raised there.  The lifts of all
+    the (disk, radius) pairs share array passes (_island_lifts), and each
+    pair's result equals its own find_islands call bit for bit."""
+    lifted = iter(_island_lifts(m, [(disk, r) for r in radii for disk in disks], resolution))
+    scans = []
+    for r in radii:
+        pairs = [(disk, next(lifted)) for disk in disks]
+        try:
+            found = [find_islands(m, disk, r, resolution, lift) for disk, lift in pairs]
+        except (ValueError, ArithmeticError) as exc:
+            scans.append(exc)
+            continue
+        for k, (islands, _) in enumerate(found):
+            for rec in islands:
+                rec.disk_index = k
+        scans.append(([rec for islands, _ in found for rec in islands], sum(a for _, a in found)))
+    return scans
+
+
+def find_islands(m, disk, r, resolution=512, lifted=None):
     """Islands of `disk`: proper preimage components inside |z| < r, and
     the number of ambiguous components.
 
@@ -789,50 +812,18 @@ def find_islands(m, disk, r, resolution=512):
     point touches the boundary.  Counterclockwise cycles are outer curves;
     a clockwise one is a hole of the smallest outer curve around it.  An
     island has degree sum(k_j) and chi = 2 - #curves; one whose outer curve
-    reaches the properness margin is ambiguous.
+    reaches the properness margin is ambiguous.  The lifts are the pair's
+    entry of _island_lifts: `lifted`, as island_scans passes it, or made
+    here.
     """
-    if resolution < 64:
-        raise ValueError("resolution must be at least 64")
-    disk = disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
-    ring = ring_radius(r, resolution)
-    seeds = find_roots(m, disk.center, ring)
-    g, c, centre, radius = _chart(m, disk)
-    dg = differentiate(g)
-    b = centre + radius * np.exp(2.399963229728653j)  # the golden angle: a generic point
-    # a k-fold seed z0, where g = c + a (z - z0)^k + ..., starts k branches
-    # of w(s) = c + s^k (b - c) at s = s0, a k-th turn apart; z0 per branch
-    seed_of = np.repeat(np.arange(len(seeds)), [root.multiplicity for root in seeds])
-    z0 = np.array([root.location for root in seeds], dtype=np.complex128)[seed_of]
-    k = np.array([root.multiplicity for root in seeds], dtype=int)[seed_of]
-    delta = 1e-3 * (1 + np.abs(z0))
-    a = (evaluate_array(g, z0 + delta) - c) / delta**k
-    turn = np.exp(2j * np.pi * (np.arange(len(k)) - np.searchsorted(seed_of, seed_of)) / k)
-    direction = ((b - c) / a) ** (1 / k) * turn
-
-    def segment(s):
-        return c + s**k * (b - c), k * s ** (k - 1) * (b - c)
-
-    def circle(t):
-        arm = (b - centre) * np.exp(2j * np.pi * t)
-        return centre + arm, 2j * np.pi * arm
-
-    # s0 = 0.01 unless a critical value near c puts a start off its branch:
-    # then three Newton steps towards w(s0) move it by a quarter of its
-    # distance from the seed or more, and s0 shrinks tenfold, to 1e-6 at most
-    for s0 in (1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
-        start = moved = z0 + s0 * direction
-        with np.errstate(all="ignore"):
-            for _ in range(3):
-                gz, dgz = evaluate_arrays([g, dg], moved)
-                moved = moved - (gz - segment(s0)[0]) / dgz
-        if np.all(np.abs(moved - start) < np.abs(start - z0) / 4):
-            break
-
-    rows, alive = _lift(g, dg, start, segment, s0, 1.0, ring)
-    ends, z0 = rows[-1][alive], z0[alive]
+    if lifted is None:
+        (lifted,) = _island_lifts(m, [(disk, r)], resolution)
+    if isinstance(lifted, Exception):
+        raise lifted
+    dg, radius, z0, ends, *circles = lifted
     if not len(ends):
         return [], 0
-    rows, alive = _lift(g, dg, ends, circle, 0.0, 1.0, ring)
+    rows, alive = circles
     # each lift lands on the end point within 1e-6 radius / |g'| of it, if any
     dist = np.abs(rows[-1][:, None] - ends[None, :])
     nxt = dist.argmin(axis=1)
@@ -866,6 +857,33 @@ def find_islands(m, disk, r, resolution=512):
     return islands, n_ambiguous
 
 
+def _island_lifts(m, jobs, resolution):
+    """For each (disk, r) of `jobs`, the error it raised or its lifts as
+    find_islands reads them: g', the disk's radius in the chart (_chart),
+    and the seeds, segment ends and circle lifts of lift_boundaries.  Seeds
+    come from one find_roots call per pair; the pairs of one chart map g
+    (equal trees are one map) are lifted together."""
+    if resolution < 64:
+        raise ValueError("resolution must be at least 64")
+    out, charts = [None] * len(jobs), {}  # chart map -> [(job, its lift_boundaries disk)]
+    for j, (disk, r) in enumerate(jobs):
+        disk = disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
+        ring = ring_radius(r, resolution)
+        try:
+            seeds = find_roots(m, disk.center, ring)
+        except (ValueError, ArithmeticError) as exc:
+            out[j] = exc
+            continue
+        g, c, centre, radius = _chart(m, disk)
+        charts.setdefault(g, []).append((j, (seeds, c, centre, radius, ring)))
+    for g, pairs in charts.items():
+        dg = differentiate(g)
+        lifted = lift_boundaries(g, dg, [disk for _, disk in pairs])
+        for (j, (*_, radius, _)), lift in zip(pairs, lifted):
+            out[j] = lift if isinstance(lift, Exception) else (dg, radius, *lift)
+    return out
+
+
 def _chart(m, disk):
     """(g, c, C, R): f, or D/N of f = N/D when |c| > 1, with the centre c and
     the disk |w - C| < R: |w - c|^2 < k (1 + |w|^2), k = pi rho^2 (1 + |c|^2)."""
@@ -886,50 +904,6 @@ def _encloses(loop, z):
 def _polygon_area(points):
     x, y = points.real, points.imag
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
-
-
-# ---------------------------------------------------------------------------
-# Path lifting
-
-_LIFT_STEPS = 32  # a lift takes at least this many steps over its range
-_MIN_LIFT_STEP = 1e-12  # a shorter step, relative to the range, is an underflow
-
-
-def _lift(g, dg, z, path, t0, t1, stop):
-    """Lift t -> path(t) = (w, dw/dt), t0 <= t <= t1, through g from points
-    z near g(z) = w(t0), in lockstep: an Euler predictor dz = dw / g'(z) and
-    three Newton corrections, taken when every live path's corrector
-    converged and moved less than dz / 4, else halved.  A path stops at
-    |z| >= stop.  Returns the points after each step (rows; a stopped path
-    keeps its last point) and the mask of paths never stopped."""
-    z = np.array(z, dtype=np.complex128)
-    slope = evaluate_array(dg, z)
-    live = np.ones(len(z), dtype=bool)
-    rows = [z.copy()]
-    u, h = 0.0, 1.0 / _LIFT_STEPS  # t = t0 + u (t1 - t0); dyadic steps end at u = 1 exactly
-    while u < 1 and live.any():
-        h = min(h, 1 - u)
-        t, t_next = t0 + u * (t1 - t0), t0 + (u + h) * (t1 - t0)
-        dz = np.broadcast_to(path(t)[1] * (t_next - t), z.shape)[live] / slope[live]
-        w = np.broadcast_to(path(t_next)[0], z.shape)[live]
-        moved = z[live] + dz
-        for _ in range(3):
-            gz, new_slope = evaluate_arrays([g, dg], moved)
-            with np.errstate(all="ignore"):
-                err = (gz - w) / new_slope
-            moved = moved - err
-        ok = (np.abs(moved - z[live] - dz) < np.abs(dz) / 4) & (np.abs(err) <= 1e-6 * np.abs(dz))
-        if not ok.all():
-            h /= 2
-            if h < _MIN_LIFT_STEP:
-                raise ResolutionError(f"path lifting stalled at t = {t!r}: refine the disk")
-            continue
-        u += h
-        z[live], slope[live] = moved, new_slope  # g' at the last corrector iterate
-        live &= np.abs(z) < stop
-        rows.append(z.copy())
-        h = min(2 * h, 1.0 / _LIFT_STEPS)
-    return np.array(rows), live
 
 
 def total_ramification(islands):

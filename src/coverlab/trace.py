@@ -1,7 +1,7 @@
 """Preimages of chart segments and of the figure-eight graph in the source disk.
 
 A chart segment (the horizontal line t of a Moebius chart zeta) is lifted
-through zeta o f from the preimages of its end points (count._lift), so
+through zeta o f from the preimages of its end points (lifting.lift_paths), so
 each lift is one good or bad arc of the arcs statement.  The figure-eight
 is the level set {level = 0} of one function on the target (a lemniscate),
 and its preimage is marched (_march.extract) on an adaptive grid sampled
@@ -38,12 +38,12 @@ from coverlab.expr import (
     evaluate_array,
     evaluate_ball,
 )
+from coverlab.lifting import lift_paths
 from coverlab.metric import chordal_distance, sphere_point
 from coverlab.count import (
     ContourPassesThroughRoot,
     ResolutionError,
     WindingError,
-    _lift,
     count_preimages,
     count_preimages_many,
     find_roots,
@@ -117,7 +117,7 @@ class GraphSpec:
     scale: float = 0.5
 
     def __post_init__(self):
-        if not cmath.isfinite(self.node):
+        if self.node is INF or not cmath.isfinite(self.node):
             raise ValueError("graph node must be finite")
         if not self.scale > 0:
             raise ValueError("figure-eight scale must be positive")
@@ -176,7 +176,7 @@ def trace_preimage(m, chart, t, r, resolution=512):
     which the chart may send through infinity, that start in |z| < r.
 
     The chart segment x -> x + i t is lifted through g = zeta o f
-    (count._lift), a straight path even where the chart sends it through
+    (lifting.lift_paths), a straight path even where the chart sends it through
     infinity: forward from every preimage of its start in the disk, and
     backward from every preimage of its end.  A backward lift that
     completes retraces a forward one and is dropped.  A lift that leaves
@@ -199,7 +199,10 @@ def trace_preimage(m, chart, t, r, resolution=512):
     out = []
     for start, end in (chart.x_range, chart.x_range[::-1]):
         roots = find_roots(m, complex(chart.inverse(start + 1j * t)), r)
-        rows, alive = _lift(g, dg, [root.location for root in roots], path, start, end, r)
+        (lifted,) = lift_paths(g, dg, [([root.location for root in roots], path, start, end, r)])
+        if isinstance(lifted, ResolutionError):
+            raise lifted
+        rows, alive = lifted
         for pts, complete in zip(rows.T, alive):
             if complete and end < start:
                 continue  # a forward lift, reversed

@@ -23,10 +23,10 @@ import csv
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 from coverlab.count import (
-    find_islands,
+    island_scans,
     mean_degree,
     total_ramification,
 )
@@ -57,9 +57,13 @@ class RadiusContext:
     """The quantities of one (map, radius, resolution), each computed once.
 
     a and l come from the metric profile.  The islands over the disks (with
-    disk_index set), the figure-eight preimage graph and its complement are
-    computed on first use and kept.  A computation that raises keeps
-    nothing, so the next verifier that needs it recomputes it.
+    disk_index set) are this radius's entry of the run's one island_scans
+    call, which the first context to need islands makes for every radius
+    (radius_contexts); a radius whose scan failed raises its own error at
+    every use, and the other radii keep their islands.  The figure-eight
+    preimage graph and its complement are computed on first use and kept;
+    a computation that raises keeps nothing, so the next verifier that
+    needs it recomputes it.
     """
 
     m: object  # the map's expression tree
@@ -69,19 +73,15 @@ class RadiusContext:
     resolution: int = 512
     disks: tuple = ()
     graph_spec: GraphSpec | None = None
+    scan: Callable = None  # this radius's entry of the run's island_scans
 
-    @cached_property
+    @property
     def island_scan(self):
-        """(islands of all disks, each with its disk_index; ambiguous count),
-        from one `find_islands` call per disk."""
-        islands, ambiguous = [], 0
-        for k, disk in enumerate(self.disks):
-            found, amb = find_islands(self.m, disk, self.r, self.resolution)
-            for rec in found:
-                rec.disk_index = k
-            islands.extend(found)
-            ambiguous += amb
-        return islands, ambiguous
+        """(islands of all disks, each with its disk_index; ambiguous count)."""
+        scan = self.scan()
+        if isinstance(scan, Exception):
+            raise scan
+        return scan
 
     @property
     def islands(self):
@@ -101,10 +101,12 @@ class RadiusContext:
 
 
 def radius_contexts(m, profile, resolution=512, disks=(), graph_spec=None):
-    """One RadiusContext per row of a metric profile (at its nudged radii)."""
+    """One RadiusContext per row of a metric profile (at its nudged radii),
+    all sharing one island_scans call over the disks and radii."""
+    scans = cache(lambda: island_scans(m, disks, profile.radii, resolution))
     return [
-        RadiusContext(m, r, a, l, resolution, tuple(disks), graph_spec)
-        for r, a, l in zip(profile.radii, profile.a, profile.l)
+        RadiusContext(m, r, a, l, resolution, tuple(disks), graph_spec, lambda k=k: scans()[k])
+        for k, (r, a, l) in enumerate(zip(profile.radii, profile.a, profile.l))
     ]
 
 

@@ -1,6 +1,7 @@
 """Hypothesis profiles: ``ci`` runs derandomized with a large example budget.
 
-    HYPOTHESIS_PROFILE=ci python -m pytest -q tests/test_expr.py -k "ball or shared"
+    HYPOTHESIS_PROFILE=ci python -m pytest -q tests/test_expr.py tests/test_count.py \
+        -k "ball or shared or island_scans_equal"
 
 Without ``HYPOTHESIS_PROFILE`` the default profile and budget apply.
 """

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from coverlab import _march, cli, metric
+from coverlab import _march, cli, count, metric
 from coverlab.cli import (
     ConfigError,
     ExperimentConfig,
@@ -20,7 +20,8 @@ from coverlab.cli import (
     parse_config_text,
     run,
 )
-from coverlab.expr import parse_map
+from coverlab.count import WindingError
+from coverlab.expr import INF, parse_map
 from coverlab.verify import VERIFIERS, ExperimentReport, verdicts_from_report
 
 GOOD_CONFIG = """\
@@ -46,10 +47,33 @@ verifiers = mean_degree, islands, graph, rh, euler, containment
 def test_parse_complex():
     assert parse_complex("1+2i") == 1 + 2j
     assert parse_complex("-0.5i") == -0.5j
-    assert parse_complex("inf") == "inf"
+    assert parse_complex("inf") is parse_complex(" Infinity") is parse_complex("oo") is INF
     assert parse_complex("3") == 3 + 0j
     with pytest.raises(ValueError):
         parse_complex("wat")
+    for text in ("nan", "1e999", "1+nani", "-1e400i"):
+        with pytest.raises(ValueError, match="not finite"):
+            parse_complex(text)
+
+
+@pytest.mark.parametrize(
+    ("lines", "key"),
+    [
+        ("disk.1.center = nan\ndisk.1.radius = 0.1\n", "disk.1.center"),
+        ("disk.1.center = 1e999\ndisk.1.radius = 0.1\n", "disk.1.center"),
+        ("graph.node = nan\n", "graph.node"),
+        ("graph.node = 0.5+nani\n", "graph.node"),
+        ("chart.moebius = 1, 0, nan, 1\nchart.x_range = 0.7, 1.3\nchart.t_range = -0.1, 0.1\n",
+         "chart.moebius"),
+    ],
+    ids=["disk-nan", "disk-overflow", "node-nan", "node-nan-imaginary", "moebius-nan"],
+)
+def test_non_finite_literals_are_rejected_by_their_key(lines, key):
+    # a literal that is not finite is no point, and only inf, infinity and
+    # oo name the point at infinity
+    with pytest.raises(ConfigError, match="not finite") as exc:
+        parse_config_text("map = z\nradii.list = 2\n" + lines)
+    assert exc.value.field_path == key
 
 
 def test_config_parse_roundtrip():
@@ -361,8 +385,10 @@ def test_islands_verdict_includes_slack_trend(tmp_path, radii):
 
 
 def test_run_computes_each_quantity_once(tmp_path, monkeypatch):
-    """On the criterion-11 config (GOOD_CONFIG), one radius and three disks."""
-    names = ("area", "boundary_length", "find_islands", "build_preimage_graph",
+    """On the criterion-11 config (GOOD_CONFIG) at two radii, with three
+    disks: one island_scans call for the run, which ends each (disk, radius)
+    pair with find_islands."""
+    names = ("area", "boundary_length", "island_scans", "find_islands", "build_preimage_graph",
              "complement_components")
     calls = dict.fromkeys(names, 0)
     for modname, module in list(sys.modules.items()):
@@ -376,15 +402,46 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch):
                     return _fn(*args, **kwargs)
 
                 monkeypatch.setattr(module, name, counted)
-    cfg = parse_config_text(GOOD_CONFIG + f"outputs = {tmp_path}\n")
+    text = GOOD_CONFIG.replace("radii.list = 2\n", "radii.list = 2, 3\n")
+    cfg = parse_config_text(text + f"outputs = {tmp_path}\n")
     assert run(cfg) == 0
     assert calls == {
-        "area": 1,
-        "boundary_length": 1,
-        "find_islands": 3,
-        "build_preimage_graph": 1,
-        "complement_components": 1,
+        "area": 2,
+        "boundary_length": 2,
+        "island_scans": 1,
+        "find_islands": 6,
+        "build_preimage_graph": 2,
+        "complement_components": 2,
     }
+
+
+def test_a_failing_radius_fails_the_stages_that_read_its_islands(tmp_path, monkeypatch, capsys):
+    # find_roots failing for the second disk at the second of three radii:
+    # every stage that reads that radius's islands records its error, the
+    # run exits 3, and the islands subcommand prints the first radius's line
+    # before the error
+    text = GOOD_CONFIG.replace("radii.list = 2\n", "radii.list = 1.5, 2, 3\n")
+    real = count.find_roots
+
+    def failing(m, p, r):
+        if p == 0.5 + 0.5j and r == count.ring_radius(2.0, 256):
+            raise WindingError("cell subdivision budget exceeded")
+        return real(m, p, r)
+
+    monkeypatch.setattr(count, "find_roots", failing)
+    assert run(parse_config_text(text + f"outputs = {tmp_path / 'run'}\n")) == 3
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["errors"] == [
+        {"stage": stage, "error": "cell subdivision budget exceeded"}
+        for stage in ("islands", "graph", "rh", "euler", "containment")
+    ]
+    assert summary["exit_code"] == 3
+    (tmp_path / "islands.cfg").write_text(text + f"outputs = {tmp_path / 'sub'}\n")
+    assert main(["islands", "--config", str(tmp_path / "islands.cfg")]) == 3
+    out, err = capsys.readouterr()
+    assert out.startswith("r=1.5 islands=2 per_disk=[1, 1, 0] ambiguous=0 ")
+    assert out.count("\n") == 1
+    assert err == "numeric error: cell subdivision budget exceeded\n"
 
 
 def test_cli_import_loads_no_scipy_and_loads_numpy_random():

@@ -7,8 +7,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import serial_islands
 from coverlab import count as count_module
-from coverlab.expr import INF, evaluate, evaluate_array, parse_map
+from coverlab.expr import (
+    INF,
+    Add,
+    Const,
+    Pow,
+    Var,
+    differentiate,
+    evaluate,
+    evaluate_array,
+    parse_map,
+)
+from coverlab.lifting import lift_paths
 from coverlab.count import (
     IslandRecord,
     ResolutionError,
@@ -18,6 +30,7 @@ from coverlab.count import (
     count_preimages_many,
     find_islands,
     find_roots,
+    island_scans,
     mean_degree,
     multiplicity_count,
     total_ramification,
@@ -685,6 +698,133 @@ def test_island_scans_do_not_depend_on_scan_order():
             assert np.array_equal(rec.boundary, rec2.boundary)
             assert len(rec.holes) == len(rec2.holes)
             assert all(np.array_equal(a, b) for a, b in zip(rec.holes, rec2.holes))
+
+
+def _bits(scan):
+    """An island_scans entry as comparable bits: the error's type and
+    message, or the ambiguous count and each island's fields and loops."""
+    if isinstance(scan, Exception):
+        return type(scan), str(scan)
+    islands, ambiguous = scan
+    return ambiguous, [
+        (rec.disk_index, rec.chi, rec.degree, rec.ramification, rec.centroid,
+         rec.boundary.tobytes(), [hole.tobytes() for hole in rec.holes])
+        for rec in islands
+    ]
+
+
+def _serial_scan(m, disks, r, resolution):
+    """island_scans' entry for radius r, one serial find_islands per disk."""
+    islands, ambiguous = [], 0
+    try:
+        for k, disk in enumerate(disks):
+            found, amb = serial_islands.find_islands(m, disk, r, resolution)
+            for rec in found:
+                rec.disk_index = k
+            islands += found
+            ambiguous += amb
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+    return islands, ambiguous
+
+
+_CENTRES = st.one_of(
+    st.just(INF), st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False)
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False),
+    st.lists(st.tuples(_CENTRES, st.floats(0.01, 0.2)), min_size=1, max_size=3),
+    st.lists(st.floats(0.3, 4.0), min_size=2, max_size=4),
+)
+def test_island_scans_equal_the_serial_finder_bit_for_bit(d, c, disks, radii):
+    # z^d + c over disks about random centres, infinity among them: every
+    # radius's islands, or its first failing disk's error, as one serial
+    # find_islands call per (disk, radius) gives them
+    m = Add(Pow(Var(), d), Const(c))
+    disks = [SphericalDisk.of(centre, rho) for centre, rho in disks]
+    # numpy's floating-point warnings are off, as outside the tests: a
+    # 6-fold seed under a centre c of modulus about 1 loses g - c to rounding
+    # in its start direction, and both finders then lift NaN starts alike
+    with np.errstate(all="ignore"):
+        scans = island_scans(m, disks, radii, 512)
+        serial = [_serial_scan(m, disks, r, 512) for r in radii]
+    assert [_bits(scan) for scan in scans] == [_bits(scan) for scan in serial]
+
+
+@pytest.mark.parametrize(
+    "source, centres, rho, radii, resolution",
+    [
+        # the island scans of poly-sweep and exp-topology
+        ("z^5", (0, 1, "inf"), RHO, [2.0, 3.0, 5.0, 7.0, 10.0], 512),
+        ("exp(z)", (1 + 0.25j, -1 + 0.25j, "inf"), 0.05, [47.41, 80.0], 2048),
+        ("z^2*(z-1)^3", (0, 1, "inf"), RHO, [2.0, 5.0], 512),
+        # starts at s0 = 1e-4 next to starts at 0.01 in one pass, as the
+        # critical value 0 lies next to the centre 1e-4 i
+        ("z^2", (1e-4j, -0.5, 3), RHO, [2.0, 3.0], 512),
+    ],
+)
+def test_island_scans_match_the_serial_finder_on_fixed_configs(source, centres, rho, radii,
+                                                               resolution):
+    m = parse_map(source)
+    disks = [SphericalDisk.of(centre, rho) for centre in centres]
+    scans = island_scans(m, disks, radii, resolution)
+    assert [_bits(scan) for scan in scans] == [
+        _bits(_serial_scan(m, disks, r, resolution)) for r in radii
+    ]
+
+
+def test_a_stalled_lift_leaves_the_lifts_beside_it_alone():
+    # z^2 lifted from 1 along w = 1 - 2t meets the critical value 0 at t = 1/2
+    # and stalls there; a lift beside it in the same pass, through no critical
+    # value, takes the steps it takes alone, as does the serial lifter
+    g = Pow(Var(), 2)
+    dg = differentiate(g)
+
+    def through_zero(t):
+        return 1 - 2 * t + 0j, -2.0
+
+    def upward(t):
+        return 1 + 1j * t, 1j
+
+    stalling = (np.array([1 + 0j, -1 + 0j]), through_zero, 0.0, 1.0, 10.0)
+    going = (np.array([1 + 0j, -1 + 0j]), upward, 0.0, 1.0, 10.0)
+    stalled, (rows, alive) = lift_paths(g, dg, [stalling, going])
+    alone_rows, alone_alive = lift_paths(g, dg, [going])[0]
+    serial_rows, serial_alive = serial_islands._lift(g, dg, *going)
+    assert rows.tobytes() == alone_rows.tobytes() == serial_rows.tobytes()
+    assert alive.tolist() == alone_alive.tolist() == serial_alive.tolist() == [True, True]
+    with pytest.raises(ResolutionError) as info:
+        serial_islands._lift(g, dg, *stalling)
+    assert isinstance(stalled, ResolutionError)
+    assert str(stalled) == str(info.value)
+    assert str(stalled).startswith("path lifting stalled at t = 0.49999")
+
+
+def test_island_scans_keep_each_radius_to_its_own_error(monkeypatch):
+    # a find_roots failure for the second disk at the second of three radii
+    # is that radius's error, as the serial finder raises it; the other
+    # radii keep their islands bit for bit
+    m = parse_map("z^3")
+    disks = [SphericalDisk.of(c, RHO) for c in (0, 1, "inf")]
+    radii = [1.5, 2.0, 3.0]
+    before = [_bits(scan) for scan in island_scans(m, disks, radii, 512)]
+    real = count_module.find_roots
+
+    def failing(m, p, r):
+        if p == 1 and r == count_module.ring_radius(2.0, 512):
+            raise WindingError("cell subdivision budget exceeded")
+        return real(m, p, r)
+
+    monkeypatch.setattr(count_module, "find_roots", failing)
+    monkeypatch.setattr(serial_islands, "find_roots", failing)
+    scans = island_scans(m, disks, radii, 512)
+    assert isinstance(scans[1], WindingError)
+    assert _bits(scans[1]) == _bits(_serial_scan(m, disks, 2.0, 512))
+    assert [_bits(scans[0]), _bits(scans[2])] == [before[0], before[2]]
 
 
 @pytest.mark.parametrize("resolution", [256, 512, 2048])
