@@ -36,9 +36,11 @@ numpy, on a set given by its row runs, with no grid of the whole set.
 touching pairs.  `mask_euler_characteristic` takes each component's
 number of runs less its 8-touching pairs of runs.  `deepest` finds every
 component's deepest pixel in one lockstep binary search over erosions of
-the runs by squares: across, each run shrinks at both ends; down, the runs
-of 2k + 1 rows meet by doubling, each meeting a `_touching` pairing of
-runs some rows apart.
+the runs by squares: down, the runs of 2k + 1 rows meet; across, each run
+shrinks at both ends.  One table per call holds the runs common to 2^p
+rows from each row, each level one `_touching` pairing of the level
+before, so each step meets any window's rows in one pairing of two table
+rows.
 """
 
 from __future__ import annotations
@@ -421,16 +423,44 @@ def deepest(row, lo, hi, label, shape):
     eroded by the (2k + 1)-square within the grid.  Every component
     binary-searches its largest k with E_k nonempty, all in lockstep; the
     first pixel of that E_k is its deepest.  A grid-filling component's E_k
-    is never empty, and no other depth reaches n_rows + n_cols.
+    is never empty, and no other depth reaches n_rows + n_cols.  Eroding by
+    the square is meeting the 2k + 1 rows about a row, then shrinking each
+    run by k across.  The rows come from one table per call (_erosion_table,
+    the runs common to 2^p rows from each row): each step meets, for every
+    component, its two table rows that cover the window in one `_touching`
+    pairing.  Rows beyond the grid count as on the component, so a window
+    reaching past the grid is clipped to it: no window is taller than
+    2 n_rows - 1 rows.
     """
+    n_rows, n_cols = shape
     size = int(label.max(initial=-1)) + 1
     _, first = np.unique(label, return_index=True)
     probe = np.column_stack((row[first], lo[first]))  # the first pixel of E_0
+    key, t_lo, t_hi, span, off = _erosion_table(row, lo, hi, label, shape)
     low, high = np.zeros(size, dtype=int), np.full(size, sum(shape))
     while (high - low > 1).any():
         # a finished component tests its own low again, which changes nothing
         k = (low + high) // 2
-        e_row, e_lo, e_label = _eroded(row, lo, hi, label, k, shape)
+        down = np.minimum(k, n_rows - 1)  # a longer window meets every grid row
+        p = np.frexp(2 * down + 1)[1] - 1  # the level of 2^p <= 2 down + 1 < 2^(p + 1) rows
+        # each component's table rows at its level, blocks in increasing key order
+        c = np.lexsort((np.arange(size), p))
+        start = np.searchsorted(key, (p[c] * size + c) * span)
+        count = np.searchsorted(key, (p[c] * size + c + 1) * span) - start
+        s = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
+        t_label = np.repeat(c, count)
+        # rows j - down .. j + down meet as table rows j - down and j + down + 1 - 2^p
+        a, b = _touching(key[s], t_lo[s], t_hi[s], 0, (2 * down + 1 - (1 << p))[t_label])
+        e_label, a, b = t_label[a], s[a], s[b]
+        e_row = key[a] % span - off + down[e_label]
+        # across: a run loses k columns at each end off the grid edges
+        e_lo = np.maximum(t_lo[a], t_lo[b])
+        e_lo = np.where(e_lo == 0, 0, e_lo + k[e_label])
+        e_hi = np.minimum(t_hi[a], t_hi[b])
+        e_hi = np.where(e_hi == n_cols, n_cols, e_hi - k[e_label])
+        # the table rows past the grid's ends also name rows off the grid
+        kept = (e_lo < e_hi) & (0 <= e_row) & (e_row < n_rows)
+        e_row, e_lo, e_label = e_row[kept], e_lo[kept], e_label[kept]
         hit = np.bincount(e_label, minlength=size) > 0
         low, high = np.where(hit, k, low), np.where(hit, high, k)
         _, first = np.unique(e_label, return_index=True)
@@ -438,39 +468,40 @@ def deepest(row, lo, hi, label, shape):
     return probe
 
 
-def _eroded(row, lo, hi, label, k, shape):
-    """Runs (row, lo, label) of every component c of the runs (row, lo, hi,
-    label), given in raster order, eroded by the (2k[c] + 1)-square within
-    the grid; they come in label order, then raster order."""
-    n_rows, n_cols = shape
-    # across: a run loses k columns at each end off the grid edges
-    lo = np.where(lo == 0, 0, lo + k[label])
-    hi = np.where(hi == n_cols, n_cols, hi - k[label])
-    kept = lo < hi
-    # down: k whole rows beyond the first or last grid row, if the component is on it
-    top, bottom = np.unique(label[row == 0]), np.unique(label[row == n_rows - 1])
-    pad = np.r_[top, bottom]
-    count = k[pad]
-    step = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-    pad_row = np.repeat(np.r_[-k[top], np.full(len(bottom), n_rows)], count) + step
-    # each component's rows as one key, far enough from the next component's
-    # that no gap below spans the distance; a row's runs keep column order
-    span = n_rows + 4 * (n_rows + n_cols)
-    label = np.r_[label[kept], np.repeat(pad, count)]
-    key = label * span + np.r_[row[kept], pad_row]
-    lo = np.r_[lo[kept], np.zeros_like(pad_row)]
-    hi = np.r_[hi[kept], np.full_like(pad_row, n_cols)]
+def _erosion_table(row, lo, hi, label, shape):
+    """The runs (key, lo, hi) common to rows j .. j + 2^p - 1 of each
+    component c of the runs (row, lo, hi, label), for every level p with
+    2^p < 2 n_rows and every start row j whose rows meet the grid; rows
+    beyond the grid count as on the component, so its rows meet only those
+    in the grid.  key = (p size + c) span + j + off, in increasing order,
+    with each row's runs in column order; returns span and off too.  Level
+    p + 1 is level p met with itself 2^p rows down, in one `_touching`
+    pairing; a window whose lower half is beyond the grid keeps its upper
+    half's runs, and one whose upper half is takes its lower half's."""
+    n_rows = shape[0]
+    levels = (2 * n_rows - 1).bit_length()
+    size = int(label.max(initial=-1)) + 1
+    # no pairing gap reaches from a (level, component) block into the one before
+    off = 1 << levels
+    span = n_rows + 4 * off
+    key = label.astype(np.int64) * span + row + off
     order = np.argsort(key, kind="stable")
-    key, lo, hi, label = key[order], lo[order], hi[order], label[order]
-    # the runs of rows j .. j + length - 1 all hold, as runs of row j; double
-    # the length (sparse-table style) until the last step meets 2k + 1 rows
-    width = 2 * k + 1
-    length = np.ones_like(k)
-    while (gap := np.minimum(length, width - length)).any():
-        a, b = _touching(key, lo, hi, 0, gap[label])
-        key, lo, hi, label = key[a], np.maximum(lo[a], lo[b]), np.minimum(hi[a], hi[b]), label[a]
-        length += gap
-    return key - label * span + k[label], lo, label
+    key, lo, hi = key[order], lo[order].astype(np.int32), hi[order].astype(np.int32)
+    keys, los, his = [key], [lo], [hi]
+    for p in range(levels - 1):
+        h = 1 << p
+        start = key % span - off
+        a, b = _touching(key, lo, hi, 0, h)
+        up, down = start <= 0, start >= n_rows - h
+        key = np.concatenate((key[up] - h, key[a], key[down])) + size * span
+        lo = np.concatenate((lo[up], np.maximum(lo[a], lo[b]), lo[down]))
+        hi = np.concatenate((hi[up], np.minimum(hi[a], hi[b]), hi[down]))
+        order = np.argsort(key, kind="stable")
+        key, lo, hi = key[order], lo[order], hi[order]
+        keys.append(key)
+        los.append(lo)
+        his.append(hi)
+    return np.concatenate(keys), np.concatenate(los), np.concatenate(his), span, off
 
 
 def mask_euler_characteristic(row, lo, hi, label):

@@ -30,13 +30,18 @@ root-on-path scale (radius about 3e-7 |z'(t)| |f'|) is undecided.
   multiple zero must be counted whole on a small square about it.  The
   order of f - p at a zero that D shares comes from D's moments on the
   same nodes.  A cell whose zeros fail is split, as is one of larger w.
+  find_roots_many takes many (map, target, radius) queries: those of one
+  root target g run their levels in lockstep, one _windings and one
+  _cell_roots pass per level over the cells of all of them, each query
+  keeping its own rules, so each gets its find_roots result or error bit
+  for bit.  find_roots is its one-query call.
 - find_islands: an island holds a preimage of its disk's centre and is
   bounded by lifts of the disk's boundary circle from there
   (lifting.lift_boundaries).  island_scans finds the islands of many
-  (disk, radius) pairs at once: the lifts of all pairs with one chart map
-  share array passes, each pair in its own lockstep, so each pair's
-  islands, or its error, are those of its own find_islands call bit for
-  bit.
+  (disk, radius) pairs at once: their seeds come from one find_roots_many
+  call, and the lifts of all pairs with one chart map share array passes,
+  each pair in its own lockstep, so each pair's islands, or its error, are
+  those of its own find_islands call bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ import numpy as np
 from coverlab.expr import (
     INF,
     Const,
-    Div,
     Mul,
     Sub,
     as_fraction,
@@ -59,7 +63,7 @@ from coverlab.expr import (
     evaluate_array,
     evaluate_arrays,
 )
-from coverlab.lifting import ResolutionError, lift_boundaries
+from coverlab.lifting import ResolutionError, _chart, lift_boundaries
 from coverlab.metric import (
     SphericalDisk,
     sample_sphere_uniform,
@@ -378,7 +382,8 @@ def _root_target(m, p):
 
 
 def find_roots(m, p, r):
-    """Distinct solutions of f(z) = p with |z| < r (plus boundary guard).
+    """Distinct solutions of f(z) = p with |z| < r (plus boundary guard): the
+    one-query call of find_roots_many, raising that query's error.
 
     Square cells of the bounding square are wound around 0 by the entire
     function g = N - p D (D for p at infinity), one _windings pass for all
@@ -397,44 +402,108 @@ def find_roots(m, p, r):
     infinity) the multiplicity is the order of f - p (of 1/f for p at
     infinity).
     """
-    g, den = _root_target(m, p)
+    (roots,) = find_roots_many([(m, p, r)])
+    if isinstance(roots, Exception):
+        raise roots
+    return roots
+
+
+def find_roots_many(queries):
+    """find_roots for each query (m, p, r): its Root list, or the error its
+    own find_roots call raises.  The queries of one root target (g, den) of
+    _root_target, equal trees being one target, search in lockstep
+    (_lockstep_roots): one _windings pass and one _cell_roots pass per
+    subdivision level over the cells of all of them.  Every rule stays per
+    query, so each query's roots are those of its own call, bit for bit.
+    An error raised inside a shared pass (a pole on a cell side, a
+    refinement budget) reruns that target's queries one at a time."""
+    out, targets = [None] * len(queries), {}
+    for k, (m, p, r) in enumerate(queries):
+        try:
+            targets.setdefault(_root_target(m, p), []).append(k)
+        except (ValueError, ArithmeticError) as exc:
+            out[k] = exc
+    for (g, den), ks in targets.items():
+        try:
+            found = _lockstep_roots(g, den, [queries[k][2] for k in ks])
+        except (ValueError, ArithmeticError) as exc:
+            found = [exc] if len(ks) == 1 else [find_roots_many([queries[k]])[0] for k in ks]
+        for k, roots in zip(ks, found):
+            out[k] = roots
+    return out
+
+
+def _lockstep_roots(g, den, radii):
+    """find_roots' search for the zeros of g in |z| < r for every r of
+    `radii`, each level of all of them in one _windings and one _cell_roots
+    pass: per r, its Root list or the error its own rules raise (the cell
+    budget, a root on the cuts, a root on the circle).  An error of a shared
+    pass propagates."""
     dg = differentiate(g)
     den = None if isinstance(den, Const) else (den, differentiate(den))
-    isolation = max(_ISOLATION_REL * r, 1e-12)
-    found = []  # Root(location, order of f - p); the order is <= 0 at a shared zero
+    isolation = [max(_ISOLATION_REL * r, 1e-12) for r in radii]
+    out = [None] * len(radii)  # each r's error
+    # per r: Root(location, order of f - p); the order is <= 0 at a shared zero
+    found = [[] for _ in radii]
     # a split (cell, attempt) cuts the cell at _SPLIT_FRACTIONS[attempt]; the
     # split of no cell is the bounding square, inflated by _INFLATIONS[attempt]
-    splits, wound = [(None, 0)], 0
-    while splits:
-        groups = [_children(cell, attempt, r) for cell, attempt in splits]
-        boxes = [box for group in groups for box in group]
-        wound += len(boxes)
-        if wound > _MAX_CELLS:
-            raise WindingError("cell subdivision budget exceeded")
+    splits, wound = [[(None, 0)] for _ in radii], [0] * len(radii)
+    while any(splits):
+        groups = [[_children(cell, attempt, r) for cell, attempt in split]
+                  for split, r in zip(splits, radii)]
+        for q, group in enumerate(groups):
+            wound[q] += sum(map(len, group))
+            if wound[q] > _MAX_CELLS:
+                out[q] = WindingError("cell subdivision budget exceeded")
+                splits[q], groups[q] = [], []
+        boxes = [box for group in groups for children in group for box in children]
+        if not boxes:
+            continue
         wind, undecided = _windings(g, dg, _rects(boxes), np.zeros(1, dtype=np.complex128))
-        pending, cells, k = [], [], 0
-        for (cell, attempt), group in zip(splits, groups):
-            windings, unsure = wind[k:k + len(group), 0].tolist(), undecided[k:k + len(group), 0]
-            k += len(group)
-            if unsure.any():  # a root on a split line or on the square: cut elsewhere
-                if attempt + 1 < len(_INFLATIONS if cell is None else _SPLIT_FRACTIONS):
-                    pending.append((cell, attempt + 1))
-                    continue
-                if cell is None:
-                    raise ContourPassesThroughRoot("root on the contour")
-                raise WindingError("could not avoid a root on subdivision lines")
-            cells += [(box, w) for box, w in zip(group, windings) if w > 0]
-        for (cell, w), roots in zip(cells, _cell_roots(g, dg, den, cells, 2 * isolation)):
+        cells, owner, k = [], [], 0
+        for q, group in enumerate(groups):
+            n = sum(map(len, group))
+            try:
+                splits[q], wound_cells = _wound_cells(splits[q], group, wind[k:k + n, 0],
+                                                      undecided[k:k + n, 0])
+            except (WindingError, ContourPassesThroughRoot) as exc:
+                out[q], splits[q], wound_cells = exc, [], []
+            k += n
+            cells += [(box, w, 2 * isolation[q]) for box, w in wound_cells]
+            owner += [q] * len(wound_cells)
+        for q, (cell, w, _), roots in zip(owner, cells, _cell_roots(g, dg, den, cells)):
             x0, x1, y0, y1 = cell
             if roots is not None:
-                found += roots
-            elif max(x1 - x0, y1 - y0) > isolation:
-                pending.append((cell, 0))
+                found[q] += roots
+            elif max(x1 - x0, y1 - y0) > isolation[q]:
+                splits[q].append((cell, 0))
             else:
-                found.append(_isolated_root(g, dg, den, cell, w))
-        splits = pending
+                found[q].append(_isolated_root(g, dg, den, cell, w))
+    return [out[q] or _merged(found[q], isolation[q], r) for q, r in enumerate(radii)]
 
-    # cluster anything closer than the isolation scale
+
+def _wound_cells(splits, groups, wind, undecided):
+    """One query's splits of a level, and the windings of their children
+    `groups`: the splits to cut again and the cells (box, w) of winding
+    w > 0; a split undecided at its last attempt raises."""
+    pending, cells, k = [], [], 0
+    for (cell, attempt), group in zip(splits, groups):
+        windings, unsure = wind[k:k + len(group)].tolist(), undecided[k:k + len(group)]
+        k += len(group)
+        if unsure.any():  # a root on a split line or on the square: cut elsewhere
+            if attempt + 1 < len(_INFLATIONS if cell is None else _SPLIT_FRACTIONS):
+                pending.append((cell, attempt + 1))
+                continue
+            if cell is None:
+                raise ContourPassesThroughRoot("root on the contour")
+            raise WindingError("could not avoid a root on subdivision lines")
+        cells += [(box, w) for box, w in zip(group, windings) if w > 0]
+    return pending, cells
+
+
+def _merged(found, isolation, r):
+    """The roots `found` with those closer than the isolation scale merged,
+    inside |z| < r, or the RootOnCircleError of one within 1e-7 r of it."""
     merged = []
     for root in sorted(found, key=lambda rt: (rt.location.real, rt.location.imag)):
         for k, other in enumerate(merged):
@@ -443,16 +512,10 @@ def find_roots(m, p, r):
                 break
         else:
             merged.append(root)
-
-    inside = []
     for root in merged:
         if abs(abs(root.location) - r) < 1e-7 * r:
-            raise RootOnCircleError(
-                f"preimage at {root.location!r} lies on |z| = {r}; perturb r"
-            )
-        if abs(root.location) < r and root.multiplicity > 0:
-            inside.append(root)
-    return inside
+            return RootOnCircleError(f"preimage at {root.location!r} lies on |z| = {r}; perturb r")
+    return [root for root in merged if abs(root.location) < r and root.multiplicity > 0]
 
 
 def _children(cell, attempt, r):
@@ -579,9 +642,9 @@ def _polished_zeros(f, df, cell, s, n):
     return zeros
 
 
-def _cell_roots(g, dg, den, cells, merge):
+def _cell_roots(g, dg, den, cells):
     """Root records (location, order of f - p) of the zeros of g in each
-    cell (box, w) on which g winds w times, or None where they fail.
+    cell (box, w, merge) on which g winds w times, or None where they fail.
 
     A cell of winding up to _MOMENT_MAX takes its zeros from the moments of
     g'/g on its boundary (_moments, all cells at once).  A zero next to a
@@ -591,14 +654,14 @@ def _cell_roots(g, dg, den, cells, merge):
     converges in the cell, apart from the others: w of them are all that
     the winding leaves.  A multiple zero must be one zero, not a cluster of
     simpler ones the moments cannot part: the first of the squares about
-    it, growing 4x from the merge distance to as large as lies in the cell
-    apart from the other zeros, on which the rounding noise of g leaves a
-    count must count all of it.  The order of f - p at a zero comes from
+    it, growing 4x from the cell's merge distance to as large as lies in
+    the cell apart from the other zeros, on which the rounding noise of g
+    leaves a count must count all of it.  The order of f - p at a zero comes from
     den's moments on the same nodes: a zero of den whose moment location is
     within 1e-9 of g's takes its multiplicity off.
     """
     result = [None] * len(cells)
-    small = [k for k, (_, w) in enumerate(cells) if w <= _MOMENT_MAX]
+    small = [k for k, (_, w, _) in enumerate(cells) if w <= _MOMENT_MAX]
     if not small:
         return result
     contours = [cells[k][0] for k in small]
@@ -613,7 +676,7 @@ def _cell_roots(g, dg, den, cells, merge):
     den_moments = _moments(*den, contours) if den else np.zeros_like(moments)
     zooms = []  # (cell, multiplicity, the squares about a multiple zero)
     for k, contour, s, s_den in zip(small, contours, moments, den_moments):
-        (x0, x1, y0, y1), w = cells[k]
+        (x0, x1, y0, y1), w, merge = cells[k]
         n, n_den = _count(s), _count(s_den)
         if None in (n, n_den) or max(n, n_den) > _MOMENT_MAX:
             continue
@@ -780,9 +843,10 @@ def ring_radius(r, resolution):
 def island_scans(m, disks, radii, resolution=512):
     """find_islands for every disk at every radius: per radius, the islands
     of all disks, each with its disk_index, and their ambiguous count, or
-    the error that the first failing disk raised there.  The lifts of all
-    the (disk, radius) pairs share array passes (_island_lifts), and each
-    pair's result equals its own find_islands call bit for bit."""
+    the error that the first failing disk raised there.  The seed searches
+    of all the (disk, radius) pairs are one find_roots_many call and their
+    lifts share array passes (_island_lifts), and each pair's result equals
+    its own find_islands call bit for bit."""
     lifted = iter(_island_lifts(m, [(disk, r) for r in radii for disk in disks], resolution))
     scans = []
     for r in radii:
@@ -860,40 +924,26 @@ def find_islands(m, disk, r, resolution=512, lifted=None):
 def _island_lifts(m, jobs, resolution):
     """For each (disk, r) of `jobs`, the error it raised or its lifts as
     find_islands reads them: g', the disk's radius in the chart (_chart),
-    and the seeds, segment ends and circle lifts of lift_boundaries.  Seeds
-    come from one find_roots call per pair; the pairs of one chart map g
-    (equal trees are one map) are lifted together."""
+    and the seeds, segment ends and circle lifts of lift_boundaries.  The
+    seeds of all pairs come from one find_roots_many call; the pairs of one
+    chart map g (equal trees are one map) are lifted together."""
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    out, charts = [None] * len(jobs), {}  # chart map -> [(job, its lift_boundaries disk)]
-    for j, (disk, r) in enumerate(jobs):
-        disk = disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
-        ring = ring_radius(r, resolution)
-        try:
-            seeds = find_roots(m, disk.center, ring)
-        except (ValueError, ArithmeticError) as exc:
-            out[j] = exc
-            continue
-        g, c, centre, radius = _chart(m, disk)
-        charts.setdefault(g, []).append((j, (seeds, c, centre, radius, ring)))
+    disks = [disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
+             for disk, _ in jobs]
+    rings = [ring_radius(r, resolution) for _, r in jobs]
+    out = find_roots_many([(m, disk.center, ring) for disk, ring in zip(disks, rings)])
+    charts = {}  # chart map -> [(job, its lift_boundaries disk)]
+    for j, (disk, ring, seeds) in enumerate(zip(disks, rings, out)):
+        if not isinstance(seeds, Exception):
+            g, c, centre, radius = _chart(m, disk)
+            charts.setdefault(g, []).append((j, (seeds, c, centre, radius, ring)))
     for g, pairs in charts.items():
         dg = differentiate(g)
         lifted = lift_boundaries(g, dg, [disk for _, disk in pairs])
         for (j, (*_, radius, _)), lift in zip(pairs, lifted):
             out[j] = lift if isinstance(lift, Exception) else (dg, radius, *lift)
     return out
-
-
-def _chart(m, disk):
-    """(g, c, C, R): f, or D/N of f = N/D when |c| > 1, with the centre c and
-    the disk |w - C| < R: |w - c|^2 < k (1 + |w|^2), k = pi rho^2 (1 + |c|^2)."""
-    g, c = m, disk.center
-    if c is INF or abs(c) > 1:  # the chordal distance is invariant under w -> 1/w
-        n, d = as_fraction(m)
-        g = Div(d, n)
-        c = 0j if c is INF else 1 / c
-    k = math.pi * disk.radius**2 * (1 + abs(c) ** 2)
-    return g, c, c / (1 - k), math.sqrt(k * (1 + abs(c) ** 2 - k)) / (1 - k)
 
 
 def _encloses(loop, z):

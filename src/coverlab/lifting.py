@@ -6,15 +6,25 @@ from points over its start.  lift_paths carries many independent lifts in
 one array pass, each in its own lockstep, so that no lift's points depend
 on the others'; trace.trace_preimage lifts the chart segments with it.
 lift_boundaries lifts, for count.find_islands, the boundary of a disk in
-the chart of count._chart from the preimages of its centre: all disks of
-one chart map in one pass.
+its chart (_chart) from the preimages of its centre: all disks of one
+chart map in one pass.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from coverlab.expr import evaluate_array, evaluate_arrays
+from coverlab.expr import (
+    INF,
+    Div,
+    as_fraction,
+    differentiate,
+    evaluate,
+    evaluate_array,
+    evaluate_arrays,
+)
 
 _LIFT_STEPS = 32  # a lift takes at least this many steps over its range
 _MIN_LIFT_STEP = 1e-12  # a shorter step, relative to the range, is an underflow
@@ -95,9 +105,21 @@ def _at_paths(value, paths):
 # Island boundaries
 
 
+def _chart(m, disk):
+    """(g, c, C, R): f, or D/N of f = N/D when |c| > 1, with the centre c and
+    the disk |w - C| < R: |w - c|^2 < k (1 + |w|^2), k = pi rho^2 (1 + |c|^2)."""
+    g, c = m, disk.center
+    if c is INF or abs(c) > 1:  # the chordal distance is invariant under w -> 1/w
+        n, d = as_fraction(m)
+        g = Div(d, n)
+        c = 0j if c is INF else 1 / c
+    k = math.pi * disk.radius**2 * (1 + abs(c) ** 2)
+    return g, c, c / (1 - k), math.sqrt(k * (1 + abs(c) ** 2 - k)) / (1 - k)
+
+
 def _branches(g, seeds, c, centre, radius):
     """Per branch of the segments from c to b, a point of the disk's boundary
-    circle in the chart (count._chart): its seed z0 and start direction;
+    circle in the chart (_chart): its seed z0 and start direction;
     and the segment and the circle as paths t -> (w, dw/dt)."""
     b = centre + radius * np.exp(2.399963229728653j)  # the golden angle: a generic point
     # a k-fold seed z0, where g = c + a (z - z0)^k + ..., starts k branches
@@ -106,7 +128,14 @@ def _branches(g, seeds, c, centre, radius):
     z0 = np.array([root.location for root in seeds], dtype=np.complex128)[seed_of]
     k = np.array([root.multiplicity for root in seeds], dtype=int)[seed_of]
     delta = 1e-3 * (1 + np.abs(z0))
-    a = (evaluate_array(g, z0 + delta) - c) / delta**k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (evaluate_array(g, z0 + delta) - c) / delta**k
+    # where delta^k is below the rounding of c, g - c reads 0: a = g^(k)(z0) / k!
+    for j in np.flatnonzero(~np.isfinite(a) | (a == 0)):
+        dk = g
+        for _ in range(k[j]):
+            dk = differentiate(dk)
+        a[j] = evaluate(dk, complex(z0[j])) / math.factorial(k[j])
     turn = np.exp(2j * np.pi * (np.arange(len(k)) - np.searchsorted(seed_of, seed_of)) / k)
 
     def segment(s):

@@ -229,7 +229,14 @@ def _angular_feature_runs(row):
 
 
 def _probe_seed_counts(m, dm, r):
-    """Seed-grid shape from a coarse scan: fine in theta only when needed."""
+    """Seed-grid shape from a coarse scan: fine in theta only when needed.
+
+    The scan's rows are read in one array pass, each of mass at least
+    1e-9 of the total.  Unless one of them varies by more than 1e-3 of its
+    mean, the scan is symmetric.  Otherwise the theta count comes from the
+    narrowest closed run above 1e-6 of its row's maximum, the rule of
+    _angular_feature_runs, over the rows with an entry off their runs.
+    """
     n_s, n_t = 32, 512
     s = (np.arange(n_s) + 0.5) * r / n_s
     t = (np.arange(n_t) + 0.5) * 2 * math.pi / n_t
@@ -238,26 +245,21 @@ def _probe_seed_counts(m, dm, r):
     vals = h * h * ss
     row_mass = vals.sum(axis=1)
     total = row_mass.sum()
-    widths = []
-    symmetric = True
-    for i in range(n_s):
-        if total > 0 and row_mass[i] < 1e-9 * total:
-            continue
-        row = vals[i]
-        mean = row.mean()
-        if mean > 0 and row.std() > 1e-3 * mean:
-            symmetric = False
-        w = _angular_feature_runs(row)
-        if w is not None and w < 2 * math.pi:
-            widths.append(w)
-    if symmetric:
+    vals = vals[~((total > 0) & (row_mass < 1e-9 * total))]
+    mean = vals.mean(axis=1)
+    if not ((mean > 0) & (vals.std(axis=1) > 1e-3 * mean)).any():
         return 16, 8
-    if widths:
-        w_min = min(widths)
-        n_theta = int(min(192, max(16, math.ceil(2 * math.pi / (0.25 * w_min)))))
-    else:
-        n_theta = 32
-    return 16, n_theta
+    mx = vals.max(axis=1, keepdims=True)
+    keep = (vals > 1e-6 * mx) & (mx > 0)
+    keep = keep[~keep.all(axis=1)]
+    # each row walked from its first dropped entry, so that no run wraps
+    walk = (keep.argmin(axis=1)[:, None] + np.arange(n_t)) % n_t
+    walk = np.take_along_axis(keep, walk, axis=1).astype(np.int8)
+    _, edges = np.nonzero(np.diff(walk, axis=1, prepend=0, append=0))
+    if not edges.size:
+        return 16, 32
+    w_min = 2 * math.pi * (int((edges[1::2] - edges[::2]).min()) / n_t)
+    return 16, int(min(192, max(16, math.ceil(2 * math.pi / (0.25 * w_min)))))
 
 
 def _halves(s0, s1, t0, t1):

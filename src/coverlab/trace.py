@@ -47,6 +47,7 @@ from coverlab.count import (
     count_preimages,
     count_preimages_many,
     find_roots,
+    find_roots_many,
     margin_radius,
     ring_radius,
 )
@@ -425,7 +426,19 @@ class PreimageGraph:
         return [a for a in self.arcs if a.tag != "bad"]
 
 
-def build_preimage_graph(m, graph, r, resolution=512):
+def graph_roots(m, node, radii):
+    """The two root searches of build_preimage_graph at each radius r of
+    `radii`: the critical points (f' = 0) and the preimages of the node in
+    |z| < r, each a Root list or the error its own find_roots call raises.
+    All come from one find_roots_many call, so the searches of one kind
+    share their passes over the radii; a run makes one such call
+    (verify.radius_contexts)."""
+    dm = differentiate(m)
+    found = find_roots_many([query for r in radii for query in ((dm, 0, r), (m, node, r))])
+    return list(zip(found[::2], found[1::2]))
+
+
+def build_preimage_graph(m, graph, r, resolution=512, roots=None):
     """Trace the whole graph preimage and assemble Euler data.
 
     The preimage {graph.level(f(z)) = 0} is marched (_march.extract) on a
@@ -434,7 +447,9 @@ def build_preimage_graph(m, graph, r, resolution=512):
     One quadtree over the grid skips each block of cells whose disc f maps,
     by expr.evaluate_ball, into a ball that GraphSpec.certainly_outside
     keeps off the figure-eight and its lobes; the chains are the same, bit
-    for bit, as from sampling every node.  Critical points that find_roots
+    for bit, as from sampling every node.  The critical points and the
+    vertex preimages are this radius's entry of graph_roots: `roots`, as a
+    run shares it, or searched here.  Critical points that find_roots
     cannot resolve raise ResolutionError, since the vertex placement is
     then unchecked.  Vertex preimages are located by the argument-principle
     root finder and polished by Newton; polylines are cut where the target
@@ -445,15 +460,16 @@ def build_preimage_graph(m, graph, r, resolution=512):
     """
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
+    crit_points, node_roots = roots or graph_roots(m, graph.node, [r])[0]
     # the crossing vertex must avoid critical values (else: perturb the node)
     dm = differentiate(m)
-    try:
-        crit_points = find_roots(dm, 0, r)
-    except (WindingError, ContourPassesThroughRoot) as exc:
+    if isinstance(crit_points, (WindingError, ContourPassesThroughRoot)):
         raise ResolutionError(
             f"critical points of the map in |z| < {r} not resolved, so the "
-            f"graph vertex cannot be checked against the critical values: {exc}"
-        ) from exc
+            f"graph vertex cannot be checked against the critical values: {crit_points}"
+        ) from crit_points
+    if isinstance(crit_points, Exception):
+        raise crit_points
     for cp in crit_points:
         try:
             cv = evaluate(m, cp.location)
@@ -464,12 +480,11 @@ def build_preimage_graph(m, graph, r, resolution=512):
                 f"graph vertex {graph.node!r} within 1e-3 of critical value {cv!r}; "
                 f"perturb the node parameter"
             )
+    if isinstance(node_roots, Exception):
+        raise node_roots
 
     margin_r = margin_radius(r, resolution)
-    vertices = [
-        root.location for root in find_roots(m, graph.node, r)
-        if abs(root.location) < margin_r
-    ]
+    vertices = [root.location for root in node_roots if abs(root.location) < margin_r]
     R = r * (1.0 + 2.0 / resolution)
     chains = _march.extract(
         lambda zs: graph.level(evaluate_array(m, zs)),

@@ -36,6 +36,7 @@ from coverlab.trace import (
     arc_test_integral,
     build_preimage_graph,
     complement_components,
+    graph_roots,
     select_perturbation,
 )
 
@@ -63,7 +64,8 @@ class RadiusContext:
     every use, and the other radii keep their islands.  The figure-eight
     preimage graph and its complement are computed on first use and kept;
     a computation that raises keeps nothing, so the next verifier that
-    needs it recomputes it.
+    needs it recomputes it.  The graph's root searches are this radius's
+    entry of the run's one graph_roots call, shared the same way.
     """
 
     m: object  # the map's expression tree
@@ -74,6 +76,7 @@ class RadiusContext:
     disks: tuple = ()
     graph_spec: GraphSpec | None = None
     scan: Callable = None  # this radius's entry of the run's island_scans
+    roots: Callable = None  # this radius's entry of the run's graph_roots
 
     @property
     def island_scan(self):
@@ -93,7 +96,9 @@ class RadiusContext:
 
     @cached_property
     def graph(self):
-        return build_preimage_graph(self.m, self.graph_spec, self.r, self.resolution)
+        return build_preimage_graph(
+            self.m, self.graph_spec, self.r, self.resolution, self.roots()
+        )
 
     @cached_property
     def complement(self):
@@ -102,10 +107,13 @@ class RadiusContext:
 
 def radius_contexts(m, profile, resolution=512, disks=(), graph_spec=None):
     """One RadiusContext per row of a metric profile (at its nudged radii),
-    all sharing one island_scans call over the disks and radii."""
+    all sharing one island_scans call over the disks and radii, and one
+    graph_roots call over the radii."""
     scans = cache(lambda: island_scans(m, disks, profile.radii, resolution))
+    roots = cache(lambda: graph_roots(m, graph_spec.node, profile.radii))
     return [
-        RadiusContext(m, r, a, l, resolution, tuple(disks), graph_spec, lambda k=k: scans()[k])
+        RadiusContext(m, r, a, l, resolution, tuple(disks), graph_spec,
+                      lambda k=k: scans()[k], lambda k=k: roots()[k])
         for k, (r, a, l) in enumerate(zip(profile.radii, profile.a, profile.l))
     ]
 

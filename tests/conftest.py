@@ -1,7 +1,8 @@
 """Hypothesis profiles: ``ci`` runs derandomized with a large example budget.
 
     HYPOTHESIS_PROFILE=ci python -m pytest -q tests/test_expr.py tests/test_count.py \
-        -k "ball or shared or island_scans_equal"
+        tests/test_trace.py \
+        -k "ball or shared or island_scans_equal or find_roots_many_equals or deepest_equals"
 
 Without ``HYPOTHESIS_PROFILE`` the default profile and budget apply.
 """

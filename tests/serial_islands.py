@@ -3,7 +3,11 @@ its own: the reference that count.island_scans and count.find_islands, which
 lift many pairs in one array pass, must match bit for bit.
 
 This is the island finder as it stood before the lifts were batched, kept
-verbatim apart from its imports."""
+verbatim apart from its imports and from the start direction of a k-fold
+seed, which takes the rule of lifting._branches where the difference
+quotient reads 0."""
+
+import math
 
 import numpy as np
 
@@ -17,7 +21,7 @@ from coverlab.count import (
     margin_radius,
     ring_radius,
 )
-from coverlab.expr import differentiate, evaluate_array, evaluate_arrays
+from coverlab.expr import differentiate, evaluate, evaluate_array, evaluate_arrays
 from coverlab.lifting import _LIFT_STEPS, _MIN_LIFT_STEP
 from coverlab.metric import SphericalDisk
 
@@ -51,7 +55,14 @@ def find_islands(m, disk, r, resolution=512):
     z0 = np.array([root.location for root in seeds], dtype=np.complex128)[seed_of]
     k = np.array([root.multiplicity for root in seeds], dtype=int)[seed_of]
     delta = 1e-3 * (1 + np.abs(z0))
-    a = (evaluate_array(g, z0 + delta) - c) / delta**k
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = (evaluate_array(g, z0 + delta) - c) / delta**k
+    # where delta^k is below the rounding of c, g - c reads 0: a = g^(k)(z0) / k!
+    for j in np.flatnonzero(~np.isfinite(a) | (a == 0)):
+        dk = g
+        for _ in range(k[j]):
+            dk = differentiate(dk)
+        a[j] = evaluate(dk, complex(z0[j])) / math.factorial(k[j])
     turn = np.exp(2j * np.pi * (np.arange(len(k)) - np.searchsorted(seed_of, seed_of)) / k)
     direction = ((b - c) / a) ** (1 / k) * turn
 

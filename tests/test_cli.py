@@ -416,19 +416,21 @@ def test_run_computes_each_quantity_once(tmp_path, monkeypatch):
 
 
 def test_a_failing_radius_fails_the_stages_that_read_its_islands(tmp_path, monkeypatch, capsys):
-    # find_roots failing for the second disk at the second of three radii:
-    # every stage that reads that radius's islands records its error, the
-    # run exits 3, and the islands subcommand prints the first radius's line
-    # before the error
+    # the root search failing for the second disk at the second of three
+    # radii: every stage that reads that radius's islands records its error,
+    # the run exits 3, and the islands subcommand prints the first radius's
+    # line before the error
     text = GOOD_CONFIG.replace("radii.list = 2\n", "radii.list = 1.5, 2, 3\n")
-    real = count.find_roots
+    real = count.find_roots_many
 
-    def failing(m, p, r):
-        if p == 0.5 + 0.5j and r == count.ring_radius(2.0, 256):
-            raise WindingError("cell subdivision budget exceeded")
-        return real(m, p, r)
+    def failing(queries):
+        return [
+            WindingError("cell subdivision budget exceeded")
+            if p == 0.5 + 0.5j and r == count.ring_radius(2.0, 256) else roots
+            for (_, p, r), roots in zip(queries, real(queries))
+        ]
 
-    monkeypatch.setattr(count, "find_roots", failing)
+    monkeypatch.setattr(count, "find_roots_many", failing)
     assert run(parse_config_text(text + f"outputs = {tmp_path / 'run'}\n")) == 3
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert summary["errors"] == [

@@ -8,12 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import serial_islands
+import serial_roots
 from coverlab import count as count_module
 from coverlab.expr import (
     INF,
     Add,
     Const,
+    Div,
     Pow,
+    Sub,
     Var,
     differentiate,
     evaluate,
@@ -30,6 +33,7 @@ from coverlab.count import (
     count_preimages_many,
     find_islands,
     find_roots,
+    find_roots_many,
     island_scans,
     mean_degree,
     multiplicity_count,
@@ -564,6 +568,107 @@ def test_find_roots_matches_numpy_roots(zeros, expanded):
         assert root.multiplicity == k
 
 
+def _root_bits(result):
+    """A find_roots result as comparable bits: the error's type and message,
+    or each root's location and multiplicity."""
+    if isinstance(result, Exception):
+        return type(result), str(result)
+    return [(rt.location.real.hex(), rt.location.imag.hex(), rt.multiplicity) for rt in result]
+
+
+def _serial_roots(m, p, r):
+    """The serial finder's result for one query, or the error it raises."""
+    try:
+        return serial_roots.find_roots(m, p, r)
+    except (ValueError, ArithmeticError) as exc:
+        return exc
+
+
+_UNIT = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+_ROOT_MAPS = st.one_of(
+    st.builds(lambda d, c: Add(Pow(Var(), d), Const(c)), st.integers(2, 6), _UNIT),
+    # (z^2 + c) / (z^3 - a): three poles, which the target infinity finds
+    st.builds(
+        lambda c, a: Div(Add(Pow(Var(), 2), Const(c)), Sub(Pow(Var(), 3), Const(a))),
+        _UNIT,
+        _UNIT,
+    ),
+    st.just(parse_map("exp(z)")),
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    _ROOT_MAPS,
+    st.lists(
+        st.one_of(
+            st.just(INF),
+            st.complex_numbers(max_magnitude=3, allow_nan=False, allow_infinity=False),
+        ),
+        min_size=1,
+        max_size=2,
+    ),
+    st.lists(st.floats(0.3, 4.0), min_size=1, max_size=5),
+)
+def test_find_roots_many_equals_the_serial_finder_bit_for_bit(m, targets, radii):
+    # z^d + c, a rational map with poles and exp(z), at one or two targets
+    # with infinity among them and one to five radii: each query's roots,
+    # or its error, as one serial find_roots call gives them
+    queries = [(m, p, r) for r in radii for p in targets]
+    assert [_root_bits(found) for found in find_roots_many(queries)] == [
+        _root_bits(_serial_roots(*query)) for query in queries
+    ]
+
+
+def test_a_failing_query_leaves_the_others_bit_identical():
+    # z^2 = 1 has its root -1 on |z| = 1, a rule of that query alone; exp(z)
+    # overflows on the bounding square of |z| < 800, which fails the shared
+    # windings pass, so its group reruns one query at a time.  Every other
+    # query keeps its serial roots bit for bit, and each failing one its
+    # serial error
+    z2, e = parse_map("z^2"), parse_map("exp(z)")
+    queries = [(z2, 1, 1.0), (z2, 1, 2.0), (e, 1, 5.0), (e, 1, 800.0), (e, 1, 3.0), (z2, 1, 0.5)]
+    found = find_roots_many(queries)
+    assert [type(result) for result in found] == [
+        RootOnCircleError, list, list, count_module.ContourPassesThroughRoot, list, list
+    ]
+    assert [_root_bits(result) for result in found] == [
+        _root_bits(_serial_roots(*query)) for query in queries
+    ]
+    with pytest.raises(RootOnCircleError, match="lies on"):
+        find_roots(z2, 1, 1.0)
+
+
+def test_a_query_over_the_cell_budget_leaves_the_others_bit_identical(monkeypatch):
+    # with a budget of 10 cells, exp(z) = 0.25i at r = 80 runs out of cells
+    # in the pass it shares with r = 20 and 40, which keep their roots
+    for module in (count_module, serial_roots):
+        monkeypatch.setattr(module, "_MAX_CELLS", 10)
+    m = parse_map("exp(z)")
+    queries = [(m, 0.25j, r) for r in (20.0, 80.0, 40.0)]
+    found = find_roots_many(queries)
+    assert [type(result) for result in found] == [list, WindingError, list]
+    assert [_root_bits(result) for result in found] == [
+        _root_bits(_serial_roots(*query)) for query in queries
+    ]
+
+
+def test_find_roots_many_winds_each_level_of_a_target_in_one_pass(monkeypatch):
+    # three radii of exp(z) = 0.25i share every windings pass: as many passes
+    # as the deepest single search makes, not as many as all three together
+    calls = _counting_windings(monkeypatch)
+    m, radii = parse_map("exp(z)"), (20.0, 40.0, 80.0)
+    single = []
+    for r in radii:
+        calls.clear()
+        find_roots(m, 0.25j, r)
+        single.append(len(calls))
+    calls.clear()
+    found = find_roots_many([(m, 0.25j, r) for r in radii])
+    assert [len(roots) for roots in found] == [6, 13, 25]
+    assert len(calls) == max(single) < sum(single)
+
+
 def test_mean_degree_constant_cover():
     md = mean_degree(parse_map("z^3"), 10.0, 200, seed=11)
     assert md.mean == pytest.approx(3.0, abs=0.02)
@@ -805,26 +910,42 @@ def test_a_stalled_lift_leaves_the_lifts_beside_it_alone():
 
 
 def test_island_scans_keep_each_radius_to_its_own_error(monkeypatch):
-    # a find_roots failure for the second disk at the second of three radii
+    # a root search failing for the second disk at the second of three radii
     # is that radius's error, as the serial finder raises it; the other
-    # radii keep their islands bit for bit
+    # radii keep their islands bit for bit.  The failure is injected into
+    # find_roots_many, which find_roots (the serial finder's) calls too
     m = parse_map("z^3")
     disks = [SphericalDisk.of(c, RHO) for c in (0, 1, "inf")]
     radii = [1.5, 2.0, 3.0]
     before = [_bits(scan) for scan in island_scans(m, disks, radii, 512)]
-    real = count_module.find_roots
+    real = count_module.find_roots_many
 
-    def failing(m, p, r):
-        if p == 1 and r == count_module.ring_radius(2.0, 512):
-            raise WindingError("cell subdivision budget exceeded")
-        return real(m, p, r)
+    def failing(queries):
+        return [
+            WindingError("cell subdivision budget exceeded")
+            if p == 1 and r == count_module.ring_radius(2.0, 512) else roots
+            for (_, p, r), roots in zip(queries, real(queries))
+        ]
 
-    monkeypatch.setattr(count_module, "find_roots", failing)
-    monkeypatch.setattr(serial_islands, "find_roots", failing)
+    monkeypatch.setattr(count_module, "find_roots_many", failing)
     scans = island_scans(m, disks, radii, 512)
     assert isinstance(scans[1], WindingError)
     assert _bits(scans[1]) == _bits(_serial_scan(m, disks, 2.0, 512))
     assert [_bits(scans[0]), _bits(scans[2])] == [before[0], before[2]]
+
+
+def test_a_six_fold_seed_under_a_large_centre_has_its_island():
+    # z^6 + c over a disk about c = 0.5 + 0.5i: at the 6-fold seed 0 the
+    # difference quotient (g(delta) - c) / delta^6 reads 0, as delta^6 =
+    # 1e-18 is below the rounding of c, and its lifts stalled; the start
+    # direction now comes from g^(6)(0) / 6! = 1, and the island is found
+    m = parse_map("z^6+(0.5+0.5i)")
+    disk = SphericalDisk.of(0.5 + 0.5j, 0.125)
+    (island,), ambiguous = find_islands(m, disk, 1.0, 512)
+    assert (island.degree, island.chi, island.ramification, ambiguous) == (6, 1, 5, 0)
+    assert abs(island.centroid) < 1e-12
+    (scan,) = island_scans(m, [disk], [1.0], 512)
+    assert _bits(scan) == _bits(_serial_scan(m, [disk], 1.0, 512))
 
 
 @pytest.mark.parametrize("resolution", [256, 512, 2048])

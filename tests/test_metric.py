@@ -565,3 +565,54 @@ def test_sphere_point_of():
     assert sphere_point(3) == 3 + 0j and isinstance(sphere_point(3), complex)
     with pytest.raises(ValueError):
         sphere_point("1+2j")
+
+
+def _serial_probe_seed_counts(m, dm, r):
+    """metric._probe_seed_counts as a loop over the scan's rows, as it stood
+    before the rows were taken in one array pass: the reference it must
+    match."""
+    n_s, n_t = 32, 512
+    s = (np.arange(n_s) + 0.5) * r / n_s
+    t = (np.arange(n_t) + 0.5) * 2 * math.pi / n_t
+    ss, tt = np.meshgrid(s, t, indexing="ij")
+    h = metric.density_array(m, dm, ss * np.exp(1j * tt))
+    vals = h * h * ss
+    row_mass = vals.sum(axis=1)
+    total = row_mass.sum()
+    widths = []
+    symmetric = True
+    for i in range(n_s):
+        if total > 0 and row_mass[i] < 1e-9 * total:
+            continue
+        row = vals[i]
+        mean = row.mean()
+        if mean > 0 and row.std() > 1e-3 * mean:
+            symmetric = False
+        w = metric._angular_feature_runs(row)
+        if w is not None and w < 2 * math.pi:
+            widths.append(w)
+    if symmetric:
+        return 16, 8
+    if widths:
+        w_min = min(widths)
+        n_theta = int(min(192, max(16, math.ceil(2 * math.pi / (0.25 * w_min)))))
+    else:
+        n_theta = 32
+    return 16, n_theta
+
+
+@pytest.mark.parametrize(
+    ("source", "r"),
+    [("z^5", r) for r in (0.5, 2.0, 10.0)]
+    + [("exp(z)", r) for r in (2.0, 10.0, 80.0)]
+    + [("(z^2-1)/(z^2+4)", r) for r in (0.5, 2.0, 10.0)]
+    + [("sin(z)", r) for r in (0.5, 2.0, 10.0)]
+    + [("z+1e-5/(z-1.0001)", r) for r in (0.5, 1.0, 2.0)],
+)
+def test_probe_seed_counts_equal_the_row_loop(source, r):
+    # z^5 (symmetric), exp(z) (up to 128 angles at r = 80), a rational map,
+    # sin(z) and a pole 1e-4 off the unit circle: the seed-grid shape of the
+    # one-pass scan is the row loop's
+    m = parse_map(source)
+    dm = differentiate(m)
+    assert metric._probe_seed_counts(m, dm, r) == _serial_probe_seed_counts(m, dm, r)

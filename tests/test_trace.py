@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import serial_march
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -543,11 +544,12 @@ def test_graph_placement_guard():
 
 @pytest.mark.parametrize("error", [WindingError, ContourPassesThroughRoot])
 def test_unresolved_critical_points_raise(monkeypatch, error):
-    # the critical-value guard cannot run without the critical points
-    def unresolved(*args, **kwargs):
-        raise error("refinement budget exceeded")
+    # the critical-value guard cannot run without the critical points; the
+    # searches of graph_roots fail, as find_roots_many reports a failed query
+    def unresolved(queries):
+        return [error("refinement budget exceeded") for _ in queries]
 
-    monkeypatch.setattr(trace, "find_roots", unresolved)
+    monkeypatch.setattr(trace, "find_roots_many", unresolved)
     with pytest.raises(ResolutionError, match="critical points"):
         build_preimage_graph(parse_map("z^3"), GraphSpec(node=0.5j, scale=0.5), 2.0, 128)
 
@@ -1149,8 +1151,9 @@ def _assert_components_match_ndimage(mask):
     """The runs of a mask, labelled by `label_runs`, paint ndimage's label
     grid; `mask_euler_characteristic` gives the V - E + F of every
     component's mask, and `deepest` the first distance_transform_cdt argmax
-    of every component on its bounding box grown by one pixel.  Returns
-    every component's (chi, deepest)."""
+    of every component on its bounding box grown by one pixel, and the
+    probes of the one-erosion-per-step search (serial_march) bit for bit.
+    Returns every component's (chi, deepest)."""
     row, lo, hi = _mask_runs(mask)
     label = _march.label_runs(row, lo, hi)
     grid = np.zeros(mask.shape, dtype=int)
@@ -1162,6 +1165,8 @@ def _assert_components_match_ndimage(mask):
     assert len(chis) == count
     probes = _march.deepest(row, lo, hi, label, mask.shape)
     assert probes.shape == (count, 2)
+    serial = serial_march.deepest(row, lo, hi, label, mask.shape)
+    assert probes.dtype == serial.dtype and probes.tobytes() == serial.tobytes()
     entries = []
     for k, box in enumerate(ndimage.find_objects(ref_labels)):
         assert chis[k] == _mask_chi(ref_labels == k + 1)
@@ -1206,6 +1211,48 @@ def test_components_match_ndimage_on_random_masks(n_rows, n_cols, radius, densit
     disk = np.hypot(xs[None, :], ys[:, None]) <= radius * math.hypot(n_rows, n_cols) / 2
     blocked = np.random.default_rng(seed).random((n_rows, n_cols)) < density
     _assert_components_match_ndimage(disk & ~blocked)
+
+
+_BLOCKS = st.lists(
+    st.tuples(st.integers(-3, 60), st.integers(1, 60), st.integers(-3, 60), st.integers(1, 60)),
+    max_size=6,
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 60),
+    _BLOCKS,
+    _BLOCKS,
+    st.floats(0.0, 0.3),
+    st.integers(0, 2**32 - 1),
+)
+def test_deepest_equals_the_serial_search_bit_for_bit(n_rows, n_cols, on, off, density, seed):
+    # rectangles of pixels, clipped to the grid, so components sit on each
+    # grid edge, fill the grid, or nest in one another's holes, of depths
+    # from 0 to the grid's in one call, as the faces of several radii
+    # would be, less rectangles and random pixels: every probe is the
+    # serial search's and distance_transform_cdt's
+    mask = np.zeros((n_rows, n_cols), dtype=bool)
+    for value, blocks in ((True, on), (False, off)):
+        for r0, h, c0, w in blocks:
+            mask[max(r0, 0) : max(r0 + h, 0), max(c0, 0) : max(c0 + w, 0)] = value
+    mask &= ~(np.random.default_rng(seed).random(mask.shape) < density)
+    _assert_components_match_ndimage(mask)
+
+
+@pytest.mark.parametrize(
+    "edge", [np.s_[:1, :], np.s_[-1:, :], np.s_[:, :1], np.s_[:, -1:], np.s_[:, :]]
+)
+def test_deepest_of_a_component_on_one_grid_edge(edge):
+    # a component along one edge of a tall and a wide grid, one filling the
+    # grid, and one 1-pixel-wide line down the middle beside them
+    for shape in ((7, 40), (40, 7)):
+        mask = np.zeros(shape, dtype=bool)
+        mask[edge] = True
+        mask[2:-2, shape[1] // 2] = True
+        _assert_components_match_ndimage(mask)
 
 
 @settings(derandomize=True, max_examples=30, deadline=None)
