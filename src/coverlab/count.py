@@ -37,11 +37,13 @@ root-on-path scale (radius about 3e-7 |z'(t)| |f'|) is undecided.
   for bit.  find_roots is its one-query call.
 - find_islands: an island holds a preimage of its disk's centre and is
   bounded by lifts of the disk's boundary circle from there
-  (lifting.lift_boundaries).  island_scans finds the islands of many
-  (disk, radius) pairs at once: their seeds come from one find_roots_many
-  call, and the lifts of all pairs with one chart map share array passes,
-  each pair in its own lockstep, so each pair's islands, or its error, are
-  those of its own find_islands call bit for bit.
+  (lifting.lift_boundaries); the cycles of their landings are its
+  boundary curves (lifting.cycle_components).  island_scans finds the
+  islands of many (disk, radius) pairs at once: their seeds come from one
+  find_roots_many call, and the lifts of all pairs with one chart map
+  share array passes, each pair in its own lockstep, so each pair's
+  islands, or its error, are those of its own find_islands call bit for
+  bit.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from coverlab.expr import (
     evaluate_array,
     evaluate_arrays,
 )
-from coverlab.lifting import ResolutionError, _chart, lift_boundaries
+from coverlab.lifting import ResolutionError, _chart, cycle_components, lift_boundaries
 from coverlab.metric import (
     SphericalDisk,
     sample_sphere_uniform,
@@ -864,59 +866,27 @@ def island_scans(m, disks, radii, resolution=512):
 
 
 def find_islands(m, disk, r, resolution=512, lifted=None):
-    """Islands of `disk`: proper preimage components inside |z| < r, and
-    the number of ambiguous components.
-
-    Seeds are the preimages of the centre c inside the ring (find_roots).
-    In the chart of _chart, a k-fold seed starts k lifts of the segment
-    from c to a point b of the disk's boundary circle.  The circle, lifted
-    once from each end point, lands on the next end point of the same
-    boundary curve: the cycles of these landings are the boundary curves,
-    with turn counts k_j.  A lift that reaches the ring or lands on no end
-    point touches the boundary.  Counterclockwise cycles are outer curves;
-    a clockwise one is a hole of the smallest outer curve around it.  An
-    island has degree sum(k_j) and chi = 2 - #curves; one whose outer curve
-    reaches the properness margin is ambiguous.  The lifts are the pair's
-    entry of _island_lifts: `lifted`, as island_scans passes it, or made
-    here.
-    """
+    """Islands of `disk` inside |z| < r and the number of ambiguous ones:
+    the components (lifting.cycle_components) of the pair's lifts from
+    _island_lifts (`lifted`, as island_scans passes it, or made here), a
+    lift landing within 1e-6 radius / |g'| of a start.  One whose outer
+    curve reaches the properness margin is ambiguous; the seed of the
+    curve's least lift is an island's centroid."""
     if lifted is None:
         (lifted,) = _island_lifts(m, [(disk, r)], resolution)
     if isinstance(lifted, Exception):
         raise lifted
-    dg, radius, z0, ends, *circles = lifted
-    if not len(ends):
+    dg, radius, z0, *circles = lifted
+    if not circles:
         return [], 0
-    rows, alive = circles
-    # each lift lands on the end point within 1e-6 radius / |g'| of it, if any
-    dist = np.abs(rows[-1][:, None] - ends[None, :])
-    nxt = dist.argmin(axis=1)
-    nxt[~alive | (dist.min(axis=1) > 1e-6 * radius / np.abs(evaluate_array(dg, ends[nxt])))] = -1
-    if len(set(nxt[nxt >= 0])) < np.count_nonzero(nxt >= 0):
-        raise ResolutionError("two lifts of the disk boundary land on one point")
-    curves = []  # (end points, closed polyline) of each cycle, from its least end point
-    for j in range(len(ends)):
-        walk = [j]
-        while nxt[walk[-1]] > j:
-            walk.append(nxt[walk[-1]])
-        if nxt[walk[-1]] == j:
-            curves.append((walk, np.concatenate([rows[:-1, i] for i in walk] + [ends[j:j + 1]])))
-    areas = [_polygon_area(loop) for _, loop in curves]
-    holes = {j: [] for j, area in enumerate(areas) if area > 0}
-    for j, area in enumerate(areas):
-        around = [o for o in holes if area < 0 and _encloses(curves[o][1], curves[j][1][0])]
-        if around:
-            holes[min(around, key=areas.__getitem__)].append(j)
     islands, n_ambiguous = [], 0
-    for o, inner in holes.items():
-        members, loop = curves[o]
+    for members, loop, holes, degree, chi in cycle_components(
+            *circles, lambda at: 1e-6 * radius / np.abs(evaluate_array(dg, at))):
         if np.abs(loop).max() > margin_radius(r, resolution) - 2.0 * r / resolution:
             n_ambiguous += 1
             continue
-        degree = len(members) + sum(len(curves[j][0]) for j in inner)
-        chi = 1 - len(inner)
-        centroid, hole_loops = complex(z0[members[0]]), [curves[j][1] for j in inner]
-        islands.append(IslandRecord(-1, loop, chi, degree, degree - chi, centroid, hole_loops))
+        centroid = complex(z0[members[0]])
+        islands.append(IslandRecord(-1, loop, chi, degree, degree - chi, centroid, holes))
     islands.sort(key=lambda q: (q.centroid.real, q.centroid.imag))
     return islands, n_ambiguous
 
@@ -924,7 +894,7 @@ def find_islands(m, disk, r, resolution=512, lifted=None):
 def _island_lifts(m, jobs, resolution):
     """For each (disk, r) of `jobs`, the error it raised or its lifts as
     find_islands reads them: g', the disk's radius in the chart (_chart),
-    and the seeds, segment ends and circle lifts of lift_boundaries.  The
+    and the seeds and circle lifts of lift_boundaries.  The
     seeds of all pairs come from one find_roots_many call; the pairs of one
     chart map g (equal trees are one map) are lifted together."""
     if resolution < 64:
@@ -944,16 +914,6 @@ def _island_lifts(m, jobs, resolution):
         for (j, (*_, radius, _)), lift in zip(pairs, lifted):
             out[j] = lift if isinstance(lift, Exception) else (dg, radius, *lift)
     return out
-
-
-def _encloses(loop, z):
-    """Whether the closed polyline `loop` winds around z."""
-    return abs(np.angle((loop[1:] - z) / (loop[:-1] - z)).sum()) > math.pi
-
-
-def _polygon_area(points):
-    x, y = points.real, points.imag
-    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
 def total_ramification(islands):

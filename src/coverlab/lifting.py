@@ -7,7 +7,9 @@ one array pass, each in its own lockstep, so that no lift's points depend
 on the others'; trace.trace_preimage lifts the chart segments with it.
 lift_boundaries lifts, for count.find_islands, the boundary of a disk in
 its chart (_chart) from the preimages of its centre: all disks of one
-chart map in one pass.
+chart map in one pass.  cycle_components reads components off lifts that
+land on one another's starts: the cycles of the landings are their
+boundary curves, with degree and Euler characteristic.
 """
 
 from __future__ import annotations
@@ -151,10 +153,10 @@ def _branches(g, seeds, c, centre, radius):
 def lift_boundaries(g, dg, disks):
     """For each disk (seeds, c, centre, radius, ring) in the chart of g,
     where g - c has the zeros `seeds` (Root records) inside the ring and
-    the disk is |w - centre| < radius: the seed and end point of each lift
-    of the segments from c to b (_branches) that stays inside the ring, and
-    the lifts of the boundary circle from those end points (rows and alive
-    mask of lift_paths), or the ResolutionError of a stalled lift.  The
+    the disk is |w - centre| < radius: the seed of each lift of the
+    segments from c to b (_branches) that stays inside the ring, and the
+    lifts of the boundary circle from their end points (rows and alive mask
+    of lift_paths, if any), or the ResolutionError of a stalled lift.  The
     starts of all disks, then their segments, then their circles are
     lifted in one array pass each, each disk in its own lockstep."""
     z0, direction, segment, circle = zip(*[_branches(g, *disk[:4]) for disk in disks])
@@ -183,10 +185,53 @@ def lift_boundaries(g, dg, disks):
             out.append(lift)
             continue
         rows, alive = lift
-        out.append((z0[k][alive], rows[-1][alive]))
+        out.append((z0[k][alive],))
         if alive.any():
             circles.append((k, (rows[-1][alive], circle[k], 0.0, 1.0, ring[k])))
     if circles:
         for (k, _), lift in zip(circles, lift_paths(g, dg, [path for _, path in circles])):
             out[k] = lift if isinstance(lift, ResolutionError) else out[k] + lift
     return out
+
+
+def cycle_components(rows, alive, tol):
+    """Components bounded by lifts (rows and alive mask of lift_paths) that
+    land on one another's starts rows[0]: a live lift lands on the start
+    nearest its end if within tol(that start), else it is -1, as is a dead
+    lift; two lifts landing on one start raise ResolutionError.  Each cycle
+    of the landings, walked from its least lift, is a closed curve; a
+    clockwise one is a hole of the smallest counterclockwise one around
+    it.  Per counterclockwise curve, in the order of its least lift: its
+    lifts and closed polyline, its holes' polylines, its degree (the lifts
+    of both) and chi = 1 - #holes."""
+    starts = rows[0]
+    dist = np.abs(rows[-1][:, None] - starts[None, :])
+    nxt = dist.argmin(axis=1)
+    nxt[~alive | (dist.min(axis=1) > tol(starts[nxt]))] = -1
+    if len(set(nxt[nxt >= 0])) < np.count_nonzero(nxt >= 0):
+        raise ResolutionError("two lifts of the disk boundary land on one point")
+    curves = []  # (lifts, closed polyline) of each cycle
+    for j in range(len(starts)):
+        walk = [j]
+        while nxt[walk[-1]] > j:
+            walk.append(nxt[walk[-1]])
+        if nxt[walk[-1]] == j:
+            curves.append((walk, np.concatenate([rows[:-1, i] for i in walk] + [starts[j:j + 1]])))
+    areas = [_polygon_area(loop) for _, loop in curves]
+    holes = {j: [] for j, area in enumerate(areas) if area > 0}
+    for j, area in enumerate(areas):
+        around = [o for o in holes if area < 0 and _encloses(curves[o][1], curves[j][1][0])]
+        if around:
+            holes[min(around, key=areas.__getitem__)].append(j)
+    return [(*curves[o], [curves[j][1] for j in inner], sum(len(curves[j][0]) for j in [o, *inner]),
+             1 - len(inner)) for o, inner in holes.items()]
+
+
+def _encloses(loop, z):
+    """Whether the closed polyline `loop` winds around z."""
+    return abs(np.angle((loop[1:] - z) / (loop[:-1] - z)).sum()) > math.pi
+
+
+def _polygon_area(points):
+    x, y = points.real, points.imag
+    return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))

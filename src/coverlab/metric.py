@@ -35,7 +35,9 @@ from numpy.random import default_rng  # numpy loads numpy.random lazily; load it
 from coverlab import _march
 from coverlab.expr import (
     INF,
+    Const,
     IndeterminateError,
+    as_fraction,
     differentiate,
     evaluate,
     evaluate_array,
@@ -140,25 +142,29 @@ class SphericalDisk:
 def spherical_density(m, dm, z):
     """h(z) = |f'(z)| / (sqrt(pi) (1+|f(z)|^2)), extended to poles by limits."""
     z = complex(z)
+    h = _plain_density(m, dm, z)
+    if h is not None:
+        return h
+    # at a pole the density extends continuously (h is invariant under
+    # w -> 1/w); take a small 4-point average around z, over the points
+    # where f and f' are finite: where f overflows all around, none are
+    eps = 1e-7 * (1.0 + abs(z))
+    around = (z + eps * np.exp(1j * (math.pi / 4 + k * math.pi / 2)) for k in range(4))
+    vals = [v for v in (_plain_density(m, dm, complex(zz)) for zz in around) if v is not None]
+    if not vals:
+        raise IndeterminateError(f"density undefined at {z!r}")
+    return float(np.median(vals))
+
+
+def _plain_density(m, dm, z):
+    """h(z) where f(z) and f'(z) are finite, else None."""
     try:
         w = evaluate(m, z)
         dw = evaluate(dm, z)
     except IndeterminateError:
-        w = dw = INF  # fall through to the perturbation limit
+        return None
     if w is INF or dw is INF:
-        # at a pole the density extends continuously (h is invariant under
-        # w -> 1/w); take a small 4-point average around z
-        eps = 1e-7 * (1.0 + abs(z))
-        vals = []
-        for k in range(4):
-            zz = z + eps * np.exp(1j * (math.pi / 4 + k * math.pi / 2))
-            try:
-                vals.append(spherical_density(m, dm, complex(zz)))
-            except IndeterminateError:
-                continue
-        if not vals:
-            raise IndeterminateError(f"density undefined at {z!r}")
-        return float(np.median(vals))
+        return None
     u, v = abs(w), abs(dw)
     if u > _BIG:
         return (v / u) / u / SQRT_PI
@@ -386,6 +392,9 @@ def _adaptive_circle_integral(fvals, tol, pole_check):
 
 
 def _make_pole_check(m, r):
+    """A check of angles on |z| = r that raises PoleOnCircleError at a pole
+    of f, or OverflowError where f has no poles and overflows."""
+
     def check(thetas):
         zs = r * np.exp(1j * thetas)
         bad = np.flatnonzero(~np.isfinite(evaluate_array(m, zs)))
@@ -396,6 +405,8 @@ def _make_pole_check(m, r):
             except IndeterminateError:
                 v = INF
             if v is INF:
+                if isinstance(as_fraction(m)[1], Const):  # no poles: the inf is overflow
+                    raise OverflowError(f"f overflows on |z| = {r!r} near z = {z!r}")
                 raise PoleOnCircleError(r, z)
 
     return check

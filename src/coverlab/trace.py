@@ -761,7 +761,8 @@ def arc_test_integral(m, chart, t, r):
 
 
 def export_svg(path, r, graph=None, islands=None):
-    """Static SVG render of the source disk: arcs, vertices, islands.
+    """Static SVG render of the source disk: arcs, vertices, islands (each
+    boundary curve, holes after the outer one).
 
     Each coordinate is written as f"{x:.2f}"; a polyline's coordinates are
     computed as one array and formatted by one "%.2f,%.2f" template.
@@ -795,12 +796,10 @@ def export_svg(path, r, graph=None, islands=None):
         for v in graph.vertices:
             x, y = xy([v])
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#000"/>')
-    if islands:
-        for rec in islands:
-            parts.append(
-                f'<polyline points="{points(rec.boundary)}" fill="none" '
-                'stroke="#2ca02c" stroke-width="1.5"/>'
-            )
+    for rec in islands or ():
+        for loop in [rec.boundary, *rec.holes]:
+            parts.append(f'<polyline points="{points(loop)}" fill="none" '
+                         'stroke="#2ca02c" stroke-width="1.5"/>')
     parts.append("</svg>")
     text = "\n".join(parts) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

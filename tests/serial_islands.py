@@ -15,14 +15,12 @@ from coverlab.count import (
     IslandRecord,
     ResolutionError,
     _chart,
-    _encloses,
-    _polygon_area,
     find_roots,
     margin_radius,
     ring_radius,
 )
 from coverlab.expr import differentiate, evaluate, evaluate_array, evaluate_arrays
-from coverlab.lifting import _LIFT_STEPS, _MIN_LIFT_STEP
+from coverlab.lifting import _LIFT_STEPS, _MIN_LIFT_STEP, _encloses, _polygon_area
 from coverlab.metric import SphericalDisk
 
 

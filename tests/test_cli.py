@@ -446,6 +446,17 @@ def test_a_failing_radius_fails_the_stages_that_read_its_islands(tmp_path, monke
     assert err == "numeric error: cell subdivision budget exceeded\n"
 
 
+def test_an_overflowing_entire_map_exits_3_naming_overflow(tmp_path):
+    # exp(z^3) overflows on |z| = 9: the profile stage records an overflow,
+    # not a pole of the map
+    text = "map = exp(z^3)\nradii.list = 9\nverifiers = mean_degree\n"
+    assert run(parse_config_text(text + f"outputs = {tmp_path}\n")) == 3
+    (error,) = json.loads((tmp_path / "summary.json").read_text())["errors"]
+    assert error["stage"] == "profile"
+    assert error["error"].startswith("f overflows on |z| = 9.0 near z = ")
+    assert "pole" not in error["error"]
+
+
 def test_cli_import_loads_no_scipy_and_loads_numpy_random():
     # scipy is a test oracle, not a runtime dependency: a fresh process that
     # imports the command line must not load it; numpy loads numpy.random

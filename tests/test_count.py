@@ -23,7 +23,7 @@ from coverlab.expr import (
     evaluate_array,
     parse_map,
 )
-from coverlab.lifting import lift_paths
+from coverlab.lifting import cycle_components, lift_paths
 from coverlab.count import (
     IslandRecord,
     ResolutionError,
@@ -46,6 +46,7 @@ from coverlab.metric import (
     chordal_distance_array,
     sample_sphere_uniform,
 )
+from coverlab.trace import GraphSpec
 
 RHO = 0.2 / math.sqrt(math.pi)  # the standard disk radius used throughout
 
@@ -907,6 +908,167 @@ def test_a_stalled_lift_leaves_the_lifts_beside_it_alone():
     assert isinstance(stalled, ResolutionError)
     assert str(stalled) == str(info.value)
     assert str(stalled).startswith("path lifting stalled at t = 0.49999")
+
+
+def _lobe(node, scale, sign):
+    """One lobe of the figure-eight of GraphSpec(node, scale), lobe+ for
+    sign 1 and lobe- for sign -1, as a counterclockwise path t -> (w, dw/dt)
+    on [-pi/2, pi/2] from the node: the lemniscate w = node + a cos t / D +
+    i a sin t cos t / D, D = 1 + sin^2 t, a = scale sqrt(2), at t for lobe+
+    and at pi - t for lobe-, which runs [pi/2, 3pi/2] backwards."""
+    a = scale * math.sqrt(2)
+
+    def path(t):
+        t = t if sign > 0 else math.pi - t
+        d, dd = 1 + math.sin(t) ** 2, math.sin(2 * t)
+        x = a * math.cos(t) / d
+        y = a * math.sin(2 * t) / (2 * d)
+        dx = a * (-math.sin(t) * d - math.cos(t) * dd) / d**2
+        dy = a * (2 * math.cos(2 * t) * d - math.sin(2 * t) * dd) / (2 * d**2)
+        return node + complex(x, y), sign * complex(dx, dy)
+
+    return path
+
+
+def _lobe_components(d, node, scale, sign):
+    """cycle_components of the lobe's lifts through z^d from the d
+    preimages of the node."""
+    g = Pow(Var(), d)
+    starts = node ** (1 / d) * np.exp(2j * np.pi * np.arange(d) / d)
+    (lifted,) = lift_paths(g, differentiate(g), [(starts, _lobe(node, scale, sign),
+                                                  -math.pi / 2, math.pi / 2, 10.0)])
+    return cycle_components(*lifted, lambda at: 1e-6 * np.abs(at))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_cycle_components_of_lobes_through_z_to_the_d(d, sign):
+    # the lobes of the figure-eight at node 0.5i, scale 0.5 hold neither
+    # critical value 0 or inf of z^d: each lobe lift returns to its start
+    # (sigma = identity on the d vertices) and bounds a face of degree 1
+    path = _lobe(0.5j, 0.5, sign)
+    ts = np.linspace(-math.pi / 2, math.pi / 2, 64)
+    assert np.abs(GraphSpec(0.5j, 0.5).level([path(t)[0] for t in ts])).max() < 1e-12
+    faces = _lobe_components(d, 0.5j, 0.5, sign)
+    assert [(members, len(holes), degree, chi) for members, _, holes, degree, chi in faces] == [
+        ([j], 0, 1, 1) for j in range(d)
+    ]
+    for _, loop, *_ in faces:
+        assert loop[0] == loop[-1]
+
+
+def test_cycle_components_of_a_lobe_around_a_critical_value():
+    # z^2 with node 0.5, scale 0.5: lobe- has the focus 0, the critical
+    # value, inside it, so sigma- swaps the two vertices +-sqrt(0.5) and
+    # lobe- has one face of degree 2; lobe+ has two of degree 1
+    (members, loop, holes, degree, chi), = _lobe_components(2, 0.5, 0.5, -1)
+    assert (members, holes, degree, chi) == ([0, 1], [], 2, 1)
+    assert loop[0] == loop[-1] == math.sqrt(0.5)
+    assert [face[0] for face in _lobe_components(2, 0.5, 0.5, 1)] == [[0], [1]]
+
+
+_ARC_POINTS = 16  # points of an arc after its start
+
+
+def _circle_lifts(circles, arcs, ccw, turn, order):
+    """Each circle (centre, radius) cut into `arcs` arcs from the angle
+    `turn`, walked counterclockwise or not, as lifts in lift_paths' layout:
+    rows and alive mask, with the lifts in the column order `order`.
+    Returns them and each circle's lift indices in its walking order."""
+    cols, lifts = [], []
+    for (c, rad), n, up, phase in zip(circles, arcs, ccw, turn):
+        theta = phase + 2 * np.pi * np.arange(n + 1) / n * (1 if up else -1)
+        mine = []
+        for k in range(n):
+            s = np.linspace(0, 1, _ARC_POINTS + 1)
+            cols.append(c + rad * np.exp(1j * (theta[k] + s * (theta[k + 1] - theta[k]))))
+            mine.append(len(cols) - 1)
+        lifts.append(mine)
+    where = np.argsort(order)  # column of each lift
+    rows = np.stack([cols[i] for i in order], axis=1)
+    return (rows, np.ones(len(cols), dtype=bool)), [[int(where[i]) for i in mine]
+                                                    for mine in lifts]
+
+
+def _nested_circles(parent, angle, shrink):
+    """Circles nested as `parent` says (an earlier circle, or -1 for the
+    unit disk): each inside its parent's disk and disjoint from its
+    siblings, placed evenly on the circle of half its parent's radius."""
+    circles = []
+    for k, p in enumerate(parent):
+        centre, rad = (0j, 1.0) if p < 0 else circles[p]
+        siblings = [j for j, q in enumerate(parent) if q == p]
+        m = len(siblings)
+        if m == 1:
+            c, r = centre, 0.5 * rad
+        else:
+            c = centre + 0.5 * rad * cmath.exp(1j * (angle + 2 * math.pi * siblings.index(k) / m))
+            r = 0.4 * rad * math.sin(math.pi / m)
+        circles.append((c, r * shrink[k]))
+    return circles
+
+
+@settings(derandomize=True, deadline=None)
+@given(st.data())
+def test_cycle_components_match_the_nesting_of_random_circles(data):
+    # disjoint nested circles, each cut into arcs and walked either way: each
+    # counterclockwise circle is a component whose holes are the clockwise
+    # circles it is the smallest counterclockwise circle around, read from
+    # the centres and radii; its degree counts its and its holes' arcs
+    n = data.draw(st.integers(1, 8))
+    parent = [data.draw(st.integers(-1, k - 1)) for k in range(n)]
+    shrink = data.draw(st.lists(st.floats(0.6, 1.0), min_size=n, max_size=n))
+    circles = _nested_circles(parent, data.draw(st.floats(0, 6.3)), shrink)
+    arcs = data.draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    ccw = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    turn = data.draw(st.lists(st.floats(0, 6.3), min_size=n, max_size=n))
+    order = data.draw(st.permutations(range(sum(arcs))))
+    lifted, lifts = _circle_lifts(circles, arcs, ccw, turn, order)
+    faces = cycle_components(*lifted, lambda at: 1e-9 * (1 + np.abs(at)))
+
+    def around(i, j):  # circle i encloses circle j
+        return abs(circles[j][0] - circles[i][0]) + circles[j][1] < circles[i][1]
+
+    owner = {j: min((i for i in range(n) if ccw[i] and around(i, j)),
+                    key=lambda i: circles[i][1], default=None)
+             for j in range(n) if not ccw[j]}
+    first, rows = [min(mine) for mine in lifts], lifted[0]
+    want = []
+    for i in sorted((i for i in range(n) if ccw[i]), key=first.__getitem__):
+        holes = sorted((j for j in owner if owner[j] == i), key=first.__getitem__)
+        k = lifts[i].index(first[i])
+        want.append((lifts[i][k:] + lifts[i][:k], [rows[0, first[j]] for j in holes],
+                     [_ARC_POINTS * arcs[j] + 1 for j in holes],
+                     arcs[i] + sum(arcs[j] for j in holes), 1 - len(holes)))
+    assert [(members, [hole[0] for hole in holes], [len(hole) for hole in holes], degree, chi)
+            for members, _, holes, degree, chi in faces] == want
+    for members, loop, holes, *_ in faces:
+        assert loop[0] == loop[-1] == rows[0, members[0]]
+        assert len(loop) == _ARC_POINTS * len(members) + 1
+        # twice the signed area: the outer curve counterclockwise, holes not
+        assert [np.sum((z[:-1].conj() * z[1:]).imag) > 0 for z in [loop, *holes]] == [
+            True] + [False] * len(holes)
+
+
+def test_cycle_components_break_a_cycle_at_a_dead_lift():
+    # two counterclockwise circles in two arcs each; the second's second arc
+    # dies, and then lands nowhere: that circle bounds no component
+    (rows, alive), lifts = _circle_lifts([(0j, 1.0), (3 + 0j, 1.0)], [2, 2], [True, True],
+                                         [0.0, 0.0], range(4))
+    tol = lambda at: 1e-9  # noqa: E731
+    assert [face[0] for face in cycle_components(rows, alive, tol)] == [[0, 1], [2, 3]]
+    alive[3] = False
+    assert [face[0] for face in cycle_components(rows, alive, tol)] == [[0, 1]]
+    alive[3], rows[-1, 3] = True, 5 + 0j
+    assert [face[0] for face in cycle_components(rows, alive, tol)] == [[0, 1]]
+
+
+def test_cycle_components_refuse_two_lifts_landing_on_one_start():
+    (rows, alive), _ = _circle_lifts([(0j, 1.0), (3 + 0j, 1.0)], [2, 2], [True, True],
+                                     [0.0, 0.0], range(4))
+    rows[-1, 3] = rows[0, 0]
+    with pytest.raises(ResolutionError, match="land on one point"):
+        cycle_components(rows, alive, lambda at: 1e-9)
 
 
 def test_island_scans_keep_each_radius_to_its_own_error(monkeypatch):

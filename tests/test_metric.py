@@ -1,12 +1,13 @@
 import cmath
 import math
+import time
 from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
 from coverlab import metric
-from coverlab.expr import INF, parse_map, differentiate
+from coverlab.expr import INF, IndeterminateError, parse_map, differentiate
 from coverlab.metric import (
     MAX_DISK_RADIUS,
     MetricProfile,
@@ -342,6 +343,36 @@ def test_pole_on_circle_error():
         boundary_length(m, 1.0)
     with pytest.raises(PoleOnCircleError):
         boundary_area(m, 1.0)
+
+
+@pytest.mark.parametrize("call, source, r", [
+    (boundary_length, "exp(z^3)", 9.0),
+    (metric._length_with_nudge, "exp(z^3)", 9.0),
+    (lambda m, r: boundary_areas(m, [r]), "exp(z)", 720.0),
+])
+def test_an_entire_map_overflowing_on_the_circle_is_no_pole(call, source, r):
+    # exp(z^3) overflows on most of |z| = 9 and exp(z) on part of |z| = 720.
+    # With no poles the inf is overflow: it is raised at r itself, without
+    # the radius nudges a pole gets, and the message names no pole
+    with pytest.raises(OverflowError) as info:
+        call(parse_map(source), r)
+    assert str(info.value).startswith(f"f overflows on |z| = {r!r} near z = ")
+    assert "pole" not in str(info.value)
+
+
+def test_the_density_rescue_stops_where_f_overflows_all_around():
+    # exp(z^3) overflows on a whole region at |z| = 20, so the pole rescue's
+    # neighbours overflow too: the density there raises IndeterminateError
+    # naming the point, and area an ArithmeticError within a second (a
+    # rescue recursing into its neighbours ends in RecursionError, which no
+    # caller's except (ValueError, ArithmeticError) catches)
+    m = parse_map("exp(z^3)")
+    with pytest.raises(IndeterminateError, match=r"density undefined at \(20\+0j\)"):
+        spherical_density(m, differentiate(m), 20.0)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError):
+        area(m, 20.0)
+    assert time.perf_counter() - start < 1.0
 
 
 # Bits of l(r), a'(r), the boundary-integral a(r) and the polar a(r), as

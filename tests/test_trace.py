@@ -739,12 +739,11 @@ def _svg_per_point(r, graph=None, islands=None):
             parts.append(f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="#000"/>')
     if islands:
         for rec in islands:
-            pts = " ".join(
-                f"{x:.2f},{y:.2f}" for x, y in (xy(z) for z in rec.boundary)
-            )
-            parts.append(
-                f'<polyline points="{pts}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
-            )
+            for loop in [rec.boundary, *rec.holes]:
+                pts = " ".join(f"{x:.2f},{y:.2f}" for x, y in (xy(z) for z in loop))
+                parts.append(
+                    f'<polyline points="{pts}" fill="none" stroke="#2ca02c" stroke-width="1.5"/>'
+                )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -845,6 +844,15 @@ def test_exports_match_the_per_point_writers_on_edge_values(tmp_path):
         _assert_exports_match_the_oracles(tmp_path, 2.0, graph=graph, islands=islands)
     assert "NaN" in export_json(tmp_path / "g.json", graph=g) and "nan" in export_svg(tmp_path / "g.svg", 2.0, g)
     assert export_json(tmp_path / "g.json", islands=[]) != export_json(tmp_path / "g.json")
+
+
+def test_an_island_hole_is_drawn(tmp_path):
+    # z + 1e-4/z at r = 2 has one island about 0, of degree 2 and chi = 0: an
+    # annulus, drawn as its outer curve and its hole
+    islands, _ = find_islands(parse_map("z+1e-4/z"), SphericalDisk.of(0, _RHO), 2.0, 512)
+    assert [(rec.degree, rec.chi, len(rec.holes)) for rec in islands] == [(2, 0, 1)]
+    assert export_svg(tmp_path / "i.svg", 2.0, islands=islands).count('stroke="#2ca02c"') == 2
+    _assert_exports_match_the_oracles(tmp_path, 2.0, islands=islands)
 
 
 @pytest.mark.parametrize(
