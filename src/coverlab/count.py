@@ -64,6 +64,7 @@ from coverlab.expr import (
     evaluate,
     evaluate_array,
     evaluate_arrays,
+    pole_free,
 )
 from coverlab.lifting import ResolutionError, _chart, cycle_components, lift_boundaries
 from coverlab.metric import (
@@ -184,11 +185,16 @@ def _rects(boxes):
 
 
 def _sample(m, dm, path, t):
-    """f and |f'| at the path points of parameters t."""
+    """f and |f'| at the path points of parameters t.  A value that is not
+    finite is a pole on or next to the path, or overflow if f has no poles
+    (expr.pole_free)."""
     zs = path.point(t)
     w, dw = evaluate_arrays([m, dm], zs)
     dabs = np.abs(dw)
     if not (np.isfinite(w).all() and np.isfinite(dabs).all()):
+        if pole_free(m):
+            z = complex(zs[~(np.isfinite(w) & np.isfinite(dabs))][0])
+            raise OverflowError(f"f overflows on the contour near z = {z!r}")
         raise ContourPassesThroughRoot("pole of f on or next to the contour")
     return w, dabs
 
@@ -660,7 +666,8 @@ def _cell_roots(g, dg, den, cells):
     the cell apart from the other zeros, on which the rounding noise of g
     leaves a count must count all of it.  The order of f - p at a zero comes from
     den's moments on the same nodes: a zero of den whose moment location is
-    within 1e-9 of g's takes its multiplicity off.
+    within 1e-9 of g's takes its multiplicity off, and a multiple one must
+    count whole on the same squares, as a multiple zero of g must.
     """
     result = [None] * len(cells)
     small = [k for k, (_, w, _) in enumerate(cells) if w <= _MOMENT_MAX]
@@ -676,7 +683,7 @@ def _cell_roots(g, dg, den, cells):
             contours[j] = (x0 - margin, x1 + margin, y0 - margin, y1 + margin)
         moments[retry] = _moments(g, dg, [contours[j] for j in retry])
     den_moments = _moments(*den, contours) if den else np.zeros_like(moments)
-    zooms = []  # (cell, multiplicity, the squares about a multiple zero)
+    zooms = ([], [])  # of g and den: (cell, multiplicity, the squares about a multiple zero)
     for k, contour, s, s_den in zip(small, contours, moments, den_moments):
         (x0, x1, y0, y1), w, merge = cells[k]
         n, n_den = _count(s), _count(s_den)
@@ -697,18 +704,22 @@ def _cell_roots(g, dg, den, cells):
             side = min(z.real - x0, x1 - z.real, z.imag - y0, y1 - z.imag, 0.7 * apart) / 2
             if side < 1e-9 * half:
                 break
-            if mult > 1:
+            shared = sum(m for pole, m in poles if abs(pole - x) <= 1e-9)
+            if max(mult, shared) > 1:
                 sides = [merge * 4**i for i in range(30) if merge * 4**i < side] + [side]
                 squares = [(z.real - h, z.real + h, z.imag - h, z.imag + h) for h in sides]
-                zooms.append((k, mult, squares))
-            order = mult - sum(m for pole, m in poles if abs(pole - x) <= 1e-9)
-            roots.append(Root(z, order))
+                for checks, fold in zip(zooms, (mult, shared)):
+                    if fold > 1:
+                        checks.append((k, fold, squares))
+            roots.append(Root(z, mult - shared))
         else:
             result[k] = roots
-    if zooms:
-        squares = [square for _, _, squares in zooms for square in squares]
-        counts = [_count(s, 1e-2) for s in _moments(g, dg, squares, 1e-3)]
-        for k, mult, squares in zooms:
+    for pair, checks in zip(((g, dg), den), zooms):
+        if not checks:
+            continue
+        squares = [square for _, _, squares in checks for square in squares]
+        counts = [_count(s, 1e-2) for s in _moments(*pair, squares, 1e-3)]
+        for k, mult, squares in checks:
             first = next((n for n in counts[:len(squares)] if n is not None), None)
             counts = counts[len(squares):]
             if first != mult:

@@ -15,7 +15,7 @@ small and derivatives stay exact.
 
 A map is its expression tree (Var, Const, Add, ..., Call): `parse_map` is
 the only reader of map text, and `differentiate` and `as_fraction` return
-new trees.
+new trees.  `pole_free` is the one rule for telling overflow from a pole.
 
 Evaluation is on the extended plane: division of a nonzero value by zero
 yields the point at infinity (`INF`), and a genuine 0/0 raises
@@ -568,6 +568,12 @@ def as_fraction(m):
     numerator; its essential singularity is outside the supported map class.
     """
     return _fraction(m)
+
+
+def pole_free(m):
+    """Whether the map has no poles: the denominator of `as_fraction` is a
+    constant.  An inf such a map takes is overflow, not a pole."""
+    return isinstance(as_fraction(m)[1], Const)
 
 
 _ONE = Const(1 + 0j)

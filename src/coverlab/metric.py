@@ -35,13 +35,12 @@ from numpy.random import default_rng  # numpy loads numpy.random lazily; load it
 from coverlab import _march
 from coverlab.expr import (
     INF,
-    Const,
     IndeterminateError,
-    as_fraction,
     differentiate,
     evaluate,
     evaluate_array,
     evaluate_arrays,
+    pole_free,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -152,6 +151,8 @@ def spherical_density(m, dm, z):
     around = (z + eps * np.exp(1j * (math.pi / 4 + k * math.pi / 2)) for k in range(4))
     vals = [v for v in (_plain_density(m, dm, complex(zz)) for zz in around) if v is not None]
     if not vals:
+        if pole_free(m):
+            raise OverflowError(f"f overflows near z = {z!r}")
         raise IndeterminateError(f"density undefined at {z!r}")
     return float(np.median(vals))
 
@@ -405,7 +406,7 @@ def _make_pole_check(m, r):
             except IndeterminateError:
                 v = INF
             if v is INF:
-                if isinstance(as_fraction(m)[1], Const):  # no poles: the inf is overflow
+                if pole_free(m):
                     raise OverflowError(f"f overflows on |z| = {r!r} near z = {z!r}")
                 raise PoleOnCircleError(r, z)
 

@@ -7,8 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import serial_islands
-import serial_roots
 from coverlab import count as count_module
 from coverlab.expr import (
     INF,
@@ -46,7 +44,7 @@ from coverlab.metric import (
     chordal_distance_array,
     sample_sphere_uniform,
 )
-from coverlab.trace import GraphSpec
+from coverlab.trace import GraphSpec, RectangleChart, arc_test_integral
 
 RHO = 0.2 / math.sqrt(math.pi)  # the standard disk radius used throughout
 
@@ -166,6 +164,27 @@ def test_a_pole_far_inside_the_isolation_scale_takes_nothing_off():
     # the pole at 1e-8 is a thousandth of the isolation scale 1e-5 from the
     # double zero at 0; D's moments still place it apart from N's zero
     assert multiplicity_count(parse_map("z^2/(z-1e-8)"), 0, 1.0) == 2
+
+
+@pytest.mark.parametrize(
+    ("source", "p", "expected"),
+    [
+        # zeros of D at +-1e-3 i, 2e-3 apart: closer than the moments part
+        # them on the bounding square, so they read as a double zero at 0
+        ("z^3/(z^2+1e-6)", 0, [(0j, 3)]),
+        ("z^2/(z^3-1e-10)", 0, [(0j, 2)]),
+        ("(z^2+6e-8)/z^3", "inf", [(0j, 3)]),
+        # a double zero of D that N shares takes its order off
+        ("z^3/z^2", 0, [(0j, 1)]),
+        ("z^2/z^3", "inf", [(0j, 1)]),
+    ],
+)
+def test_a_zero_beside_a_cluster_of_poles_keeps_its_order(source, p, expected):
+    # the order of f - p at a zero of N - p D is taken off only by zeros of D
+    # that are there, not by simpler ones around it
+    roots = find_roots(parse_map(source), p, 1.0)
+    assert [root.multiplicity for root in roots] == [k for _, k in expected]
+    assert all(abs(root.location - z) < 1e-12 for root, (z, _) in zip(roots, expected))
 
 
 @pytest.mark.parametrize("p", [3e4, 1e5, 1e6])
@@ -577,24 +596,113 @@ def _root_bits(result):
     return [(rt.location.real.hex(), rt.location.imag.hex(), rt.multiplicity) for rt in result]
 
 
-def _serial_roots(m, p, r):
-    """The serial finder's result for one query, or the error it raises."""
-    try:
-        return serial_roots.find_roots(m, p, r)
-    except (ValueError, ArithmeticError) as exc:
-        return exc
+def _alone(query):
+    """find_roots_many's result for one query on its own."""
+    (found,) = find_roots_many([query])
+    return found
+
+
+def _polynomial_roots(coefficients):
+    """numpy.roots of a polynomial, or None where one of them has a backward
+    error above 1e-8 or is not finite, as when a tiny leading coefficient
+    spoils the companion matrix's balance."""
+    with np.errstate(all="ignore"):
+        try:
+            roots = np.roots(coefficients)
+        except np.linalg.LinAlgError:
+            return None
+        residual = np.abs(np.polyval(coefficients, roots))
+        scale = np.polyval(np.abs(coefficients), np.abs(roots))
+        if not (residual <= 1e-8 * scale).all():
+            return None
+    return roots
+
+
+def _exact_roots(coefficients, p, r):
+    """The solutions of f(z) = p with |z| < r as (location, multiplicity,
+    how far a simple one may be off), from closed forms that share no code
+    with the root finder, and whether one lies within 1e-6 r of the circle.
+    For f = N / D with the coefficient lists `coefficients` = (N, D):
+    numpy.roots of g = N - p D (of D for p at infinity), copies within
+    1e-8 r being one solution, less the zeros of D (of N) there; a simple
+    zero z may be off by 1e-8 max(1, |z|), plus 1e-14 of the terms of N and
+    p D at z over |g'(z)|, as the finder sums them in floating point, and
+    one where g has a multiple zero by 4e-5 r, as a merged one.  None
+    where numpy.roots fails, or where two of these zeros lie 1e-8 r to
+    1e-4 r apart: below ten times the finder's isolation scale 1e-5 r it may
+    merge them, by its rules, or part them.  For exp (`coefficients` None):
+    Log p + 2 pi i k."""
+    if coefficients is None:
+        if p is INF or p == 0:
+            return [], False
+        k = np.arange(-math.ceil(r / (2 * math.pi)) - 1, math.ceil(r / (2 * math.pi)) + 2)
+        zeros, poles = cmath.log(p) + 2j * math.pi * k, np.zeros(0)
+        slack = np.zeros(len(zeros))
+    else:
+        n, d = np.asarray(coefficients[0]), np.asarray(coefficients[1])
+        g, den = (d, n) if p is INF else (np.polysub(n, p * d), d)
+        zeros, poles = _polynomial_roots(g), _polynomial_roots(den)
+        if zeros is None or poles is None:
+            return None
+        with np.errstate(all="ignore"):
+            size = np.abs(zeros)
+            terms = np.polyval(np.abs(d), size) * (1 if p is INF else abs(p))
+            terms += 0 if p is INF else np.polyval(np.abs(n), size)
+            slack = 1e-14 * terms / np.abs(np.polyval(np.polyder(g), zeros))
+    points = np.concatenate([zeros, poles])
+    apart = np.abs(points[:, None] - points[None, :])
+    if ((1e-8 * r <= apart) & (apart < 1e-4 * r)).any():
+        return None
+    roots = []
+    for z, extra in zip(zeros, slack):
+        if all(abs(z - other) >= 1e-8 * r for other, _, _ in roots):
+            near = np.abs(points - z) < 1e-8 * r
+            copies = int(near[:len(zeros)].sum())
+            # a multiple zero of g is placed by its moments, not by Newton
+            off = 1e-8 * max(1.0, abs(z)) + extra if copies == 1 else 4e-5 * r
+            roots.append((complex(z), copies - int(near[len(zeros):].sum()), off))
+    on_circle = any(abs(abs(z) - r) < 1e-6 * r for z in zeros)
+    return [root for root in roots if abs(root[0]) < r and root[1] > 0], on_circle
+
+
+def _assert_the_exact_roots(found, coefficients, p, r):
+    """find_roots' result for f(z) = p in |z| < r against _exact_roots: the
+    same solutions with the same multiplicities and within their slack; a
+    root on the circle only where one lies next to it."""
+    exact = _exact_roots(coefficients, p, r)
+    if exact is None:
+        return
+    expected, on_circle = exact
+    if isinstance(found, Exception):
+        assert on_circle and isinstance(found, RootOnCircleError), found
+        return
+    if on_circle:
+        return
+    assert len(found) == len(expected)
+    for root in found:
+        ((z, k, slack),) = [want for want in expected if abs(want[0] - root.location) < 4e-5 * r]
+        assert root.multiplicity == k
+        assert abs(root.location - z) <= slack
 
 
 _UNIT = st.complex_numbers(max_magnitude=1, allow_nan=False, allow_infinity=False)
+# (map, its (N, D) coefficients or None for exp)
 _ROOT_MAPS = st.one_of(
-    st.builds(lambda d, c: Add(Pow(Var(), d), Const(c)), st.integers(2, 6), _UNIT),
+    st.builds(
+        lambda d, c: (Add(Pow(Var(), d), Const(c)), ([1] + [0] * (d - 1) + [c], [1])),
+        st.integers(2, 6),
+        _UNIT,
+    ),
     # (z^2 + c) / (z^3 - a): three poles, which the target infinity finds
     st.builds(
-        lambda c, a: Div(Add(Pow(Var(), 2), Const(c)), Sub(Pow(Var(), 3), Const(a))),
+        lambda c, a: (
+            Div(Add(Pow(Var(), 2), Const(c)), Sub(Pow(Var(), 3), Const(a))),
+            ([1, 0, c], [1, 0, 0, -a]),
+        ),
         _UNIT,
         _UNIT,
     ),
-    st.just(parse_map("exp(z)")),
+    st.just((parse_map("exp(z)"), None)),
 )
 
 
@@ -611,30 +719,34 @@ _ROOT_MAPS = st.one_of(
     ),
     st.lists(st.floats(0.3, 4.0), min_size=1, max_size=5),
 )
-def test_find_roots_many_equals_the_serial_finder_bit_for_bit(m, targets, radii):
+def test_find_roots_many_equals_each_query_alone_and_the_exact_roots(case, targets, radii):
     # z^d + c, a rational map with poles and exp(z), at one or two targets
     # with infinity among them and one to five radii: each query's roots,
-    # or its error, as one serial find_roots call gives them
+    # or its error, bit for bit as the query alone gives them, and the
+    # solutions numpy.roots or Log p + 2 pi i k give
+    m, coefficients = case
     queries = [(m, p, r) for r in radii for p in targets]
+    alone = [_alone(query) for query in queries]
     assert [_root_bits(found) for found in find_roots_many(queries)] == [
-        _root_bits(_serial_roots(*query)) for query in queries
+        _root_bits(found) for found in alone
     ]
+    for (_, p, r), found in zip(queries, alone):
+        _assert_the_exact_roots(found, coefficients, p, r)
 
 
 def test_a_failing_query_leaves_the_others_bit_identical():
     # z^2 = 1 has its root -1 on |z| = 1, a rule of that query alone; exp(z)
     # overflows on the bounding square of |z| < 800, which fails the shared
-    # windings pass, so its group reruns one query at a time.  Every other
-    # query keeps its serial roots bit for bit, and each failing one its
-    # serial error
+    # windings pass, so its group reruns one query at a time.  Every query
+    # keeps its roots, or its error, as it has them alone
     z2, e = parse_map("z^2"), parse_map("exp(z)")
     queries = [(z2, 1, 1.0), (z2, 1, 2.0), (e, 1, 5.0), (e, 1, 800.0), (e, 1, 3.0), (z2, 1, 0.5)]
     found = find_roots_many(queries)
     assert [type(result) for result in found] == [
-        RootOnCircleError, list, list, count_module.ContourPassesThroughRoot, list, list
+        RootOnCircleError, list, list, OverflowError, list, list
     ]
     assert [_root_bits(result) for result in found] == [
-        _root_bits(_serial_roots(*query)) for query in queries
+        _root_bits(_alone(query)) for query in queries
     ]
     with pytest.raises(RootOnCircleError, match="lies on"):
         find_roots(z2, 1, 1.0)
@@ -643,15 +755,38 @@ def test_a_failing_query_leaves_the_others_bit_identical():
 def test_a_query_over_the_cell_budget_leaves_the_others_bit_identical(monkeypatch):
     # with a budget of 10 cells, exp(z) = 0.25i at r = 80 runs out of cells
     # in the pass it shares with r = 20 and 40, which keep their roots
-    for module in (count_module, serial_roots):
-        monkeypatch.setattr(module, "_MAX_CELLS", 10)
+    monkeypatch.setattr(count_module, "_MAX_CELLS", 10)
     m = parse_map("exp(z)")
     queries = [(m, 0.25j, r) for r in (20.0, 80.0, 40.0)]
     found = find_roots_many(queries)
     assert [type(result) for result in found] == [list, WindingError, list]
     assert [_root_bits(result) for result in found] == [
-        _root_bits(_serial_roots(*query)) for query in queries
+        _root_bits(_alone(query)) for query in queries
     ]
+
+
+@pytest.mark.parametrize(
+    ("source", "p", "r"), [("exp(z)", 0.25j, 20.0), ("exp(z)", 0.25j, 80.0), ("z^8", 1, 2.0)]
+)
+def test_the_cell_budget_admits_exactly_the_cells_a_search_winds(monkeypatch, source, p, r):
+    # a search alone winds C cells over all its levels: with a budget of C
+    # cells it keeps its roots, with C - 1 it runs out
+    children, wound = count_module._children, []
+
+    def counted(*args):
+        cells = children(*args)
+        wound.append(len(cells))
+        return cells
+
+    monkeypatch.setattr(count_module, "_children", counted)
+    m = parse_map(source)
+    roots = find_roots(m, p, r)
+    budget = sum(wound)
+    monkeypatch.setattr(count_module, "_MAX_CELLS", budget)
+    assert _root_bits(find_roots(m, p, r)) == _root_bits(roots)
+    monkeypatch.setattr(count_module, "_MAX_CELLS", budget - 1)
+    with pytest.raises(WindingError, match="cell subdivision budget"):
+        find_roots(m, p, r)
 
 
 def test_find_roots_many_winds_each_level_of_a_target_in_one_pass(monkeypatch):
@@ -668,6 +803,32 @@ def test_find_roots_many_winds_each_level_of_a_target_in_one_pass(monkeypatch):
     found = find_roots_many([(m, 0.25j, r) for r in radii])
     assert [len(roots) for roots in found] == [6, 13, 25]
     assert len(calls) == max(single) < sum(single)
+
+
+@pytest.mark.parametrize(
+    ("call", "source", "r"),
+    [
+        (lambda m, r: find_roots(m, 1, r), "exp(z)", 720.0),
+        (lambda m, r: find_roots(m, 1, r), "exp(z^3)", 9.0),
+        (lambda m, r: mean_degree(m, r, 100), "exp(z)", 720.0),
+        (area, "exp(z)", 720.0),
+        (
+            lambda m, r: arc_test_integral(
+                m, RectangleChart(1, 0, 0, 1, x_range=(0.7, 1.3), t_range=(-0.1, 0.1)), 0.0, r
+            ),
+            "exp(z)",
+            720.0,
+        ),
+    ],
+)
+def test_an_entire_map_overflowing_on_a_contour_is_no_pole(call, source, r):
+    # exp(z) overflows past Re z = 709.8 and exp(z^3) on the root finder's
+    # bounding square of |z| < 9; with no poles the inf is overflow
+    with pytest.raises(OverflowError) as info:
+        call(parse_map(source), r)
+    message = str(info.value)
+    assert message.startswith("f overflows ") and " near z = " in message
+    assert not any(word in message for word in ("pole", "density undefined", "resample budget"))
 
 
 def test_mean_degree_constant_cover():
@@ -819,12 +980,13 @@ def _bits(scan):
     ]
 
 
-def _serial_scan(m, disks, r, resolution):
-    """island_scans' entry for radius r, one serial find_islands per disk."""
+def _scan_alone(m, disks, r, resolution):
+    """island_scans' entry for radius r from one find_islands call per disk,
+    each lifting its own (disk, radius) pair alone."""
     islands, ambiguous = [], 0
     try:
         for k, disk in enumerate(disks):
-            found, amb = serial_islands.find_islands(m, disk, r, resolution)
+            found, amb = find_islands(m, disk, r, resolution)
             for rec in found:
                 rec.disk_index = k
             islands += found
@@ -832,6 +994,47 @@ def _serial_scan(m, disks, r, resolution):
     except (ValueError, ArithmeticError) as exc:
         return exc
     return islands, ambiguous
+
+
+def _plane_disk(disk):
+    """Centre and radius of a spherical disk about a finite centre c in the
+    plane, or None if it holds infinity: chordal distance below rho is
+    |w - c|^2 < k (1 + |w|^2), k = pi rho^2 (1 + |c|^2), a disk about
+    c / (1 - k) for k < 1."""
+    if disk.center is INF:
+        return None
+    c = disk.center
+    k = math.pi * disk.radius**2 * (1 + abs(c) ** 2)
+    if k >= 1:
+        return None
+    return c / (1 - k), math.sqrt(k * (1 + abs(c) ** 2 - k)) / (1 - k)
+
+
+def _assert_the_exact_islands(d, c, disks, scan, r, resolution):
+    """The islands of z^d + c in closed form.  An island over a disk D is a
+    component of the z with z^d in D - c: one holding 0, of degree d, if c
+    lies in D, else d apart, and a disk either way.  So each island's degree
+    is the number of solutions of z^d + c = centre (numpy.roots) inside it,
+    its ramification d - 1 if 0 is inside, else 0, and chi = 1.  A disk
+    whose preimage lies within |z| < max_{w in D} |w - c|^(1/d), inside the
+    margin test radius, has all d solutions in its islands."""
+    if isinstance(scan, Exception):
+        return
+    islands, _ = scan
+    for k, disk in enumerate(disks):
+        mine = [rec for rec in islands if rec.disk_index == k]
+        plane = _plane_disk(disk)
+        if plane is None:  # a disk holding infinity pulls back to a neighbourhood of it
+            assert mine == []
+            continue
+        solutions = np.roots([1] + [0] * (d - 1) + [c - disk.center])
+        for rec in mine:
+            assert rec.degree == sum(_inside(rec.boundary, z) for z in solutions)
+            assert rec.ramification == (d - 1 if _inside(rec.boundary, 0j) else 0)
+            assert (rec.chi, rec.holes) == (1, [])
+        reach = (abs(plane[0] - c) + plane[1]) ** (1 / d)
+        if reach < count_module.margin_radius(r, resolution) - 2.5 * r / resolution:
+            assert sum(rec.degree for rec in mine) == d
 
 
 _CENTRES = st.one_of(
@@ -846,19 +1049,22 @@ _CENTRES = st.one_of(
     st.lists(st.tuples(_CENTRES, st.floats(0.01, 0.2)), min_size=1, max_size=3),
     st.lists(st.floats(0.3, 4.0), min_size=2, max_size=4),
 )
-def test_island_scans_equal_the_serial_finder_bit_for_bit(d, c, disks, radii):
+def test_island_scans_equal_find_islands_alone_and_the_exact_islands(d, c, disks, radii):
     # z^d + c over disks about random centres, infinity among them: every
-    # radius's islands, or its first failing disk's error, as one serial
-    # find_islands call per (disk, radius) gives them
+    # radius's islands, or its first failing disk's error, bit for bit as
+    # one find_islands call per (disk, radius) gives them, and the islands
+    # of the closed form
     m = Add(Pow(Var(), d), Const(c))
     disks = [SphericalDisk.of(centre, rho) for centre, rho in disks]
     # numpy's floating-point warnings are off, as outside the tests: a
     # 6-fold seed under a centre c of modulus about 1 loses g - c to rounding
-    # in its start direction, and both finders then lift NaN starts alike
+    # in its start direction, and the finder takes it from g^(6) / 6! then
     with np.errstate(all="ignore"):
         scans = island_scans(m, disks, radii, 512)
-        serial = [_serial_scan(m, disks, r, 512) for r in radii]
-    assert [_bits(scan) for scan in scans] == [_bits(scan) for scan in serial]
+        alone = [_scan_alone(m, disks, r, 512) for r in radii]
+    assert [_bits(scan) for scan in scans] == [_bits(scan) for scan in alone]
+    for r, scan in zip(radii, scans):
+        _assert_the_exact_islands(d, c, disks, scan, r, 512)
 
 
 @pytest.mark.parametrize(
@@ -873,40 +1079,90 @@ def test_island_scans_equal_the_serial_finder_bit_for_bit(d, c, disks, radii):
         ("z^2", (1e-4j, -0.5, 3), RHO, [2.0, 3.0], 512),
     ],
 )
-def test_island_scans_match_the_serial_finder_on_fixed_configs(source, centres, rho, radii,
-                                                               resolution):
+def test_island_scans_match_find_islands_alone_on_fixed_configs(source, centres, rho, radii,
+                                                                resolution):
     m = parse_map(source)
     disks = [SphericalDisk.of(centre, rho) for centre in centres]
     scans = island_scans(m, disks, radii, resolution)
     assert [_bits(scan) for scan in scans] == [
-        _bits(_serial_scan(m, disks, r, resolution)) for r in radii
+        _bits(_scan_alone(m, disks, r, resolution)) for r in radii
     ]
+    if source in ("z^5", "z^2"):
+        d = int(source[-1])
+        for r, scan in zip(radii, scans):
+            _assert_the_exact_islands(d, 0j, disks, scan, r, resolution)
+
+
+def _critical_points(numerator, denominator):
+    """Critical points of f = N / D, N and D coprime with these coefficients,
+    each with its multiplicity: numpy.roots of N' D - N D', which vanishes
+    where f' does and to order k - 1 at a pole of order k."""
+    n, d = np.poly1d(numerator), np.poly1d(denominator)
+    return list((n.deriv() * d - n * d.deriv()).roots)
+
+
+# (map, its critical points in |z| < 3, disk centres with critical values among them)
+_RIEMANN_HURWITZ = [
+    ("z^5", _critical_points([1, 0, 0, 0, 0, 0], [1]), (0, 1, "inf")),
+    ("z^3-3*z", _critical_points([1, 0, -3, 0], [1]), (2, -2, 0, "inf")),
+    ("z^4-2*z^2", _critical_points([1, 0, -2, 0, 0], [1]), (0, -1, 1, "inf")),
+    # zeros of f' at 0, 0.4 and 1 (double); the critical values 0 and -0.03456
+    # lie in the disk about 0
+    ("z^2*(z-1)^3", _critical_points(np.poly([0, 0, 1, 1, 1]), [1]), (0, -0.03456, 1, "inf")),
+    # zeros of cos at +-pi/2, whose values are +-1
+    ("sin(z)", [math.pi / 2, -math.pi / 2], (1, -1, 0, "inf")),
+    # f' = 10 z / (z^2 + 4)^2 and simple poles +-2i; f(0) = -1/4
+    ("(z^2-1)/(z^2+4)", _critical_points([1, 0, -1], [1, 0, 4]), (-0.25, 0, "inf")),
+]
+
+
+@pytest.mark.parametrize(("source", "critical", "centres"), _RIEMANN_HURWITZ)
+def test_island_ramification_counts_the_critical_points_inside(source, critical, centres):
+    # Riemann-Hurwitz: an island C of degree d_C has chi(C) = d_C - crit_C,
+    # with crit_C the zeros of f' in C counted with multiplicity (and k - 1
+    # for a pole of order k), so its ramification d_C - chi(C) is the number
+    # of critical points inside its outer boundary and outside its holes
+    m = parse_map(source)
+    disks = [SphericalDisk.of(centre, RHO) for centre in centres]
+    ramified = 0
+    for scan in island_scans(m, disks, [1.5, 2.0, 3.0], 512):
+        assert not isinstance(scan, Exception), scan
+        for rec in scan[0]:
+            inside = [
+                z for z in critical
+                if _inside(rec.boundary, z) and not any(_inside(hole, z) for hole in rec.holes)
+            ]
+            assert rec.ramification == len(inside)
+            ramified += rec.ramification
+    assert ramified > 0
 
 
 def test_a_stalled_lift_leaves_the_lifts_beside_it_alone():
     # z^2 lifted from 1 along w = 1 - 2t meets the critical value 0 at t = 1/2
-    # and stalls there; a lift beside it in the same pass, through no critical
-    # value, takes the steps it takes alone, as does the serial lifter
+    # and stalls there.  A lift beside it in the same pass, eight times
+    # around the unit circle, still going when the other stalls, takes the
+    # steps it takes alone and comes back to its start: z = z0 e^(8 pi i t).
+    # The stalled lift raises the error it raises alone
     g = Pow(Var(), 2)
     dg = differentiate(g)
 
     def through_zero(t):
         return 1 - 2 * t + 0j, -2.0
 
-    def upward(t):
-        return 1 + 1j * t, 1j
+    def around(t):
+        w = np.exp(16j * np.pi * t)
+        return w, 16j * np.pi * w
 
     stalling = (np.array([1 + 0j, -1 + 0j]), through_zero, 0.0, 1.0, 10.0)
-    going = (np.array([1 + 0j, -1 + 0j]), upward, 0.0, 1.0, 10.0)
+    going = (np.array([1 + 0j, -1 + 0j]), around, 0.0, 1.0, 10.0)
     stalled, (rows, alive) = lift_paths(g, dg, [stalling, going])
-    alone_rows, alone_alive = lift_paths(g, dg, [going])[0]
-    serial_rows, serial_alive = serial_islands._lift(g, dg, *going)
-    assert rows.tobytes() == alone_rows.tobytes() == serial_rows.tobytes()
-    assert alive.tolist() == alone_alive.tolist() == serial_alive.tolist() == [True, True]
-    with pytest.raises(ResolutionError) as info:
-        serial_islands._lift(g, dg, *stalling)
-    assert isinstance(stalled, ResolutionError)
-    assert str(stalled) == str(info.value)
+    ((alone_rows, alone_alive),) = lift_paths(g, dg, [going])
+    (alone_stalled,) = lift_paths(g, dg, [stalling])
+    assert rows.tobytes() == alone_rows.tobytes()
+    assert alive.tolist() == alone_alive.tolist() == [True, True]
+    assert np.abs(rows[-1] - going[0]).max() < 1e-12
+    assert isinstance(stalled, ResolutionError) and isinstance(alone_stalled, ResolutionError)
+    assert str(stalled) == str(alone_stalled)
     assert str(stalled).startswith("path lifting stalled at t = 0.49999")
 
 
@@ -1073,9 +1329,9 @@ def test_cycle_components_refuse_two_lifts_landing_on_one_start():
 
 def test_island_scans_keep_each_radius_to_its_own_error(monkeypatch):
     # a root search failing for the second disk at the second of three radii
-    # is that radius's error, as the serial finder raises it; the other
+    # is that radius's error, as find_islands alone raises it; the other
     # radii keep their islands bit for bit.  The failure is injected into
-    # find_roots_many, which find_roots (the serial finder's) calls too
+    # find_roots_many, which find_islands alone calls too
     m = parse_map("z^3")
     disks = [SphericalDisk.of(c, RHO) for c in (0, 1, "inf")]
     radii = [1.5, 2.0, 3.0]
@@ -1092,7 +1348,7 @@ def test_island_scans_keep_each_radius_to_its_own_error(monkeypatch):
     monkeypatch.setattr(count_module, "find_roots_many", failing)
     scans = island_scans(m, disks, radii, 512)
     assert isinstance(scans[1], WindingError)
-    assert _bits(scans[1]) == _bits(_serial_scan(m, disks, 2.0, 512))
+    assert _bits(scans[1]) == _bits(_scan_alone(m, disks, 2.0, 512))
     assert [_bits(scans[0]), _bits(scans[2])] == [before[0], before[2]]
 
 
@@ -1107,7 +1363,7 @@ def test_a_six_fold_seed_under_a_large_centre_has_its_island():
     assert (island.degree, island.chi, island.ramification, ambiguous) == (6, 1, 5, 0)
     assert abs(island.centroid) < 1e-12
     (scan,) = island_scans(m, [disk], [1.0], 512)
-    assert _bits(scan) == _bits(_serial_scan(m, [disk], 1.0, 512))
+    assert _bits(scan) == _bits(_scan_alone(m, [disk], 1.0, 512))
 
 
 @pytest.mark.parametrize("resolution", [256, 512, 2048])

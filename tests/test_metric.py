@@ -362,17 +362,21 @@ def test_an_entire_map_overflowing_on_the_circle_is_no_pole(call, source, r):
 
 def test_the_density_rescue_stops_where_f_overflows_all_around():
     # exp(z^3) overflows on a whole region at |z| = 20, so the pole rescue's
-    # neighbours overflow too: the density there raises IndeterminateError
-    # naming the point, and area an ArithmeticError within a second (a
-    # rescue recursing into its neighbours ends in RecursionError, which no
-    # caller's except (ValueError, ArithmeticError) catches)
+    # neighbours overflow too.  With no poles that is overflow: the density
+    # there raises OverflowError naming the point, and area raises it within
+    # a second (a rescue recursing into its neighbours ends in
+    # RecursionError, which no caller's except (ValueError, ArithmeticError)
+    # catches).  Add a pole and the same point is undefined
     m = parse_map("exp(z^3)")
-    with pytest.raises(IndeterminateError, match=r"density undefined at \(20\+0j\)"):
+    with pytest.raises(OverflowError, match=r"f overflows near z = \(20\+0j\)"):
         spherical_density(m, differentiate(m), 20.0)
     start = time.perf_counter()
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(OverflowError, match="f overflows near z = "):
         area(m, 20.0)
     assert time.perf_counter() - start < 1.0
+    m = parse_map("exp(z^3)+1/z")
+    with pytest.raises(IndeterminateError, match=r"density undefined at \(20\+0j\)"):
+        spherical_density(m, differentiate(m), 20.0)
 
 
 # Bits of l(r), a'(r), the boundary-integral a(r) and the polar a(r), as

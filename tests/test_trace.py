@@ -4,7 +4,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-import serial_march
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
@@ -1159,9 +1158,8 @@ def _assert_components_match_ndimage(mask):
     """The runs of a mask, labelled by `label_runs`, paint ndimage's label
     grid; `mask_euler_characteristic` gives the V - E + F of every
     component's mask, and `deepest` the first distance_transform_cdt argmax
-    of every component on its bounding box grown by one pixel, and the
-    probes of the one-erosion-per-step search (serial_march) bit for bit.
-    Returns every component's (chi, deepest)."""
+    of every component on its bounding box grown by one pixel.  Returns
+    every component's (chi, deepest)."""
     row, lo, hi = _mask_runs(mask)
     label = _march.label_runs(row, lo, hi)
     grid = np.zeros(mask.shape, dtype=int)
@@ -1173,8 +1171,6 @@ def _assert_components_match_ndimage(mask):
     assert len(chis) == count
     probes = _march.deepest(row, lo, hi, label, mask.shape)
     assert probes.shape == (count, 2)
-    serial = serial_march.deepest(row, lo, hi, label, mask.shape)
-    assert probes.dtype == serial.dtype and probes.tobytes() == serial.tobytes()
     entries = []
     for k, box in enumerate(ndimage.find_objects(ref_labels)):
         assert chis[k] == _mask_chi(ref_labels == k + 1)
@@ -1236,12 +1232,12 @@ _BLOCKS = st.lists(
     st.floats(0.0, 0.3),
     st.integers(0, 2**32 - 1),
 )
-def test_deepest_equals_the_serial_search_bit_for_bit(n_rows, n_cols, on, off, density, seed):
+def test_deepest_matches_the_distance_transform(n_rows, n_cols, on, off, density, seed):
     # rectangles of pixels, clipped to the grid, so components sit on each
     # grid edge, fill the grid, or nest in one another's holes, of depths
     # from 0 to the grid's in one call, as the faces of several radii
-    # would be, less rectangles and random pixels: every probe is the
-    # serial search's and distance_transform_cdt's
+    # would be, less rectangles and random pixels: every probe is
+    # distance_transform_cdt's
     mask = np.zeros((n_rows, n_cols), dtype=bool)
     for value, blocks in ((True, on), (False, off)):
         for r0, h, c0, w in blocks:
@@ -1263,15 +1259,12 @@ def test_deepest_of_a_component_on_one_grid_edge(edge):
         _assert_components_match_ndimage(mask)
 
 
-@settings(derandomize=True, max_examples=30, deadline=None)
-@given(st.integers(1, 80), st.floats(0.05, 0.6), st.integers(0, 2**32 - 1))
-def test_free_runs_match_the_disk_masks(n, density, seed):
-    # the runs of the disk less random blocked pixels and their ring flags,
-    # against full-grid masks
-    r = 3.0
-    xs = -r + (np.arange(n) + 0.5) * (2 * r / n)
+def _assert_free_runs_match_the_disk_masks(blocked, r, n):
+    """trace._free_runs against full-grid masks: the runs of the pixels with
+    |xs + i y| <= r less the blocked ones, each flagged if it holds a pixel
+    past ring_radius."""
+    xs = -r + (np.arange(n) + 0.5) * (2.0 * r / n)
     dist = np.abs(xs[None, :] + 1j * xs[:, None])
-    blocked = np.flatnonzero(np.random.default_rng(seed).random(n * n) < density)
     free = dist <= r
     free.flat[blocked] = False
     ring = (dist <= r) & (dist > ring_radius(r, n))
@@ -1280,30 +1273,12 @@ def test_free_runs_match_the_disk_masks(n, density, seed):
     assert list(zip(row.tolist(), lo.tolist(), hi.tolist(), on_ring.tolist())) == expected
 
 
-def _free_runs_by_bands(blocked, r, n, xs):
-    """trace._free_runs as one pass over the disk's pixels, 64 rows at a
-    time: the |xs + i y| <= r and ring masks of each band, less its blocked
-    pixels, cut into row runs."""
-    ring_r = ring_radius(r, n)
-    bands = []
-    for j in range(0, n, 64):
-        dist = np.abs(xs[None, :] + 1j * xs[j : j + 64, None])
-        free = dist <= r
-        ring = np.flatnonzero(free & (dist > ring_r))
-        cut = np.searchsorted(blocked, [j * n, j * n + free.size])
-        free.flat[blocked[cut[0] : cut[1]] - j * n] = False
-        row, edge = np.nonzero(np.diff(np.pad(free, ((0, 0), (1, 1))), axis=1))
-        row, lo, hi = row[::2], edge[::2], edge[1::2]
-        on_ring = np.searchsorted(ring, row * n + hi) > np.searchsorted(ring, row * n + lo)
-        bands.append((row + j, lo, hi, on_ring))
-    return tuple(np.concatenate(part) for part in zip(*bands))
-
-
-def _assert_free_runs_match_the_bands(blocked, r, n):
-    xs = -r + (np.arange(n) + 0.5) * (2.0 * r / n)
-    got, expected = trace._free_runs(blocked, r, n, xs), _free_runs_by_bands(blocked, r, n, xs)
-    for a, b in zip(got, expected):
-        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(st.integers(1, 80), st.floats(0.05, 0.6), st.integers(0, 2**32 - 1))
+def test_free_runs_match_the_disk_masks(n, density, seed):
+    # the runs of the disk less random blocked pixels and their ring flags
+    blocked = np.flatnonzero(np.random.default_rng(seed).random(n * n) < density)
+    _assert_free_runs_match_the_disk_masks(blocked, 3.0, n)
 
 
 @pytest.mark.parametrize(
@@ -1314,7 +1289,8 @@ def _assert_free_runs_match_the_bands(blocked, r, n):
 def test_free_runs_match_the_bands_on_the_workload_graphs(source, node, scale, r, resolution):
     g = build_preimage_graph(parse_map(source), GraphSpec(node=node, scale=scale), r, resolution)
     xs = -r + (np.arange(resolution) + 0.5) * (2.0 * r / resolution)
-    _assert_free_runs_match_the_bands(trace._blocked_pixels(g, r, resolution, xs), r, resolution)
+    blocked = trace._blocked_pixels(g, r, resolution, xs)
+    _assert_free_runs_match_the_disk_masks(blocked, r, resolution)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 9, 16, 65, 130])
@@ -1322,10 +1298,10 @@ def test_free_runs_match_the_bands_on_the_workload_graphs(source, node, scale, r
 def test_free_runs_match_the_bands_on_small_grids(n, r):
     # rows whose disk or inner span is empty or one pixel wide, a ring
     # radius of 0 or below, and blocked pixels at both ends of a span
-    _assert_free_runs_match_the_bands(np.zeros(0, dtype=int), r, n)
+    _assert_free_runs_match_the_disk_masks(np.zeros(0, dtype=int), r, n)
     rng = np.random.default_rng(n)
-    _assert_free_runs_match_the_bands(np.flatnonzero(rng.random(n * n) < 0.3), r, n)
-    _assert_free_runs_match_the_bands(np.arange(0, n * n, 2), r, n)
+    _assert_free_runs_match_the_disk_masks(np.flatnonzero(rng.random(n * n) < 0.3), r, n)
+    _assert_free_runs_match_the_disk_masks(np.arange(0, n * n, 2), r, n)
 
 
 @pytest.mark.parametrize("fill", [False, True])
