@@ -12,18 +12,21 @@ each unambiguous case to its edge pair, and one vectorized interpolation
 cell rows at a time, each band sampled anew from the last node row of the
 one before; the plain segments of all bands, then all their saddle cells,
 come in row-major order, as from one pass.  Given a certificate
-`positive` (a bound of the field > 0 on discs), one quadtree of blocks
-over the whole grid (_uncertified) skips the blocks it certifies and
-returns the leaf blocks it cannot; each band paints the leaves that
-overlap it, samples the field only at their cells' nodes and is marched
-over their column span.  A certified cell has code 15 and yields
-nothing, so the chains are bit-identical.  The 3 x 3 sub-grid of every
-saddle cell goes through it too; a saddle still ambiguous after
-_MAX_DEPTH levels is split by the sign at its centre, through the same
-interpolation.
+`positive` (a bound of the field > 0 on discs), one breadth-first quadtree
+of blocks over the whole grid (_uncertified) skips the blocks it certifies
+and returns the leaf blocks it cannot; it takes each level _SLICE blocks
+at a time, so only the level's int block bounds span it.  Each band
+paints the leaves that overlap it, samples the field only at their cells'
+nodes and is marched over their column span.  A certified cell has code
+15 and yields nothing, so the chains are bit-identical.  The 3 x 3
+sub-grid of every saddle cell goes through it too; a saddle still
+ambiguous after _MAX_DEPTH levels is split by the sign at its centre,
+through the same interpolation.
 Segments are oriented so the negative side of F lies to the left; chains
 are assembled by endpoint matching with a tolerance that absorbs the tiny
-cracks hanging nodes introduce at coarse/fine cell interfaces.
+cracks hanging nodes introduce at coarse/fine cell interfaces: endpoints
+match when they round to one point of a fine lattice, and each lattice
+point is keyed by one int, its rank among the segments' endpoints.
 
 `runs` splits a sampled sequence into its maximal kept runs, walking a
 closed one from a dropped entry around to it again; every cut of a traced
@@ -214,27 +217,32 @@ def _uncertified(positive, xs, ys):
     A quadtree starts from blocks of _BLOCK cells a side.  Each block is
     tested on the disc about its centre through all its nodes; a block that
     fails is halved along each side longer than one cell, down to blocks of
-    at most _LEAF cells a side, which are not certified.
+    at most _LEAF cells a side, which are not certified.  The tree is walked
+    breadth first, each level _SLICE blocks at a time: a slice's discs, its
+    `positive` call and its leaves and blocks to split are made together,
+    so only the level's int32 block bounds span the whole level.
     """
     shape = (len(ys) - 1, len(xs) - 1)
-    r0, c0 = (np.arange(0, n, _BLOCK) for n in shape)
+    r0, c0 = (np.arange(0, n, _BLOCK, dtype=np.int32) for n in shape)
     r1, c1 = np.minimum(r0 + _BLOCK, shape[0]), np.minimum(c0 + _BLOCK, shape[1])
     blocks = np.stack(np.broadcast_arrays(r0[:, None], r1[:, None], c0, c1)).reshape(4, -1)
     leaves = []
     while blocks.shape[1]:
-        r0, r1, c0, c1 = blocks
-        x_lo, x_hi, y_lo, y_hi = xs[c0], xs[c1], ys[r0], ys[r1]
-        centres = 0.5 * (x_lo + x_hi) + 0.5j * (y_lo + y_hi)
-        # half the diagonal, widened past the rounding of the centre
-        radii = np.hypot(x_hi - x_lo, y_hi - y_lo) * (0.5 + 1e-12) + 1e-15 * np.abs(centres)
-        # a large level is certified in slices, which bounds the certificate's temporaries
-        certified = [positive(centres[k : k + _SLICE], radii[k : k + _SLICE])
-                     for k in range(0, len(centres), _SLICE)]
-        blocks = blocks[:, ~np.asarray(np.concatenate(certified), dtype=bool)]
-        r0, r1, c0, c1 = blocks
-        leaf = np.maximum(r1 - r0, c1 - c0) <= _LEAF
-        leaves.append(blocks[:, leaf])
-        r0, r1, c0, c1 = blocks[:, ~leaf]
+        # slice by slice, in the level's order, so the leaves and the blocks
+        # to split come in the order the whole level would give them
+        split = []
+        for k in range(0, blocks.shape[1], _SLICE):
+            part = blocks[:, k : k + _SLICE]
+            r0, r1, c0, c1 = part
+            x_lo, x_hi, y_lo, y_hi = xs[c0], xs[c1], ys[r0], ys[r1]
+            centres = 0.5 * (x_lo + x_hi) + 0.5j * (y_lo + y_hi)
+            # half the diagonal, widened past the rounding of the centre
+            radii = np.hypot(x_hi - x_lo, y_hi - y_lo) * (0.5 + 1e-12) + 1e-15 * np.abs(centres)
+            r0, r1, c0, c1 = part = part[:, ~np.asarray(positive(centres, radii), dtype=bool)]
+            leaf = np.maximum(r1 - r0, c1 - c0) <= _LEAF
+            leaves.append(part[:, leaf])
+            split.append(part[:, ~leaf])
+        r0, r1, c0, c1 = np.concatenate(split, axis=1)
         rm, cm = (r0 + r1 + 1) // 2, (c0 + c1 + 1) // 2
         blocks = np.concatenate(
             ([r0, rm, c0, cm], [r0, rm, cm, c1], [rm, r1, c0, cm], [rm, r1, cm, c1]), axis=1
@@ -248,18 +256,15 @@ def _chain(segments, quantum):
 
     `segments` holds one (p, q, size) row per segment: a list of triples or
     an (n, 3) complex array.  Endpoints match when they round to the same
-    multiple of `quantum`.
+    multiple of `quantum`: each distinct pair of multiples gets one int key,
+    its rank among them.
     """
     seg = np.asarray(segments, dtype=complex).reshape(-1, 3)
     p, q, size = seg[:, 0], seg[:, 1], seg[:, 2].real
-
-    def keys(z):
-        return list(zip(
-            np.rint(z.real / quantum).astype(np.int64).tolist(),
-            np.rint(z.imag / quantum).astype(np.int64).tolist(),
-        ))
-
-    start, end = keys(p), keys(q)
+    ends = seg[:, :2].T.reshape(-1)  # every start, then every end
+    grid = np.rint(np.stack((ends.real, ends.imag), axis=1) / quantum).astype(np.int64)
+    key = np.unique(grid, axis=0, return_inverse=True)[1].reshape(-1)
+    start, end = key[: len(seg)].tolist(), key[len(seg) :].tolist()
     degenerate = (p == q).tolist()
     # segment indices by start and by end key, in index order; degenerate
     # p == q segments never start a forward step but may end a backward one

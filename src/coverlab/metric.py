@@ -48,6 +48,7 @@ MAX_DISK_RADIUS = 0.5 / SQRT_PI  # topological-disk bound for SphericalDisk
 
 _BIG = 1e80  # |f| beyond this: switch to the reciprocal form of h
 _MAX_AREA_CELLS = 200_000
+_AREA_CHUNK = 1024  # polar cells that _coarse_batch evaluates at once
 _MAX_CIRCLE_SEGMENTS = 4000
 _SPECULATE = 63  # heap segments whose halves are estimated with a popped segment's
 
@@ -178,7 +179,7 @@ def density_array(m, dm, zs):
     w, dw = evaluate_arrays([m, dm], zs)
     with np.errstate(all="ignore"):
         u = np.abs(w)
-        v = np.abs(dw)
+        v = u if dw is w else np.abs(dw)  # one array for f = f', as for exp(z)
         h = np.where(u > _BIG, (v / u) / u, v / (1.0 + u * u)) / SQRT_PI
     bad = ~np.isfinite(h)
     if np.any(bad):
@@ -206,21 +207,25 @@ def _quarter_bounds(bounds):
 
 
 def _coarse_batch(m, dm, bounds):
-    """Gauss 4x4 estimates for a list of polar cells, one vectorized eval."""
-    nb = len(bounds)
-    b = np.asarray(bounds)  # (nb, 4): s0 s1 t0 t1
-    s_mid = 0.5 * (b[:, 0] + b[:, 1])
-    s_half = 0.5 * (b[:, 1] - b[:, 0])
-    t_mid = 0.5 * (b[:, 2] + b[:, 3])
-    t_half = 0.5 * (b[:, 3] - b[:, 2])
-    s = s_mid[:, None, None] + s_half[:, None, None] * _GL_NODES[None, :, None]
-    t = t_mid[:, None, None] + t_half[:, None, None] * _GL_NODES[None, None, :]
-    ss = np.broadcast_to(s, (nb, 4, 4))
-    zs = ss * np.exp(1j * t)  # e^{it} on the 4 angular nodes of each cell, broadcast
-    h = density_array(m, dm, zs)
-    vals = h * h * ss
-    ww = np.outer(_GL_WEIGHTS, _GL_WEIGHTS)[None, :, :]
-    return np.sum(vals * ww, axis=(1, 2)) * s_half * t_half
+    """Gauss 4x4 estimates for a list of polar cells, one vectorized eval per
+    _AREA_CHUNK cells; each value is elementwise and each cell's sum its own,
+    so the chunk size changes no bit."""
+    out = []
+    for k in range(0, len(bounds), _AREA_CHUNK):
+        b = np.asarray(bounds[k : k + _AREA_CHUNK])  # (nb, 4): s0 s1 t0 t1
+        s_mid = 0.5 * (b[:, 0] + b[:, 1])
+        s_half = 0.5 * (b[:, 1] - b[:, 0])
+        t_mid = 0.5 * (b[:, 2] + b[:, 3])
+        t_half = 0.5 * (b[:, 3] - b[:, 2])
+        s = s_mid[:, None, None] + s_half[:, None, None] * _GL_NODES[None, :, None]
+        t = t_mid[:, None, None] + t_half[:, None, None] * _GL_NODES[None, None, :]
+        ss = np.broadcast_to(s, (len(b), 4, 4))
+        zs = ss * np.exp(1j * t)  # e^{it} on the 4 angular nodes of each cell, broadcast
+        h = density_array(m, dm, zs)
+        vals = h * h * ss
+        ww = np.outer(_GL_WEIGHTS, _GL_WEIGHTS)[None, :, :]
+        out.append(np.sum(vals * ww, axis=(1, 2)) * s_half * t_half)
+    return np.concatenate(out)
 
 
 def _angular_feature_runs(row):
@@ -285,6 +290,8 @@ def area(m, r, tol=1e-7):
     split); the worst cells are bisected along their physically longer side
     until the estimated error is at most tol * (1 + |a|).  Going over
     _MAX_AREA_CELLS raises QuadratureError with the partial value and worst cell.
+    The cells are evaluated _AREA_CHUNK at a time (_coarse_batch), which
+    bounds the working set at any radius and changes no bit of the result.
     """
     if r <= 0:
         raise ValueError("r must be positive")

@@ -646,7 +646,12 @@ def _blocked_pixels(g, r, n, xs):
             f"arcs share a pixel corridor at {list(shared.values())[:3]!r}; "
             f"retry with a finer resolution"
         )
-    return np.unique(np.concatenate((vertex_pixels, pixels)))
+    # the sorted distinct pixels, as np.unique gives them, which would load
+    # numpy.ma on its first call
+    pixels = np.sort(np.concatenate((vertex_pixels, pixels)))
+    first = np.ones(len(pixels), dtype=bool)
+    first[1:] = pixels[1:] != pixels[:-1]
+    return pixels[first]
 
 
 def _free_runs(blocked, r, n, xs):

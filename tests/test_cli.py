@@ -477,6 +477,29 @@ def test_cli_import_loads_no_scipy_and_loads_numpy_random():
     assert out == ["[]", "True"]
 
 
+def test_graph_and_euler_run_loads_no_numpy_ma(tmp_path):
+    # np.unique(x) asks np.ma.is_masked, which imports numpy.ma inside the
+    # timed run; the complement's pixel set is made distinct without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    (tmp_path / "graph.cfg").write_text(
+        "map = z^5\nradii.list = 2\nresolution = 512\ngraph.node = 0.5i\ngraph.scale = 0.5\n"
+        f"verifiers = graph, euler\noutputs = {tmp_path / 'out'}\n"
+    )
+    probe = (
+        "import sys\nfrom coverlab import cli\n"
+        f"code = cli.main(['verify-all', '--config', {str(tmp_path / 'graph.cfg')!r}])\n"
+        "print(code, 'numpy.ma' in sys.modules)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.splitlines()
+    assert out[-1] == "0 False"
+
+
 @pytest.mark.parametrize(
     "lines",
     [

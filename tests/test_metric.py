@@ -1,6 +1,7 @@
 import cmath
 import math
 import time
+import tracemalloc
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -413,6 +414,29 @@ def test_quadratures_are_bit_identical_to_the_pins(source, r, length, derivative
     assert area_derivative(m, r).hex() == derivative
     assert boundary_area(m, r).hex() == boundary
     assert area(m, r).hex() == polar
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 10_000])
+@pytest.mark.parametrize("pin", [0, 3, 6], ids=lambda k: f"{BIT_PINS[k][0]}-r{BIT_PINS[k][1]}")
+def test_area_does_not_depend_on_the_chunk_size(monkeypatch, pin, chunk):
+    # one cell per evaluation, chunks that split a cell's quarters, and one
+    # chunk for every batch give the pinned bits
+    source, r, *_, polar = BIT_PINS[pin]
+    monkeypatch.setattr(metric, "_AREA_CHUNK", chunk)
+    assert area(parse_map(source), r).hex() == polar
+
+
+def test_area_memory():
+    # exp-topology's largest radius: its 2048 seed cells and their quarters
+    # in one batch would peak at 11 MB
+    m = parse_map("exp(z)")
+    tracemalloc.start()
+    try:
+        area(m, 80.0, tol=1e-7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3e6
 
 
 @pytest.mark.parametrize(

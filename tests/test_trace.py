@@ -890,6 +890,71 @@ def test_chain_extends_backward_in_segment_order():
     assert np.array_equal(chains[0].points, pts)
 
 
+def _tuple_key_walk(segments, quantum):
+    """(points, closed) of each chain of oriented segments (p, q, size), each
+    key a pair of Python ints: from each unused segment in index order, the
+    first unused segment, in index order, whose start matches the chain's
+    end is joined forward, then the first whose end matches its start is
+    joined backward; a degenerate p == q segment joins only backward."""
+    def key(z):
+        return round(z.real / quantum), round(z.imag / quantum)
+
+    used = [False] * len(segments)
+
+    def first_unused(matches):
+        k = next((k for k, seg in enumerate(segments) if not used[k] and matches(seg)), None)
+        if k is not None:
+            used[k] = True
+        return k
+
+    chains = []
+    for k, (p, q, _) in enumerate(segments):
+        if used[k]:
+            continue
+        used[k] = True
+        if p == q:
+            continue
+        forward, backward = [k], [k]
+        while (j := first_unused(lambda s: s[0] != s[1]
+                                 and key(s[0]) == key(segments[forward[-1]][1]))) is not None:
+            forward.append(j)
+        while (j := first_unused(lambda s: key(s[1]) == key(segments[backward[-1]][0]))) is not None:
+            backward.append(j)
+        points = [segments[j][0] for j in reversed(backward)] + [segments[j][1] for j in forward]
+        start, end = key(segments[backward[-1]][0]), key(segments[forward[-1]][1])
+        chains.append((points, start == end and len(points) > 2))
+    return chains
+
+
+def test_chain_keys_are_exact_far_from_the_origin():
+    # about 1e6 from the origin with a quantum of 2^-20 (about 1e-6), an
+    # endpoint rounds to some 2^40 quanta a side: a key packed as
+    # ix 2^32 + iy in int64 makes the end of one chain and the start of
+    # another, 2^32 quanta apart, one key
+    quantum = 2.0**-20
+    centre = 2.0**20 * (1 + 1j)
+    loop = centre + np.round(np.exp(2j * np.pi * np.arange(12) / 12) / quantum) * quantum
+    a = centre + 10 + 0.5 * np.arange(5)
+    b = a[-1] + 2**32 * quantum + 0.5j * np.arange(5)
+    ix, iy = (np.rint(np.array([a[-1].real, b[0].real]) / quantum).astype(np.int64),
+              np.rint(np.array([a[-1].imag, b[0].imag]) / quantum).astype(np.int64))
+    with np.errstate(over="ignore"):
+        packed = (ix << 32) + iy
+    assert packed[0] == packed[1]
+    # each loop segment's ends moved by less than a quarter quantum
+    rng = np.random.default_rng(7)
+    jitter = rng.uniform(-0.25, 0.25, (12, 2)) * quantum
+    segments = [(loop[k] + jitter[k, 0], loop[(k + 1) % 12] + jitter[k, 1], 1e-3) for k in range(12)]
+    segments += [(a[k], a[k + 1], 1e-3) for k in range(4)]
+    segments += [(b[k], b[k + 1], 1e-3) for k in range(4)]
+    segments = [segments[k] for k in rng.permutation(len(segments))]
+    expected = _tuple_key_walk(segments, quantum)
+    assert sorted((len(points), closed) for points, closed in expected) == [
+        (5, False), (5, False), (13, True)]
+    chains = _march._chain(segments, quantum)
+    assert [(c.points.tolist(), c.closed) for c in chains] == expected
+
+
 # Chains of extract on [-1, 1]^2 with a 4 x 4 grid, recorded before the cell
 # loops became one array kernel: (points, closed, cell_size) per chain.
 _SADDLE_CHAINS = [
@@ -1132,7 +1197,7 @@ def test_graph_and_complement_memory():
         complement_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert graph_peak <= 6e6
+    assert graph_peak <= 3.6e6
     assert complement_peak <= 4.1e6
 
 
