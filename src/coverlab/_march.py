@@ -30,8 +30,7 @@ point is keyed by one int, its rank among the segments' endpoints.
 
 `runs` splits a sampled sequence into its maximal kept runs, walking a
 closed one from a dropped entry around to it again; every cut of a traced
-curve (disk, node ball) and the angular scans of the quadrature go
-through it.
+curve (disk, node ball) goes through it.
 
 The pixel-set helpers of complement topology live here too, in plain
 numpy, on a set given by its row runs, with no grid of the whole set.

@@ -53,7 +53,6 @@ from pathlib import Path
 
 from coverlab.expr import INF, ParseError, parse_map
 from coverlab.metric import (
-    MAX_DISK_RADIUS,
     SphericalDisk,
     _fmt12,
     build_profile,
@@ -187,12 +186,6 @@ class ExperimentConfig:
                 what = "exactly 3 disks" if section == "disks" else f"{section} section"
                 raise ConfigError(section, f"{what} required for {needing}")
         number = self.disk_numbers or range(1, len(self.disks) + 1)
-        for k, disk in zip(number, self.disks):
-            if not 0 < disk.radius < MAX_DISK_RADIUS:
-                raise ConfigError(
-                    f"disk.{k}.radius",
-                    f"must lie in (0, {MAX_DISK_RADIUS:.6f})",
-                )
         for i in range(len(self.disks)):
             for j in range(i + 1, len(self.disks)):
                 a, b = self.disks[i], self.disks[j]

@@ -67,11 +67,7 @@ from coverlab.expr import (
     pole_free,
 )
 from coverlab.lifting import ResolutionError, _chart, cycle_components, lift_boundaries
-from coverlab.metric import (
-    SphericalDisk,
-    sample_sphere_uniform,
-    sphere_point,
-)
+from coverlab.metric import sample_sphere_uniform, sphere_point
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.4617)
 _INFLATIONS = (1e-6, 7.3e-4)  # bounding-square margins, relative to r
@@ -795,8 +791,8 @@ def mean_degree(m, r, n_samples, seed=0):
     the winding of the boundary image f(|z| = r); only points it leaves
     undecided (inside the band around the image) go to count_preimages.
     A point whose root lies on the circle therefore still raises there and
-    is resampled, in the same order as before.  Counts are distinct roots,
-    which equal the winding count except at critical values.
+    is replaced by the next point of the sample stream.  Counts are
+    distinct roots, which equal the winding count except at critical values.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -903,19 +899,17 @@ def find_islands(m, disk, r, resolution=512, lifted=None):
 
 
 def _island_lifts(m, jobs, resolution):
-    """For each (disk, r) of `jobs`, the error it raised or its lifts as
-    find_islands reads them: g', the disk's radius in the chart (_chart),
-    and the seeds and circle lifts of lift_boundaries.  The
-    seeds of all pairs come from one find_roots_many call; the pairs of one
-    chart map g (equal trees are one map) are lifted together."""
+    """For each (SphericalDisk, r) of `jobs`, the error it raised or its
+    lifts as find_islands reads them: g', the disk's radius in the chart
+    (_chart), and the seeds and circle lifts of lift_boundaries.  The seeds
+    of all pairs come from one find_roots_many call; the pairs of one chart
+    map g (equal trees are one map) are lifted together."""
     if resolution < 64:
         raise ValueError("resolution must be at least 64")
-    disks = [disk if isinstance(disk, SphericalDisk) else SphericalDisk.of(*disk)
-             for disk, _ in jobs]
     rings = [ring_radius(r, resolution) for _, r in jobs]
-    out = find_roots_many([(m, disk.center, ring) for disk, ring in zip(disks, rings)])
+    out = find_roots_many([(m, disk.center, ring) for (disk, _), ring in zip(jobs, rings)])
     charts = {}  # chart map -> [(job, its lift_boundaries disk)]
-    for j, (disk, ring, seeds) in enumerate(zip(disks, rings, out)):
+    for j, ((disk, _), ring, seeds) in enumerate(zip(jobs, rings, out)):
         if not isinstance(seeds, Exception):
             g, c, centre, radius = _chart(m, disk)
             charts.setdefault(g, []).append((j, (seeds, c, centre, radius, ring)))

@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.random import default_rng  # numpy loads numpy.random lazily; load it at import
 
-from coverlab import _march
 from coverlab.expr import (
     INF,
     IndeterminateError,
@@ -228,16 +227,21 @@ def _coarse_batch(m, dm, bounds):
     return np.concatenate(out)
 
 
-def _angular_feature_runs(row):
-    """Width (radians) of the narrowest run above 1e-6 of the maximum in a
-    theta scan."""
-    mx = row.max()
-    if mx <= 0:
+def _narrowest_closed_run(vals):
+    """Width (radians) of the narrowest closed run above 1e-6 of its row's
+    maximum, over the rows of `vals` (theta scans) with an entry off their
+    runs; None when no row has one."""
+    n_t = vals.shape[1]
+    mx = vals.max(axis=1, keepdims=True)
+    keep = (vals > 1e-6 * mx) & (mx > 0)
+    keep = keep[~keep.all(axis=1)]
+    # each row walked from its first dropped entry, so that no run wraps
+    walk = (keep.argmin(axis=1)[:, None] + np.arange(n_t)) % n_t
+    walk = np.take_along_axis(keep, walk, axis=1).astype(np.int8)
+    _, edges = np.nonzero(np.diff(walk, axis=1, prepend=0, append=0))
+    if not edges.size:
         return None
-    _, spans = _march.runs(row > 1e-6 * mx, closed=True)
-    if not spans:
-        return None
-    return 2 * math.pi * (min(hi - lo for lo, hi in spans) / len(row))
+    return 2 * math.pi * (int((edges[1::2] - edges[::2]).min()) / n_t)
 
 
 def _probe_seed_counts(m, dm, r):
@@ -246,8 +250,7 @@ def _probe_seed_counts(m, dm, r):
     The scan's rows are read in one array pass, each of mass at least
     1e-9 of the total.  Unless one of them varies by more than 1e-3 of its
     mean, the scan is symmetric.  Otherwise the theta count comes from the
-    narrowest closed run above 1e-6 of its row's maximum, the rule of
-    _angular_feature_runs, over the rows with an entry off their runs.
+    narrowest closed run of the rows (_narrowest_closed_run).
     """
     n_s, n_t = 32, 512
     s = (np.arange(n_s) + 0.5) * r / n_s
@@ -261,16 +264,9 @@ def _probe_seed_counts(m, dm, r):
     mean = vals.mean(axis=1)
     if not ((mean > 0) & (vals.std(axis=1) > 1e-3 * mean)).any():
         return 16, 8
-    mx = vals.max(axis=1, keepdims=True)
-    keep = (vals > 1e-6 * mx) & (mx > 0)
-    keep = keep[~keep.all(axis=1)]
-    # each row walked from its first dropped entry, so that no run wraps
-    walk = (keep.argmin(axis=1)[:, None] + np.arange(n_t)) % n_t
-    walk = np.take_along_axis(keep, walk, axis=1).astype(np.int8)
-    _, edges = np.nonzero(np.diff(walk, axis=1, prepend=0, append=0))
-    if not edges.size:
+    w_min = _narrowest_closed_run(vals)
+    if w_min is None:
         return 16, 32
-    w_min = 2 * math.pi * (int((edges[1::2] - edges[::2]).min()) / n_t)
     return 16, int(min(192, max(16, math.ceil(2 * math.pi / (0.25 * w_min)))))
 
 
@@ -352,8 +348,8 @@ def _adaptive_circle_integral(fvals, tol, pole_check):
     """
     pole_check(np.linspace(0.0, 2 * math.pi, 256, endpoint=False))
     scan = fvals((np.arange(1024) + 0.5) * 2 * math.pi / 1024)
-    w_min = _angular_feature_runs(np.abs(np.asarray(scan)))
-    if w_min is None or w_min >= 2 * math.pi:
+    w_min = _narrowest_closed_run(np.abs(np.asarray(scan))[None, :])
+    if w_min is None:
         nseg = 8
     else:
         nseg = int(min(256, max(8, math.ceil(2 * math.pi / (0.5 * w_min)))))
@@ -539,10 +535,11 @@ def build_profile(m, radii, tol=1e-7):
 def select_radii(m, r_min, r_max, count):
     """Radii in [r_min, r_max] with strictly decreasing boundary/area ratio.
 
-    Log-spaced candidates are walked downhill to local minimizers of l/a on
-    a refinement grid, with a(r) from `boundary_areas` (the Ahlfors-Shimizu
-    boundary integral); the ascending result keeps only strictly ratio-
-    decreasing entries, up to `count` of them.
+    Each of `count` log-spaced targets takes the argmin of l/a over its
+    bracket (geometric midpoints to its neighbours) on one fixed log grid
+    of max(16, 6 count) radii, with a(r) from `boundary_areas` (the
+    Ahlfors-Shimizu boundary integral); the ascending result keeps only
+    strictly ratio-decreasing entries, up to `count` of them.
     """
     if not (0 < r_min < r_max):
         raise ValueError("need 0 < r_min < r_max")

@@ -30,6 +30,7 @@ from coverlab.count import (
     mean_degree,
     total_ramification,
 )
+from coverlab.lifting import ResolutionError
 from coverlab.metric import _fmt12
 from coverlab.trace import (
     GraphSpec,
@@ -398,19 +399,25 @@ def verify_island_in_component(components, islands, graph_spec, disks):
     The disk assigned to a face is the configured disk whose center lies in
     that face.  Components covering a face with no assigned disk (possible
     only when the face's disk has no islands at all) fail; faces that no
-    interior component covers are vacuously fine.
+    interior component covers are vacuously fine.  An island centre on a
+    pixel of no component (one the graph blocks) raises ResolutionError.
     """
     disk_face = {}
     for k, disk in enumerate(disks):
         disk_face[graph_spec.face_of(disk.center)] = k
+    labels = [components.label_of_point(rec.centroid) for rec in islands]
+    if 0 in labels:
+        raise ResolutionError(
+            f"island centre {islands[labels.index(0)].centroid!r} lies on a pixel the "
+            f"graph blocks at resolution {components.resolution}; retry with a finer resolution"
+        )
     rows = []
     for comp in components.components:
         if comp.touches_boundary:
             continue
         k = disk_face.get(comp.face)
         contains = k is not None and any(
-            rec.disk_index == k and components.label_of_point(rec.centroid) == comp.label
-            for rec in islands
+            rec.disk_index == k and label == comp.label for rec, label in zip(islands, labels)
         )
         rows.append(
             {

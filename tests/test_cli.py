@@ -696,6 +696,41 @@ def test_config_keys_that_name_nothing_are_rejected(text, key):
     assert exc.value.field_path == key
 
 
+_CHART_LINES = "chart.x_range = 0.7, 1.3\nchart.t_range = -0.1, 0.1\n"
+
+
+@pytest.mark.parametrize(
+    ("text", "field_path", "message"),
+    [
+        ("map = z\nradii.list\n", "line 2", "expected key = value"),
+        ("radii.list = 2\n", "map", "missing map definition"),
+        ("map = z\nradii.list = ,\n", "radii.list", "no radii given"),
+        ("map = z\nradii.list = 2\ndisk.1.center = 0\n", "disk.1", "needs both"),
+        ("map = z\nradii.list = 2\ndisk.1.center = 0\ndisk.1.radius = 0.5\n", "disk.1",
+         "must lie in"),
+        ("map = z\nradii.list = 2\ngraph.scale = 0\n", "graph", "scale must be positive"),
+        ("map = z\nradii.list = 2\nchart.moebius = 1, 0, 1\n" + _CHART_LINES, "chart",
+         "4 finite coefficients"),
+        ("map = z\nradii.list = 2\nchart.moebius = 1, 0, inf, 1\n" + _CHART_LINES, "chart",
+         "4 finite coefficients"),
+        ("map = z\nradii.list = 2\nchart.moebius = 1, 0, x, 1\n" + _CHART_LINES,
+         "chart.moebius", "not a complex literal"),
+        ("map = z\nradii.list = 2\nchart.moebius = 1, 0, 0, 1\nchart.t_range = -0.1, 0.1\n",
+         "chart", "missing chart.x_range"),
+        ("map = z\nradii.list = 2\nchart.moebius = 1, 0, 0, 1\nchart.x_range = 0.7, a\n"
+         "chart.t_range = -0.1, 0.1\n", "chart", "could not convert"),
+    ],
+    ids=["no-equals-sign", "no-map", "empty-radii-list", "disk-without-radius",
+         "disk-radius-too-large", "zero-graph-scale", "three-moebius-coefficients",
+         "infinite-moebius-coefficient", "malformed-moebius-literal", "chart-without-x-range",
+         "non-numeric-range"],
+)
+def test_config_section_errors_name_their_field(text, field_path, message):
+    with pytest.raises(ConfigError, match=message) as exc:
+        parse_config_text(text)
+    assert exc.value.field_path == field_path
+
+
 def test_config_key_given_twice_names_both_lines():
     with pytest.raises(ConfigError, match="lines 2 and 4") as exc:
         parse_config_text("map = z\nseed = 1\n# a comment\nseed = 2\n")

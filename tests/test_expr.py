@@ -45,6 +45,24 @@ def test_parse_unclosed_paren_offset():
     assert exc.value.offset == 8
 
 
+@pytest.mark.parametrize(
+    ("source", "message", "offset"),
+    [
+        ("z $ 1", "unexpected character '$'", 3),
+        ("z z", "trailing input after expression", 3),
+        ("z^x", "integer exponent expected", 3),
+        ("z^1.5", "integer exponent expected", 3),
+        ("exp z", "'(' expected after exp", 5),
+        ("(z+1", "unclosed parenthesis", 5),
+    ],
+)
+def test_parse_error_messages_and_offsets(source, message, offset):
+    with pytest.raises(ParseError) as exc:
+        parse_map(source)
+    assert str(exc.value) == f"{message} (offset {offset})"
+    assert exc.value.offset == offset
+
+
 def test_parse_empty():
     with pytest.raises(ParseError):
         parse_map("   ")

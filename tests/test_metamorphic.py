@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from coverlab.count import count_preimages, find_islands, find_roots
 from coverlab.expr import parse_map
-from coverlab.metric import area, boundary_length
+from coverlab.metric import SphericalDisk, area, boundary_length
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
 from coverlab.verify import verify_euler_identity
 
@@ -102,9 +102,10 @@ RESOLUTION = 512
 
 def _islands(m, r, centers):
     """Per disk centre the sorted (degree, chi) of its islands."""
+    disks = [SphericalDisk.of(c, DISK_RADIUS) for c in centers]
     return [
-        sorted((rec.degree, rec.chi) for rec in find_islands(m, (c, DISK_RADIUS), r, RESOLUTION)[0])
-        for c in centers
+        sorted((rec.degree, rec.chi) for rec in find_islands(m, disk, r, RESOLUTION)[0])
+        for disk in disks
     ]
 
 

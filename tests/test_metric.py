@@ -7,7 +7,7 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from coverlab import metric
+from coverlab import _march, metric
 from coverlab.expr import INF, IndeterminateError, parse_map, differentiate
 from coverlab.metric import (
     MAX_DISK_RADIUS,
@@ -561,6 +561,16 @@ def test_select_radii_keeps_the_polar_selection_without_area(
     assert calls == []
 
 
+@pytest.mark.parametrize(("exponent", "kept"), [(1.0, [1.0]), (-1.0, [10 ** (14 / 15), 100.0])])
+def test_select_radii_drops_a_minimizer_whose_ratio_rises(monkeypatch, exponent, kept):
+    # l/a = r^exponent on the 16-point log grid of [1, 100]: the brackets
+    # [1, 10] and [10, 100] take their minimizers; a rising ratio drops the later one
+    monkeypatch.setattr(metric, "_length_with_nudge", lambda m, r, tol: (r, r**exponent))
+    monkeypatch.setattr(metric, "boundary_areas", lambda m, radii: [1.0] * len(radii))
+    rs = select_radii(parse_map("z"), 1.0, 100.0, 2)
+    assert rs == pytest.approx(kept, rel=1e-12)
+
+
 def test_select_radii_degenerate_error():
     with pytest.raises(ValueError, match="constant"):
         select_radii(parse_map("2"), 1.0, 10.0, 3)
@@ -627,9 +637,9 @@ def test_sphere_point_of():
 
 
 def _serial_probe_seed_counts(m, dm, r):
-    """metric._probe_seed_counts as a loop over the scan's rows, as it stood
-    before the rows were taken in one array pass: the reference it must
-    match."""
+    """metric._probe_seed_counts as a loop over the scan's rows, each row's
+    closed runs above 1e-6 of its maximum cut by _march.runs: the reference
+    it must match."""
     n_s, n_t = 32, 512
     s = (np.arange(n_s) + 0.5) * r / n_s
     t = (np.arange(n_t) + 0.5) * 2 * math.pi / n_t
@@ -647,9 +657,10 @@ def _serial_probe_seed_counts(m, dm, r):
         mean = row.mean()
         if mean > 0 and row.std() > 1e-3 * mean:
             symmetric = False
-        w = metric._angular_feature_runs(row)
-        if w is not None and w < 2 * math.pi:
-            widths.append(w)
+        keep = row > 1e-6 * row.max()
+        if row.max() > 0 and not keep.all():
+            _, spans = _march.runs(keep, closed=True)
+            widths.append(2 * math.pi * (min(hi - lo for lo, hi in spans) / n_t))
     if symmetric:
         return 16, 8
     if widths:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from coverlab import _march, trace
-from coverlab.expr import INF, evaluate, evaluate_array, evaluate_ball, parse_map
+from coverlab.expr import INF, differentiate, evaluate, evaluate_array, evaluate_ball, parse_map
 from coverlab.metric import SphericalDisk
 from coverlab.count import (
     ContourPassesThroughRoot,
@@ -192,6 +192,16 @@ def test_segment_component_with_no_end_in_the_disk_is_not_an_arc():
     pls = trace_preimage(m, WIDE_CHART, 0.5, 1.0, 512)
     assert pls == []
     assert classify_arcs(pls, m, 1.0) == (0, 0, 0)
+
+
+def test_arc_tag_suspects_a_dip_of_the_derivative_or_no_finite_value():
+    # z^2 on an arc through its critical point 0, and off it; 1/z at its
+    # pole, where |f'| has no finite value
+    dm = differentiate(parse_map("z^2"))
+    assert trace._arc_tag(dm, np.linspace(-0.5, 0.5, 11) + 0j, False, 2.0, 512) == "ramified-suspect"
+    assert trace._arc_tag(dm, np.linspace(0.5, 1.0, 11) + 0.1j, False, 2.0, 512) == "good"
+    dm = differentiate(parse_map("1/z"))
+    assert trace._arc_tag(dm, np.zeros(2, dtype=complex), False, 2.0, 512) == "ramified-suspect"
 
 
 # ---------------------------------------------------------------------------

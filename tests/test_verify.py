@@ -4,6 +4,7 @@ import pytest
 
 from coverlab.expr import parse_map
 from coverlab.count import find_islands
+from coverlab.lifting import ResolutionError
 from coverlab.metric import SphericalDisk, build_profile
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
 from coverlab.verify import (
@@ -13,6 +14,7 @@ from coverlab.verify import (
     radius_contexts,
     verdicts_from_report,
     verify_asymptotic_equality,
+    verify_containment,
     verify_euler_identity,
     verify_island_in_component,
     verify_island_theorem,
@@ -115,6 +117,16 @@ def test_euler_and_containment_verifiers():
     cont = verify_island_in_component(comps, islands, g8, disks)
     assert cont.passed
     assert len(cont.rows) == 6  # six interior lobe lifts
+
+
+def test_containment_raises_when_island_centres_are_blocked():
+    # exp(z) at r = 40, resolution 512: 11 of the 25 island centres land on
+    # pixels the graph blocks, which would read as contained in no component
+    disks = [SphericalDisk.of(c, 0.05) for c in (1 + 0.25j, -1 + 0.25j)]
+    ctxs = contexts("exp(z)", [40.0], 512, disks + [SphericalDisk.of("inf", RHO)],
+                    GraphSpec(node=0.25j, scale=1.0))
+    with pytest.raises(ResolutionError, match="retry with a finer resolution"):
+        verify_containment(ctxs)
 
 
 # ---------------------------------------------------------------------------
