@@ -36,13 +36,7 @@ The pixel-set helpers of complement topology live here too, in plain
 numpy, on a set given by its row runs, with no grid of the whole set.
 `label_runs` joins the runs across rows by a union-find over their
 touching pairs.  `mask_euler_characteristic` takes each component's
-number of runs less its 8-touching pairs of runs.  `deepest` finds every
-component's deepest pixel in one lockstep binary search over erosions of
-the runs by squares: down, the runs of 2k + 1 rows meet; across, each run
-shrinks at both ends.  One table per call holds the runs common to 2^p
-rows from each row, each level one `_touching` pairing of the level
-before, so each step meets any window's rows in one pairing of two table
-rows.
+number of runs less its 8-touching pairs of runs.
 """
 
 from __future__ import annotations
@@ -56,7 +50,7 @@ import numpy as np
 class Chain:
     points: np.ndarray  # complex polyline vertices
     closed: bool
-    cell_size: float  # finest cell size along this chain
+    cell_size: float  # largest cell size along this chain
 
 
 _MAX_DEPTH = 6  # saddle subdivision levels before the centre-sign fallback
@@ -300,7 +294,7 @@ def _chain(segments, quantum):
         chains.append(Chain(points=pts, closed=closed, cell_size=cell_size))
 
     # close sub-cell cracks: greedily join chains whose loose ends are within
-    # a fraction of the local cell size
+    # 1.2 times the larger of their cell sizes
     chains = _mend_cracks(chains)
     for ch in chains:
         if not ch.closed and len(ch.points) > 2:
@@ -377,13 +371,13 @@ def runs(keep, closed):
     return order, list(zip(edges[::2].tolist(), edges[1::2].tolist()))
 
 
-def _touching(row, lo, hi, reach, gap=1):
-    """Pairs (a, b) of runs, a in the row ``gap`` rows above b's (a scalar
-    or one per run), that 4-touch (reach 0) or 8-touch (reach 1); run k
-    covers columns lo[k] .. hi[k] - 1 of row row[k], in raster order."""
+def _touching(row, lo, hi, reach):
+    """Pairs (a, b) of runs, a in the row above b's, that 4-touch (reach 0)
+    or 8-touch (reach 1); run k covers columns lo[k] .. hi[k] - 1 of row
+    row[k], in raster order."""
     stride = int(hi.max(initial=0)) + 2
-    above = (row - gap) * stride
-    # runs a of row i - gap that touch run b of row i: lo_a < hi_b + reach and lo_b - reach < hi_a
+    above = (row - 1) * stride
+    # runs a of row i - 1 that touch run b of row i: lo_a < hi_b + reach and lo_b - reach < hi_a
     first = np.searchsorted(row * stride + hi, above + lo - reach, side="right")
     stop = np.searchsorted(row * stride + lo, above + hi + reach, side="left")
     touching = np.maximum(stop - first, 0)
@@ -414,98 +408,6 @@ def label_runs(row, lo, hi):
     # a root is its component's first run in raster order
     run_root = np.array([find(k) for k in range(len(lo))], dtype=int)
     return np.unique(run_root, return_inverse=True)[1]
-
-
-def deepest(row, lo, hi, label, shape):
-    """(row, col) of every component's deepest pixel, one row per label: the
-    first pixel, in row-major order, at the largest chessboard distance from
-    the pixels off the component, where pixels beyond ``shape`` count as on
-    it.  Two components touch only at corners, across two pixels off both,
-    so this is its depth in the whole pixel set.
-
-    A pixel is deeper than k exactly when it lies in E_k, the component
-    eroded by the (2k + 1)-square within the grid.  Every component
-    binary-searches its largest k with E_k nonempty, all in lockstep; the
-    first pixel of that E_k is its deepest.  A grid-filling component's E_k
-    is never empty, and no other depth reaches n_rows + n_cols.  Eroding by
-    the square is meeting the 2k + 1 rows about a row, then shrinking each
-    run by k across.  The rows come from one table per call (_erosion_table,
-    the runs common to 2^p rows from each row): each step meets, for every
-    component, its two table rows that cover the window in one `_touching`
-    pairing.  Rows beyond the grid count as on the component, so a window
-    reaching past the grid is clipped to it: no window is taller than
-    2 n_rows - 1 rows.
-    """
-    n_rows, n_cols = shape
-    size = int(label.max(initial=-1)) + 1
-    _, first = np.unique(label, return_index=True)
-    probe = np.column_stack((row[first], lo[first]))  # the first pixel of E_0
-    key, t_lo, t_hi, span, off = _erosion_table(row, lo, hi, label, shape)
-    low, high = np.zeros(size, dtype=int), np.full(size, sum(shape))
-    while (high - low > 1).any():
-        # a finished component tests its own low again, which changes nothing
-        k = (low + high) // 2
-        down = np.minimum(k, n_rows - 1)  # a longer window meets every grid row
-        p = np.frexp(2 * down + 1)[1] - 1  # the level of 2^p <= 2 down + 1 < 2^(p + 1) rows
-        # each component's table rows at its level, blocks in increasing key order
-        c = np.lexsort((np.arange(size), p))
-        start = np.searchsorted(key, (p[c] * size + c) * span)
-        count = np.searchsorted(key, (p[c] * size + c + 1) * span) - start
-        s = np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count)
-        t_label = np.repeat(c, count)
-        # rows j - down .. j + down meet as table rows j - down and j + down + 1 - 2^p
-        a, b = _touching(key[s], t_lo[s], t_hi[s], 0, (2 * down + 1 - (1 << p))[t_label])
-        e_label, a, b = t_label[a], s[a], s[b]
-        e_row = key[a] % span - off + down[e_label]
-        # across: a run loses k columns at each end off the grid edges
-        e_lo = np.maximum(t_lo[a], t_lo[b])
-        e_lo = np.where(e_lo == 0, 0, e_lo + k[e_label])
-        e_hi = np.minimum(t_hi[a], t_hi[b])
-        e_hi = np.where(e_hi == n_cols, n_cols, e_hi - k[e_label])
-        # the table rows past the grid's ends also name rows off the grid
-        kept = (e_lo < e_hi) & (0 <= e_row) & (e_row < n_rows)
-        e_row, e_lo, e_label = e_row[kept], e_lo[kept], e_label[kept]
-        hit = np.bincount(e_label, minlength=size) > 0
-        low, high = np.where(hit, k, low), np.where(hit, high, k)
-        _, first = np.unique(e_label, return_index=True)
-        probe[hit] = np.column_stack((e_row[first], e_lo[first]))
-    return probe
-
-
-def _erosion_table(row, lo, hi, label, shape):
-    """The runs (key, lo, hi) common to rows j .. j + 2^p - 1 of each
-    component c of the runs (row, lo, hi, label), for every level p with
-    2^p < 2 n_rows and every start row j whose rows meet the grid; rows
-    beyond the grid count as on the component, so its rows meet only those
-    in the grid.  key = (p size + c) span + j + off, in increasing order,
-    with each row's runs in column order; returns span and off too.  Level
-    p + 1 is level p met with itself 2^p rows down, in one `_touching`
-    pairing; a window whose lower half is beyond the grid keeps its upper
-    half's runs, and one whose upper half is takes its lower half's."""
-    n_rows = shape[0]
-    levels = (2 * n_rows - 1).bit_length()
-    size = int(label.max(initial=-1)) + 1
-    # no pairing gap reaches from a (level, component) block into the one before
-    off = 1 << levels
-    span = n_rows + 4 * off
-    key = label.astype(np.int64) * span + row + off
-    order = np.argsort(key, kind="stable")
-    key, lo, hi = key[order], lo[order].astype(np.int32), hi[order].astype(np.int32)
-    keys, los, his = [key], [lo], [hi]
-    for p in range(levels - 1):
-        h = 1 << p
-        start = key % span - off
-        a, b = _touching(key, lo, hi, 0, h)
-        up, down = start <= 0, start >= n_rows - h
-        key = np.concatenate((key[up] - h, key[a], key[down])) + size * span
-        lo = np.concatenate((lo[up], np.maximum(lo[a], lo[b]), lo[down]))
-        hi = np.concatenate((hi[up], np.minimum(hi[a], hi[b]), hi[down]))
-        order = np.argsort(key, kind="stable")
-        key, lo, hi = key[order], lo[order], hi[order]
-        keys.append(key)
-        los.append(lo)
-        his.append(hi)
-    return np.concatenate(keys), np.concatenate(los), np.concatenate(his), span, off
 
 
 def mask_euler_characteristic(row, lo, hi, label):

@@ -563,7 +563,7 @@ def _cut_at_vertices(pl, m, graph, vertices):
 class ComplementComponent:
     chi: int
     touches_boundary: bool
-    face: str
+    face: str  # its probe pixel's face, its only one unless it touches the boundary
     n_pixels: int
     label: int
 
@@ -709,12 +709,14 @@ def complement_components(g, r, resolution=512):
     size = len(chi)
     n_pixels = np.bincount(label, hi - lo, minlength=size).astype(int).tolist()
     touches = np.bincount(label[on_ring], minlength=size) > 0
-    # each face probe samples its component's deepest pixel, the one
-    # farthest from the blocked set, all components found in one pass
-    probe = _march.deepest(row, lo, hi, label, (n, n)).tolist()
+    # each face probe samples the middle pixel of its component's widest
+    # run, the first in raster order among equals: a component off the
+    # boundary maps into one face, so any of its pixels names that face
+    order = np.lexsort((lo - hi, label))
+    widest = order[np.searchsorted(label[order], np.arange(size))]
+    probe = zip(row[widest].tolist(), ((lo[widest] + hi[widest] - 1) // 2).tolist())
     components = []
-    for k in range(size):
-        y, x = probe[k]
+    for k, (y, x) in enumerate(probe):
         try:
             face = g.graph.face_of(evaluate(g.m, complex(xs[x], xs[y])))
         except IndeterminateError:

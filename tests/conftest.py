@@ -2,8 +2,7 @@
 
     HYPOTHESIS_PROFILE=ci python -m pytest -q tests/test_expr.py tests/test_count.py \
         tests/test_trace.py \
-        -k "ball or shared or island_scans_equal or find_roots_many_equals or deepest_matches \
-        or cycle_components_match"
+        -k "ball or shared or island_scans_equal or find_roots_many_equals or cycle_components_match"
 
 Without ``HYPOTHESIS_PROFILE`` the default profile and budget apply.
 """

@@ -672,6 +672,34 @@ def test_complement_matches_full_grid_reference(src, node, scale, r):
     assert len({face for _, _, face, _, _ in got}) > 1
 
 
+@pytest.mark.parametrize(
+    "src,node,scale,r",
+    [
+        ("z^3", 0.5j, 0.5, 2.0),
+        ("z^5", 0.5j, 0.5, 7.0),
+        ("exp(z)", 0.25j, 1.0, 20.0),
+        ("sin(z)", 0.5j, 0.5, 6.0),
+        ("(z^2 - 1)/(z^2 + 4)", 0.5j, 0.5, 3.0),
+    ],
+)
+def test_interior_run_middles_map_into_their_face(src, node, scale, r):
+    # the premise of the face probe, which takes one run's middle pixel: a
+    # component off the boundary maps into one face, whichever run is probed
+    pg = build_preimage_graph(parse_map(src), GraphSpec(node=node, scale=scale), r, 512)
+    comps = complement_components(pg, r, 512)
+    n = comps.resolution
+    xs = -r + (np.arange(n) + 0.5) * (2.0 * r / n)
+    start, stop, label = comps.runs.T
+    middle = (start + stop - 1) // 2
+    faces = {}
+    for k, z in zip(label.tolist(), (xs[middle % n] + 1j * xs[middle // n]).tolist()):
+        faces.setdefault(k, set()).add(pg.graph.face_of(evaluate(pg.m, z)))
+    interior = [c for c in comps.components if not c.touches_boundary]
+    assert interior
+    for c in interior:
+        assert faces[c.label] == {c.face}
+
+
 # ---------------------------------------------------------------------------
 # exports
 
@@ -1231,10 +1259,8 @@ def _mask_runs(mask):
 
 def _assert_components_match_ndimage(mask):
     """The runs of a mask, labelled by `label_runs`, paint ndimage's label
-    grid; `mask_euler_characteristic` gives the V - E + F of every
-    component's mask, and `deepest` the first distance_transform_cdt argmax
-    of every component on its bounding box grown by one pixel.  Returns
-    every component's (chi, deepest)."""
+    grid, and `mask_euler_characteristic` gives the V - E + F of every
+    component's mask.  Returns every component's chi."""
     row, lo, hi = _mask_runs(mask)
     label = _march.label_runs(row, lo, hi)
     grid = np.zeros(mask.shape, dtype=int)
@@ -1244,18 +1270,8 @@ def _assert_components_match_ndimage(mask):
     assert np.array_equal(grid, ref_labels)
     chis = _march.mask_euler_characteristic(row, lo, hi, label)
     assert len(chis) == count
-    probes = _march.deepest(row, lo, hi, label, mask.shape)
-    assert probes.shape == (count, 2)
-    entries = []
-    for k, box in enumerate(ndimage.find_objects(ref_labels)):
-        assert chis[k] == _mask_chi(ref_labels == k + 1)
-        deepest = tuple(probes[k].tolist())
-        grown = tuple(slice(max(s.start - 1, 0), s.stop + 1) for s in box)
-        dist = ndimage.distance_transform_cdt(ref_labels[grown] == k + 1)
-        j, i = np.unravel_index(int(np.argmax(dist)), dist.shape)
-        assert deepest == (grown[0].start + j, grown[1].start + i)
-        entries.append((int(chis[k]), deepest))
-    return entries
+    assert chis.tolist() == [_mask_chi(ref_labels == k) for k in range(1, count + 1)]
+    return chis.tolist()
 
 
 def test_components_match_full_grid_reference():
@@ -1266,13 +1282,7 @@ def test_components_match_full_grid_reference():
     mask[25:32, 30:45] = True  # fills its bounding box
     mask[35, 5] = mask[36, 6] = True  # diagonal neighbours: two components
     mask[30:40, 47:50] = True  # touches the grid corner
-    entries = _assert_components_match_ndimage(mask)
-    ref_labels, _ = ndimage.label(mask)
-    for label, (chi, deepest) in enumerate(entries, start=1):
-        comp = ref_labels == label
-        dist = ndimage.distance_transform_cdt(comp)
-        assert deepest == np.unravel_index(int(np.argmax(dist)), comp.shape)
-    assert sorted(chi for chi, _ in entries) == [0, 1, 1, 1, 1, 1]
+    assert sorted(_assert_components_match_ndimage(mask)) == [0, 1, 1, 1, 1, 1]
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -1307,12 +1317,10 @@ _BLOCKS = st.lists(
     st.floats(0.0, 0.3),
     st.integers(0, 2**32 - 1),
 )
-def test_deepest_matches_the_distance_transform(n_rows, n_cols, on, off, density, seed):
+def test_components_of_rectangle_masks_match_ndimage(n_rows, n_cols, on, off, density, seed):
     # rectangles of pixels, clipped to the grid, so components sit on each
-    # grid edge, fill the grid, or nest in one another's holes, of depths
-    # from 0 to the grid's in one call, as the faces of several radii
-    # would be, less rectangles and random pixels: every probe is
-    # distance_transform_cdt's
+    # grid edge, fill the grid, or nest in one another's holes, less
+    # rectangles and random pixels: labels and chi are ndimage's
     mask = np.zeros((n_rows, n_cols), dtype=bool)
     for value, blocks in ((True, on), (False, off)):
         for r0, h, c0, w in blocks:
@@ -1324,7 +1332,7 @@ def test_deepest_matches_the_distance_transform(n_rows, n_cols, on, off, density
 @pytest.mark.parametrize(
     "edge", [np.s_[:1, :], np.s_[-1:, :], np.s_[:, :1], np.s_[:, -1:], np.s_[:, :]]
 )
-def test_deepest_of_a_component_on_one_grid_edge(edge):
+def test_components_on_one_grid_edge_match_ndimage(edge):
     # a component along one edge of a tall and a wide grid, one filling the
     # grid, and one 1-pixel-wide line down the middle beside them
     for shape in ((7, 40), (40, 7)):
@@ -1384,17 +1392,16 @@ def test_components_of_a_uniform_mask(fill):
     _assert_components_match_ndimage(np.full((3, 4), fill))
 
 
-def _deep_in_a_short_grid():
-    # spans all 3 rows and is 6 deep: a depth search bounded by the row
-    # count stops short of it
+def _a_hole_in_a_short_grid():
+    # spans all 3 rows, with a notch in one grid edge and a hole
     mask = np.ones((3, 19), dtype=bool)
     mask[1, 0] = mask[1, 12] = False
     return mask
 
 
-def _one_pixel_islands_in_a_grid_sized_component():
-    # one call searches the whole grid's depth beside components of depth 1,
-    # and the grid-sized component's search takes one step more than theirs
+def _islands_in_a_grid_sized_component():
+    # a grid-sized component with two holes and a notch in one grid edge,
+    # each holding a one-pixel component
     mask = np.ones((20, 30), dtype=bool)
     for j, i in [(3, 3), (10, 25), (16, 28)]:
         mask[j - 1 : j + 2, i - 1 : i + 2] = False
@@ -1405,14 +1412,11 @@ def _one_pixel_islands_in_a_grid_sized_component():
 @pytest.mark.parametrize(
     ("make", "expected"),
     [
-        (_deep_in_a_short_grid, [(0, (0, 6))]),
-        (
-            _one_pixel_islands_in_a_grid_sized_component,
-            [(-1, (19, 0)), (1, (3, 3)), (1, (10, 25)), (1, (16, 28))],
-        ),
+        (_a_hole_in_a_short_grid, [0]),
+        (_islands_in_a_grid_sized_component, [-1, 1, 1, 1]),
     ],
 )
-def test_deepest_of_grid_edge_components(make, expected):
+def test_chi_of_grid_edge_components(make, expected):
     assert _assert_components_match_ndimage(make()) == expected
 
 
