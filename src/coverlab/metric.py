@@ -19,6 +19,11 @@ and a chordal disk of radius rho has normalized area pi rho^2 exactly.
 
 `build_profile` reports a(r) from `area`, over polar cells of the disk;
 `select_radii` and `lengtharea_certificate` take it from `boundary_areas`.
+
+`sample_sphere_uniform` draws from a private PCG64 stream seeded as numpy's
+`default_rng(seed)` seeds it, so its points are those of
+`default_rng(seed).uniform`, bit for bit, without loading `numpy.random`,
+and they do not change with numpy's version.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.random import default_rng  # numpy loads numpy.random lazily; load it at import
 
 from coverlab.expr import (
     INF,
@@ -605,15 +609,70 @@ def lengtharea_certificate(m, r1, r2, tol=1e-6, points_per_decade=14):
 # Uniform sphere sampling
 
 
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _hasher(const, mult):
+    """SeedSequence's hashmix of 32-bit words; each call advances `const` by `mult`."""
+
+    def hashmix(value):
+        nonlocal const
+        value ^= const
+        const = const * mult & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    return hashmix
+
+
+def _pcg64_draws(seed, count):
+    """`count` 53-bit draws, bit for bit `np.random.PCG64(seed).random_raw(count) >> 11`.
+
+    The state is numpy's `SeedSequence(seed).generate_state(4, uint64)`: the
+    seed's 32-bit words hashed into a pool of four.  PCG64 (O'Neill 2014)
+    steps a 128-bit LCG and emits the XSL-RR output of each new state.
+    """
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hasher(0x43B0D7E5, 0x931E8875)
+
+    def mix(x, y):
+        v = 0xCA01F9DD * x - 0x4973F715 * y & _MASK32
+        return v ^ v >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        pool = [mix(p, hashmix(word)) for p in pool]
+    state32 = list(map(_hasher(0x8B51F9DD, 0x58F38DED), pool * 2))
+    s0, s1, i0, i1 = (lo | hi << 32 for lo, hi in zip(state32[::2], state32[1::2]))
+    inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    draws = []
+    for _ in range(count):
+        state = (state * _PCG_MULT + inc) & _MASK128
+        x = (state >> 64 ^ state) & _MASK64
+        rot = state >> 122
+        draws.append((x >> rot | x << (64 - rot) & _MASK64) >> 11)
+    return draws
+
+
+def _sphere_uniforms(seed, n):
+    """`default_rng(seed).uniform(-1, 1, n)`, then `.uniform(0, 2 pi, n)`, bit
+    for bit: numpy's `low + (high - low) * u`, u a draw times 2**-53."""
+    u = np.array(_pcg64_draws(seed, 2 * n), dtype=float) * 2.0**-53
+    return -1.0 + 2.0 * u[:n], 0.0 + 2 * math.pi * u[n:]
+
+
 def sample_sphere_uniform(seed, n):
     """n i.i.d. points for the normalized area measure; deterministic in seed."""
     if n < 1:
         raise ValueError("n must be positive")
-    rng = default_rng(seed)
-    zcoord = rng.uniform(-1.0, 1.0, size=n)
-    phi = rng.uniform(0.0, 2 * math.pi, size=n)
+    zcoord, phi = _sphere_uniforms(seed, n)
     s = np.sqrt(np.maximum(0.0, 1.0 - zcoord**2))
     x = s * np.cos(phi)
     y = s * np.sin(phi)
     return [INF if zi >= 1.0 else complex(xi, yi) / (1.0 - zi) for xi, yi, zi in zip(x, y, zcoord)]
-

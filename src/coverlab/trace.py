@@ -52,7 +52,7 @@ from coverlab.count import (
     ring_radius,
 )
 
-_ARC_NODES = 24  # Gauss-Legendre nodes of the arc test integral
+_ARC_NODES, _ARC_WEIGHTS = np.polynomial.legendre.leggauss(24)  # rule of the arc test integral
 _IMAGE_SAMPLES = 4096  # first sampling of the boundary image f(|z| = r)
 _IMAGE_BUDGET = 200_000  # samples after which the image is not refined further
 
@@ -563,7 +563,7 @@ def _cut_at_vertices(pl, m, graph, vertices):
 class ComplementComponent:
     chi: int
     touches_boundary: bool
-    face: str  # its probe pixel's face, its only one unless it touches the boundary
+    face: str | None  # the one face it maps into; None when it touches the boundary
     n_pixels: int
     label: int
 
@@ -698,7 +698,8 @@ def complement_components(g, r, resolution=512):
 
     Per component: chi from the pixel complex (2 - #boundary curves for a
     planar piece), a boundary-touching flag, and the target face its map
-    image covers.  Raises ResolutionError when two distinct arcs share a
+    image covers (None for a boundary-touching one, whose image may cross
+    the graph's arcs).  Raises ResolutionError when two distinct arcs share a
     pixel corridor (the rasterization would merge their sides).
     """
     n = resolution
@@ -708,23 +709,26 @@ def complement_components(g, r, resolution=512):
     chi = _march.mask_euler_characteristic(row, lo, hi, label).tolist()
     size = len(chi)
     n_pixels = np.bincount(label, hi - lo, minlength=size).astype(int).tolist()
-    touches = np.bincount(label[on_ring], minlength=size) > 0
+    touches = (np.bincount(label[on_ring], minlength=size) > 0).tolist()
     # each face probe samples the middle pixel of its component's widest
     # run, the first in raster order among equals: a component off the
-    # boundary maps into one face, so any of its pixels names that face
+    # boundary maps into one face, so any of its pixels names that face;
+    # a component on the boundary is not probed
     order = np.lexsort((lo - hi, label))
     widest = order[np.searchsorted(label[order], np.arange(size))]
     probe = zip(row[widest].tolist(), ((lo[widest] + hi[widest] - 1) // 2).tolist())
     components = []
     for k, (y, x) in enumerate(probe):
-        try:
-            face = g.graph.face_of(evaluate(g.m, complex(xs[x], xs[y])))
-        except IndeterminateError:
-            face = "outer"
+        face = None
+        if not touches[k]:
+            try:
+                face = g.graph.face_of(evaluate(g.m, complex(xs[x], xs[y])))
+            except IndeterminateError:
+                face = "outer"
         components.append(
             ComplementComponent(
                 chi=chi[k],
-                touches_boundary=bool(touches[k]),
+                touches_boundary=touches[k],
                 face=face,
                 n_pixels=n_pixels[k],
                 label=k + 1,
@@ -751,12 +755,11 @@ def arc_test_integral(m, chart, t, r):
     """
     x0, x1 = chart.x_range
     width = x1 - x0
-    nodes, weights = np.polynomial.legendre.leggauss(_ARC_NODES)
-    xs = 0.5 * (x0 + x1) + 0.5 * width * nodes
+    xs = 0.5 * (x0 + x1) + 0.5 * width * _ARC_NODES
     beta = (2.0 / width) * np.sin(math.pi * ((xs - x0) / width)) ** 2
     targets = [complex(chart.inverse(complex(x, t))) for x in xs]
     total = 0.0
-    for w, b, target, d in zip(weights, beta, targets, count_preimages_many(m, targets, r)):
+    for w, b, target, d in zip(_ARC_WEIGHTS, beta, targets, count_preimages_many(m, targets, r)):
         if d is None:
             d = count_preimages(m, target, r)
         total += w * b * d

@@ -457,15 +457,22 @@ def test_an_overflowing_entire_map_exits_3_naming_overflow(tmp_path):
     assert "pole" not in error["error"]
 
 
-def test_cli_import_loads_no_scipy_and_loads_numpy_random():
-    # scipy is a test oracle, not a runtime dependency: a fresh process that
-    # imports the command line must not load it; numpy loads numpy.random
-    # lazily, so metric imports it eagerly to keep it out of every run's time
+def test_cli_import_and_mean_degree_run_load_no_scipy_or_numpy_random(tmp_path):
+    # scipy and numpy.random are test oracles, not runtime dependencies: a
+    # fresh process that imports the command line and runs the Monte-Carlo
+    # verifier loads neither (the sphere sample has its own PCG64 stream)
     src = Path(__file__).resolve().parents[1] / "src"
+    (tmp_path / "degree.cfg").write_text(
+        "map = z^3\nradii.list = 2\nverifiers = mean_degree\nsamples = 100\n"
+        f"outputs = {tmp_path / 'out'}\n"
+    )
     probe = (
-        "import sys, coverlab.cli; "
-        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy')); "
-        "print('numpy.random' in sys.modules)"
+        "import sys\nfrom coverlab import cli\n"
+        "def loaded():\n"
+        "    return sorted(n for n in sys.modules if n.split('.')[0] == 'scipy' or n.startswith('numpy.random'))\n"
+        "print(loaded())\n"
+        f"code = cli.main(['verify-all', '--config', {str(tmp_path / 'degree.cfg')!r}])\n"
+        "print(code, loaded())"
     )
     out = subprocess.run(
         [sys.executable, "-c", probe],
@@ -473,8 +480,9 @@ def test_cli_import_loads_no_scipy_and_loads_numpy_random():
         capture_output=True,
         text=True,
         check=True,
-    ).stdout.split()
-    assert out == ["[]", "True"]
+    ).stdout.splitlines()
+    assert out[0] == "[]"
+    assert out[-1] == "0 []"
 
 
 def test_graph_and_euler_run_loads_no_numpy_ma(tmp_path):

@@ -613,6 +613,27 @@ def test_sampler_deterministic():
     assert all(p is INF or cmath.isfinite(p) for p in a)
 
 
+@pytest.mark.parametrize(
+    "seed", [*range(16), 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 12345]
+)
+def test_sampler_stream_is_numpys_default_rng(seed):
+    # numpy.random is a test-only oracle: the raw draws are PCG64's, and the
+    # z and azimuth arrays are default_rng's uniform, bit for bit; the last
+    # seed has seven 32-bit words, more than SeedSequence's pool of four
+    for n in (1, 250, 10_000):
+        raw = np.random.PCG64(seed).random_raw(2 * n) >> np.uint64(11)
+        assert metric._pcg64_draws(seed, 2 * n) == raw.tolist()
+        rng = np.random.default_rng(seed)
+        expected = (rng.uniform(-1.0, 1.0, size=n), rng.uniform(0.0, 2 * math.pi, size=n))
+        for got, want in zip(metric._sphere_uniforms(seed, n), expected):
+            assert got.tobytes() == want.tobytes()
+
+
+def test_sampler_rejects_a_negative_seed():
+    with pytest.raises(ValueError):
+        sample_sphere_uniform(-1, 10)
+
+
 def test_sampler_hemisphere():
     pts = sample_sphere_uniform(7, 10000)
     hemi = sum(1 for p in pts if chordal_distance(p, 0) < 1 / math.sqrt(2 * math.pi))

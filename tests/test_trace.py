@@ -592,6 +592,7 @@ def test_complement_identity_figure_eight():
     assert sorted(c.chi for c in interior) == [1, 1]
     assert sum(c.chi for c in boundary) == 0
     assert {c.face for c in interior} == {"lobe-", "lobe+"}
+    assert {c.face for c in boundary} == {None}
 
 
 def test_complement_chi_bounds():
@@ -641,7 +642,7 @@ def _label_grid(analysis):
 def _complement_reference(pg, comps, r):
     """The full-grid walk: one `labels == k` mask per component, its chi,
     ring test and pixel count, and the face at the argmax of its distance
-    transform."""
+    transform, or None when it touches the ring."""
     m = pg.m
     n = comps.resolution
     h = 2.0 * r / n
@@ -653,11 +654,13 @@ def _complement_reference(pg, comps, r):
     rows = []
     for k in range(1, count + 1):
         comp = labels == k
-        dist = ndimage.distance_transform_cdt(comp)
-        w = evaluate(m, complex(zz[np.unravel_index(int(np.argmax(dist)), comp.shape)]))
-        face = pg.graph.face_of(w)
-        chi = _mask_chi(comp)
-        rows.append((chi, bool((comp & ring).any()), face, int(comp.sum()), k))
+        touches = bool((comp & ring).any())
+        face = None
+        if not touches:
+            dist = ndimage.distance_transform_cdt(comp)
+            w = evaluate(m, complex(zz[np.unravel_index(int(np.argmax(dist)), comp.shape)]))
+            face = pg.graph.face_of(w)
+        rows.append((_mask_chi(comp), touches, face, int(comp.sum()), k))
     return rows
 
 
