@@ -787,12 +787,13 @@ class MeanDegree:
 def mean_degree(m, r, n_samples, seed=0):
     """Monte-Carlo average of n(r, p) over uniform sphere points p.
 
-    All candidate points are counted at once by count_preimages_many from
-    the winding of the boundary image f(|z| = r); only points it leaves
+    The first n_samples points are counted at once by count_preimages_many
+    from the winding of the boundary image f(|z| = r); only points it leaves
     undecided (inside the band around the image) go to count_preimages.
     A point whose root lies on the circle therefore still raises there and
-    is replaced by the next point of the sample stream.  Counts are
-    distinct roots, which equal the winding count except at critical values.
+    is replaced by the next point of the sample stream, which count_preimages
+    counts alone.  Counts are distinct roots, which equal the winding count
+    except at critical values.
     """
     if n_samples < 100:
         raise ValueError("n_samples must be at least 100")
@@ -800,7 +801,8 @@ def mean_degree(m, r, n_samples, seed=0):
     pts = sample_sphere_uniform(seed, n_samples + resample_budget)
     counts = []
     resampled = 0
-    for p, count in zip(pts, count_preimages_many(m, pts, r)):
+    batched = count_preimages_many(m, pts[:n_samples], r) + [None] * resample_budget
+    for p, count in zip(pts, batched):
         if len(counts) == n_samples:
             break
         if count is None:

@@ -19,6 +19,9 @@ and a chordal disk of radius rho has normalized area pi rho^2 exactly.
 
 `build_profile` reports a(r) from `area`, over polar cells of the disk;
 `select_radii` and `lengtharea_certificate` take it from `boundary_areas`.
+Every integral over a circle |z| = r, l(r), a'(r) and the boundary a(r), is
+the nested periodic trapezoid rule of `_adaptive_circle_integral`, which
+bisects arcs of the circle where a pole or critical point lies next to it.
 
 `sample_sphere_uniform` draws from a private PCG64 stream seeded as numpy's
 `default_rng(seed)` seeds it, so its points are those of
@@ -52,15 +55,20 @@ MAX_DISK_RADIUS = 0.5 / SQRT_PI  # topological-disk bound for SphericalDisk
 _BIG = 1e80  # |f| beyond this: switch to the reciprocal form of h
 _MAX_AREA_CELLS = 200_000
 _AREA_CHUNK = 1024  # polar cells that _coarse_batch evaluates at once
-_MAX_CIRCLE_SEGMENTS = 4000
-_SPECULATE = 63  # heap segments whose halves are estimated with a popped segment's
+_CIRCLE_NODES = 1024  # the trapezoid rule's first level on a circle
+_PERIODIC_NODES = 2**13  # its last level, past which arcs are bisected
+_ARCS = 64
+_MAX_CIRCLE_NODES = 2**16  # evaluations of one circle integral
+_THETA0 = 2 * math.pi / (3 * _CIRCLE_NODES)  # the nodes' offset: no node on a dyadic angle
 
 
 class QuadratureError(ArithmeticError):
-    """Adaptive quadrature ran out of cell budget.
+    """Adaptive quadrature ran out of budget.
 
     Carries the partial estimate and the worst remaining cell so the caller
-    can rescue or report.
+    can rescue or report; for a circle integral, the accepted arcs plus the
+    estimates of the rest, and the (start, end) angles of the arc of
+    largest error.
     """
 
     def __init__(self, message, partial, worst_cell):
@@ -195,10 +203,21 @@ def density_array(m, dm, zs):
 
 
 # ---------------------------------------------------------------------------
-# Adaptive quadrature: polar cells for a(r); segments for l(r), a'(r) and boundary a(r)
+# Adaptive quadrature: polar cells for a(r); circle nodes for l(r), a'(r) and boundary a(r)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
-_GL8_NODES, _GL8_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _clenshaw_curtis(n):
+    """Clenshaw-Curtis weights of the n + 1 points cos(pi k / n) of [-1, 1]."""
+    k, j = np.arange(n + 1), np.arange(1, n // 2 + 1)
+    w = 1 - np.cos(2 * np.pi * np.outer(k, j) / n) @ (np.where(2 * j == n, 1, 2) / (4 * j * j - 1))
+    return w * np.where((k == 0) | (k == n), 1, 2) / n
+
+
+# an arc's 17 points, and the weights of all of them, every 2nd and every 4th
+_CC_NODES = np.cos(np.pi * np.arange(17) / 16)
+_CC_WEIGHTS = [_clenshaw_curtis(n) for n in (16, 8, 4)]
 
 
 def _quarter_bounds(bounds):
@@ -336,67 +355,62 @@ def area(m, r, tol=1e-7):
 
 
 def _adaptive_circle_integral(fvals, tol, pole_check):
-    """Adaptive integral of f(theta) d(theta) over [0, 2pi).
+    """Integral of f(theta) d(theta) over [0, 2pi) by the nested periodic
+    trapezoid rule (Trefethen & Weideman, SIAM Review 56, 2014), and by
+    bisected arcs where f has features narrower than its nodes.
 
     `fvals(thetas)` must be vectorized and elementwise.  `pole_check(thetas)`
-    may raise.  The seed segment count comes from a scan so that narrow
-    angular features (integrands concentrated near a strip) are not stepped
-    over.  A segment's estimate is the sum of the 8-node Gauss values of its
-    halves, its error the distance from the value of the whole.  A serial
-    heap loop, the only maker of refinement decisions, bisects the segment
-    of largest error until the errors sum to at most tol * (1 + |total|).
-    Only the evaluations are batched, each value as from one call per Gauss
-    rule: the seeds in one `fvals` call and, when the loop needs the halves
-    of a segment, those halves and the halves of the _SPECULATE largest-
-    error segments in the heap in one more, kept by (a, b) until popped.
+    may raise.  T_N sums f at the N nodes _THETA0 + 2 pi k / N times 2 pi / N,
+    from N = _CIRCLE_NODES; T_{N/2}, T_{N/4} and T_{N/8} take every 2nd, 4th
+    and 8th node.  N doubles by the N midpoints until the differences d0,
+    d1, d2 of those four sums have d2 and d1^2 / max(d0, d1), the next one
+    if they decay geometrically, at most tol * (1 + |T_N|): a kink of |f'|
+    whose even and odd half-rules err alike fails the second.  _THETA0 keeps
+    the nodes off dyadic angles such as pi/2, where tested maps have poles.
+
+    Past _PERIODIC_NODES nodes the circle is cut into _ARCS arcs, a third
+    of an arc off the dyadic angles.  An arc takes its 17-point Clenshaw-
+    Curtis value; its error is the larger of that value's distance from the
+    9-point one and the 9-point one's from the 5-point one over 16.  Arcs
+    whose errors are within their share by length of tol * (1 + |T_N|) / 8
+    are accepted, and the rest bisected, one `fvals` call a level, until
+    all errors sum within it.  A level ending past _MAX_CIRCLE_NODES
+    evaluations raises QuadratureError.
     """
     pole_check(np.linspace(0.0, 2 * math.pi, 256, endpoint=False))
-    scan = fvals((np.arange(1024) + 0.5) * 2 * math.pi / 1024)
-    w_min = _narrowest_closed_run(np.abs(np.asarray(scan))[None, :])
-    if w_min is None:
-        nseg = 8
-    else:
-        nseg = int(min(256, max(8, math.ceil(2 * math.pi / (0.5 * w_min)))))
-    known = {}  # (a, b) -> (error, estimate) of segments not yet in the heap
-
-    def estimate(segments):
-        a, b = np.array(segments).T
-        lo, hi = np.stack([a, a, 0.5 * (a + b)], axis=1), np.stack([b, 0.5 * (a + b), b], axis=1)
-        t = (0.5 * (lo + hi))[..., None] + (0.5 * (hi - lo))[..., None] * _GL8_NODES
-        # the Gauss values of [a, b] and its halves, as np.sum(...) * 0.5 * (hi - lo)
-        g = np.sum(fvals(t.ravel()).reshape(t.shape) * _GL8_WEIGHTS, axis=-1) * 0.5 * (hi - lo)
-        for ab, (whole, left, right) in zip(segments, g.tolist()):
-            known[ab] = (abs(left + right - whole), left + right)
-
-    heap, total, errsum, count = [], 0.0, 0.0, 0  # count: pushes, the heap's tie-breaker
-
-    def push(a, b):
-        nonlocal total, errsum, count
-        e, i2 = known.pop((a, b))
-        total += i2
-        errsum += e
-        heapq.heappush(heap, (-e, count, a, b, i2))
-        count += 1
-
-    seeds = [(2 * math.pi * k / nseg, 2 * math.pi * (k + 1) / nseg) for k in range(nseg)]
-    estimate(seeds)
-    for a, b in seeds:
-        push(a, b)
-    while errsum > tol * (1.0 + abs(total)) and heap:
-        neg_e, _, a, b, i2 = heapq.heappop(heap)
-        if count > _MAX_CIRCLE_SEGMENTS:
-            raise QuadratureError("circle quadrature budget exceeded", total, (a, b))
-        errsum -= -neg_e
-        total -= i2
-        mseg = 0.5 * (a + b)
-        if (a, mseg) not in known:
-            ahead = [(a, b)] + [entry[2:4] for entry in heapq.nsmallest(_SPECULATE, heap)]
-            estimate([half for lo, hi in ahead
-                      for half in ((lo, 0.5 * (lo + hi)), (0.5 * (lo + hi), hi))
-                      if half not in known])
-        push(a, mseg)
-        push(mseg, b)
-    return total
+    n = _CIRCLE_NODES
+    vals = fvals(_THETA0 + np.arange(n) * (2 * math.pi / n))
+    total, sums = np.sum(vals), [np.sum(vals[::k]) * (2 * math.pi * k / n) for k in (8, 4, 2)]
+    while True:
+        value = total * (2 * math.pi / n)
+        sums.append(value)
+        d0, d1, d2 = np.abs(np.diff(sums[-4:]))
+        limit = tol * (1.0 + abs(value))
+        if d2 <= limit and d1 * d1 <= limit * max(d0, d1):
+            return float(value)
+        if n >= _PERIODIC_NODES:
+            break
+        total += np.sum(fvals(_THETA0 + (np.arange(n) + 0.5) * (2 * math.pi / n)))
+        n *= 2
+    allowance = limit / 8
+    a = (np.arange(_ARCS) + 1 / 3) * (2 * math.pi / _ARCS)
+    b, done, errsum = a + 2 * math.pi / _ARCS, 0.0, 0.0
+    while True:
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        vals = fvals((mid[:, None] + half[:, None] * _CC_NODES).ravel()).reshape(len(a), -1)
+        fine, coarse, coarser = (vals[:, ::k] @ w * half for k, w in zip((1, 2, 4), _CC_WEIGHTS))
+        err = np.maximum(np.abs(fine - coarse), np.abs(coarse - coarser) / 16)
+        ok = err <= allowance * (b - a) / (2 * math.pi)
+        done, errsum = done + np.sum(fine[ok]), errsum + np.sum(err[ok])
+        a, mid, b, fine, err = (x[~ok] for x in (a, mid, b, fine, err))
+        if errsum + np.sum(err) <= allowance:
+            return float(done + np.sum(fine))
+        n += vals.size
+        if n > _MAX_CIRCLE_NODES:
+            worst = np.argmax(err)
+            raise QuadratureError("circle quadrature budget exceeded",
+                                  float(done + np.sum(fine)), (a[worst], b[worst]))
+        a, b = np.concatenate([a, mid]), np.concatenate([mid, b])
 
 
 def _make_pole_check(m, r):

@@ -878,6 +878,38 @@ def test_mean_degree_resamples_a_point_whose_root_is_on_the_circle(monkeypatch):
     assert md.mean == np.mean([k for k in range(n + 1) if k != 2])
 
 
+def test_mean_degree_counts_replacement_points_only_when_needed(monkeypatch):
+    # points 3, 50 and 99 of the first 100 fail, and so does point 101 among
+    # their replacements 100-103: four resamples.  Only the first 100 points
+    # reach count_preimages_many; count_preimages takes the failing ones and
+    # the replacements alone, and no point past the 104th
+    n, failing = 100, {3, 50, 99, 101}
+    m = parse_map("exp(z)")
+    pts = sample_sphere_uniform(1, n + 50)
+    index = {p: k for k, p in enumerate(pts)}
+    one, many = count_module.count_preimages, count_module.count_preimages_many
+    batched, alone = [], []
+
+    def counted_many(m, ps, r):
+        batched.extend(index[p] for p in ps)
+        return [None if index[p] in failing else c for p, c in zip(ps, many(m, ps, r))]
+
+    def counted_one(m, p, r):
+        alone.append(index[p])
+        if index[p] in failing:
+            raise RootOnCircleError("on the circle")
+        return one(m, p, r)
+
+    monkeypatch.setattr(count_module, "count_preimages_many", counted_many)
+    monkeypatch.setattr(count_module, "count_preimages", counted_one)
+    md = mean_degree(m, 8.0, n, seed=1)
+    assert md.n_resampled == 4
+    assert batched == list(range(n))
+    assert alone == [3, 50, 99, 100, 101, 102, 103]
+    kept = [k for k in range(n + 4) if k not in failing]
+    assert md.mean == np.mean([one(m, pts[k], 8.0) for k in kept])
+
+
 def test_mean_degree_validates_samples():
     with pytest.raises(ValueError):
         mean_degree(parse_map("z"), 1.0, 50, seed=0)

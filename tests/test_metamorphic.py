@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from coverlab.count import count_preimages, find_islands, find_roots
 from coverlab.expr import parse_map
-from coverlab.metric import SphericalDisk, area, boundary_length
+from coverlab.metric import SphericalDisk, area, boundary_areas, boundary_length
 from coverlab.trace import GraphSpec, build_preimage_graph, complement_components
 from coverlab.verify import verify_euler_identity
 
@@ -92,6 +92,40 @@ def test_roots_rotate_with_the_source(zeros, theta, p):
     for root in expected:
         (match,) = [other for other in rotated if abs(other.location - root.location / turn) < 1e-9]
         assert match.multiplicity == root.multiplicity
+
+
+def _near(radius):
+    """Radii 1e-4 to 0.5 of `radius` off it, on either side."""
+    off = st.tuples(st.sampled_from([-1, 1]), st.floats(-4, math.log10(0.5)))
+    return off.map(lambda so: radius * (1 + so[0] * 10 ** so[1]))
+
+
+# z^d, exp(z) out to where its circle integrals take 8192 nodes, and two
+# maps on circles that come within 1e-4 of their poles: a Moebius map with
+# its pole at |z| = 0.5, and a pole of residue 1e-6 at z = 1.0001, whose
+# spike is then narrower than 8192 nodes resolve
+_CIRCLE_CASES = st.one_of(
+    st.tuples(st.integers(1, 6).map(lambda d: f"{{z}}^{d}"), st.floats(0.2, 3.0)),
+    st.tuples(st.just("exp({z})"), st.floats(1.0, 300.0)),
+    st.tuples(st.just("(2*{z}-1)/({z}+(0.3+0.4i))"), _near(0.5)),
+    st.tuples(st.just("{z}+0.000001/({z}-1.0001)"), _near(1.0001)),
+)
+
+
+@settings(derandomize=True, deadline=None)
+@given(case=_CIRCLE_CASES, theta=st.floats(0, 2 * math.pi))
+def test_circle_integrals_are_invariant_under_source_rotation(case, theta):
+    # the circle quadratures of f(e^{i theta} z) put their nodes at other
+    # points of f's circle; l(r) and the boundary a(r) agree within their
+    # tolerances, tol (1 + value)
+    template, r = case
+    turn = cmath.exp(1j * theta)
+    m = parse_map(template.format(z="z"))
+    rotated = parse_map(template.format(z=f"((0{turn.real:+.17g}{turn.imag:+.17g}i)*z)"))
+    length = boundary_length(m, r, tol=1e-8)
+    assert abs(boundary_length(rotated, r, tol=1e-8) - length) <= 1e-8 * (1 + length)
+    (a,), (a_rotated,) = boundary_areas(m, [r], tol=1e-9), boundary_areas(rotated, [r], tol=1e-9)
+    assert abs(a_rotated - a) <= 1e-9 * (1 + a)
 
 
 TOPOLOGY_CASES = [("{z}^3-{z}", 1.5), ("{z}^5", 2.0)]

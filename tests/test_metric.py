@@ -383,31 +383,36 @@ def test_the_density_rescue_stops_where_f_overflows_all_around():
 # Bits of l(r), a'(r), the boundary-integral a(r) and the polar a(r), as
 # float.hex.  How the evaluations are batched must not move them, even at
 # rounding level: the benchmark's reference checks |integer - a(r)|.
-# exp(z^2) at r = 6 (like exp(z) at 47.41 and 80) scans to more than 8 seed
-# segments: 31 for l and 61 for a'.
+# l(r) and a'(r) of exp(z) at 47.41 and 80 and of exp(z^2) at r = 6 take
+# more than the first level's 1024 circle nodes, and all three integrals of
+# the pole 0.01 outside |z| = 1 take 8192.  No pin reaches the arcs; the
+# tests against mpmath digits below do.
 BIT_PINS = [
-    ("z^5", 2.0, "0x1.1b50e178b32d7p-1", "0x1.8f384ae707cdbp-6",
+    ("z^5", 2.0, "0x1.1b50e178b32d6p-1", "0x1.8f384ae707cdbp-6",
      "0x1.3fb013fb013fcp+2", "0x1.3fb013fb013fdp+2"),
     ("z^5", 7.0, "0x1.1474838acfef0p-10", "0x1.b26bee2aa3b8ep-26",
-     "0x1.3fffffecfe7a8p+2", "0x1.3fffffede16cfp+2"),
+     "0x1.3fffffecfe7a6p+2", "0x1.3fffffede16cfp+2"),
     ("z^5", 10.0, "0x1.73b5e43b6e3f8p-13", "0x1.12e0be81814b0p-31",
-     "0x1.3fffffff768fbp+2", "0x1.3ffffffd22402p+2"),
-    ("exp(z)", 8.0, "0x1.d060dd4e999d2p+0", "0x1.4823c86b2a713p-2",
-     "0x1.43d31937ec247p+1", "0x1.43d31938d2957p+1"),
-    ("exp(z)", 47.4140073963, "0x1.c5ff8bf4149e3p+0", "0x1.46024eef137bfp-2",
-     "0x1.e2dde25092bffp+3", "0x1.e2dde250ac649p+3"),
-    ("exp(z)", 80.0, "0x1.c5d5f5ab8ab20p+0", "0x1.45f864002fac3p-2",
-     "0x1.9769149df8c5ap+4", "0x1.9769149d12cbbp+4"),
-    ("z + 0.001/(z - 1.01)", 1.0, "0x1.d9fd308677985p+0", "0x1.48a16fc706453p-1",
-     "0x1.0017b79674cc4p-1", "0x1.00179a821aa27p-1"),
-    ("(z^2 - 1)/(z^2 + 4)", 1.5, "0x1.b1f15ab5e1738p+1", "0x1.67ee35ad21799p+0",
+     "0x1.3fffffff768fap+2", "0x1.3ffffffd22402p+2"),
+    ("exp(z)", 8.0, "0x1.d060dd4ea4af5p+0", "0x1.4823c86b2a6d1p-2",
+     "0x1.43d31937eb875p+1", "0x1.43d31938d2957p+1"),
+    ("exp(z)", 47.4140073963, "0x1.c5ff8bf41409ep+0", "0x1.46024eef13a0cp-2",
+     "0x1.e2dde250985e4p+3", "0x1.e2dde250ac649p+3"),
+    ("exp(z)", 80.0, "0x1.c5d5f5ab8a161p+0", "0x1.45f86400303cfp-2",
+     "0x1.9769149df90edp+4", "0x1.9769149d12cbbp+4"),
+    ("z + 0.001/(z - 1.01)", 1.0, "0x1.d9fd308667595p+0", "0x1.48a16fc7065b0p-1",
+     "0x1.0017b79674cb3p-1", "0x1.00179a821aa27p-1"),
+    ("(z^2 - 1)/(z^2 + 4)", 1.5, "0x1.b1f15ab5e173bp+1", "0x1.67ee35ad21881p+0",
      "0x1.6a625504a267ap-1", "0x1.6a625504a267ap-1"),
-    ("exp(z^2)", 6.0, "0x1.c62eeaa66c2b8p+1", "0x1.e914560040617p+2",
-     "0x1.6e939929b9b58p+4", "0x1.6e939928f076bp+4"),
+    ("exp(z^2)", 6.0, "0x1.c62eeaa699bf7p+1", "0x1.e91456001826cp+2",
+     "0x1.6e939929b9bf6p+4", "0x1.6e939928f076bp+4"),
 ]
+_PIN_IDS = [f"{source}-r{r}" for source, r, *_ in BIT_PINS]
 
 
-@pytest.mark.parametrize(("source", "r", "length", "derivative", "boundary", "polar"), BIT_PINS)
+@pytest.mark.parametrize(
+    ("source", "r", "length", "derivative", "boundary", "polar"), BIT_PINS, ids=_PIN_IDS
+)
 def test_quadratures_are_bit_identical_to_the_pins(source, r, length, derivative, boundary, polar):
     m = parse_map(source)
     assert boundary_length(m, r).hex() == length
@@ -439,27 +444,86 @@ def test_area_memory():
     assert peak <= 3e6
 
 
-@pytest.mark.parametrize(
-    ("source", "r", "quadrature", "tol", "budget", "partial", "worst"),
-    [
-        ("z + 0.000001/(z - 1.0001)", 1.0, boundary_length, 1e-8, 50,
-         "0x1.c7fca64277c18p+0", ("0x1.92196cc56dc07p+2", "0x1.921fb54442d18p+2")),
-        ("exp(z)", 80.0, boundary_length, 1e-17, 300,
-         "0x1.c5d5f5ab8a168p+0", ("0x1.8a958377c7f72p+0", "0x1.8af16d7553e93p+0")),
-        ("exp(z)", 80.0, area_derivative, 1e-17, 300,
-         "0x1.45f86400303cfp-2", ("0x1.2e9facc226e90p+2", "0x1.2eac3dbfd10b1p+2")),
-        ("exp(z)", 8.0, boundary_length, 1e-9, 8,
-         "0x1.d060dc568803bp+0", ("0x1.921fb54442d18p+0", "0x1.2d97c7f3321d2p+1")),
-    ],
-)
-def test_circle_budget_error_is_pinned(monkeypatch, source, r, quadrature, tol, budget, partial, worst):
-    # the segment that trips the budget, and the partial sum, as popped one
-    # segment at a time; evaluating ahead of the heap must not move them
-    monkeypatch.setattr(metric, "_MAX_CIRCLE_SEGMENTS", budget)
+# Digits from mpmath 1.3.0 at 30 digits, by quadrature with breakpoints at
+# the angles next to the poles and critical points.  a(r) of exp(z) is
+# (r / 2pi) int_0^{2pi} cos(phi) / (1 + exp(-2 r cos(phi))) d(phi).
+SPIKE = "z + 0.000001/(z - 1.0001)"  # a pole of residue 1e-6, 1e-4 outside |z| = 1
+SPIKE_LENGTH, SPIKE_AREA = 1.7811988747300660, 0.50000581107043784
+CUBIC_LENGTH = 1.1582482565349122  # l(1) of z^3 - 3z, critical points +-1 on |z| = 1
+EXP_BOUNDARY_AREAS = {
+    8.0: 2.5298797152564094,
+    47.4140073963: 15.089585454380494,
+    80.0: 25.46315442760618,
+    300.0: 95.49252951863721,
+}
+
+
+def _turned(source, phi):
+    """source with z replaced by e^{-i phi} z: its features turn by phi."""
+    turn = cmath.exp(-1j * phi)
+    return source.replace("z", f"((0{turn.real:+.17g}{turn.imag:+.17g}i)*z)")
+
+
+@pytest.mark.parametrize(("source", "feature"), [(SPIKE, 0.0), (_turned("z^3 - 3*z", 0.7), 0.7)])
+def test_circle_budget_error_carries_the_arcs_left(monkeypatch, source, feature):
+    # a budget of the periodic rule's levels and the first arc level: the
+    # second arc level raises, and its error carries the accepted arcs and
+    # the estimates of the rest, and the arc of largest error, which holds
+    # the feature's angle
+    first_arcs = metric._CC_NODES.size * metric._ARCS
+    monkeypatch.setattr(metric, "_MAX_CIRCLE_NODES", metric._PERIODIC_NODES + first_arcs)
     with pytest.raises(metric.QuadratureError) as exc:
-        quadrature(parse_map(source), r, tol=tol)
-    assert exc.value.partial.hex() == partial
-    assert tuple(x.hex() for x in exc.value.worst_cell) == worst
+        boundary_length(parse_map(source), 1.0)
+    # the spike alone is 1% of SPIKE_LENGTH, and the kinks move no digit
+    # that coarse
+    truth = SPIKE_LENGTH if source == SPIKE else CUBIC_LENGTH
+    assert exc.value.partial == pytest.approx(truth, rel=1e-2)
+    a, b = exc.value.worst_cell
+    assert b - a <= math.pi / metric._ARCS
+    assert a <= feature <= b or a <= feature + 2 * math.pi <= b
+
+
+def test_length_and_area_next_to_a_pole_of_small_residue_meet_their_tolerance():
+    # the spike is 1e-4 wide, too narrow for the periodic rule's 2^13 nodes
+    m = parse_map(SPIKE)
+    length = boundary_length(m, 1.0)
+    assert abs(length - SPIKE_LENGTH) <= 1e-8 * (1 + length)
+    (a,) = boundary_areas(m, [1.0])
+    assert abs(a - SPIKE_AREA) <= 1e-9 * (1 + a)
+
+
+# the critical points e^{i phi} and -e^{i phi} of the turned z^3 - 3z put
+# kinks into |f'| on |z| = 1: at dyadic angles, at a quarter of a cell of
+# the periodic rule's 512-node level (where its even and odd halves err
+# alike), and at three other angles, which the arcs bisect
+KINK_ANGLES = [0.0, 0.7, 1.91, metric._THETA0 + 2 * math.pi * 100.25 / 512, 6.02]
+
+
+@pytest.mark.parametrize("tol", [1e-8, 1e-9])
+@pytest.mark.parametrize("phi", KINK_ANGLES)
+def test_length_with_critical_points_on_the_circle_meets_its_tolerance(phi, tol):
+    length = boundary_length(parse_map(_turned("z^3 - 3*z", phi)), 1.0, tol=tol)
+    assert abs(length - CUBIC_LENGTH) <= tol * (1 + length)
+
+
+def test_length_next_to_a_critical_point_meets_its_tolerance():
+    length = boundary_length(parse_map("z^3 - 3*z"), 1.0001, tol=1e-8)
+    assert abs(length - 1.1582441740664622) <= 1e-8 * (1 + length)
+
+
+def test_length_closer_to_a_critical_point_meets_its_tolerance_or_raises():
+    # r = 1.00001 at tol 1e-10: mpmath gives 1.158247836508767
+    try:
+        length = boundary_length(parse_map("z^3 - 3*z"), 1.00001, tol=1e-10)
+    except metric.QuadratureError:
+        return
+    assert abs(length - 1.158247836508767) <= 1e-10 * (1 + length)
+
+
+def test_boundary_areas_of_exp_match_the_closed_form_integral():
+    got = boundary_areas(parse_map("exp(z)"), list(EXP_BOUNDARY_AREAS))
+    for value, reference in zip(got, EXP_BOUNDARY_AREAS.values()):
+        assert value == pytest.approx(reference, rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
