@@ -67,14 +67,21 @@ from coverlab.expr import (
     pole_free,
 )
 from coverlab.lifting import ResolutionError, _chart, cycle_components, lift_boundaries
-from coverlab.metric import sample_sphere_uniform, sphere_point
+from coverlab.metric import _gauss_legendre, sample_sphere_uniform, sphere_point
 
 _SPLIT_FRACTIONS = (0.5, 0.53, 0.4617)
 _INFLATIONS = (1e-6, 7.3e-4)  # bounding-square margins, relative to r
 _ISOLATION_REL = 1e-5  # root cells this small, relative to r, are isolated
 _MAX_CELLS = 60_000  # root-finder cell budget
 _MOMENT_MAX = 6  # a cell of winding up to this takes its zeros from contour moments
-_QUAD_NODES, _QUAD_WEIGHTS = np.polynomial.legendre.leggauss(20)  # per moment panel
+_QUAD_NODES, _QUAD_WEIGHTS = _gauss_legendre(  # the 20-point rule of a moment panel
+    [0.07652652113349734, 0.22778585114164507, 0.37370608871541955, 0.5108670019508271,
+     0.636053680726515, 0.7463319064601508, 0.8391169718222188, 0.912234428251326,
+     0.9639719272779138, 0.993128599185095],
+    [0.15275338713072628, 0.14917298647260424, 0.1420961093183824, 0.1316886384491769,
+     0.1181945319615186, 0.1019301198172407, 0.08327674157670471, 0.06267204833410879,
+     0.040601429800386446, 0.017614007139150893],
+)
 _QUAD_TOL = 1e-10  # a panel is done when its moments change less than this on halving
 _QUAD_ROUNDS = 30  # panel halvings, down to 2^-30 of a cell side
 _QUAD_PANELS = 64  # undone panels of a cell, beyond which rounding noise is taken to stop them
@@ -713,10 +720,13 @@ def _cell_roots(g, dg, den, cells):
     for pair, checks in zip(((g, dg), den), zooms):
         if not checks:
             continue
-        squares = [square for _, _, squares in checks for square in squares]
+        # each check's smallest square first, the rest only where its noise leaves no count
+        firsts = [_count(s, 1e-2) for s in _moments(*pair, [sq[0] for _, _, sq in checks], 1e-3)]
+        rest = [squares[1:] if n is None else [] for (_, _, squares), n in zip(checks, firsts)]
+        squares = [square for squares in rest for square in squares]
         counts = [_count(s, 1e-2) for s in _moments(*pair, squares, 1e-3)]
-        for k, mult, squares in checks:
-            first = next((n for n in counts[:len(squares)] if n is not None), None)
+        for (k, mult, _), n, squares in zip(checks, firsts, rest):
+            first = next((c for c in [n] + counts[:len(squares)] if c is not None), None)
             counts = counts[len(squares):]
             if first != mult:
                 result[k] = None

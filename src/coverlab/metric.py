@@ -205,19 +205,34 @@ def density_array(m, dm, zs):
 # ---------------------------------------------------------------------------
 # Adaptive quadrature: polar cells for a(r); circle nodes for l(r), a'(r) and boundary a(r)
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
+
+def _gauss_legendre(nodes, weights):
+    """The n-point Gauss-Legendre rule of [-1, 1], nodes ascending, from its
+    n/2 positive nodes and their weights: the rule is symmetric to the bit."""
+    x, w = np.array(nodes), np.array(weights)
+    return np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
 
 
-def _clenshaw_curtis(n):
-    """Clenshaw-Curtis weights of the n + 1 points cos(pi k / n) of [-1, 1]."""
-    k, j = np.arange(n + 1), np.arange(1, n // 2 + 1)
-    w = 1 - np.cos(2 * np.pi * np.outer(k, j) / n) @ (np.where(2 * j == n, 1, 2) / (4 * j * j - 1))
-    return w * np.where((k == 0) | (k == n), 1, 2) / n
+_GL_NODES, _GL_WEIGHTS = _gauss_legendre(
+    [0.33998104358485626, 0.8611363115940526], [0.6521451548625464, 0.34785484513745357]
+)
 
-
-# an arc's 17 points, and the weights of all of them, every 2nd and every 4th
+# an arc's 17 points, and the Clenshaw-Curtis weights of all of them, every
+# 2nd and every 4th.  The weights are literals because their last bits, made
+# by a matrix product, follow the BLAS kernel that OpenBLAS picks per CPU;
+# they are not symmetric to the bit.
 _CC_NODES = np.cos(np.pi * np.arange(17) / 16)
-_CC_WEIGHTS = [_clenshaw_curtis(n) for n in (16, 8, 4)]
+_CC_WEIGHTS = [np.array(w) for w in (
+    [0.00392156862745098, 0.037368702837205614, 0.07548233154315184, 0.10890555258189093,
+     0.13895646836823308, 0.1631726642817033, 0.18147378423649335, 0.19251386461292563,
+     0.19641012582189052, 0.19251386461292563, 0.18147378423649338, 0.16317266428170335,
+     0.13895646836823308, 0.10890555258189091, 0.07548233154315184, 0.037368702837205656,
+     0.00392156862745098],
+    [0.015873015873015872, 0.14621864921601815, 0.27936507936507937, 0.3617178587204898,
+     0.39365079365079364, 0.3617178587204898, 0.27936507936507937, 0.14621864921601818,
+     0.015873015873015872],
+    [0.06666666666666668, 0.5333333333333333, 0.8, 0.5333333333333334, 0.06666666666666668],
+)]
 
 
 def _quarter_bounds(bounds):

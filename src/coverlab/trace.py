@@ -39,7 +39,7 @@ from coverlab.expr import (
     evaluate_ball,
 )
 from coverlab.lifting import lift_paths
-from coverlab.metric import chordal_distance, sphere_point
+from coverlab.metric import _gauss_legendre, chordal_distance, sphere_point
 from coverlab.count import (
     ContourPassesThroughRoot,
     ResolutionError,
@@ -52,7 +52,14 @@ from coverlab.count import (
     ring_radius,
 )
 
-_ARC_NODES, _ARC_WEIGHTS = np.polynomial.legendre.leggauss(24)  # rule of the arc test integral
+_ARC_NODES, _ARC_WEIGHTS = _gauss_legendre(  # the 24-point rule of the arc test integral
+    [0.06405689286260563, 0.1911188674736163, 0.3150426796961634, 0.4337935076260451,
+     0.5454214713888396, 0.6480936519369755, 0.7401241915785544, 0.820001985973903,
+     0.8864155270044011, 0.9382745520027328, 0.9747285559713095, 0.9951872199970213],
+    [0.12793819534675202, 0.12583745634682825, 0.1216704729278033, 0.11550566805372552,
+     0.10744427011596556, 0.09761865210411393, 0.0861901615319532, 0.07334648141108016,
+     0.05929858491543636, 0.04427743881741941, 0.02853138862893356, 0.01234122979998869],
+)
 _IMAGE_SAMPLES = 4096  # first sampling of the boundary image f(|z| = r)
 _IMAGE_BUDGET = 200_000  # samples after which the image is not refined further
 

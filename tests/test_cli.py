@@ -457,10 +457,11 @@ def test_an_overflowing_entire_map_exits_3_naming_overflow(tmp_path):
     assert "pole" not in error["error"]
 
 
-def test_cli_import_and_mean_degree_run_load_no_scipy_or_numpy_random(tmp_path):
-    # scipy and numpy.random are test oracles, not runtime dependencies: a
-    # fresh process that imports the command line and runs the Monte-Carlo
-    # verifier loads neither (the sphere sample has its own PCG64 stream)
+def test_cli_import_and_mean_degree_run_load_no_scipy_numpy_random_or_numpy_polynomial(tmp_path):
+    # scipy, numpy.random and numpy.polynomial are test oracles, not runtime
+    # dependencies: a fresh process that imports the command line and runs
+    # the Monte-Carlo verifier loads none of them (the sphere sample has its
+    # own PCG64 stream, the quadrature rules are literals)
     src = Path(__file__).resolve().parents[1] / "src"
     (tmp_path / "degree.cfg").write_text(
         "map = z^3\nradii.list = 2\nverifiers = mean_degree\nsamples = 100\n"
@@ -469,7 +470,8 @@ def test_cli_import_and_mean_degree_run_load_no_scipy_or_numpy_random(tmp_path):
     probe = (
         "import sys\nfrom coverlab import cli\n"
         "def loaded():\n"
-        "    return sorted(n for n in sys.modules if n.split('.')[0] == 'scipy' or n.startswith('numpy.random'))\n"
+        "    oracles = ('scipy', 'numpy.random', 'numpy.polynomial')\n"
+        "    return sorted(n for n in sys.modules if n.startswith(oracles))\n"
         "print(loaded())\n"
         f"code = cli.main(['verify-all', '--config', {str(tmp_path / 'degree.cfg')!r}])\n"
         "print(code, loaded())"

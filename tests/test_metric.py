@@ -1,13 +1,17 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
 import time
 import tracemalloc
 from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coverlab import _march, metric
+from coverlab import _march, count, metric, trace
 from coverlab.expr import INF, IndeterminateError, parse_map, differentiate
 from coverlab.metric import (
     MAX_DISK_RADIUS,
@@ -419,6 +423,58 @@ def test_quadratures_are_bit_identical_to_the_pins(source, r, length, derivative
     assert area_derivative(m, r).hex() == derivative
     assert boundary_area(m, r).hex() == boundary
     assert area(m, r).hex() == polar
+
+
+def _clenshaw_curtis(n):
+    """Clenshaw-Curtis weights of the n + 1 points cos(pi k / n) of [-1, 1]."""
+    k, j = np.arange(n + 1), np.arange(1, n // 2 + 1)
+    w = 1 - np.cos(2 * np.pi * np.outer(k, j) / n) @ (np.where(2 * j == n, 1, 2) / (4 * j * j - 1))
+    return w * np.where((k == 0) | (k == n), 1, 2) / n
+
+
+@pytest.mark.parametrize(
+    ("nodes", "weights", "n"),
+    [
+        (metric._GL_NODES, metric._GL_WEIGHTS, 4),
+        (count._QUAD_NODES, count._QUAD_WEIGHTS, 20),
+        (trace._ARC_NODES, trace._ARC_WEIGHTS, 24),
+    ],
+    ids=["metric", "count", "trace"],
+)
+def test_gauss_legendre_tables_are_leggauss_to_the_bit(nodes, weights, n):
+    # numpy.polynomial is an oracle here only: the tables are literals
+    x, w = np.polynomial.legendre.leggauss(n)
+    assert nodes.dtype == weights.dtype == np.float64
+    assert nodes.tobytes() == x.tobytes()
+    assert weights.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(("k", "n"), [(0, 16), (1, 8), (2, 4)])
+def test_clenshaw_curtis_tables_match_the_formula(k, n):
+    w = metric._CC_WEIGHTS[k]
+    assert w.dtype == np.float64 and w.shape == (n + 1,)
+    np.testing.assert_array_max_ulp(w, _clenshaw_curtis(n), maxulp=2)
+    assert np.sum(w) == 2
+
+
+def test_rule_tables_have_the_same_bits_under_every_blas_kernel():
+    # OpenBLAS picks its kernel per CPU; no rule table may depend on which
+    probe = (
+        "from coverlab import count, metric, trace\n"
+        "for w in (metric._GL_NODES, metric._GL_WEIGHTS, count._QUAD_NODES, count._QUAD_WEIGHTS,\n"
+        "          trace._ARC_NODES, trace._ARC_WEIGHTS, *metric._CC_WEIGHTS):\n"
+        "    print(w.tobytes().hex())"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    outs = [
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(env, **extra), capture_output=True, text=True, check=True,
+        ).stdout
+        for extra in ({}, {"OPENBLAS_CORETYPE": "Sandybridge"})
+    ]
+    assert len(outs[0].splitlines()) == 9
+    assert outs[0] == outs[1]
 
 
 @pytest.mark.parametrize("chunk", [1, 3, 10_000])
